@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroDirectionError
+from .errors import NumericalDomainError, ZeroDirectionError
 from .geometry.base import BusemannRay
 
 DEFAULT_T_VALUES = (5.0, 10.0, 20.0, 30.0)
@@ -78,11 +78,15 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
     On the SPD side the curvature terms decay like exp(-t * gap / 2)
     with ``gap`` the smallest relative spectral gap of the direction;
     directions with gap below ~5e-3 cannot settle within the overflow
-    guard, and the result reports ``converged=False``.
+    guard, and the result reports ``converged=False``.  So does a
+    refinement probe that leaves the numerical domain (a singular value
+    underflowing far out on the ray); a probe of the base schedule that
+    does so raises :class:`~hadamard_dc.errors.NumericalDomainError`.
     """
     q = manifold.check_point(ray.base)
     v = manifold.check_tangent(q, ray.direction)
-    nv = manifold.norm(q, v)
+    p = manifold.check_point(p)
+    nv = manifold._norm(q, v)
     if nv == 0.0:
         raise ZeroDirectionError(
             "limit oracle needs a nonzero ray direction")
@@ -117,8 +121,13 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
         t_next = 2.0 * ts[-1]
         if t_next > guard:
             break
+        try:
+            raw_next = raw(t_next)
+        except NumericalDomainError:
+            # the estimates have not settled, so the result is unconverged
+            break
         ts.append(t_next)
-        raws.append(raw(t_next))
+        raws.append(raw_next)
         estimates.append((ts[-1] * raws[-1] - ts[-2] * raws[-2])
                          / (ts[-1] - ts[-2]))
         refined = True

@@ -66,32 +66,50 @@ def record_from_trace(trace, problem_id, algorithm_code, run_index, seed):
         fval=trace.fval, grad_norm=trace.grad_norm, time_s=trace.time_s)
 
 
-def make_problem(subcommand, args, rng):
-    """Instantiate the benchmark family selected by the CLI flags."""
+def family_params(subcommand, args):
+    """Parameter object of the benchmark family selected by the CLI flags;
+    raises ValueError on a bad parameter value."""
     if subcommand == "rosenbrock":
         b_default = 100.0 if args.tangency == "internal" else 2.0
-        params = RosenbrockParams(
+        return RosenbrockParams(
             a=args.a, b=(args.b if args.b is not None else b_default),
             theta=args.theta, tangency=args.tangency, n=args.n or 2)
+    if subcommand == "spd-academic":
+        return AcademicParams(n=args.n or 4)
+    if subcommand == "spd-contrastive":
+        return ContrastiveParams(n=args.n or 5, m=args.m, r=args.r)
+    raise ValueError(f"unknown benchmark {subcommand!r}")
+
+
+def solver_configs(args):
+    """SolverConfig per requested algorithm code, in run order; raises
+    ValueError on a bad tolerance."""
+    codes = ["cr", "b"] if args.algorithm == "both" else [args.algorithm]
+    return {code: SolverConfig(eps_base=args.eps, max_outer=args.max_outer,
+                               algorithm=ALGORITHM_CODES[code])
+            for code in codes}
+
+
+def make_problem(subcommand, args, rng):
+    """Instantiate the benchmark family selected by the CLI flags."""
+    params = family_params(subcommand, args)
+    if subcommand == "rosenbrock":
         return rosenbrock_problem(params)
     if subcommand == "spd-academic":
-        return academic_problem(AcademicParams(n=args.n or 4))
-    if subcommand == "spd-contrastive":
-        params = ContrastiveParams(n=args.n or 5, m=args.m, r=args.r)
-        return contrastive_problem(params, rng)
-    raise ValueError(f"unknown benchmark {subcommand!r}")
+        return academic_problem(params)
+    return contrastive_problem(params, rng)
 
 
 def run_benchmark(subcommand, args):
     """Run the requested algorithm(s) over seeded starts.
 
-    Returns (records, stall_error_or_None).  Per run index, a fresh
-    problem instance (where references are sampled) and a starting point
-    are drawn from the derived per-run seed; both algorithms then use the
-    identical start point and tolerances.
+    Returns (records, stall_error_or_None), sorted also when a stall ends
+    the runs.  Per run index, a fresh problem instance (where references
+    are sampled) and a starting point are drawn from the derived per-run
+    seed; both algorithms then use the identical start point and
+    tolerances.
     """
-    algorithms = (["cr", "b"] if args.algorithm == "both"
-                  else [args.algorithm])
+    configs = solver_configs(args)
     records = []
     stall = None
     for run_index in range(args.runs):
@@ -99,9 +117,7 @@ def run_benchmark(subcommand, args):
         rng = make_rng(seed)
         problem = make_problem(subcommand, args, rng)
         start = random_start(problem, rng)
-        for code in algorithms:
-            cfg = SolverConfig(eps_base=args.eps, max_outer=args.max_outer,
-                               algorithm=ALGORITHM_CODES[code])
+        for code, cfg in configs.items():
             try:
                 trace = run_dca(problem, start, cfg)
             except StalledInnerSolveError as exc:
@@ -110,8 +126,10 @@ def run_benchmark(subcommand, args):
                     records.append(record_from_trace(
                         partial, problem.name, code, run_index, seed))
                 stall = exc
-                return records, stall
+                break
             records.append(record_from_trace(
                 trace, problem.name, code, run_index, seed))
+        if stall is not None:
+            break
     records.sort(key=lambda r: (r.problem, r.algorithm, r.run))
     return records, stall

@@ -12,8 +12,9 @@ of --runs, and emits CSV (default) or JSON rows with the columns
 problem,algorithm,run,seed,k,inn,inn_per_k,fval,grad_norm,time_s.
 Identical flags and seed reproduce every column except time_s.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 solver
-stall (partial output is still written).
+Exit codes: 0 success, 1 verification failure, 2 usage error (a bad
+flag or parameter value, reported before any solve), 3 solver stall
+(partial output is still written).
 """
 
 from __future__ import annotations
@@ -21,18 +22,28 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import records_to_csv, records_to_json, run_benchmark
+from .bench import (family_params, records_to_csv, records_to_json,
+                    run_benchmark, solver_configs)
 from .verify import run_verify
+
+
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _add_common_run_flags(sub, default_runs):
     sub.add_argument("--algorithm", choices=("cr", "b", "both"),
                      default="both")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--runs", type=int, default=default_runs)
+    sub.add_argument("--runs", type=_int_at_least(1), default=default_runs)
     sub.add_argument("--eps", type=float, default=1e-4,
                      help="base stopping tolerance (scaled per run)")
-    sub.add_argument("--max-outer", type=int, default=20000)
+    sub.add_argument("--max-outer", type=_int_at_least(0), default=20000)
     sub.add_argument("--output", default=None,
                      help="output path (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -101,6 +112,13 @@ def main(argv=None):
             ok = ok and res.passed
         return 0 if ok else 1
 
+    try:
+        family_params(args.subcommand, args)
+        solver_configs(args)
+    except ValueError as exc:
+        print(f"{parser.prog} {args.subcommand}: error: {exc}",
+              file=sys.stderr)
+        return 2
     records, stall = run_benchmark(args.subcommand, args)
     text = records_to_csv(records) if args.format == "csv" \
         else records_to_json(records)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (NumericalDomainError, StalledInnerSolveError,
                      ValidationError)
-from .geometry.base import BusemannRay, fd_riemannian_grad
+from .geometry.base import fd_riemannian_grad
 
 logger = logging.getLogger(__name__)
 
@@ -173,17 +173,23 @@ def scale_factor(problem: DCProblem, p0):
 
 
 def make_cr_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
-    """Classic linearized subproblem  g(p) - <s_k, log_{p_k} p>."""
+    """Classic linearized subproblem  g(p) - <s_k, log_{p_k} p>.
+
+    Validates ``p_k`` and ``s_k`` once; the objective takes checked points.
+    """
     manifold = problem.manifold
+    p_k = manifold.check_point(p_k)
+    s_k = manifold.check_tangent(p_k, s_k)
 
     def value(p):
-        return problem.g(p) - manifold.inner(p_k, s_k, manifold.log(p_k, p))
+        return problem.g(p) - manifold._inner(p_k, s_k, manifold._log(p_k, p))
 
     if problem.cr_subgrad_factory is not None:
         return SubproblemObjective(value, problem.cr_subgrad_factory(p_k, s_k))
     if problem.g_rgrad is not None:
         def grad(p):
-            return problem.g_rgrad(p) - manifold.linear_model_grad(p_k, s_k, p)
+            return problem.g_rgrad(p) - manifold._linear_model_grad(p_k, s_k,
+                                                                    p)
         return SubproblemObjective(value, grad)
     logger.warning("%s: no analytic gradient for g, classic subproblem "
                    "falls back to finite differences", problem.name)
@@ -198,7 +204,9 @@ def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     and the subproblem reduces to minimizing g.
     """
     manifold = problem.manifold
-    ns = manifold.norm(p_k, s_k)
+    p_k = manifold.check_point(p_k)
+    s_k = manifold.check_tangent(p_k, s_k)
+    ns = manifold._norm(p_k, s_k)
     if ns == 0.0:
         if problem.g_rgrad is not None:
             return SubproblemObjective(problem.g, problem.g_rgrad)
@@ -210,14 +218,13 @@ def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
             lambda p: fd_riemannian_grad(manifold, problem.g, p),
             analytic=False)
 
-    ray = BusemannRay(p_k, s_k)
-
     def value(p):
-        return problem.g(p) + ns * manifold.busemann(ray, p)
+        return problem.g(p) + ns * manifold._busemann(p_k, s_k, p)
 
     if problem.g_rgrad is not None:
         def grad(p):
-            return problem.g_rgrad(p) + ns * manifold.busemann_grad(ray, p)
+            return problem.g_rgrad(p) + ns * manifold._busemann_grad(p_k, s_k,
+                                                                     p)
         return SubproblemObjective(value, grad)
     logger.warning("%s: no analytic gradient for g, horofunction subproblem "
                    "falls back to finite differences", problem.name)
@@ -235,13 +242,15 @@ def inner_solve(objective: SubproblemObjective, start, cfg: InnerConfig,
     the objective (the point is then as converged as evaluations allow).
     Raises StalledInnerSolveError when the line search exhausts its
     halvings while certifiable progress was still representable.
+    ``start`` and every trial point out of ``exp`` are validated, so the
+    objective only sees checked points.
     """
     if tol <= 0.0:
         raise ValueError("inner tolerance must be positive")
-    p = start
+    p = manifold.check_point(start)
     fp = objective.value(p)
     g = objective.grad(p)
-    gn = manifold.norm(p, g)
+    gn = manifold._norm(p, g)
     iters = 0
     alpha_prev = None
     fp_prev = None
@@ -271,7 +280,7 @@ def inner_solve(objective: SubproblemObjective, start, cfg: InnerConfig,
         for _ in range(cfg.max_halvings):
             required = cfg.armijo_c1 * alpha * gn * gn
             try:
-                cand = manifold.exp(p, -alpha * g)
+                cand = manifold.check_point(manifold.exp(p, -alpha * g))
                 fc = objective.value(cand)
             except (OverflowError, FloatingPointError, NumericalDomainError,
                     ValidationError):
@@ -303,7 +312,7 @@ def inner_solve(objective: SubproblemObjective, start, cfg: InnerConfig,
         fp_prev, gn_prev, alpha_prev = fp, gn, alpha
         p, fp = cand, fc
         g = objective.grad(p)
-        gn = manifold.norm(p, g)
+        gn = manifold._norm(p, g)
         iters += 1
 
     return p, iters
@@ -326,7 +335,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     iterate.
     """
     manifold = problem.manifold
-    manifold.check_point(p0)
+    p0 = manifold.check_point(p0)
     smooth = problem.g_rgrad is not None
     gamma = scale_factor(problem, p0) if smooth else 1.0
     eps = gamma * cfg.eps_base
@@ -370,7 +379,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
             logger.debug("%s: inner solve floored after %d iterations",
                          problem.name, exc.iterations)
             p_next, n_inner = exc.best_point, exc.iterations
-        step = manifold.dist(p, p_next)
+        step = manifold._dist(p, p_next)
         trace.records.append(IterationRecord(
             k=len(trace.records), point=p, fval=fp, grad_norm=gn,
             inner_iters=n_inner, step_dist=step,

@@ -2,17 +2,27 @@
 
 Points and tangent vectors are plain numpy arrays whose interpretation is
 owned by the manifold object (vectors for the flat and hyperbolic
-geometries, symmetric matrices for the SPD geometry).  Every public
-operation validates its inputs once at entry and raises
-:class:`~hadamard_dc.errors.ValidationError` naming the violated
-constraint.  All operations are pure functions of immutable values, so
-parallel callers need no synchronization.
+geometries, symmetric matrices for the SPD geometry).  Validation happens
+at the public boundary:
+
+* public methods validate every argument on every call and raise
+  :class:`~hadamard_dc.errors.ValidationError` naming the violated
+  constraint;
+* the ``_``-prefixed kernels behind them (``_inner``, ``_norm``, ``_exp``,
+  ``_log``, ``_dist``, ``_busemann``, ``_busemann_grad``,
+  ``_linear_model_grad``) validate nothing and are for callers that
+  already hold validated values, as are the limit-oracle hooks
+  ``ray_point_distance`` and ``oracle_t_guard``;
+* nothing is remembered between calls, so an array mutated after a check
+  is checked again on its next public call.
+
+All operations are pure functions, so parallel callers need no
+synchronization.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,35 +45,18 @@ class BusemannRay:
 class Manifold:
     """Abstract Hadamard geometry.
 
-    Subclasses provide the metric, the exponential/logarithm pair, the
-    closed-form Busemann value and gradient, Euclidean-to-Riemannian
-    gradient conversion, and seeded sampling.
+    Subclasses provide validation, the unchecked kernels behind the public
+    operations defined here, Euclidean-to-Riemannian gradient conversion,
+    and seeded sampling.
     """
 
     name = "manifold"
     dim = 0                      # intrinsic dimension
     oracle_mode_default = "quotient"
 
-    def __init__(self):
-        # arrays that already passed check_point; values are immutable by
-        # contract, so identity implies validity and validation stays out
-        # of the solver inner loops
-        self._checked_points = weakref.WeakValueDictionary()
-
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------
-
-    def _seen_point(self, p):
-        return isinstance(p, np.ndarray) and p.dtype == np.float64 \
-            and self._checked_points.get(id(p)) is p
-
-    def _remember_point(self, p):
-        try:
-            self._checked_points[id(p)] = p
-        except TypeError:
-            pass
-        return p
 
     def check_point(self, p):
         raise NotImplementedError
@@ -82,19 +75,26 @@ class Manifold:
     # ------------------------------------------------------------------
 
     def inner(self, p, u, v):
-        raise NotImplementedError
+        p = self.check_point(p)
+        return self._inner(p, self.check_tangent(p, u),
+                           self.check_tangent(p, v))
 
     def norm(self, p, v):
-        return math.sqrt(max(self.inner(p, v, v), 0.0))
+        p = self.check_point(p)
+        return self._norm(p, self.check_tangent(p, v))
+
+    def _norm(self, p, v):
+        return math.sqrt(max(self._inner(p, v, v), 0.0))
 
     def exp(self, p, v):
-        raise NotImplementedError
+        p = self.check_point(p)
+        return self._exp(p, self.check_tangent(p, v))
 
     def log(self, p, q):
-        raise NotImplementedError
+        return self._log(self.check_point(p), self.check_point(q))
 
     def dist(self, p, q):
-        raise NotImplementedError
+        return self._dist(self.check_point(p), self.check_point(q))
 
     def project(self, p, x):
         """Project an ambient array onto the tangent space at ``p``."""
@@ -105,26 +105,31 @@ class Manifold:
 
     def geodesic(self, p, q, t):
         """Point at parameter ``t`` on the geodesic from ``p`` to ``q``."""
-        return self.exp(p, t * self.log(p, q))
+        p = self.check_point(p)
+        return self._exp(p, t * self._log(p, self.check_point(q)))
 
     # ------------------------------------------------------------------
     # Busemann functions
     # ------------------------------------------------------------------
 
     def busemann(self, ray: BusemannRay, p):
-        raise NotImplementedError
+        q = self.check_point(ray.base)
+        return self._busemann(q, self.check_tangent(q, ray.direction),
+                              self.check_point(p))
 
     def busemann_grad(self, ray: BusemannRay, p):
-        raise NotImplementedError
+        q = self.check_point(ray.base)
+        return self._busemann_grad(q, self.check_tangent(q, ray.direction),
+                                   self.check_point(p))
 
     def _distance_gradient(self, q, p):
         """Gradient at ``p`` of the distance to ``q`` (zero-direction rays)."""
-        d = self.dist(p, q)
+        d = self._dist(p, q)
         if d == 0.0:
             raise UndefinedGradientError(
                 f"{self.name}: gradient of a zero-direction ray is undefined "
                 "at the base point")
-        return -self.log(p, q) / d
+        return -self._log(p, q) / d
 
     # ------------------------------------------------------------------
     # gradients and linear models
@@ -141,7 +146,9 @@ class Manifold:
         ``s`` is a tangent vector at ``q``; the inner product is taken in
         the metric at ``q``.  Used by the classic DC subproblem.
         """
-        raise NotImplementedError
+        q = self.check_point(q)
+        return self._linear_model_grad(q, self.check_tangent(q, s),
+                                       self.check_point(p))
 
     # ------------------------------------------------------------------
     # sampling
@@ -172,12 +179,13 @@ class Manifold:
         Gram-Schmidt over the projected ambient coordinate directions;
         near-dependent candidates are dropped.
         """
+        p = self.check_point(p)
         basis = []
         for cand in self.coordinate_directions():
             v = self.project(p, cand)
             for b in basis:
-                v = v - self.inner(p, v, b) * b
-            nv = self.norm(p, v)
+                v = v - self._inner(p, v, b) * b
+            nv = self._norm(p, v)
             if nv > 1e-10:
                 basis.append(v / nv)
             if len(basis) == self.dim:
@@ -193,15 +201,17 @@ class Manifold:
     # ------------------------------------------------------------------
 
     def ray_point_distance(self, q, unit_dir, t, p):
-        """d(p, exp_q(t * unit_dir)) for the limit oracle.
+        """d(p, exp_q(t * unit_dir)) for the limit oracle, which has
+        validated ``q``, ``unit_dir`` and ``p``.
 
         Geometries with overflow-prone kernels override this with a
         log-domain path valid at much larger ``t``.
         """
-        return self.dist(p, self.exp(q, t * unit_dir))
+        return self._dist(p, self._exp(q, t * unit_dir))
 
     def oracle_t_guard(self, q, unit_dir):
-        """Largest ray parameter the oracle may use before overflow."""
+        """Largest ray parameter the oracle may use before overflow; takes
+        validated values, like ``ray_point_distance``."""
         return 1e12
 
 
@@ -212,14 +222,14 @@ def fd_riemannian_grad(manifold, f, p, h=None):
     tangent basis e_i, assembled back into a tangent vector.  Serves as
     the independent oracle for every closed-form gradient in the package.
     """
-    manifold.check_point(p)
+    p = manifold.check_point(p)
     if h is None:
         h = 1e-6 * (1.0 + manifold.rep_scale(p))
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
     grad = manifold.zero_tangent(p)
     for e in manifold.tangent_basis(p):
-        fp = f(manifold.exp(p, h * e))
-        fm = f(manifold.exp(p, -h * e))
+        fp = f(manifold._exp(p, h * e))
+        fm = f(manifold._exp(p, -h * e))
         grad = grad + ((fp - fm) / (2.0 * h)) * e
     return grad

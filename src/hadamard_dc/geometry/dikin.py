@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .base import BusemannRay, Manifold
+from .base import Manifold
 
 _EXPONENT_GUARD = 690.0     # e^690 is near the double-precision ceiling
 
@@ -24,7 +24,6 @@ _EXPONENT_GUARD = 690.0     # e^690 is near the double-precision ceiling
 class DikinOrthant(Manifold):
 
     def __init__(self, n):
-        super().__init__()
         if n < 1:
             raise ValidationError("dikin: dimension must be >= 1")
         self.n = int(n)
@@ -32,8 +31,6 @@ class DikinOrthant(Manifold):
         self.name = f"dikin({n})"
 
     def check_point(self, p):
-        if self._seen_point(p):
-            return p
         p = self._as_array(p, "point")
         if p.shape != (self.n,):
             raise ValidationError(
@@ -41,7 +38,7 @@ class DikinOrthant(Manifold):
         if np.any(p <= 0.0):
             raise ValidationError(
                 f"{self.name}: point must have strictly positive coordinates")
-        return self._remember_point(p)
+        return p
 
     def check_tangent(self, p, v):
         v = self._as_array(v, "tangent")
@@ -50,15 +47,10 @@ class DikinOrthant(Manifold):
                 f"{self.name}: tangent has shape {v.shape}, expected ({self.n},)")
         return v
 
-    def inner(self, p, u, v):
-        p = self.check_point(p)
-        u = self.check_tangent(p, u)
-        v = self.check_tangent(p, v)
+    def _inner(self, p, u, v):
         return float(np.sum(u * v / p**2))
 
-    def exp(self, p, v):
-        p = self.check_point(p)
-        v = self.check_tangent(p, v)
+    def _exp(self, p, v):
         expo = v / p
         if np.max(np.abs(expo)) > _EXPONENT_GUARD:
             raise OverflowError(
@@ -66,33 +58,23 @@ class DikinOrthant(Manifold):
                 f"{np.max(np.abs(expo)):.3g}")
         return p * np.exp(expo)
 
-    def log(self, p, q):
-        p = self.check_point(p)
-        q = self.check_point(q)
+    def _log(self, p, q):
         return p * np.log(q / p)
 
-    def dist(self, p, q):
-        p = self.check_point(p)
-        q = self.check_point(q)
+    def _dist(self, p, q):
         return float(np.linalg.norm(np.log(q / p)))
 
     def project(self, p, x):
         return np.asarray(x, dtype=float)
 
-    def busemann(self, ray: BusemannRay, p):
-        q = self.check_point(ray.base)
-        v = self.check_tangent(q, ray.direction)
-        p = self.check_point(p)
-        nv = self.norm(q, v)
+    def _busemann(self, q, v, p):
+        nv = self._norm(q, v)
         if nv == 0.0:
-            return self.dist(q, p)
+            return self._dist(q, p)
         return float(-np.sum((v / q) * np.log(p / q)) / nv)
 
-    def busemann_grad(self, ray: BusemannRay, p):
-        q = self.check_point(ray.base)
-        v = self.check_tangent(q, ray.direction)
-        p = self.check_point(p)
-        nv = self.norm(q, v)
+    def _busemann_grad(self, q, v, p):
+        nv = self._norm(q, v)
         if nv == 0.0:
             return self._distance_gradient(q, p)
         # Euclidean derivative -(v_i/q_i)/p_i pushed through G(p)^{-1}
@@ -102,10 +84,7 @@ class DikinOrthant(Manifold):
         p = self.check_point(p)
         return np.asarray(egrad, dtype=float) * p**2
 
-    def linear_model_grad(self, q, s, p):
-        q = self.check_point(q)
-        s = self.check_tangent(q, s)
-        p = self.check_point(p)
+    def _linear_model_grad(self, q, s, p):
         return (s / q) * p
 
     def random_point(self, rng):
@@ -119,7 +98,6 @@ class DikinOrthant(Manifold):
         return iter(np.eye(self.n))
 
     def oracle_t_guard(self, q, unit_dir):
-        q = self.check_point(q)
         rate = np.max(np.abs(unit_dir / q))
         if rate == 0.0:
             return 1e12

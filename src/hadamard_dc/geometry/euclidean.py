@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .base import BusemannRay, Manifold
+from .base import Manifold
 
 
 class Euclidean(Manifold):
@@ -16,7 +16,6 @@ class Euclidean(Manifold):
     """
 
     def __init__(self, n):
-        super().__init__()
         if n < 1:
             raise ValidationError("euclidean: dimension must be >= 1")
         self.n = int(n)
@@ -24,13 +23,11 @@ class Euclidean(Manifold):
         self.name = f"euclidean({n})"
 
     def check_point(self, p):
-        if self._seen_point(p):
-            return p
         p = self._as_array(p, "point")
         if p.shape != (self.n,):
             raise ValidationError(
                 f"{self.name}: point has shape {p.shape}, expected ({self.n},)")
-        return self._remember_point(p)
+        return p
 
     def check_tangent(self, p, v):
         v = self._as_array(v, "tangent")
@@ -39,43 +36,28 @@ class Euclidean(Manifold):
                 f"{self.name}: tangent has shape {v.shape}, expected ({self.n},)")
         return v
 
-    def inner(self, p, u, v):
-        self.check_point(p)
-        u = self.check_tangent(p, u)
-        v = self.check_tangent(p, v)
+    def _inner(self, p, u, v):
         return float(u @ v)
 
-    def exp(self, p, v):
-        p = self.check_point(p)
-        v = self.check_tangent(p, v)
+    def _exp(self, p, v):
         return p + v
 
-    def log(self, p, q):
-        p = self.check_point(p)
-        q = self.check_point(q)
+    def _log(self, p, q):
         return q - p
 
-    def dist(self, p, q):
-        p = self.check_point(p)
-        q = self.check_point(q)
+    def _dist(self, p, q):
         return float(np.linalg.norm(q - p))
 
     def project(self, p, x):
         return np.asarray(x, dtype=float)
 
-    def busemann(self, ray: BusemannRay, p):
-        q = self.check_point(ray.base)
-        v = self.check_tangent(q, ray.direction)
-        p = self.check_point(p)
+    def _busemann(self, q, v, p):
         nv = np.linalg.norm(v)
         if nv == 0.0:
-            return self.dist(q, p)
+            return self._dist(q, p)
         return float(-(v / nv) @ (p - q))
 
-    def busemann_grad(self, ray: BusemannRay, p):
-        q = self.check_point(ray.base)
-        v = self.check_tangent(q, ray.direction)
-        p = self.check_point(p)
+    def _busemann_grad(self, q, v, p):
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return self._distance_gradient(q, p)
@@ -85,10 +67,7 @@ class Euclidean(Manifold):
         self.check_point(p)
         return np.asarray(egrad, dtype=float)
 
-    def linear_model_grad(self, q, s, p):
-        self.check_point(q)
-        s = self.check_tangent(q, s)
-        self.check_point(p)
+    def _linear_model_grad(self, q, s, p):
         return s.copy()
 
     def random_point(self, rng):

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import (NumericalDomainError, UndefinedGradientError,
                       ValidationError)
-from .base import BusemannRay, Manifold
+from .base import Manifold
 
 _EXP_ARG_GUARD = 350.0      # cosh overflows doubles near 710; stay well below
 _LARGE_ARCOSH = 1e8
@@ -46,6 +46,11 @@ def arcosh(x):
         return math.log(2.0 * x)
     xm1 = x - 1.0
     return math.log1p(xm1 + math.sqrt(xm1 * (x + 1.0)))
+
+
+def _lorentz(x, y):
+    """Lorentzian inner product x^T J y of two vectors of equal length."""
+    return float(x @ y) - 2.0 * float(x[-1]) * float(y[-1])
 
 
 def _ucoef(beta):
@@ -74,7 +79,6 @@ class Hyperboloid(Manifold):
     oracle_mode_default = "difference"
 
     def __init__(self, n, curvature=1.0):
-        super().__init__()
         if n < 1:
             raise ValidationError("hyperboloid: dimension must be >= 1")
         if curvature <= 0.0:
@@ -95,12 +99,15 @@ class Hyperboloid(Manifold):
         if x.shape != (self.n + 1,) or y.shape != (self.n + 1,):
             raise ValidationError(
                 f"{self.name}: vectors must have length {self.n + 1}")
-        return float(x @ y) - 2.0 * float(x[-1]) * float(y[-1])
+        return _lorentz(x, y)
 
     def project(self, p, x):
         """Lorentzian projection x + kappa <p,x> p onto the tangent space."""
         x = np.asarray(x, dtype=float)
         return x + self.kappa * self.lorentz(p, x) * p
+
+    def _project(self, p, x):
+        return x + self.kappa * _lorentz(p, x) * p
 
     def apex(self):
         p = np.zeros(self.n + 1)
@@ -112,8 +119,6 @@ class Hyperboloid(Manifold):
     # ------------------------------------------------------------------
 
     def check_point(self, p):
-        if self._seen_point(p):
-            return p
         p = np.asarray(p, dtype=float)
         if p.shape != (self.n + 1,):
             raise ValidationError(
@@ -124,7 +129,7 @@ class Hyperboloid(Manifold):
         # negated comparisons also reject NaN coordinates
         s = max(1.0, float(np.max(np.abs(p))))
         ph = p / s
-        residual = self.lorentz(ph, ph) + 1.0 / (self.kappa * s * s)
+        residual = _lorentz(ph, ph) + 1.0 / (self.kappa * s * s)
         if not (abs(residual) <= 1e-8 * (1.0 + float(ph @ ph))):
             raise ValidationError(
                 f"{self.name}: point violates <p,p> = -1/kappa "
@@ -133,7 +138,7 @@ class Hyperboloid(Manifold):
             raise ValidationError(
                 f"{self.name}: point must lie on the upper sheet "
                 "(last coordinate > 0)")
-        return self._remember_point(p)
+        return p
 
     def check_tangent(self, p, v):
         v = np.asarray(v, dtype=float)
@@ -156,23 +161,18 @@ class Hyperboloid(Manifold):
         # while the cosh/sinh combination is already relatively accurate
         if float(np.max(np.abs(p))) > 1e2:
             return p
-        quad = self.lorentz(p, p)
+        quad = _lorentz(p, p)
         return p / math.sqrt(max(-self.kappa * quad, _TINY))
 
     # ------------------------------------------------------------------
     # metric, exponential, logarithm
     # ------------------------------------------------------------------
 
-    def inner(self, p, u, v):
-        p = self.check_point(p)
-        u = self.check_tangent(p, u)
-        v = self.check_tangent(p, v)
-        return self.lorentz(u, v)
+    def _inner(self, p, u, v):
+        return _lorentz(u, v)
 
-    def exp(self, p, v):
-        p = self.check_point(p)
-        v = self.check_tangent(p, v)
-        nv = self.norm(p, v)
+    def _exp(self, p, v):
+        nv = self._norm(p, v)
         arg = math.sqrt(self.kappa) * nv
         if arg > _EXP_ARG_GUARD:
             raise OverflowError(
@@ -183,25 +183,21 @@ class Hyperboloid(Manifold):
         out = math.cosh(arg) * p + (math.sinh(arg) / arg) * v
         return self._renormalize(out)
 
-    def log(self, q, p):
-        q = self.check_point(q)
-        p = self.check_point(p)
+    def _log(self, q, p):
         # log_q p = d * P/|P| with P the projection of p; the ratio d/|P|
         # equals _ucoef(-kappa<q,p>), which stays finite as p -> q
-        beta = max(-self.kappa * self.lorentz(q, p), 1.0)
-        v = _ucoef(beta) * self.project(q, p)
+        beta = max(-self.kappa * _lorentz(q, p), 1.0)
+        v = _ucoef(beta) * self._project(q, p)
         # clean rounding drift in the tangency constraint
-        return self.project(q, v)
+        return self._project(q, v)
 
-    def dist(self, p, q):
-        p = self.check_point(p)
-        q = self.check_point(q)
-        arg = -self.kappa * self.lorentz(p, q)
+    def _dist(self, p, q):
+        arg = -self.kappa * _lorentz(p, q)
         if arg < 1.0 + 1e-4:
             # near-coincident points: the pairing cancels catastrophically,
             # but <p-q, p-q> = 2(arg-1)/kappa is exact in the difference
             diff = p - q
-            x = max(0.5 * self.kappa * self.lorentz(diff, diff), 0.0)
+            x = max(0.5 * self.kappa * _lorentz(diff, diff), 0.0)
             return math.log1p(x + math.sqrt(x * (2.0 + x))) \
                 / math.sqrt(self.kappa)
         if arg <= _LARGE_ARCOSH:
@@ -212,7 +208,7 @@ class Hyperboloid(Manifold):
         # recover the arcosh in the log domain
         sp = max(1.0, float(np.max(np.abs(p))))
         sq = max(1.0, float(np.max(np.abs(q))))
-        scaled = -self.kappa * self.lorentz(p / sp, q / sq)
+        scaled = -self.kappa * _lorentz(p / sp, q / sq)
         return (math.log(2.0 * scaled) + math.log(sp) + math.log(sq)) \
             / math.sqrt(self.kappa)
 
@@ -230,7 +226,7 @@ class Hyperboloid(Manifold):
                 f"expected ({self.n + 1},)")
         jg = g.copy()
         jg[-1] = -jg[-1]
-        return self.project(p, jg)
+        return self._project(p, jg)
 
     def squared_dist_grad(self, p, z):
         """Gradient at p of d^2(p, z), equal to -2 log_p(z)."""
@@ -238,22 +234,20 @@ class Hyperboloid(Manifold):
 
     def dist_grad(self, p, z):
         """Gradient at p of d(p, z), for p != z."""
-        d = self.dist(p, z)
+        p, z = self.check_point(p), self.check_point(z)
+        d = self._dist(p, z)
         if d == 0.0:
             raise UndefinedGradientError(
                 f"{self.name}: distance gradient undefined at its center")
-        return self.squared_dist_grad(p, z) / (2.0 * d)
+        return -self._log(p, z) / d
 
-    def linear_model_grad(self, q, s, p):
-        q = self.check_point(q)
-        s = self.check_tangent(q, s)
-        p = self.check_point(p)
-        beta = max(-self.kappa * self.lorentz(q, p), 1.0)
+    def _linear_model_grad(self, q, s, p):
+        beta = max(-self.kappa * _lorentz(q, p), 1.0)
         c = _ucoef(beta)
         dc = _ucoef_deriv(beta)
-        w = self.lorentz(s, p)
+        w = _lorentz(s, p)
         ambient = -self.kappa * dc * w * q + c * s
-        return self.project(p, ambient)
+        return self._project(p, ambient)
 
     # ------------------------------------------------------------------
     # Busemann function
@@ -262,15 +256,12 @@ class Hyperboloid(Manifold):
     def _horo_center(self, q, v, nv):
         return self.kappa * q + (math.sqrt(self.kappa) / nv) * v
 
-    def busemann(self, ray: BusemannRay, p):
-        q = self.check_point(ray.base)
-        v = self.check_tangent(q, ray.direction)
-        p = self.check_point(p)
-        nv = self.norm(q, v)
+    def _busemann(self, q, v, p):
+        nv = self._norm(q, v)
         if nv == 0.0:
-            return self.dist(q, p)
+            return self._dist(q, p)
         w = self._horo_center(q, v, nv)
-        arg = -self.lorentz(p, w)
+        arg = -_lorentz(p, w)
         if arg <= 0.0:
             slack = 1e-12 * (1.0 + float(np.linalg.norm(p)) *
                              float(np.linalg.norm(w)))
@@ -284,17 +275,14 @@ class Hyperboloid(Manifold):
             arg = _TINY
         return math.log(arg) / math.sqrt(self.kappa)
 
-    def busemann_grad(self, ray: BusemannRay, p):
-        q = self.check_point(ray.base)
-        v = self.check_tangent(q, ray.direction)
-        p = self.check_point(p)
-        nv = self.norm(q, v)
+    def _busemann_grad(self, q, v, p):
+        nv = self._norm(q, v)
         if nv == 0.0:
             return self._distance_gradient(q, p)
         w = self._horo_center(q, v, nv)
-        denom = self.lorentz(p, w)
-        grad = self.project(p, w) / (math.sqrt(self.kappa) * denom)
-        return self.project(p, grad)
+        denom = _lorentz(p, w)
+        grad = self._project(p, w) / (math.sqrt(self.kappa) * denom)
+        return self._project(p, grad)
 
     # ------------------------------------------------------------------
     # sampling
@@ -309,12 +297,12 @@ class Hyperboloid(Manifold):
         if ng == 0.0:
             return apex
         radius = rng.uniform(0.0, 3.0)
-        return self.exp(apex, (radius / ng) * g)
+        return self._exp(apex, (radius / ng) * g)
 
     def random_tangent(self, p, rng):
         p = self.check_point(p)
-        v = self.project(p, rng.standard_normal(self.n + 1))
-        return self.project(p, v)
+        v = self._project(p, rng.standard_normal(self.n + 1))
+        return self._project(p, v)
 
     def coordinate_directions(self):
         return iter(np.eye(self.n + 1))

@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dgejsv
 
 from ..errors import (DefinitenessError, NumericalDomainError,
                       ValidationError, ZeroDirectionError)
-from .base import BusemannRay, Manifold
+from .base import Manifold
 
 
 def sym(a):
@@ -147,7 +147,6 @@ class SPDManifold(Manifold):
     """P(n) with the affine-invariant geometry."""
 
     def __init__(self, n):
-        super().__init__()
         if n < 1:
             raise ValidationError("spd: dimension must be >= 1")
         self.n = int(n)
@@ -159,8 +158,6 @@ class SPDManifold(Manifold):
     # ------------------------------------------------------------------
 
     def check_point(self, x):
-        if self._seen_point(x):
-            return x
         x = self._as_array(x, "point")
         if x.shape != (self.n, self.n):
             raise ValidationError(
@@ -174,7 +171,7 @@ class SPDManifold(Manifold):
         except np.linalg.LinAlgError as exc:
             raise DefinitenessError(
                 f"{self.name}: point is not positive definite") from exc
-        return self._remember_point(x)
+        return x
 
     def check_tangent(self, x, v):
         v = self._as_array(v, "tangent")
@@ -191,17 +188,12 @@ class SPDManifold(Manifold):
     # metric, exponential, logarithm
     # ------------------------------------------------------------------
 
-    def inner(self, y, u, v):
-        y = self.check_point(y)
-        u = self.check_tangent(y, u)
-        v = self.check_tangent(y, v)
+    def _inner(self, y, u, v):
         a = np.linalg.solve(y, u)
         b = np.linalg.solve(y, v)
         return float(np.einsum("ij,ji->", a, b))
 
-    def exp(self, y, v):
-        y = self.check_point(y)
-        v = self.check_tangent(y, v)
+    def _exp(self, y, v):
         yh = spd_fun(y, "sqrt")
         yih = spd_fun(y, "invsqrt")
         w, u = sym_eig(yih @ v @ yih)
@@ -212,17 +204,13 @@ class SPDManifold(Manifold):
         inner_exp = sym((u * np.exp(w)) @ u.T)
         return sym(yh @ inner_exp @ yh)
 
-    def log(self, x, y):
-        x = self.check_point(x)
-        y = self.check_point(y)
+    def _log(self, x, y):
         xh = spd_fun(x, "sqrt")
         xih = spd_fun(x, "invsqrt")
         inner_log = spd_fun(sym(xih @ y @ xih), "log")
         return sym(xh @ inner_log @ xh)
 
-    def dist(self, x, y):
-        x = self.check_point(x)
-        y = self.check_point(y)
+    def _dist(self, x, y):
         yih = spd_fun(y, "invsqrt")
         w = np.linalg.eigvalsh(sym(yih @ x @ yih))
         if w.min() <= 0.0:
@@ -246,10 +234,7 @@ class SPDManifold(Manifold):
         """Gradient at X of d^2(X, Z), equal to -2 log_X(Z)."""
         return -2.0 * self.log(x, z)
 
-    def linear_model_grad(self, xk, s, x):
-        xk = self.check_point(xk)
-        s = self.check_tangent(xk, s)
-        x = self.check_point(x)
+    def _linear_model_grad(self, xk, s, x):
         c = spd_fun(xk, "invsqrt")
         a = sym(c @ x @ c)
         m = sym(c @ s @ c)
@@ -263,7 +248,10 @@ class SPDManifold(Manifold):
     def spectral_split(self, y, v, grouping_tol=None):
         """Group the spectrum of Y^-1/2 V Y^-1/2 by near-equality."""
         y = self.check_point(y)
-        v = self.check_tangent(y, v)
+        return self._spectral_split(y, self.check_tangent(y, v),
+                                    grouping_tol)
+
+    def _spectral_split(self, y, v, grouping_tol=None):
         yih = spd_fun(y, "invsqrt")
         lam, u = sym_eig(yih @ v @ yih)
         lmax = float(np.max(np.abs(lam))) if lam.size else 0.0
@@ -287,13 +275,10 @@ class SPDManifold(Manifold):
         return SpectralSplit(reps, mults, u, np.asarray(bounds, dtype=int),
                              norm_const, per_index)
 
-    def busemann(self, ray: BusemannRay, x):
-        y = self.check_point(ray.base)
-        v = self.check_tangent(y, ray.direction)
-        x = self.check_point(x)
+    def _busemann(self, y, v, x):
         if np.linalg.norm(v) == 0.0:
-            return self.dist(x, y)
-        split = self.spectral_split(y, v)
+            return self._dist(x, y)
+        split = self._spectral_split(y, v)
         yih = spd_fun(y, "invsqrt")
         u = split.basis
         m = sym(u.T @ yih @ x @ yih @ u)
@@ -301,13 +286,10 @@ class SPDManifold(Manifold):
         return float(-2.0 / split.norm_const *
                      np.sum(split.per_index * np.log(np.diag(ell))))
 
-    def busemann_grad(self, ray: BusemannRay, x):
-        y = self.check_point(ray.base)
-        v = self.check_tangent(y, ray.direction)
-        x = self.check_point(x)
+    def _busemann_grad(self, y, v, x):
         if np.linalg.norm(v) == 0.0:
             return self._distance_gradient(y, x)
-        split = self.spectral_split(y, v)
+        split = self._spectral_split(y, v)
         yh = spd_fun(y, "sqrt")
         yih = spd_fun(y, "invsqrt")
         u = split.basis
@@ -371,8 +353,6 @@ class SPDManifold(Manifold):
         high relative accuracy by the Jacobi SVD even when the row
         scaling spans hundreds of orders of magnitude.
         """
-        y = self.check_point(y)
-        x = self.check_point(x)
         yih = spd_fun(y, "invsqrt")
         lam, u = sym_eig(yih @ unit_dir @ yih)
         m = sym(u.T @ yih @ x @ yih @ u)
@@ -382,7 +362,6 @@ class SPDManifold(Manifold):
         return float(np.linalg.norm(logs))
 
     def oracle_t_guard(self, y, unit_dir):
-        y = self.check_point(y)
         yih = spd_fun(y, "invsqrt")
         lam = np.linalg.eigvalsh(sym(yih @ unit_dir @ yih))
         lmax = float(np.max(np.abs(lam)))

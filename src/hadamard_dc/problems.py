@@ -1,7 +1,9 @@
 """Benchmark DC problems: hyperbolic Rosenbrock, SPD academic, SPD contrastive.
 
 Each constructor returns a ready-made :class:`~hadamard_dc.dc.DCProblem`
-with analytic gradients and known-optimum metadata.
+with analytic gradients and known-optimum metadata.  The problem closures
+take points the solver has already validated and call the unchecked
+geometry kernels.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class RosenbrockParams:
             raise ValidationError("rosenbrock: a and b must be positive")
         if self.theta < 1.0:
             raise ValidationError("rosenbrock: theta must be >= 1")
+        if self.n < 1:
+            raise ValidationError("rosenbrock: dimension must be >= 1")
         if self.tangency not in ("internal", "external"):
             raise ValidationError(
                 f"rosenbrock: unknown tangency {self.tangency!r}")
@@ -88,7 +92,7 @@ def rosenbrock_problem(params: RosenbrockParams = RosenbrockParams()) -> DCProbl
             f"radii condition [{r2 - r1:.6g}, {r2 + r1:.6g}]")
 
     def _dists(p):
-        return manifold.dist(p, pbar), manifold.dist(p, qbar)
+        return manifold._dist(p, pbar), manifold._dist(p, qbar)
 
     def f(p):
         dp, dq = _dists(p)
@@ -119,16 +123,16 @@ def rosenbrock_problem(params: RosenbrockParams = RosenbrockParams()) -> DCProbl
 
     def g_rgrad(p):
         dp, dq = _dists(p)
-        gsq_p = manifold.squared_dist_grad(p, pbar)
-        gsq_q = manifold.squared_dist_grad(p, qbar)
+        gsq_p = -2.0 * manifold._log(p, pbar)
+        gsq_q = -2.0 * manifold._log(p, qbar)
         return (_pow_grad(dp, gsq_p, 2 * theta)
                 + 2 * b * _pow_grad(dq, gsq_q, 2 * theta)
                 + 2 * b * _pow_grad(dp, gsq_p, 4 * theta))
 
     def h_subgrad(p):
         dp, dq = _dists(p)
-        gsq_p = manifold.squared_dist_grad(p, pbar)
-        gsq_q = manifold.squared_dist_grad(p, qbar)
+        gsq_p = -2.0 * manifold._log(p, pbar)
+        gsq_q = -2.0 * manifold._log(p, qbar)
         u = dp ** (2 * theta) + dq ** theta
         return (2 * a * _pow_grad(dp, gsq_p, theta)
                 + 2 * b * u * (_pow_grad(dp, gsq_p, 2 * theta)
@@ -231,6 +235,8 @@ class ContrastiveParams:
     neg_weights: tuple = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError("contrastive: dimension must be >= 1")
         if self.m < 1:
             raise ValidationError("contrastive: need at least one positive "
                                   "reference")
@@ -280,23 +286,23 @@ def contrastive_problem(params: ContrastiveParams, rng,
                               "the declared m, r")
 
     def g(x):
-        return float(sum(w * manifold.dist(x, p) ** 2
+        return float(sum(w * manifold._dist(x, p) ** 2
                          for w, p in zip(wp, positives)))
 
     def h(x):
-        return float(sum(w * manifold.dist(x, q) ** 2
+        return float(sum(w * manifold._dist(x, q) ** 2
                          for w, q in zip(wn, negatives)))
 
     def g_rgrad(x):
         out = manifold.zero_tangent(x)
         for w, p in zip(wp, positives):
-            out = out - 2.0 * w * manifold.log(x, p)
+            out = out - 2.0 * w * manifold._log(x, p)
         return sym(out)
 
     def h_subgrad(x):
         out = manifold.zero_tangent(x)
         for w, q in zip(wn, negatives):
-            out = out - 2.0 * w * manifold.log(x, q)
+            out = out - 2.0 * w * manifold._log(x, q)
         return sym(out)
 
     sigma = 2.0 * min(float(np.sum(wp)), float(np.sum(wn))) if params.r \

@@ -83,6 +83,24 @@ def test_flag_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-subcommand"])
     assert exc.value.code == 2
+    for argv in (["spd-academic", "--runs", "-1"],
+                 ["spd-academic", "--runs", "0"],
+                 ["spd-academic", "--max-outer", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    # bad parameter values: one line on stderr, no rows, no traceback
+    capsys.readouterr()
+    for argv in (["spd-academic", "--eps", "-1"],
+                 ["spd-academic", "--n", "1"],
+                 ["rosenbrock", "--theta", "0.5"],
+                 ["rosenbrock", "--n", "-1"],
+                 ["spd-contrastive", "--m", "0"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "error:" in err
 
 
 def test_rosenbrock_default_b_depends_on_tangency():
@@ -128,7 +146,7 @@ def test_records_serialization_helpers():
 
 def test_solver_stall_exits_3(monkeypatch, capsys, tmp_path):
     import hadamard_dc.bench as bench
-    from hadamard_dc.dc import SolverTrace, IterationRecord
+    from hadamard_dc.dc import IterationRecord, SolverTrace, run_dca
     from hadamard_dc.errors import StalledInnerSolveError
 
     calls = {"n": 0}
@@ -157,3 +175,20 @@ def test_solver_stall_exits_3(monkeypatch, capsys, tmp_path):
     rows = list(csv.DictReader(io.StringIO(path.read_text())))
     assert len(rows) == 1
     assert calls["n"] == 1
+
+    # cr succeeds and b stalls: the rows keep the normal path's order
+    def stall_b(problem, start, cfg):
+        if cfg.algorithm == "b_dca":
+            return fake_run_dca(problem, start, cfg)
+        return run_dca(problem, start, cfg)
+
+    monkeypatch.setattr(bench, "run_dca", stall_b)
+    code = main(["spd-academic", "--n", "4", "--algorithm", "both",
+                 "--output", str(path)])
+    assert code == 3
+    rows = list(csv.DictReader(io.StringIO(path.read_text())))
+    assert [r["algorithm"] for r in rows] == ["b", "cr"]
+    monkeypatch.setattr(bench, "run_dca", run_dca)
+    assert main(["spd-academic", "--n", "4", "--algorithm", "both"]) == 0
+    normal = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["algorithm"] for r in normal] == ["b", "cr"]

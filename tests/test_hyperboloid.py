@@ -221,6 +221,12 @@ def test_point_validation():
         m.check_tangent(apex(2), np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValidationError):
         Hyperboloid(2, curvature=0.0)
+    # a checked point mutated in place is checked again on its next use
+    p = m.apex()
+    m.check_point(p)
+    p[0] = 5.0
+    with pytest.raises(ValidationError):
+        m.dist(p, m.apex())
 
 
 def test_random_point_determinism_and_validity():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean, Hyperboloid,
-                         OracleSchedule, SPDManifold, ZeroDirectionError,
-                         busemann_numeric, make_rng)
+                         NumericalDomainError, OracleSchedule, SPDManifold,
+                         ZeroDirectionError, busemann_numeric, make_rng)
 from helpers import random_ray
 
 
@@ -127,3 +127,24 @@ def test_overflow_reports_offending_parameter():
     sched = OracleSchedule(t_values=(5.0, 400.0))
     with pytest.raises(OverflowError, match="t=400"):
         busemann_numeric(m, ray, p, sched, max_refine=0)
+
+
+def test_refinement_probe_underflow_reports_unconverged():
+    # a nearly degenerate SPD(5) direction: the sixth doubling (t=1920,
+    # below the guard) underflows a singular value of the reduced form
+    m = SPDManifold(5)
+    rng = make_rng(284)
+    q = m.random_point(rng)
+    p = m.random_point(rng)
+    v = m.random_tangent(q, rng)
+    ray = BusemannRay(q, v)
+    with pytest.warns(RuntimeWarning, match="dgejsv"):
+        res = busemann_numeric(m, ray, p)
+    assert not res.converged
+    assert res.t_values[-1] == 960.0
+    assert res.t_values == busemann_numeric(m, ray, p, max_refine=5).t_values
+    # the same probe in the base schedule still raises
+    with pytest.warns(RuntimeWarning, match="dgejsv"), \
+            pytest.raises(NumericalDomainError):
+        busemann_numeric(m, ray, p, OracleSchedule(t_values=(5.0, 1920.0)),
+                         max_refine=0)

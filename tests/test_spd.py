@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hadamard_dc import (BusemannRay, DefinitenessError, SPDManifold,
-                         ZeroDirectionError, fd_riemannian_grad, make_rng)
+                         ValidationError, ZeroDirectionError,
+                         fd_riemannian_grad, make_rng)
 from hadamard_dc.geometry import chol, frechet_log, logdet, spd_fun, sym
 from helpers import rel_err
 
@@ -267,6 +268,12 @@ def test_point_validation_errors():
     bad = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(Exception):
         m.check_point(bad)
+    # a checked matrix mutated into a non-symmetric one is rejected
+    x = np.eye(2)
+    m.check_point(x)
+    x[0, 1] = 0.5
+    with pytest.raises(ValidationError):
+        m.dist(x, np.eye(2))
 
 
 def test_fd_gradient_zero_at_distance_minimizer():
