@@ -73,11 +73,11 @@ def family_params(subcommand, args):
         b_default = 100.0 if args.tangency == "internal" else 2.0
         return RosenbrockParams(
             a=args.a, b=(args.b if args.b is not None else b_default),
-            theta=args.theta, tangency=args.tangency, n=args.n or 2)
+            theta=args.theta, tangency=args.tangency, n=args.n)
     if subcommand == "spd-academic":
-        return AcademicParams(n=args.n or 4)
+        return AcademicParams(n=args.n)
     if subcommand == "spd-contrastive":
-        return ContrastiveParams(n=args.n or 5, m=args.m, r=args.r)
+        return ContrastiveParams(n=args.n, m=args.m, r=args.r)
     raise ValueError(f"unknown benchmark {subcommand!r}")
 
 

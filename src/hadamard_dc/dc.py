@@ -175,21 +175,22 @@ def scale_factor(problem: DCProblem, p0):
 def make_cr_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     """Classic linearized subproblem  g(p) - <s_k, log_{p_k} p>.
 
-    Validates ``p_k`` and ``s_k`` once; the objective takes checked points.
+    Validates ``p_k`` and ``s_k`` once and prepares the linear model once;
+    the objective takes checked points.
     """
     manifold = problem.manifold
     p_k = manifold.check_point(p_k)
     s_k = manifold.check_tangent(p_k, s_k)
+    model = manifold._linear_model(p_k, s_k)
 
     def value(p):
-        return problem.g(p) - manifold._inner(p_k, s_k, manifold._log(p_k, p))
+        return problem.g(p) - model.value(p)
 
     if problem.cr_subgrad_factory is not None:
         return SubproblemObjective(value, problem.cr_subgrad_factory(p_k, s_k))
     if problem.g_rgrad is not None:
         def grad(p):
-            return problem.g_rgrad(p) - manifold._linear_model_grad(p_k, s_k,
-                                                                    p)
+            return problem.g_rgrad(p) - model.grad(p)
         return SubproblemObjective(value, grad)
     logger.warning("%s: no analytic gradient for g, classic subproblem "
                    "falls back to finite differences", problem.name)
@@ -201,7 +202,8 @@ def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     """Horofunction subproblem  g(p) + |s_k| B_{p_k, s_k}(p).
 
     With s_k = 0 the second term is the constant 0 (continuity in s_k)
-    and the subproblem reduces to minimizing g.
+    and the subproblem reduces to minimizing g.  Otherwise the
+    horofunction of the ray (p_k, s_k) is prepared once.
     """
     manifold = problem.manifold
     p_k = manifold.check_point(p_k)
@@ -218,13 +220,14 @@ def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
             lambda p: fd_riemannian_grad(manifold, problem.g, p),
             analytic=False)
 
+    horo = manifold._horofunction(p_k, s_k)
+
     def value(p):
-        return problem.g(p) + ns * manifold._busemann(p_k, s_k, p)
+        return problem.g(p) + ns * horo.value(p)
 
     if problem.g_rgrad is not None:
         def grad(p):
-            return problem.g_rgrad(p) + ns * manifold._busemann_grad(p_k, s_k,
-                                                                     p)
+            return problem.g_rgrad(p) + ns * horo.grad(p)
         return SubproblemObjective(value, grad)
     logger.warning("%s: no analytic gradient for g, horofunction subproblem "
                    "falls back to finite differences", problem.name)
@@ -243,7 +246,8 @@ def inner_solve(objective: SubproblemObjective, start, cfg: InnerConfig,
     Raises StalledInnerSolveError when the line search exhausts its
     halvings while certifiable progress was still representable.
     ``start`` and every trial point out of ``exp`` are validated, so the
-    objective only sees checked points.
+    objective only sees checked points; the accepted iterate is not
+    checked again when a trial steps from it.
     """
     if tol <= 0.0:
         raise ValueError("inner tolerance must be positive")
@@ -280,7 +284,7 @@ def inner_solve(objective: SubproblemObjective, start, cfg: InnerConfig,
         for _ in range(cfg.max_halvings):
             required = cfg.armijo_c1 * alpha * gn * gn
             try:
-                cand = manifold.check_point(manifold.exp(p, -alpha * g))
+                cand = manifold.check_point(manifold._exp(p, -alpha * g))
                 fc = objective.value(cand)
             except (OverflowError, FloatingPointError, NumericalDomainError,
                     ValidationError):

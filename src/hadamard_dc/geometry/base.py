@@ -13,8 +13,19 @@ at the public boundary:
   ``_linear_model_grad``) validate nothing and are for callers that
   already hold validated values, as are the limit-oracle hooks
   ``ray_point_distance`` and ``oracle_t_guard``;
-* nothing is remembered between calls, so an array mutated after a check
-  is checked again on its next public call.
+* no array is trusted for having been checked before, so an array mutated
+  after a check is checked again on its next public call.
+
+The one thing kept between evaluations is per-subproblem preparation:
+``_horofunction(q, v)`` and ``_linear_model(q, s)`` take a validated ray
+or linearization point and return a :class:`Horofunction` or
+:class:`LinearModel` whose ``value``/``grad`` evaluate at validated
+points.  Geometries with costly fixed work (SPD: matrix roots and the
+spectral split) do that work once, when the object is built; the solver
+builds one per outer step and its subproblem owns it.  Such a geometry's
+``_busemann``, ``_busemann_grad`` and ``_linear_model_grad`` build the
+same object and evaluate it once, so the public calls and the solver run
+one code path.
 
 All operations are pure functions, so parallel callers need no
 synchronization.
@@ -40,6 +51,48 @@ class BusemannRay:
 
     base: np.ndarray
     direction: np.ndarray
+
+
+class Horofunction:
+    """Busemann function B_{q,v} of one validated ray as ``value(p)`` and
+    ``grad(p)`` of validated points.
+
+    This form calls the geometry's ``_busemann``/``_busemann_grad`` on
+    every evaluation; a geometry with fixed per-ray work returns a
+    subclass from ``_horofunction`` that does it once, in its constructor.
+    """
+
+    def __init__(self, manifold, q, v):
+        self.manifold = manifold
+        self.q = q
+        self.v = v
+
+    def value(self, p):
+        return self.manifold._busemann(self.q, self.v, p)
+
+    def grad(self, p):
+        return self.manifold._busemann_grad(self.q, self.v, p)
+
+
+class LinearModel:
+    """Linearization term p -> <s, log_q p>_q of the classic subproblem,
+    for validated ``q`` and ``s``, as ``value(p)`` and ``grad(p)``.
+
+    This form calls the kernels on every evaluation; a geometry with fixed
+    per-(q, s) work returns a subclass from ``_linear_model``.
+    """
+
+    def __init__(self, manifold, q, s):
+        self.manifold = manifold
+        self.q = q
+        self.s = s
+
+    def value(self, p):
+        m = self.manifold
+        return m._inner(self.q, self.s, m._log(self.q, p))
+
+    def grad(self, p):
+        return self.manifold._linear_model_grad(self.q, self.s, p)
 
 
 class Manifold:
@@ -122,6 +175,10 @@ class Manifold:
         return self._busemann_grad(q, self.check_tangent(q, ray.direction),
                                    self.check_point(p))
 
+    def _horofunction(self, q, v):
+        """B_{q,v} of a validated ray, prepared for repeated evaluation."""
+        return Horofunction(self, q, v)
+
     def _distance_gradient(self, q, p):
         """Gradient at ``p`` of the distance to ``q`` (zero-direction rays)."""
         d = self._dist(p, q)
@@ -149,6 +206,11 @@ class Manifold:
         q = self.check_point(q)
         return self._linear_model_grad(q, self.check_tangent(q, s),
                                        self.check_point(p))
+
+    def _linear_model(self, q, s):
+        """p -> <s, log_q p> for validated ``q``, ``s``, prepared for
+        repeated evaluation."""
+        return LinearModel(self, q, s)
 
     # ------------------------------------------------------------------
     # sampling

@@ -21,6 +21,13 @@ orthogonal factor U), Cholesky-factor U^T Y^-1/2 X Y^-1/2 U = L L^T, and
 
 with lam_(j) the group representative at index j and D = diag(lam_(j)).
 The value is insensitive to how near-equal eigenvalues are grouped.
+
+Everything in these formulas that depends on the ray alone (Y^1/2,
+Y^-1/2, the split, U) is computed once per ray by
+:class:`SPDHorofunction`, and the fixed part of the classic linear model
+once per (X_k, S) by :class:`SPDLinearModel`.  ``sym``, ``spd_fun``,
+``_log`` and ``_dists`` also act on stacks of matrices of shape
+(k, n, n), so that k references cost one stacked eigendecomposition.
 """
 
 from __future__ import annotations
@@ -34,12 +41,12 @@ from scipy.linalg.lapack import dgejsv
 
 from ..errors import (DefinitenessError, NumericalDomainError,
                       ValidationError, ZeroDirectionError)
-from .base import Manifold
+from .base import Horofunction, LinearModel, Manifold
 
 
 def sym(a):
-    """Symmetric part (A + A^T)/2."""
-    return 0.5 * (a + a.T)
+    """Symmetric part (A + A^T)/2 of a matrix or of each matrix of a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def sym_eig(a):
@@ -66,15 +73,41 @@ _PD_REQUIRED = {"log", "sqrt", "invsqrt"}
 
 
 def spd_fun(a, kind):
-    """Apply exp/log/sqrt/invsqrt to a symmetric matrix spectrally."""
+    """Apply exp/log/sqrt/invsqrt to a symmetric matrix, or to each matrix
+    of a stack, spectrally."""
     if kind not in _SPD_FUNCS:
         raise ValueError(f"unknown matrix function {kind!r}")
     w, u = sym_eig(a)
-    if kind in _PD_REQUIRED and w.min() <= 0.0:
+    if kind in _PD_REQUIRED:
+        _require_positive(w, f"matrix function {kind!r}")
+    return sym((u * _SPD_FUNCS[kind](w)[..., None, :]) @ u.swapaxes(-1, -2))
+
+
+def spd_roots(a):
+    """(A^1/2, A^-1/2) from one eigendecomposition; each equals what
+    ``spd_fun`` returns for "sqrt" and "invsqrt"."""
+    w, u = sym_eig(a)
+    _require_positive(w, "matrix square root")
+    r = np.sqrt(w)
+    return sym((u * r) @ u.T), sym((u * (1.0 / r)) @ u.T)
+
+
+def _require_positive(w, what):
+    # np.any, not w.min(), so that an empty stack passes
+    if np.any(w <= 0.0):
         raise DefinitenessError(
-            f"matrix function {kind!r} needs a positive definite argument "
+            f"{what} needs a positive definite argument "
             f"(min eigenvalue {w.min():.3g})")
-    return sym((u * _SPD_FUNCS[kind](w)) @ u.T)
+
+
+def _log_at(xh, xih, y):
+    """log_X(Y) from X^1/2 and X^-1/2; Y may be a stack of points."""
+    return sym(xh @ spd_fun(sym(xih @ y @ xih), "log") @ xh)
+
+
+def _trace_product(a, b):
+    """tr(A B) of two square matrices."""
+    return float(np.einsum("ij,ji->", a, b))
 
 
 def logdet(x):
@@ -189,13 +222,10 @@ class SPDManifold(Manifold):
     # ------------------------------------------------------------------
 
     def _inner(self, y, u, v):
-        a = np.linalg.solve(y, u)
-        b = np.linalg.solve(y, v)
-        return float(np.einsum("ij,ji->", a, b))
+        return _trace_product(np.linalg.solve(y, u), np.linalg.solve(y, v))
 
     def _exp(self, y, v):
-        yh = spd_fun(y, "sqrt")
-        yih = spd_fun(y, "invsqrt")
+        yh, yih = spd_roots(y)
         w, u = sym_eig(yih @ v @ yih)
         if np.max(np.abs(w)) > 700.0:
             raise OverflowError(
@@ -205,18 +235,21 @@ class SPDManifold(Manifold):
         return sym(yh @ inner_exp @ yh)
 
     def _log(self, x, y):
-        xh = spd_fun(x, "sqrt")
-        xih = spd_fun(x, "invsqrt")
-        inner_log = spd_fun(sym(xih @ y @ xih), "log")
-        return sym(xh @ inner_log @ xh)
+        """log_X(Y); for a stack of points Y, the stack of their logs, with
+        X^+-1/2 computed once and one stacked eigendecomposition."""
+        return _log_at(*spd_roots(x), y)
 
     def _dist(self, x, y):
-        yih = spd_fun(y, "invsqrt")
+        return self._dists(x, spd_fun(y, "invsqrt")[None])[0]
+
+    def _dists(self, x, yih):
+        """List of d(X, Y_i) from the stack of Y_i^-1/2, through one stacked
+        eigvalsh; an empty stack gives an empty list."""
         w = np.linalg.eigvalsh(sym(yih @ x @ yih))
-        if w.min() <= 0.0:
+        if np.any(w <= 0.0):
             raise DefinitenessError(
                 f"{self.name}: congruence lost definiteness in dist")
-        return float(np.linalg.norm(np.log(w)))
+        return [float(np.linalg.norm(np.log(row))) for row in w]
 
     def project(self, x, a):
         return sym(np.asarray(a, dtype=float))
@@ -234,12 +267,11 @@ class SPDManifold(Manifold):
         """Gradient at X of d^2(X, Z), equal to -2 log_X(Z)."""
         return -2.0 * self.log(x, z)
 
+    def _linear_model(self, xk, s):
+        return SPDLinearModel(self, xk, s)
+
     def _linear_model_grad(self, xk, s, x):
-        c = spd_fun(xk, "invsqrt")
-        a = sym(c @ x @ c)
-        m = sym(c @ s @ c)
-        egrad = sym(c @ frechet_log(a, m) @ c)
-        return sym(x @ egrad @ x)
+        return self._linear_model(xk, s).grad(x)
 
     # ------------------------------------------------------------------
     # Busemann function
@@ -248,11 +280,11 @@ class SPDManifold(Manifold):
     def spectral_split(self, y, v, grouping_tol=None):
         """Group the spectrum of Y^-1/2 V Y^-1/2 by near-equality."""
         y = self.check_point(y)
-        return self._spectral_split(y, self.check_tangent(y, v),
-                                    grouping_tol)
+        return self._spectral_split(spd_fun(y, "invsqrt"),
+                                    self.check_tangent(y, v), grouping_tol)
 
-    def _spectral_split(self, y, v, grouping_tol=None):
-        yih = spd_fun(y, "invsqrt")
+    def _spectral_split(self, yih, v, grouping_tol=None):
+        """``spectral_split`` from Y^-1/2 and a validated direction V."""
         lam, u = sym_eig(yih @ v @ yih)
         lmax = float(np.max(np.abs(lam))) if lam.size else 0.0
         if lmax == 0.0:
@@ -275,29 +307,14 @@ class SPDManifold(Manifold):
         return SpectralSplit(reps, mults, u, np.asarray(bounds, dtype=int),
                              norm_const, per_index)
 
+    def _horofunction(self, y, v):
+        return SPDHorofunction(self, y, v)
+
     def _busemann(self, y, v, x):
-        if np.linalg.norm(v) == 0.0:
-            return self._dist(x, y)
-        split = self._spectral_split(y, v)
-        yih = spd_fun(y, "invsqrt")
-        u = split.basis
-        m = sym(u.T @ yih @ x @ yih @ u)
-        ell = chol(m)
-        return float(-2.0 / split.norm_const *
-                     np.sum(split.per_index * np.log(np.diag(ell))))
+        return self._horofunction(y, v).value(x)
 
     def _busemann_grad(self, y, v, x):
-        if np.linalg.norm(v) == 0.0:
-            return self._distance_gradient(y, x)
-        split = self._spectral_split(y, v)
-        yh = spd_fun(y, "sqrt")
-        yih = spd_fun(y, "invsqrt")
-        u = split.basis
-        m = sym(u.T @ yih @ x @ yih @ u)
-        ell = chol(m)
-        core = ell @ np.diag(split.per_index) @ ell.T
-        grad = yh @ u @ core @ u.T @ yh
-        return sym(-grad / split.norm_const)
+        return self._horofunction(y, v).grad(x)
 
     # ------------------------------------------------------------------
     # sampling
@@ -368,3 +385,65 @@ class SPDManifold(Manifold):
         if lmax == 0.0:
             return 1e12
         return 1200.0 / lmax
+
+
+class SPDHorofunction(Horofunction):
+    """B_{Y,V} with the ray's fixed data computed once: Y^+-1/2 (one
+    eigendecomposition), the spectral split of Y^-1/2 V Y^-1/2 (one more)
+    and the products of U with the roots.  An evaluation then costs one
+    Cholesky factorization and a few products.  A zero direction gives the
+    distance to Y and its gradient.
+    """
+
+    def __init__(self, manifold, y, v):
+        super().__init__(manifold, y, v)
+        self.split = None
+        if np.linalg.norm(v) == 0.0:
+            return
+        self.yh, self.yih = spd_roots(y)
+        self.split = manifold._spectral_split(self.yih, v)
+        self.u = self.split.basis
+        self.ut_yih = self.u.T @ self.yih
+        self.yh_u = self.yh @ self.u
+        self.d = np.diag(self.split.per_index)
+
+    def _cholesky(self, x):
+        # the leading products of u.T @ yih @ x @ yih @ u, evaluated left
+        # to right, are the cached ut_yih
+        return chol(sym(self.ut_yih @ x @ self.yih @ self.u))
+
+    def value(self, x):
+        if self.split is None:
+            return self.manifold._dist(x, self.q)
+        ell = self._cholesky(x)
+        return float(-2.0 / self.split.norm_const *
+                     np.sum(self.split.per_index * np.log(np.diag(ell))))
+
+    def grad(self, x):
+        if self.split is None:
+            return self.manifold._distance_gradient(self.q, x)
+        ell = self._cholesky(x)
+        grad = self.yh_u @ (ell @ self.d @ ell.T) @ self.u.T @ self.yh
+        return sym(-grad / self.split.norm_const)
+
+
+class SPDLinearModel(LinearModel):
+    """p -> <S, log_{X_k} p> with the fixed data of (X_k, S) computed once:
+    X_k^+-1/2 (one eigendecomposition), X_k^-1 S for the value and
+    C S C, C = X_k^-1/2, for the gradient.
+    """
+
+    def __init__(self, manifold, xk, s):
+        super().__init__(manifold, xk, s)
+        self.xkh, self.c = spd_roots(xk)
+        self.xk_inv_s = np.linalg.solve(xk, s)
+        self.csc = sym(self.c @ s @ self.c)
+
+    def value(self, x):
+        log = _log_at(self.xkh, self.c, x)
+        return _trace_product(self.xk_inv_s, np.linalg.solve(self.q, log))
+
+    def grad(self, x):
+        a = sym(self.c @ x @ self.c)
+        egrad = sym(self.c @ frechet_log(a, self.csc) @ self.c)
+        return sym(x @ egrad @ x)

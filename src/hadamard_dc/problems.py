@@ -16,7 +16,7 @@ import numpy as np
 
 from .dc import DCProblem
 from .errors import ValidationError
-from .geometry import Hyperboloid, SPDManifold, logdet, sym
+from .geometry import Hyperboloid, SPDManifold, logdet, spd_fun, sym
 
 logger = logging.getLogger(__name__)
 
@@ -285,25 +285,27 @@ def contrastive_problem(params: ContrastiveParams, rng,
         raise ValidationError("contrastive: reference counts do not match "
                               "the declared m, r")
 
-    def g(x):
-        return float(sum(w * manifold._dist(x, p) ** 2
-                         for w, p in zip(wp, positives)))
+    def sq_dist_sum(weights, refs):
+        # sum_i w_i d^2(X, R_i) and its gradient -2 sum_i w_i log_X(R_i);
+        # the references go through the kernels as one (k, n, n) stack,
+        # with each R_i^-1/2 computed here once
+        stack = np.array(refs, dtype=float).reshape(-1, params.n, params.n)
+        invsqrt = spd_fun(stack, "invsqrt")
 
-    def h(x):
-        return float(sum(w * manifold._dist(x, q) ** 2
-                         for w, q in zip(wn, negatives)))
+        def value(x):
+            return float(sum(w * d ** 2 for w, d in
+                             zip(weights, manifold._dists(x, invsqrt))))
 
-    def g_rgrad(x):
-        out = manifold.zero_tangent(x)
-        for w, p in zip(wp, positives):
-            out = out - 2.0 * w * manifold._log(x, p)
-        return sym(out)
+        def grad(x):
+            out = manifold.zero_tangent(x)
+            for w, log in zip(weights, manifold._log(x, stack)):
+                out = out - 2.0 * w * log
+            return sym(out)
 
-    def h_subgrad(x):
-        out = manifold.zero_tangent(x)
-        for w, q in zip(wn, negatives):
-            out = out - 2.0 * w * manifold._log(x, q)
-        return sym(out)
+        return value, grad
+
+    g, g_rgrad = sq_dist_sum(wp, positives)
+    h, h_subgrad = sq_dist_sum(wn, negatives)
 
     sigma = 2.0 * min(float(np.sum(wp)), float(np.sum(wn))) if params.r \
         else 0.0

@@ -95,7 +95,10 @@ def test_flag_errors_exit_2(capsys):
                  ["spd-academic", "--n", "1"],
                  ["rosenbrock", "--theta", "0.5"],
                  ["rosenbrock", "--n", "-1"],
-                 ["spd-contrastive", "--m", "0"]):
+                 ["spd-contrastive", "--m", "0"],
+                 ["rosenbrock", "--n", "0"],
+                 ["spd-academic", "--n", "0"],
+                 ["spd-contrastive", "--n", "0"]):
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert out == ""

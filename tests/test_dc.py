@@ -8,7 +8,9 @@ from hadamard_dc import (DCProblem, Euclidean, Hyperboloid, InnerConfig,
                          complexity_bound_check, inner_solve,
                          make_b_subproblem, make_cr_subproblem, make_rng,
                          run_dca, scale_factor)
-from hadamard_dc.problems import AcademicParams, academic_problem
+from hadamard_dc.problems import (AcademicParams, RosenbrockParams,
+                                  academic_problem, random_start,
+                                  rosenbrock_problem)
 
 
 def euclid_quadratic(n, c):
@@ -131,6 +133,22 @@ def test_inner_solve_monotone_on_spd_subproblem():
     p, iters = inner_solve(obj, x0, InnerConfig(), 1e-6, prob.manifold)
     assert obj.value(p) <= obj.value(x0) + 1e-12
     assert iters > 0
+
+
+def test_inner_solve_checks_start_and_each_trial_once(monkeypatch):
+    prob = rosenbrock_problem(RosenbrockParams())
+    m = prob.manifold
+    p0 = random_start(prob, make_rng(3))
+    obj = make_b_subproblem(prob, p0, prob.h_subgrad(p0))
+    calls = {"check_point": 0, "_exp": 0}       # one _exp per trial
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(m, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(m, name, counted)
+    _, iters = inner_solve(obj, p0, InnerConfig(), 1e-6, m)
+    assert calls["_exp"] >= iters > 0
+    assert calls["check_point"] == 1 + calls["_exp"]
 
 
 def test_inner_solve_stalls_on_ascent_gradient():

@@ -10,7 +10,8 @@ from hadamard_dc import (AcademicParams, ContrastiveParams, RosenbrockParams,
                          contrastive_problem, fd_riemannian_grad, make_rng,
                          make_b_subproblem, make_cr_subproblem,
                          random_start, rosenbrock_problem, run_dca)
-from hadamard_dc.geometry import logdet, sym
+from hadamard_dc import dc
+from hadamard_dc.geometry import SPDManifold, logdet, spd_fun, sym
 from helpers import rel_err
 
 
@@ -215,6 +216,75 @@ def test_contrastive_gradients_match_fd():
                        fd_riemannian_grad(m, prob.g, x)) < 1e-5
         assert rel_err(prob.h_subgrad(x),
                        fd_riemannian_grad(m, prob.h, x)) < 1e-5
+
+
+def reference_sq_dist_sum(x, weights, refs):
+    """sum_i w_i d^2(X, R_i) and -2 sum_i w_i log_X(R_i), one reference at
+    a time with every matrix root rebuilt."""
+    value = 0
+    out = np.zeros_like(x)
+    xh, xih = spd_fun(x, "sqrt"), spd_fun(x, "invsqrt")
+    for w, r in zip(weights, refs):
+        rih = spd_fun(r, "invsqrt")
+        d = float(np.linalg.norm(np.log(np.linalg.eigvalsh(
+            sym(rih @ x @ rih)))))
+        value = value + w * d ** 2
+        log = sym(xh @ spd_fun(sym(xih @ r @ xih), "log") @ xh)
+        out = out - 2.0 * w * log
+    return float(value), sym(out)
+
+
+@pytest.mark.parametrize("m_refs, r_refs", [(3, 2), (2, 0)])
+def test_contrastive_closures_match_per_reference_sums(m_refs, r_refs):
+    rng = make_rng(13)
+    prob = contrastive_problem(ContrastiveParams(n=4, m=m_refs, r=r_refs),
+                               rng)
+    md = prob.metadata
+    for _ in range(5):
+        x = prob.manifold.random_point(rng)
+        for value, grad, weights, refs in (
+                (prob.g, prob.g_rgrad, md["pos_weights"], md["positives"]),
+                (prob.h, prob.h_subgrad, md["neg_weights"],
+                 md["negatives"])):
+            want_value, want_grad = reference_sq_dist_sum(x, weights, refs)
+            assert value(x) == want_value
+            assert np.array_equal(grad(x), want_grad)
+        if r_refs == 0:             # an empty stack
+            assert prob.h(x) == 0.0
+            assert np.array_equal(prob.h_subgrad(x), np.zeros((4, 4)))
+
+
+def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
+    """One spectral split per outer step with s_k != 0, and at most m+r+3
+    eigh calls per inner iteration, a stacked call counting as one."""
+    params = ContrastiveParams(n=4, m=3, r=2)
+    rng = make_rng(5)
+    prob = contrastive_problem(params, rng)
+    start = random_start(prob, rng)
+    counts = {"ray": 0, "split": 0, "eigh": 0}
+    make_b, split, eigh = (dc.make_b_subproblem,
+                           SPDManifold._spectral_split, np.linalg.eigh)
+
+    def counted_make_b(problem, p_k, s_k):
+        counts["ray"] += bool(np.any(s_k != 0.0))
+        return make_b(problem, p_k, s_k)
+
+    def counted_split(*args, **kwargs):
+        counts["split"] += 1
+        return split(*args, **kwargs)
+
+    def counted_eigh(*args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(dc, "make_b_subproblem", counted_make_b)
+    monkeypatch.setattr(SPDManifold, "_spectral_split", counted_split)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    trace = run_dca(prob, start, SolverConfig(algorithm="b_dca"))
+    assert trace.exit_reason in ("grad", "step")
+    assert counts["ray"] == trace.k > 0
+    assert counts["split"] == counts["ray"]
+    assert counts["eigh"] <= (params.m + params.r + 3) * trace.inner_total
 
 
 def test_contrastive_convexity_of_components():

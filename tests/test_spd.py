@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hadamard_dc import (BusemannRay, DefinitenessError, SPDManifold,
-                         ValidationError, ZeroDirectionError,
-                         fd_riemannian_grad, make_rng)
+                         UndefinedGradientError, ValidationError,
+                         ZeroDirectionError, fd_riemannian_grad, make_rng)
 from hadamard_dc.geometry import chol, frechet_log, logdet, spd_fun, sym
 from helpers import rel_err
 
@@ -280,3 +282,132 @@ def test_fd_gradient_zero_at_distance_minimizer():
     m = SPDManifold(3)
     g = fd_riemannian_grad(m, lambda x: m.dist(x, np.eye(3)) ** 2, np.eye(3))
     assert np.linalg.norm(g) <= 1e-6
+
+
+# ----------------------------------------------------------------------
+# prepared horofunction and linear model against the per-call formulas
+# ----------------------------------------------------------------------
+
+def conditioned_spd(n, rng, log10_cond):
+    """Q diag(10^e) Q^T with exponents spanning [0, log10_cond]."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    e = np.sort(rng.uniform(0.0, log10_cond, n))
+    e[0], e[-1] = 0.0, log10_cond
+    return sym((q * 10.0 ** (e - 0.5 * log10_cond)) @ q.T)
+
+
+def direction(y, rng, kind):
+    """Y^1/2 W Y^1/2 with W generic, with a repeated eigenvalue, or 0."""
+    n = y.shape[0]
+    if kind == "zero":
+        return np.zeros((n, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.standard_normal(n)
+    if kind == "repeated":
+        lam = np.array([1.5, -0.5])[rng.integers(0, 2, n)]
+        lam[:2] = 1.5                # at least one repeated eigenvalue
+    yh = spd_fun(y, "sqrt")
+    return sym(yh @ sym((q * lam) @ q.T) @ yh)
+
+
+def reference_busemann(m, y, v, x):
+    """The per-call formula: every root and the split rebuilt."""
+    if np.linalg.norm(v) == 0.0:
+        return m.dist(x, y)
+    split = m.spectral_split(y, v)
+    yih = spd_fun(y, "invsqrt")
+    u = split.basis
+    ell = chol(sym(u.T @ yih @ x @ yih @ u))
+    return float(-2.0 / split.norm_const *
+                 np.sum(split.per_index * np.log(np.diag(ell))))
+
+
+def reference_busemann_grad(m, y, v, x):
+    if np.linalg.norm(v) == 0.0:
+        return m._distance_gradient(y, x)
+    split = m.spectral_split(y, v)
+    yh = spd_fun(y, "sqrt")
+    yih = spd_fun(y, "invsqrt")
+    u = split.basis
+    ell = chol(sym(u.T @ yih @ x @ yih @ u))
+    core = ell @ np.diag(split.per_index) @ ell.T
+    return sym(-(yh @ u @ core @ u.T @ yh) / split.norm_const)
+
+
+def reference_linear_model(y, s, x):
+    """<S, log_Y X>_Y with every root rebuilt."""
+    yh = spd_fun(y, "sqrt")
+    c = spd_fun(y, "invsqrt")
+    log = sym(yh @ spd_fun(sym(c @ x @ c), "log") @ yh)
+    return float(np.einsum("ij,ji->", np.linalg.solve(y, s),
+                           np.linalg.solve(y, log)))
+
+
+def reference_linear_model_grad(y, s, x):
+    c = spd_fun(y, "invsqrt")
+    egrad = sym(c @ frechet_log(sym(c @ x @ c), sym(c @ s @ c)) @ c)
+    return sym(x @ egrad @ x)
+
+
+def outcome(fn, *args):
+    """Result of fn, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except (DefinitenessError, UndefinedGradientError,
+            ValidationError) as exc:
+        return type(exc)
+
+
+def same(a, b):
+    """Bit-for-bit equal results (NaN equal to NaN), or the same error."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+       log10_cond=st.floats(0.0, 12.0),
+       kind=st.sampled_from(["generic", "repeated", "zero"]))
+@example(seed=1, n=3, log10_cond=12.0, kind="generic")
+@example(seed=2, n=4, log10_cond=1.0, kind="repeated")
+@example(seed=3, n=3, log10_cond=12.0, kind="zero")
+def test_prepared_horofunction_matches_per_call(seed, n, log10_cond, kind):
+    m = SPDManifold(n)
+    rng = np.random.default_rng(seed)
+    y = conditioned_spd(n, rng, log10_cond)
+    v = direction(y, rng, kind)
+    horo = m._horofunction(y, v)
+    if kind == "repeated" and log10_cond <= 4.0:
+        assert max(horo.split.multiplicities) >= 2     # grouping path
+    ray = BusemannRay(y, v)
+    # one prepared object, evaluated in turn at several points as the
+    # inner solver does, against fresh per-call evaluations
+    for _ in range(3):
+        x = conditioned_spd(n, rng, rng.uniform(0.0, log10_cond))
+        value = outcome(horo.value, x)
+        assert same(value, outcome(m.busemann, ray, x))
+        assert same(value, outcome(reference_busemann, m, y, v, x))
+        grad = outcome(horo.grad, x)
+        assert same(grad, outcome(m.busemann_grad, ray, x))
+        assert same(grad, outcome(reference_busemann_grad, m, y, v, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+       log10_cond=st.floats(0.0, 12.0))
+@example(seed=4, n=5, log10_cond=12.0)
+def test_prepared_linear_model_matches_per_call(seed, n, log10_cond):
+    m = SPDManifold(n)
+    rng = np.random.default_rng(seed)
+    y = conditioned_spd(n, rng, log10_cond)
+    s = direction(y, rng, "generic")
+    model = m._linear_model(y, s)
+    for _ in range(3):
+        x = conditioned_spd(n, rng, rng.uniform(0.0, log10_cond))
+        assert same(outcome(model.value, x),
+                    outcome(reference_linear_model, y, s, x))
+        grad = outcome(model.grad, x)
+        assert same(grad, outcome(reference_linear_model_grad, y, s, x))
+        assert same(grad, outcome(m.linear_model_grad, y, s, x))
+
