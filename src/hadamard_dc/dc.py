@@ -336,7 +336,9 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     distances are manifold distances compared against eps directly.
     A short step alone does not certify criticality on smooth problems,
     so the step exit additionally requires the gradient test at the new
-    iterate.
+    iterate.  Each iterate takes one subgradient of h, shared by its
+    gradient test and its subproblem; a non-smooth problem takes it only
+    where a subproblem is built.
     """
     manifold = problem.manifold
     p0 = manifold.check_point(p0)
@@ -346,12 +348,20 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     inner_tol = cfg.inner.tol_factor * cfg.eps_base
     make = make_cr_subproblem if cfg.algorithm == "cr_dca" else make_b_subproblem
 
+    def subgradient_and_grad_norm(p):
+        # (s_k, gamma |grad phi(p)|); s_k is left to the loop top when
+        # there is no gradient test
+        if not smooth:
+            return None, math.inf
+        s = problem.h_subgrad(p)
+        return s, gamma * manifold.norm(p, problem.g_rgrad(p) - s)
+
     trace = SolverTrace(gamma=gamma, eps=eps, algorithm=cfg.algorithm,
                         problem=problem.name)
     t0 = time.perf_counter()
     p = p0
     fp = problem.phi(p)
-    gn = gamma * manifold.norm(p, problem.phi_grad(p)) if smooth else math.inf
+    s_k, gn = subgradient_and_grad_norm(p)
 
     while True:
         if gn <= eps:
@@ -360,7 +370,8 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
         if len(trace.records) >= cfg.max_outer:
             trace.exit_reason = "max_outer"
             break
-        s_k = problem.h_subgrad(p)
+        if s_k is None:
+            s_k = problem.h_subgrad(p)
         objective = make(problem, p, s_k)
         try:
             p_next, n_inner = inner_solve(objective, p, cfg.inner, inner_tol,
@@ -392,7 +403,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
                                                 np.asarray(p)))
         p = p_next
         fp = problem.phi(p)
-        gn = gamma * manifold.norm(p, problem.phi_grad(p)) if smooth else math.inf
+        s_k, gn = subgradient_and_grad_norm(p)
         if exact_fixed_point:
             trace.exit_reason = "fixed_point"
             break

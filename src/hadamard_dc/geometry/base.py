@@ -20,12 +20,13 @@ The one thing kept between evaluations is per-subproblem preparation:
 ``_horofunction(q, v)`` and ``_linear_model(q, s)`` take a validated ray
 or linearization point and return a :class:`Horofunction` or
 :class:`LinearModel` whose ``value``/``grad`` evaluate at validated
-points.  Geometries with costly fixed work (SPD: matrix roots and the
-spectral split) do that work once, when the object is built; the solver
-builds one per outer step and its subproblem owns it.  Such a geometry's
-``_busemann``, ``_busemann_grad`` and ``_linear_model_grad`` build the
-same object and evaluate it once, so the public calls and the solver run
-one code path.
+points.  Geometries with fixed work per ray or linearization point (SPD:
+matrix roots and the spectral split; hyperboloid: |v| and the horocenter
+w) do that work once, when the object is built; the solver builds one
+per outer step and its subproblem owns it.  Such a geometry's
+``_busemann`` and ``_busemann_grad`` (and on SPD ``_linear_model_grad``)
+build the same object and evaluate it once, so the public calls and the
+solver run one code path.
 
 All operations are pure functions, so parallel callers need no
 synchronization.

@@ -19,7 +19,7 @@ and for a ray (q, v) with v != 0, writing w = kappa q + sqrt(kappa) v/|v|:
     grad B_{q,v}(p)  = Proj_p(w) / (sqrt(kappa) <p, w>)
 
 The Busemann gradient has unit norm everywhere and equals -v/|v| at the
-base point.
+base point.  HyperboloidHorofunction computes |v| and w once per ray.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import (NumericalDomainError, UndefinedGradientError,
                       ValidationError)
-from .base import Manifold
+from .base import Horofunction, Manifold
 
 _EXP_ARG_GUARD = 350.0      # cosh overflows doubles near 710; stay well below
 _LARGE_ARCOSH = 1e8
@@ -50,7 +50,7 @@ def arcosh(x):
 
 def _lorentz(x, y):
     """Lorentzian inner product x^T J y of two vectors of equal length."""
-    return float(x @ y) - 2.0 * float(x[-1]) * float(y[-1])
+    return float(x.dot(y)) - 2.0 * float(x[-1]) * float(y[-1])
 
 
 def _ucoef(beta):
@@ -127,10 +127,10 @@ class Hyperboloid(Manifold):
         # check the quadric constraint on rescaled coordinates so that far
         # points (huge cosh factors) do not overflow the residual; the
         # negated comparisons also reject NaN coordinates
-        s = max(1.0, float(np.max(np.abs(p))))
+        s = max(1.0, float(np.abs(p).max()))
         ph = p / s
         residual = _lorentz(ph, ph) + 1.0 / (self.kappa * s * s)
-        if not (abs(residual) <= 1e-8 * (1.0 + float(ph @ ph))):
+        if not (abs(residual) <= 1e-8 * (1.0 + float(ph.dot(ph)))):
             raise ValidationError(
                 f"{self.name}: point violates <p,p> = -1/kappa "
                 f"(scaled residual {residual:.3g})")
@@ -159,7 +159,7 @@ class Hyperboloid(Manifold):
         # carries cancellation noise of order eps * |p|^2, so renormalizing
         # is only a cleanup (not a distortion) near unit coordinate scale,
         # while the cosh/sinh combination is already relatively accurate
-        if float(np.max(np.abs(p))) > 1e2:
+        if float(np.abs(p).max()) > 1e2:
             return p
         quad = _lorentz(p, p)
         return p / math.sqrt(max(-self.kappa * quad, _TINY))
@@ -170,6 +170,9 @@ class Hyperboloid(Manifold):
 
     def _inner(self, p, u, v):
         return _lorentz(u, v)
+
+    def _norm(self, p, v):
+        return math.sqrt(max(_lorentz(v, v), 0.0))
 
     def _exp(self, p, v):
         nv = self._norm(p, v)
@@ -202,14 +205,16 @@ class Hyperboloid(Manifold):
                 / math.sqrt(self.kappa)
         if arg <= _LARGE_ARCOSH:
             return arcosh(arg) / math.sqrt(self.kappa)
-        if math.isfinite(arg):
+        if math.isfinite(2.0 * arg):
             return math.log(2.0 * arg) / math.sqrt(self.kappa)
-        # far points overflow the raw pairing: rescale coordinates and
-        # recover the arcosh in the log domain
-        sp = max(1.0, float(np.max(np.abs(p))))
-        sq = max(1.0, float(np.max(np.abs(q))))
+        # far points overflow the raw pairing (or its double): rescale
+        # coordinates and recover the arcosh in the log domain; the two
+        # scale logs are summed first, so that dist(p, q) == dist(q, p)
+        # exactly
+        sp = max(1.0, float(np.abs(p).max()))
+        sq = max(1.0, float(np.abs(q).max()))
         scaled = -self.kappa * _lorentz(p / sp, q / sq)
-        return (math.log(2.0 * scaled) + math.log(sp) + math.log(sq)) \
+        return (math.log(2.0 * scaled) + (math.log(sp) + math.log(sq))) \
             / math.sqrt(self.kappa)
 
     # ------------------------------------------------------------------
@@ -256,33 +261,14 @@ class Hyperboloid(Manifold):
     def _horo_center(self, q, v, nv):
         return self.kappa * q + (math.sqrt(self.kappa) / nv) * v
 
+    def _horofunction(self, q, v):
+        return HyperboloidHorofunction(self, q, v)
+
     def _busemann(self, q, v, p):
-        nv = self._norm(q, v)
-        if nv == 0.0:
-            return self._dist(q, p)
-        w = self._horo_center(q, v, nv)
-        arg = -_lorentz(p, w)
-        if arg <= 0.0:
-            slack = 1e-12 * (1.0 + float(np.linalg.norm(p)) *
-                             float(np.linalg.norm(w)))
-            if arg < -slack:
-                raise NumericalDomainError(
-                    f"{self.name}: Busemann log argument {arg:.3g} is "
-                    "negative beyond rounding slack")
-            warnings.warn(
-                f"{self.name}: Busemann log argument {arg:.3g} clamped to "
-                "the machine floor", RuntimeWarning)
-            arg = _TINY
-        return math.log(arg) / math.sqrt(self.kappa)
+        return self._horofunction(q, v).value(p)
 
     def _busemann_grad(self, q, v, p):
-        nv = self._norm(q, v)
-        if nv == 0.0:
-            return self._distance_gradient(q, p)
-        w = self._horo_center(q, v, nv)
-        denom = _lorentz(p, w)
-        grad = self._project(p, w) / (math.sqrt(self.kappa) * denom)
-        return self._project(p, grad)
+        return self._horofunction(q, v).grad(p)
 
     # ------------------------------------------------------------------
     # sampling
@@ -309,3 +295,41 @@ class Hyperboloid(Manifold):
 
     def oracle_t_guard(self, q, unit_dir):
         return _EXP_ARG_GUARD / math.sqrt(self.kappa)
+
+
+class HyperboloidHorofunction(Horofunction):
+    """B_{q,v} with |v|, the horocenter w = kappa q + sqrt(kappa) v/|v| and
+    sqrt(kappa) computed once.  An evaluation then costs one Lorentz
+    pairing (and a projection for the gradient).  A zero direction gives
+    the distance to q and its gradient.
+    """
+
+    def __init__(self, manifold, q, v):
+        super().__init__(manifold, q, v)
+        nv = manifold._norm(q, v)
+        self.sqrt_kappa = math.sqrt(manifold.kappa)
+        self.w = None if nv == 0.0 else manifold._horo_center(q, v, nv)
+
+    def value(self, p):
+        if self.w is None:
+            return self.manifold._dist(self.q, p)
+        arg = -_lorentz(p, self.w)
+        if arg <= 0.0:
+            slack = 1e-12 * (1.0 + float(np.linalg.norm(p)) *
+                             float(np.linalg.norm(self.w)))
+            if arg < -slack:
+                raise NumericalDomainError(
+                    f"{self.manifold.name}: Busemann log argument {arg:.3g} "
+                    "is negative beyond rounding slack")
+            warnings.warn(
+                f"{self.manifold.name}: Busemann log argument {arg:.3g} "
+                "clamped to the machine floor", RuntimeWarning)
+            arg = _TINY
+        return math.log(arg) / self.sqrt_kappa
+
+    def grad(self, p):
+        if self.w is None:
+            return self.manifold._distance_gradient(self.q, p)
+        m = self.manifold
+        grad = m._project(p, self.w) / (self.sqrt_kappa * _lorentz(p, self.w))
+        return m._project(p, grad)

@@ -131,8 +131,13 @@ def frechet_log(a, e):
     wj = w[None, :]
     delta = wi - wj
     near = np.abs(delta) <= 1e-12 * wj
+    # below w_i/w_j ~ 1e-16 the ratio delta/w_j rounds to -1 and log1p
+    # gives -inf, so far-apart pairs take the difference of the logs
+    apart = wi < 1e-8 * wj
+    lw = np.log(w)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.log1p(delta / wj) / np.where(near, 1.0, delta)
+        k = np.where(apart, (lw[:, None] - lw[None, :]) / delta, k)
     k = np.where(near, 2.0 / (wi + wj), k)
     return sym(u @ (k * et) @ u.T)
 

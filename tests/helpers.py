@@ -30,3 +30,10 @@ def bounded_point(manifold, center, radius, rng):
     w = manifold.random_tangent(center, rng)
     nw = manifold.norm(center, w)
     return manifold.exp(center, (rng.uniform(0.0, radius) / nw) * w)
+
+
+def same(a, b):
+    """Bit-for-bit equal results (NaN equal to NaN), or the same error."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return np.array_equal(a, b, equal_nan=True)

@@ -302,3 +302,20 @@ def test_fd_fallback_and_gradient_free_outer_loop(caplog):
     assert trace.gamma == 1.0
     assert trace.exit_reason in ("step", "fixed_point")
     np.testing.assert_allclose(trace.final.point, c / 2, atol=1e-3)
+
+
+def test_gradient_free_outer_loop_takes_one_subgradient_per_step():
+    """Without a gradient test, s_k is taken only where a subproblem is
+    built: once per outer step and not at the final iterate."""
+    c = np.array([1.0, -2.0])
+    calls = []
+    prob = DCProblem(
+        manifold=Euclidean(2),
+        g=lambda p: float(p @ p),
+        h=lambda p: float(c @ p),
+        h_subgrad=lambda p: calls.append(p) or c.copy(),
+        name="gradient-free")
+    trace = run_dca(prob, np.array([4.0, 4.0]),
+                    SolverConfig(algorithm="cr_dca"))
+    assert trace.k > 0
+    assert len(calls) == trace.k

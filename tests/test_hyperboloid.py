@@ -1,13 +1,19 @@
 """Hyperboloid-model kernels: Lorentz algebra, maps, horofunction forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hadamard_dc import (BusemannRay, Hyperboloid, UndefinedGradientError,
-                         ValidationError, fd_riemannian_grad, make_rng)
-from helpers import rel_err
+from hadamard_dc import (BusemannRay, Hyperboloid, NumericalDomainError,
+                         UndefinedGradientError, ValidationError,
+                         busemann_numeric, fd_riemannian_grad, make_rng)
+from helpers import rel_err, same
+
+EPS = float(np.finfo(float).eps)
 
 
 def apex(n):
@@ -237,3 +243,200 @@ def test_random_point_determinism_and_validity():
     rng = make_rng(12)
     for _ in range(1000):
         m.check_point(m.random_point(rng))
+
+
+# ----------------------------------------------------------------------
+# properties: prepared horofunction and the numerical edges
+# ----------------------------------------------------------------------
+
+def polar_point(m, r, u):
+    """(sinh(r) u, cosh(r)) / sqrt(kappa): the point at distance
+    r / sqrt(kappa) from the apex in the unit direction u, built in closed
+    form so that it may lie beyond the exp overflow guard."""
+    return np.append(math.sinh(r) * u, math.cosh(r)) / math.sqrt(m.kappa)
+
+
+def random_unit(n, rng):
+    u = rng.standard_normal(n)
+    return u / np.linalg.norm(u)
+
+
+def random_point_within(m, radius, rng):
+    """A point at distance at most radius / sqrt(kappa) from the apex."""
+    return polar_point(m, rng.uniform(0.0, radius), random_unit(m.n, rng))
+
+
+def random_unit_tangent(m, p, rng):
+    w = m.random_tangent(p, rng)
+    return w / m.norm(p, w)
+
+
+def reference_lorentz(x, y):
+    return float(x @ y) - 2.0 * float(x[-1]) * float(y[-1])
+
+
+def reference_busemann(m, q, v, p):
+    """The per-call closed form, with |v| and w rebuilt on every call."""
+    nv = math.sqrt(max(reference_lorentz(v, v), 0.0))
+    if nv == 0.0:
+        return m._dist(q, p)
+    w = m.kappa * q + (math.sqrt(m.kappa) / nv) * v
+    arg = -reference_lorentz(p, w)
+    if arg <= 0.0:
+        slack = 1e-12 * (1.0 + float(np.linalg.norm(p)) *
+                         float(np.linalg.norm(w)))
+        if arg < -slack:
+            raise NumericalDomainError("negative Busemann log argument")
+        warnings.warn("Busemann log argument clamped", RuntimeWarning)
+        arg = float(np.finfo(float).tiny)
+    return math.log(arg) / math.sqrt(m.kappa)
+
+
+def reference_busemann_grad(m, q, v, p):
+    nv = math.sqrt(max(reference_lorentz(v, v), 0.0))
+    if nv == 0.0:
+        return m._distance_gradient(q, p)
+    w = m.kappa * q + (math.sqrt(m.kappa) / nv) * v
+
+    def project(x):
+        return x + m.kappa * reference_lorentz(p, x) * p
+
+    grad = project(w) / (math.sqrt(m.kappa) * reference_lorentz(p, w))
+    return project(grad)
+
+
+def outcome(fn, *args):
+    """Result of fn, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except (NumericalDomainError, UndefinedGradientError,
+            ValidationError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       kappa=st.sampled_from([1.0, 0.3, 2.5]),
+       log10_nv=st.floats(-6.0, 3.0), zero=st.booleans())
+@example(seed=1, n=1, kappa=1.0, log10_nv=0.0, zero=True)
+@example(seed=2, n=5, kappa=2.5, log10_nv=3.0, zero=False)
+def test_prepared_horofunction_matches_per_call(seed, n, kappa, log10_nv,
+                                                zero):
+    m = Hyperboloid(n, curvature=kappa)
+    rng = np.random.default_rng(seed)
+    q = random_point_within(m, 5.0, rng)
+    v = 0.0 * q if zero else \
+        10.0 ** log10_nv * random_unit_tangent(m, q, rng)
+    horo = m._horofunction(q, v)
+    ray = BusemannRay(q, v)
+    # one prepared object, evaluated in turn at several points as the
+    # inner solver does (the base point included, where a zero direction
+    # has no gradient), against fresh per-call evaluations
+    for p in [q] + [random_point_within(m, 20.0, rng) for _ in range(3)]:
+        value = outcome(horo.value, p)
+        assert same(value, outcome(m.busemann, ray, p))
+        assert same(value, outcome(reference_busemann, m, q, v, p))
+        grad = outcome(horo.grad, p)
+        assert same(grad, outcome(m.busemann_grad, ray, p))
+        assert same(grad, outcome(reference_busemann_grad, m, q, v, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 5), kappa=st.sampled_from([1.0, 0.3, 2.5]),
+       r1=st.floats(10.0, 700.0), r2=st.floats(10.0, 700.0),
+       theta=st.floats(0.5, math.pi))
+@example(n=2, kappa=1.0, r1=15.0, r2=15.0, theta=math.pi)    # log(2x)
+@example(n=3, kappa=1.0, r1=400.0, r2=400.0, theta=2.0)      # overflow
+@example(n=2, kappa=1.0, r1=17.0, r2=694.0, theta=1.0)       # symmetry
+@example(n=2, kappa=1.0, r1=10.0, r2=700.0, theta=3.0)       # 2x overflows
+def test_far_pairs_dist(n, kappa, r1, r2, theta):
+    """Far pairs take the log(2x) branch, or the rescaled branch once the
+    raw pairing overflows; both match the closed form
+    d = (r1 + r2 + ln c + ln 2)/sqrt(kappa) for the points of polar radii
+    r1, r2 at angle theta (beyond cosh d = 1e8 the arcosh is ln(2 cosh d)
+    to double precision), where
+    4c = (1 + e^-2r1)(1 + e^-2r2) - (1 - e^-2r1)(1 - e^-2r2) cos(theta),
+    and dist is exactly symmetric."""
+    m = Hyperboloid(n, curvature=kappa)
+    u = np.zeros(n)
+    u[0] = 1.0
+    w = np.zeros(n)
+    w[0], w[1] = math.cos(theta), math.sin(theta)
+    p, q = polar_point(m, r1, u), polar_point(m, r2, w)
+    e1, e2 = math.exp(-2.0 * r1), math.exp(-2.0 * r2)
+    c = ((1.0 + e1) * (1.0 + e2)
+         - (1.0 - e1) * (1.0 - e2) * math.cos(theta)) / 4.0
+    want = (r1 + r2 + math.log(c) + math.log(2.0)) / math.sqrt(kappa)
+    d = m.dist(p, q)
+    assert abs(d - want) <= 1e-12 * want
+    assert d == m.dist(q, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       kappa=st.sampled_from([1.0, 0.3, 2.5]),
+       log10_delta=st.floats(-12.0, -2.0))
+def test_near_pairs_dist(seed, n, kappa, log10_delta):
+    """Near-coincident pairs take the log1p branch and keep the distance
+    to the rounding of the coordinates, eps |p|^2, instead of the
+    sqrt(eps) that the arcosh of the pairing would leave."""
+    m = Hyperboloid(n, curvature=kappa)
+    rng = np.random.default_rng(seed)
+    p = random_point_within(m, 3.0, rng)
+    delta = 10.0 ** log10_delta / math.sqrt(kappa)
+    q = m.exp(p, delta * random_unit_tangent(m, p, rng))
+    assert -kappa * m.lorentz(p, q) < 1.0 + 1e-4
+    d = m.dist(p, q)
+    assert abs(d - delta) <= 1e-12 * delta + 16.0 * EPS * (p @ p)
+    assert d == m.dist(q, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       kappa=st.sampled_from([1.0, 0.3, 2.5]), radius=st.floats(0.0, 3.0))
+def test_exp_log_round_trip_and_symmetry(seed, n, kappa, radius):
+    """Within scaled radius 3, where random_point samples at kappa = 1.
+    Farther out the round trip loses accuracy: the rounding left in the
+    tangency of log_p q is amplified by sinh(d)/d |p| in exp (2.6e-6 in
+    distance at p of scaled radius 6.5 on Hyperboloid(3, 0.3)), a known
+    defect."""
+    m = Hyperboloid(n, curvature=kappa)
+    rng = np.random.default_rng(seed)
+    p = random_point_within(m, radius, rng)
+    q = random_point_within(m, radius, rng)
+    back = m.exp(p, m.log(p, q))
+    assert np.linalg.norm(back - q) <= 1e-9 * np.linalg.norm(q)
+    assert m.dist(p, q) == m.dist(q, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       kappa=st.sampled_from([1.0, 0.3, 2.5]),
+       log10_nv=st.floats(-6.0, 3.0))
+def test_busemann_grad_unit_norm(seed, n, kappa, log10_nv):
+    """Within scaled radius 3, where random_point samples at kappa = 1.
+    Far ahead along the ray -<p, w> cancels terms of size |p| |w| down to
+    e^B, so the gradient loses accuracy (|grad B| - 1 = 3.3e-8 at scaled
+    radius 5), a known defect."""
+    m = Hyperboloid(n, curvature=kappa)
+    rng = np.random.default_rng(seed)
+    q = random_point_within(m, 3.0, rng)
+    ray = BusemannRay(q, 10.0 ** log10_nv * random_unit_tangent(m, q, rng))
+    for p in [q] + [random_point_within(m, 3.0, rng) for _ in range(3)]:
+        g = m.busemann_grad(ray, p)
+        assert abs(m.norm(p, g) - 1.0) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       kappa=st.sampled_from([1.0, 0.3, 2.5]))
+@example(seed=0, n=2, kappa=1.0)
+def test_busemann_matches_limit_oracle(seed, n, kappa):
+    m = Hyperboloid(n, curvature=kappa)
+    rng = np.random.default_rng(seed)
+    q = random_point_within(m, 3.0, rng)
+    ray = BusemannRay(q, random_unit_tangent(m, q, rng))
+    p = random_point_within(m, 3.0, rng)
+    res = busemann_numeric(m, ray, p)
+    if res.converged:
+        assert abs(res.value - m.busemann(ray, p)) <= 1e-6

@@ -11,7 +11,8 @@ from hadamard_dc import (AcademicParams, ContrastiveParams, RosenbrockParams,
                          make_b_subproblem, make_cr_subproblem,
                          random_start, rosenbrock_problem, run_dca)
 from hadamard_dc import dc
-from hadamard_dc.geometry import SPDManifold, logdet, spd_fun, sym
+from hadamard_dc.geometry import (Hyperboloid, SPDManifold, logdet, spd_fun,
+                                  sym)
 from helpers import rel_err
 
 
@@ -285,6 +286,38 @@ def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
     assert counts["ray"] == trace.k > 0
     assert counts["split"] == counts["ray"]
     assert counts["eigh"] <= (params.m + params.r + 3) * trace.inner_total
+
+
+def test_valley_b_dca_prepares_each_step_once(monkeypatch):
+    """One horocenter per outer step with s_k != 0, and one subgradient of
+    h per trace record, plus the one scale_factor takes at the start."""
+    prob = rosenbrock_problem(RosenbrockParams(tangency="internal", a=1.0,
+                                               b=100.0, theta=1.0, n=2))
+    start = random_start(prob, make_rng(20))
+    counts = {"ray": 0, "center": 0, "subgrad": 0}
+    make_b, center, subgrad = (dc.make_b_subproblem,
+                               Hyperboloid._horo_center, prob.h_subgrad)
+
+    def counted_make_b(problem, p_k, s_k):
+        counts["ray"] += bool(np.any(s_k != 0.0))
+        return make_b(problem, p_k, s_k)
+
+    def counted_center(*args, **kwargs):
+        counts["center"] += 1
+        return center(*args, **kwargs)
+
+    def counted_subgrad(p):
+        counts["subgrad"] += 1
+        return subgrad(p)
+
+    monkeypatch.setattr(dc, "make_b_subproblem", counted_make_b)
+    monkeypatch.setattr(Hyperboloid, "_horo_center", counted_center)
+    prob.h_subgrad = counted_subgrad
+    trace = run_dca(prob, start, SolverConfig(algorithm="b_dca"))
+    assert trace.exit_reason in ("grad", "step")
+    assert counts["center"] == counts["ray"] > 0
+    assert counts["ray"] <= trace.k
+    assert counts["subgrad"] == len(trace.records) + 1
 
 
 def test_contrastive_convexity_of_components():

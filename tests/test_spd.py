@@ -1,6 +1,7 @@
 """SPD-manifold kernels: matrix functions, metric maps, horofunction forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hadamard_dc import (BusemannRay, DefinitenessError, SPDManifold,
                          UndefinedGradientError, ValidationError,
                          ZeroDirectionError, fd_riemannian_grad, make_rng)
 from hadamard_dc.geometry import chol, frechet_log, logdet, spd_fun, sym
-from helpers import rel_err
+from helpers import rel_err, same
 
 E = math.e
 
@@ -233,6 +234,24 @@ def test_frechet_log():
         frechet_log(np.diag([1.0, -1.0]), np.eye(2))
 
 
+def test_frechet_log_far_apart_eigenvalues():
+    """An eigenvalue ratio below ~1e-16, where log1p of the rounded ratio
+    is -inf, still gives the divided differences
+    (ln w_i - ln w_j)/(w_i - w_j), with no RuntimeWarning."""
+    w = np.array([1e-17, 1.0, 2.0])
+    e = sym(make_rng(13).standard_normal((3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = frechet_log(np.diag(w), e)
+    lw = np.log(w)
+    k = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            k[i, j] = 1.0 / w[i] if i == j else \
+                (lw[i] - lw[j]) / (w[i] - w[j])
+    np.testing.assert_allclose(got, k * e, rtol=1e-12)
+
+
 def test_congruence_identities():
     m = SPDManifold(3)
     rng = make_rng(11)
@@ -356,13 +375,6 @@ def outcome(fn, *args):
     except (DefinitenessError, UndefinedGradientError,
             ValidationError) as exc:
         return type(exc)
-
-
-def same(a, b):
-    """Bit-for-bit equal results (NaN equal to NaN), or the same error."""
-    if isinstance(a, type) or isinstance(b, type):
-        return a is b
-    return np.array_equal(a, b, equal_nan=True)
 
 
 @settings(max_examples=60, deadline=None)
