@@ -9,9 +9,9 @@ and a seeded, reproducible benchmark harness.
 from .analysis import (OracleResult, OracleSchedule, SupportCheckReport,
                        bregman_busemann, busemann_numeric,
                        lipschitz_subgrad_bound_check, support_check)
-from .dc import (DCProblem, InnerConfig, SolverConfig, SolverTrace,
-                 complexity_bound_check, inner_solve, make_b_subproblem,
-                 make_cr_subproblem, run_dca, scale_factor)
+from .dc import (DCProblem, SolverConfig, SolverTrace, complexity_bound_check,
+                 inner_solve, make_b_subproblem, make_cr_subproblem, run_dca,
+                 scale_factor)
 from .errors import (DefinitenessError, NumericalDomainError,
                      StalledInnerSolveError, UndefinedGradientError,
                      ValidationError, ZeroDirectionError)
@@ -33,7 +33,6 @@ __all__ = [
     "DikinOrthant",
     "Euclidean",
     "Hyperboloid",
-    "InnerConfig",
     "Manifold",
     "NumericalDomainError",
     "OracleResult",

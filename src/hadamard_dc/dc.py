@@ -28,6 +28,11 @@ from .geometry.base import fd_riemannian_grad
 logger = logging.getLogger(__name__)
 
 _STEP_NORM_CAP = 10.0       # largest trial displacement of the line search
+_MAX_INNER_ITERS = 500      # steepest-descent steps per inner solve
+_ARMIJO_C1 = 1e-4           # sufficient-decrease constant
+_BACKTRACK = 0.5            # step shrink factor per halving
+_MAX_HALVINGS = 60          # halvings before a line search stalls
+_INNER_TOL_FACTOR = 0.1     # inner gradient tolerance / outer eps_base
 
 
 @dataclass
@@ -37,8 +42,7 @@ class DCProblem:
     ``h_subgrad`` must return a tangent vector at its argument.  ``sigma``
     is the strong-convexity modulus shared by g and h (0 when unknown);
     ``phi_inf`` is an optional lower bound on phi used by the iteration
-    complexity check.  ``cr_subgrad_factory`` optionally overrides the
-    classic subproblem gradient with a problem-specific closed form.
+    complexity check.
     """
 
     manifold: object
@@ -48,7 +52,6 @@ class DCProblem:
     g_rgrad: callable = None
     sigma: float = 0.0
     phi_inf: float = None
-    cr_subgrad_factory: callable = None
     name: str = "dc-problem"
     metadata: dict = field(default_factory=dict)
 
@@ -62,40 +65,16 @@ class DCProblem:
 
 
 @dataclass
-class InnerConfig:
-    """Inner solver knobs.
-
-    ``initial_step`` is "bb-like" (secant estimate of the curvature along
-    the previous search ray) or "fixed" (unit trial step).  The inner
-    gradient tolerance is ``tol_factor`` times the outer tolerance.
-    """
-
-    max_iters: int = 500
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: str = "bb-like"
-    tol_factor: float = 0.1
-    max_halvings: int = 60
-
-    def __post_init__(self):
-        if not (0.0 < self.armijo_c1 < 1.0):
-            raise ValueError("armijo_c1 must be in (0, 1)")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack factor must be in (0, 1)")
-        if self.initial_step not in ("fixed", "bb-like"):
-            raise ValueError(f"unknown initial step rule {self.initial_step!r}")
-
-
-@dataclass
 class SolverConfig:
     eps_base: float = 1e-4
     max_outer: int = 20000
     algorithm: str = "b_dca"            # "cr_dca" or "b_dca"
-    inner: InnerConfig = field(default_factory=InnerConfig)
 
     def __post_init__(self):
-        if self.eps_base <= 0.0:
-            raise ValueError("eps_base must be positive")
+        if not 0.0 < self.eps_base < math.inf:
+            raise ValueError(f"eps_base must be finite and > 0: {self.eps_base}")
+        if not self.max_outer >= 0:
+            raise ValueError(f"max_outer must be >= 0: {self.max_outer}")
         if self.algorithm not in ("cr_dca", "b_dca"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
@@ -172,6 +151,18 @@ def scale_factor(problem: DCProblem, p0):
     return 1.0 / (problem.manifold.norm(p0, g0) + 1.0)
 
 
+def _objective(problem: DCProblem, value, grad, kind) -> SubproblemObjective:
+    """The subproblem ``value`` with gradient ``grad``, or with central
+    finite differences of ``value`` when g has no analytic gradient."""
+    if problem.g_rgrad is not None:
+        return SubproblemObjective(value, grad)
+    logger.warning("%s: no analytic gradient for g, %s subproblem falls "
+                   "back to finite differences", problem.name, kind)
+    manifold = problem.manifold
+    return SubproblemObjective(
+        value, lambda p: fd_riemannian_grad(manifold, value, p), analytic=False)
+
+
 def make_cr_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     """Classic linearized subproblem  g(p) - <s_k, log_{p_k} p>.
 
@@ -186,16 +177,10 @@ def make_cr_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     def value(p):
         return problem.g(p) - model.value(p)
 
-    if problem.cr_subgrad_factory is not None:
-        return SubproblemObjective(value, problem.cr_subgrad_factory(p_k, s_k))
-    if problem.g_rgrad is not None:
-        def grad(p):
-            return problem.g_rgrad(p) - model.grad(p)
-        return SubproblemObjective(value, grad)
-    logger.warning("%s: no analytic gradient for g, classic subproblem "
-                   "falls back to finite differences", problem.name)
-    return SubproblemObjective(
-        value, lambda p: fd_riemannian_grad(manifold, value, p), analytic=False)
+    def grad(p):
+        return problem.g_rgrad(p) - model.grad(p)
+
+    return _objective(problem, value, grad, "classic")
 
 
 def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
@@ -210,41 +195,31 @@ def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     s_k = manifold.check_tangent(p_k, s_k)
     ns = manifold._norm(p_k, s_k)
     if ns == 0.0:
-        if problem.g_rgrad is not None:
-            return SubproblemObjective(problem.g, problem.g_rgrad)
-        logger.warning("%s: no analytic gradient for g, horofunction "
-                       "subproblem falls back to finite differences",
-                       problem.name)
-        return SubproblemObjective(
-            problem.g,
-            lambda p: fd_riemannian_grad(manifold, problem.g, p),
-            analytic=False)
+        return _objective(problem, problem.g, problem.g_rgrad, "horofunction")
 
     horo = manifold._horofunction(p_k, s_k)
 
     def value(p):
         return problem.g(p) + ns * horo.value(p)
 
-    if problem.g_rgrad is not None:
-        def grad(p):
-            return problem.g_rgrad(p) + ns * horo.grad(p)
-        return SubproblemObjective(value, grad)
-    logger.warning("%s: no analytic gradient for g, horofunction subproblem "
-                   "falls back to finite differences", problem.name)
-    return SubproblemObjective(
-        value, lambda p: fd_riemannian_grad(manifold, value, p), analytic=False)
+    def grad(p):
+        return problem.g_rgrad(p) + ns * horo.grad(p)
+
+    return _objective(problem, value, grad, "horofunction")
 
 
-def inner_solve(objective: SubproblemObjective, start, cfg: InnerConfig,
-                tol: float, manifold):
+def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
     """Riemannian steepest descent with Armijo backtracking.
 
-    Returns (point, iteration count).  Stops when the subproblem gradient
-    norm drops to ``tol``, after ``cfg.max_iters`` steps, or when the
-    sufficient-decrease test falls below double-precision resolution of
-    the objective (the point is then as converged as evaluations allow).
-    Raises StalledInnerSolveError when the line search exhausts its
-    halvings while certifiable progress was still representable.
+    Returns (point, iteration count).  The first trial step is 1, later
+    ones a secant estimate along the previous ray; a trial is shrunk by
+    ``_BACKTRACK`` until the Armijo test with ``_ARMIJO_C1`` holds.  Stops
+    when the subproblem gradient norm drops to ``tol``, after
+    ``_MAX_INNER_ITERS`` steps, or when the sufficient-decrease test falls
+    below double-precision resolution of the objective (the point is then
+    as converged as evaluations allow).  Raises StalledInnerSolveError
+    after ``_MAX_HALVINGS`` halvings while certifiable progress was still
+    representable.
     ``start`` and every trial point out of ``exp`` are validated, so the
     objective only sees checked points; the accepted iterate is not
     checked again when a trial steps from it.
@@ -261,8 +236,8 @@ def inner_solve(objective: SubproblemObjective, start, cfg: InnerConfig,
     gn_prev = None
     eps_mach = float(np.finfo(float).eps)
 
-    while gn > tol and iters < cfg.max_iters:
-        if cfg.initial_step == "fixed" or alpha_prev is None:
+    while gn > tol and iters < _MAX_INNER_ITERS:
+        if alpha_prev is None:
             alpha = 1.0
         else:
             # secant estimate of the curvature along the previous ray:
@@ -281,15 +256,15 @@ def inner_solve(objective: SubproblemObjective, start, cfg: InnerConfig,
         accepted = False
         floored = False
         decrease_floor = 8.0 * eps_mach * (1.0 + abs(fp))
-        for _ in range(cfg.max_halvings):
-            required = cfg.armijo_c1 * alpha * gn * gn
+        for _ in range(_MAX_HALVINGS):
+            required = _ARMIJO_C1 * alpha * gn * gn
             try:
                 cand = manifold.check_point(manifold._exp(p, -alpha * g))
                 fc = objective.value(cand)
             except (OverflowError, FloatingPointError, NumericalDomainError,
                     ValidationError):
                 # trial point left the numerical domain; shorten the step
-                alpha *= cfg.backtrack
+                alpha *= _BACKTRACK
                 continue
             decrease = fp - fc
             if np.isfinite(fc) and decrease >= required \
@@ -304,12 +279,12 @@ def inner_solve(objective: SubproblemObjective, start, cfg: InnerConfig,
                 # target: converged to evaluation precision
                 floored = True
                 break
-            alpha *= cfg.backtrack
+            alpha *= _BACKTRACK
         if floored:
             break
         if not accepted:
             raise StalledInnerSolveError(
-                f"line search stalled after {cfg.max_halvings} halvings "
+                f"line search stalled after {_MAX_HALVINGS} halvings "
                 f"(grad norm {gn:.3g}, tol {tol:.3g})",
                 best_point=p, best_value=fp, iterations=iters)
 
@@ -345,7 +320,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     smooth = problem.g_rgrad is not None
     gamma = scale_factor(problem, p0) if smooth else 1.0
     eps = gamma * cfg.eps_base
-    inner_tol = cfg.inner.tol_factor * cfg.eps_base
+    inner_tol = _INNER_TOL_FACTOR * cfg.eps_base
     make = make_cr_subproblem if cfg.algorithm == "cr_dca" else make_b_subproblem
 
     def subgradient_and_grad_norm(p):
@@ -374,8 +349,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
             s_k = problem.h_subgrad(p)
         objective = make(problem, p, s_k)
         try:
-            p_next, n_inner = inner_solve(objective, p, cfg.inner, inner_tol,
-                                          manifold)
+            p_next, n_inner = inner_solve(objective, p, inner_tol, manifold)
         except StalledInnerSolveError as exc:
             moved = exc.best_point is not None and not np.array_equal(
                 np.asarray(exc.best_point), np.asarray(p))

@@ -233,10 +233,6 @@ class Hyperboloid(Manifold):
         jg[-1] = -jg[-1]
         return self._project(p, jg)
 
-    def squared_dist_grad(self, p, z):
-        """Gradient at p of d^2(p, z), equal to -2 log_p(z)."""
-        return -2.0 * self.log(p, z)
-
     def dist_grad(self, p, z):
         """Gradient at p of d(p, z), for p != z."""
         p, z = self.check_point(p), self.check_point(z)

@@ -268,10 +268,6 @@ class SPDManifold(Manifold):
         g = sym(self._as_array(egrad, "euclidean gradient"))
         return sym(x @ g @ x)
 
-    def squared_dist_grad(self, x, z):
-        """Gradient at X of d^2(X, Z), equal to -2 log_X(Z)."""
-        return -2.0 * self.log(x, z)
-
     def _linear_model(self, xk, s):
         return SPDLinearModel(self, xk, s)
 
@@ -282,21 +278,20 @@ class SPDManifold(Manifold):
     # Busemann function
     # ------------------------------------------------------------------
 
-    def spectral_split(self, y, v, grouping_tol=None):
+    def spectral_split(self, y, v):
         """Group the spectrum of Y^-1/2 V Y^-1/2 by near-equality."""
         y = self.check_point(y)
         return self._spectral_split(spd_fun(y, "invsqrt"),
-                                    self.check_tangent(y, v), grouping_tol)
+                                    self.check_tangent(y, v))
 
-    def _spectral_split(self, yih, v, grouping_tol=None):
+    def _spectral_split(self, yih, v):
         """``spectral_split`` from Y^-1/2 and a validated direction V."""
         lam, u = sym_eig(yih @ v @ yih)
         lmax = float(np.max(np.abs(lam))) if lam.size else 0.0
         if lmax == 0.0:
             raise ZeroDirectionError(
                 f"{self.name}: spectral split needs a nonzero direction")
-        tol = grouping_tol if grouping_tol is not None else 1e-10
-        gap_tol = tol * max(1.0, lmax)
+        gap_tol = 1e-10 * max(1.0, lmax)    # relative gap between groups
         reps, mults, bounds = [], [], [0]
         start = 0
         for i in range(1, self.n + 1):

@@ -45,10 +45,10 @@ class RosenbrockParams:
     qbar: object = None
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValidationError("rosenbrock: a and b must be positive")
-        if self.theta < 1.0:
-            raise ValidationError("rosenbrock: theta must be >= 1")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValidationError("rosenbrock: a and b must be finite and positive")
+        if not 1.0 <= self.theta < math.inf:
+            raise ValidationError("rosenbrock: theta must be finite and >= 1")
         if self.n < 1:
             raise ValidationError("rosenbrock: dimension must be >= 1")
         if self.tangency not in ("internal", "external"):
@@ -201,14 +201,6 @@ def academic_problem(params: AcademicParams = AcademicParams()) -> DCProblem:
     def h_subgrad(x):
         return (2.0 * logdet(x)) * x
 
-    def cr_subgrad_factory(x_k, s_k):
-        ld_k = logdet(x_k)
-
-        def grad(x):
-            return (4.0 * logdet(x) ** 3 - 2.0 * ld_k) * x
-
-        return grad
-
     metadata = {
         "f_star": -0.25,
         "minimizer_logdet": (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)),
@@ -216,7 +208,7 @@ def academic_problem(params: AcademicParams = AcademicParams()) -> DCProblem:
     }
     return DCProblem(
         manifold=manifold, g=g, h=h, h_subgrad=h_subgrad, g_rgrad=g_rgrad,
-        sigma=0.0, phi_inf=-0.25, cr_subgrad_factory=cr_subgrad_factory,
+        sigma=0.0, phi_inf=-0.25,
         name=f"spd-academic-n{n}", metadata=metadata)
 
 
@@ -260,12 +252,12 @@ def contrastive_problem(params: ContrastiveParams, rng,
                     else np.ones(params.m), dtype=float)
     wn = np.asarray(params.neg_weights if params.neg_weights is not None
                     else np.ones(params.r), dtype=float)
-    if wp.shape != (params.m,) or np.any(wp <= 0):
+    if wp.shape != (params.m,) or not np.all((0.0 < wp) & (wp < np.inf)):
         raise ValidationError("contrastive: positive weights must be "
-                              f"{params.m} positive reals")
-    if wn.shape != (params.r,) or np.any(wn <= 0):
+                              f"{params.m} finite positive reals")
+    if wn.shape != (params.r,) or not np.all((0.0 < wn) & (wn < np.inf)):
         raise ValidationError("contrastive: negative weights must be "
-                              f"{params.r} positive reals")
+                              f"{params.r} finite positive reals")
 
     def _perturb(center, radius_max):
         w = manifold.random_tangent(center, rng)

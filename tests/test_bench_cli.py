@@ -98,7 +98,12 @@ def test_flag_errors_exit_2(capsys):
                  ["spd-contrastive", "--m", "0"],
                  ["rosenbrock", "--n", "0"],
                  ["spd-academic", "--n", "0"],
-                 ["spd-contrastive", "--n", "0"]):
+                 ["spd-contrastive", "--n", "0"],
+                 ["spd-academic", "--eps", "nan"],
+                 ["spd-academic", "--eps", "inf"],
+                 ["rosenbrock", "--a", "nan"],
+                 ["rosenbrock", "--theta", "nan"],
+                 ["rosenbrock", "--b", "inf"]):
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert out == ""

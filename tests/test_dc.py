@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from hadamard_dc import (DCProblem, Euclidean, Hyperboloid, InnerConfig,
-                         SolverConfig, StalledInnerSolveError,
-                         complexity_bound_check, inner_solve,
-                         make_b_subproblem, make_cr_subproblem, make_rng,
-                         run_dca, scale_factor)
+from hadamard_dc import (DCProblem, Euclidean, Hyperboloid, SolverConfig,
+                         StalledInnerSolveError, complexity_bound_check,
+                         inner_solve, make_b_subproblem, make_cr_subproblem,
+                         make_rng, run_dca, scale_factor)
 from hadamard_dc.problems import (AcademicParams, RosenbrockParams,
                                   academic_problem, random_start,
                                   rosenbrock_problem)
@@ -114,13 +113,12 @@ def test_inner_solve_quadratic():
     prob = euclid_quadratic(2, c)
     p0 = np.array([5.0, 5.0])
     obj = make_cr_subproblem(prob, p0, c)
-    cfg = InnerConfig()
-    p, iters = inner_solve(obj, p0, cfg, 1e-8, prob.manifold)
+    p, iters = inner_solve(obj, p0, 1e-8, prob.manifold)
     np.testing.assert_allclose(p, c / 2, atol=1e-7)
     assert iters > 0
     assert obj.value(p) <= obj.value(p0) + 1e-12
     # starting at the minimizer costs zero iterations
-    p2, iters2 = inner_solve(obj, c / 2, cfg, 1e-8, prob.manifold)
+    p2, iters2 = inner_solve(obj, c / 2, 1e-8, prob.manifold)
     assert iters2 == 0
     np.testing.assert_array_equal(p2, c / 2)
 
@@ -130,7 +128,7 @@ def test_inner_solve_monotone_on_spd_subproblem():
     x0 = prob.metadata["fixed_start"]
     s = prob.h_subgrad(x0)
     obj = make_b_subproblem(prob, x0, s)
-    p, iters = inner_solve(obj, x0, InnerConfig(), 1e-6, prob.manifold)
+    p, iters = inner_solve(obj, x0, 1e-6, prob.manifold)
     assert obj.value(p) <= obj.value(x0) + 1e-12
     assert iters > 0
 
@@ -146,7 +144,7 @@ def test_inner_solve_checks_start_and_each_trial_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(m, name, counted)
-    _, iters = inner_solve(obj, p0, InnerConfig(), 1e-6, m)
+    _, iters = inner_solve(obj, p0, 1e-6, m)
     assert calls["_exp"] >= iters > 0
     assert calls["check_point"] == 1 + calls["_exp"]
 
@@ -159,7 +157,7 @@ def test_inner_solve_stalls_on_ascent_gradient():
     bad = SubproblemObjective(value=lambda p: float(p @ p),
                               grad=lambda p: np.array([-10.0, 0.0]))
     with pytest.raises(StalledInnerSolveError) as err:
-        inner_solve(bad, np.array([1.0, 0.0]), InnerConfig(), 1e-10, m)
+        inner_solve(bad, np.array([1.0, 0.0]), 1e-10, m)
     assert err.value.best_point is not None
 
 
@@ -250,26 +248,15 @@ def test_stationarity_surrogate_at_step_exit():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        InnerConfig(armijo_c1=1.5)
-    with pytest.raises(ValueError):
-        InnerConfig(backtrack=0.0)
-    with pytest.raises(ValueError):
-        InnerConfig(initial_step="newton")
-    with pytest.raises(ValueError):
         SolverConfig(eps_base=0.0)
+    with pytest.raises(ValueError):
+        SolverConfig(eps_base=float("nan"))
+    with pytest.raises(ValueError):
+        SolverConfig(max_outer=-1)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="gd")
     with pytest.raises(ValueError):
-        inner_solve(None, None, InnerConfig(), 0.0, None)
-
-
-def test_fixed_initial_step_rule():
-    c = np.array([1.0, 1.0])
-    prob = euclid_quadratic(2, c)
-    cfg = SolverConfig(algorithm="cr_dca",
-                       inner=InnerConfig(initial_step="fixed"))
-    trace = run_dca(prob, np.array([3.0, 3.0]), cfg)
-    np.testing.assert_allclose(trace.final.point, c / 2, atol=1e-6)
+        inner_solve(None, None, 0.0, None)
 
 
 def test_phi_grad_requires_provider():
@@ -289,12 +276,18 @@ def test_fd_fallback_and_gradient_free_outer_loop(caplog):
         h=lambda p: float(c @ p),
         h_subgrad=lambda p: c.copy(),
         name="gradient-free")
-    with caplog.at_level(logging.WARNING, logger="hadamard_dc.dc"):
-        obj = make_cr_subproblem(prob, np.zeros(2), c)
-    assert not obj.analytic
-    assert any("finite differences" in r.message for r in caplog.records)
     p = np.array([0.7, -0.4])
-    np.testing.assert_allclose(obj.grad(p), 2 * p - c, atol=1e-5)
+    # every build site: classic, horofunction with s_k != 0, and with s_k = 0
+    for make, s_k, want in ((make_cr_subproblem, c, 2 * p - c),
+                            (make_b_subproblem, c, 2 * p - c),
+                            (make_b_subproblem, np.zeros(2), 2 * p)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hadamard_dc.dc"):
+            obj = make(prob, np.zeros(2), s_k)
+        assert not obj.analytic
+        assert sum("finite differences" in r.message
+                   for r in caplog.records) == 1
+        np.testing.assert_allclose(obj.grad(p), want, atol=1e-5)
     # the outer loop runs without a gradient provider: gamma = 1 and the
     # step criterion alone stops the run
     trace = run_dca(prob, np.array([4.0, 4.0]),

@@ -59,6 +59,10 @@ def test_rosenbrock_param_validation():
         RosenbrockParams(theta=0.5)
     with pytest.raises(ValidationError):
         RosenbrockParams(tangency="osculating")
+    for bad in ({"a": math.nan}, {"b": math.inf}, {"theta": math.nan},
+                {"theta": math.inf}):
+        with pytest.raises(ValidationError):
+            RosenbrockParams(**bad)
 
 
 def test_rosenbrock_f_nonnegative_and_consistent():
@@ -178,6 +182,11 @@ def test_contrastive_validation():
         contrastive_problem(ContrastiveParams(n=3, m=2, r=0,
                                               pos_weights=(1.0, -1.0)),
                             make_rng(0))
+    for weight in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            contrastive_problem(ContrastiveParams(n=3, m=2, r=1,
+                                                  neg_weights=(weight,)),
+                                make_rng(0))
 
 
 def test_contrastive_single_positive_minimizer():
