@@ -98,6 +98,18 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    # bad values exit 2 before any suite or solve runs; later errors propagate
+    try:
+        if args.subcommand == "verify":
+            run_verify(seeds=(), tol_scale=args.tol_scale)
+        else:
+            family_params(args.subcommand, args)
+            solver_configs(args)
+    except ValueError as exc:
+        print(f"{parser.prog} {args.subcommand}: error: {exc}",
+              file=sys.stderr)
+        return 2
+
     if args.subcommand == "verify":
         seeds = args.seed if args.seed else [0]
         results = run_verify(seeds=seeds, tol_scale=args.tol_scale)
@@ -112,13 +124,6 @@ def main(argv=None):
             ok = ok and res.passed
         return 0 if ok else 1
 
-    try:
-        family_params(args.subcommand, args)
-        solver_configs(args)
-    except ValueError as exc:
-        print(f"{parser.prog} {args.subcommand}: error: {exc}",
-              file=sys.stderr)
-        return 2
     records, stall = run_benchmark(args.subcommand, args)
     text = records_to_csv(records) if args.format == "csv" \
         else records_to_json(records)

@@ -215,11 +215,11 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
     ones a secant estimate along the previous ray; a trial is shrunk by
     ``_BACKTRACK`` until the Armijo test with ``_ARMIJO_C1`` holds.  Stops
     when the subproblem gradient norm drops to ``tol``, after
-    ``_MAX_INNER_ITERS`` steps, or when the sufficient-decrease test falls
+    ``_MAX_INNER_ITERS`` steps, when the sufficient-decrease test falls
     below double-precision resolution of the objective (the point is then
-    as converged as evaluations allow).  Raises StalledInnerSolveError
-    after ``_MAX_HALVINGS`` halvings while certifiable progress was still
-    representable.
+    as converged as evaluations allow), or when a line search after an
+    accepted step runs out of ``_MAX_HALVINGS`` halvings.  Raises
+    StalledInnerSolveError if the first line search runs out of them.
     ``start`` and every trial point out of ``exp`` are validated, so the
     objective only sees checked points; the accepted iterate is not
     checked again when a trial steps from it.
@@ -283,10 +283,14 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
         if floored:
             break
         if not accepted:
-            raise StalledInnerSolveError(
-                f"line search stalled after {_MAX_HALVINGS} halvings "
-                f"(grad norm {gn:.3g}, tol {tol:.3g})",
-                best_point=p, best_value=fp, iterations=iters)
+            if iters == 0:
+                raise StalledInnerSolveError(
+                    f"line search stalled after {_MAX_HALVINGS} halvings "
+                    f"(grad norm {gn:.3g}, tol {tol:.3g})",
+                    best_point=p, best_value=fp)
+            # as after a floored stop, the outer tests judge this point
+            logger.debug("inner solve stalled after %d iterations", iters)
+            break
 
         fp_prev, gn_prev, alpha_prev = fp, gn, alpha
         p, fp = cand, fc
@@ -313,7 +317,8 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     so the step exit additionally requires the gradient test at the new
     iterate.  Each iterate takes one subgradient of h, shared by its
     gradient test and its subproblem; a non-smooth problem takes it only
-    where a subproblem is built.
+    where a subproblem is built.  A stalled first line search raises
+    StalledInnerSolveError with the partial trace as ``exc.trace``.
     """
     manifold = problem.manifold
     p0 = manifold.check_point(p0)
@@ -338,6 +343,13 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     fp = problem.phi(p)
     s_k, gn = subgradient_and_grad_norm(p)
 
+    def record(inner_iters=0, step_dist=0.0):
+        trace.records.append(IterationRecord(
+            k=len(trace.records), point=p, fval=fp, grad_norm=gn,
+            inner_iters=inner_iters, step_dist=step_dist,
+            elapsed_s=time.perf_counter() - t0))
+
+    stall = None
     while True:
         if gn <= eps:
             trace.exit_reason = "grad"
@@ -351,45 +363,26 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
         try:
             p_next, n_inner = inner_solve(objective, p, inner_tol, manifold)
         except StalledInnerSolveError as exc:
-            moved = exc.best_point is not None and not np.array_equal(
-                np.asarray(exc.best_point), np.asarray(p))
-            if not moved:
-                # no progress at all: surface the stall with a partial trace
-                trace.records.append(IterationRecord(
-                    k=len(trace.records), point=p, fval=fp, grad_norm=gn,
-                    inner_iters=exc.iterations, step_dist=0.0,
-                    elapsed_s=time.perf_counter() - t0))
-                trace.exit_reason = "stalled"
-                trace.time_s = time.perf_counter() - t0
-                exc.trace = trace
-                raise
-            # the line search hit the evaluation-noise floor after real
-            # progress; take the best point and let the outer tests decide
-            logger.debug("%s: inner solve floored after %d iterations",
-                         problem.name, exc.iterations)
-            p_next, n_inner = exc.best_point, exc.iterations
+            trace.exit_reason = "stalled"
+            stall = exc
+            break
         step = manifold._dist(p, p_next)
-        trace.records.append(IterationRecord(
-            k=len(trace.records), point=p, fval=fp, grad_norm=gn,
-            inner_iters=n_inner, step_dist=step,
-            elapsed_s=time.perf_counter() - t0))
-        exact_fixed_point = bool(np.array_equal(np.asarray(p_next),
-                                                np.asarray(p)))
+        record(n_inner, step)
         p = p_next
         fp = problem.phi(p)
         s_k, gn = subgradient_and_grad_norm(p)
-        if exact_fixed_point:
+        if n_inner == 0:            # no step taken, so p_next is p
             trace.exit_reason = "fixed_point"
             break
         if step <= eps and (not smooth or gn <= eps):
             trace.exit_reason = "step"
             break
 
-    trace.records.append(IterationRecord(
-        k=len(trace.records), point=p, fval=fp, grad_norm=gn,
-        inner_iters=0, step_dist=0.0,
-        elapsed_s=time.perf_counter() - t0))
+    record()
     trace.time_s = time.perf_counter() - t0
+    if stall is not None:
+        stall.trace = trace
+        raise stall
     return trace
 
 

@@ -23,9 +23,9 @@ class NumericalDomainError(ArithmeticError):
 
 
 class StalledInnerSolveError(RuntimeError):
-    """Line search failed to make progress inside the inner solver.
+    """The first line search of an inner solve found no acceptable step.
 
-    Carries the best point found so far and its objective value.
+    Carries the best point, the start of the inner solve, and its value.
     """
 
     def __init__(self, message, best_point=None, best_value=None, iterations=0):

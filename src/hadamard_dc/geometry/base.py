@@ -9,10 +9,9 @@ at the public boundary:
   :class:`~hadamard_dc.errors.ValidationError` naming the violated
   constraint;
 * the ``_``-prefixed kernels behind them (``_inner``, ``_norm``, ``_exp``,
-  ``_log``, ``_dist``, ``_busemann``, ``_busemann_grad``,
-  ``_linear_model_grad``) validate nothing and are for callers that
-  already hold validated values, as are the limit-oracle hooks
-  ``ray_point_distance`` and ``oracle_t_guard``;
+  ``_log``, ``_dist``, ``_horofunction``, ``_linear_model``) validate
+  nothing and are for callers that already hold validated values, as are
+  the limit-oracle hooks ``ray_point_distance`` and ``oracle_t_guard``;
 * no array is trusted for having been checked before, so an array mutated
   after a check is checked again on its next public call.
 
@@ -23,10 +22,10 @@ or linearization point and return a :class:`Horofunction` or
 points.  Geometries with fixed work per ray or linearization point (SPD:
 matrix roots and the spectral split; hyperboloid: |v| and the horocenter
 w) do that work once, when the object is built; the solver builds one
-per outer step and its subproblem owns it.  Such a geometry's
-``_busemann`` and ``_busemann_grad`` (and on SPD ``_linear_model_grad``)
-build the same object and evaluate it once, so the public calls and the
-solver run one code path.
+per outer step and its subproblem owns it.  The public ``busemann``,
+``busemann_grad`` and ``linear_model_grad`` evaluate the same object, so
+they and the solver run one code path; the generic forms call per-call
+kernels (``_busemann``, ``_busemann_grad``, ``_linear_model_grad``).
 
 All operations are pure functions, so parallel callers need no
 synchronization.
@@ -168,13 +167,13 @@ class Manifold:
 
     def busemann(self, ray: BusemannRay, p):
         q = self.check_point(ray.base)
-        return self._busemann(q, self.check_tangent(q, ray.direction),
-                              self.check_point(p))
+        return self._horofunction(q, self.check_tangent(q, ray.direction)) \
+            .value(self.check_point(p))
 
     def busemann_grad(self, ray: BusemannRay, p):
         q = self.check_point(ray.base)
-        return self._busemann_grad(q, self.check_tangent(q, ray.direction),
-                                   self.check_point(p))
+        return self._horofunction(q, self.check_tangent(q, ray.direction)) \
+            .grad(self.check_point(p))
 
     def _horofunction(self, q, v):
         """B_{q,v} of a validated ray, prepared for repeated evaluation."""
@@ -205,8 +204,8 @@ class Manifold:
         the metric at ``q``.  Used by the classic DC subproblem.
         """
         q = self.check_point(q)
-        return self._linear_model_grad(q, self.check_tangent(q, s),
-                                       self.check_point(p))
+        return self._linear_model(q, self.check_tangent(q, s)) \
+            .grad(self.check_point(p))
 
     def _linear_model(self, q, s):
         """p -> <s, log_q p> for validated ``q``, ``s``, prepared for

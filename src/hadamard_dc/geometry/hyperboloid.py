@@ -29,8 +29,7 @@ import warnings
 
 import numpy as np
 
-from ..errors import (NumericalDomainError, UndefinedGradientError,
-                      ValidationError)
+from ..errors import NumericalDomainError, ValidationError
 from .base import Horofunction, Manifold
 
 _EXP_ARG_GUARD = 350.0      # cosh overflows doubles near 710; stay well below
@@ -233,15 +232,6 @@ class Hyperboloid(Manifold):
         jg[-1] = -jg[-1]
         return self._project(p, jg)
 
-    def dist_grad(self, p, z):
-        """Gradient at p of d(p, z), for p != z."""
-        p, z = self.check_point(p), self.check_point(z)
-        d = self._dist(p, z)
-        if d == 0.0:
-            raise UndefinedGradientError(
-                f"{self.name}: distance gradient undefined at its center")
-        return -self._log(p, z) / d
-
     def _linear_model_grad(self, q, s, p):
         beta = max(-self.kappa * _lorentz(q, p), 1.0)
         c = _ucoef(beta)
@@ -259,12 +249,6 @@ class Hyperboloid(Manifold):
 
     def _horofunction(self, q, v):
         return HyperboloidHorofunction(self, q, v)
-
-    def _busemann(self, q, v, p):
-        return self._horofunction(q, v).value(p)
-
-    def _busemann_grad(self, q, v, p):
-        return self._horofunction(q, v).grad(p)
 
     # ------------------------------------------------------------------
     # sampling

@@ -271,9 +271,6 @@ class SPDManifold(Manifold):
     def _linear_model(self, xk, s):
         return SPDLinearModel(self, xk, s)
 
-    def _linear_model_grad(self, xk, s, x):
-        return self._linear_model(xk, s).grad(x)
-
     # ------------------------------------------------------------------
     # Busemann function
     # ------------------------------------------------------------------
@@ -309,12 +306,6 @@ class SPDManifold(Manifold):
 
     def _horofunction(self, y, v):
         return SPDHorofunction(self, y, v)
-
-    def _busemann(self, y, v, x):
-        return self._horofunction(y, v).value(x)
-
-    def _busemann_grad(self, y, v, x):
-        return self._horofunction(y, v).grad(x)
 
     # ------------------------------------------------------------------
     # sampling

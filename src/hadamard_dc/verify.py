@@ -201,7 +201,10 @@ ALL_SUITES = (roundtrip_suite, busemann_oracle_suite,
 
 
 def run_verify(seeds=(0,), tol_scale=1.0):
-    """Run every suite for every seed; returns the list of SuiteResult."""
+    """Run every suite for every seed; returns the list of SuiteResult.
+    Raises ValueError before any suite unless 0 <= tol_scale < inf."""
+    if not 0.0 <= tol_scale < math.inf:
+        raise ValueError(f"tol_scale must be finite and >= 0: {tol_scale}")
     results = []
     for seed in seeds:
         for suite in ALL_SUITES:

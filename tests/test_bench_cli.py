@@ -103,7 +103,10 @@ def test_flag_errors_exit_2(capsys):
                  ["spd-academic", "--eps", "inf"],
                  ["rosenbrock", "--a", "nan"],
                  ["rosenbrock", "--theta", "nan"],
-                 ["rosenbrock", "--b", "inf"]):
+                 ["rosenbrock", "--b", "inf"],
+                 ["verify", "--tol-scale", "nan"],
+                 ["verify", "--tol-scale", "inf"],
+                 ["verify", "--tol-scale", "-1"]):
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert out == ""

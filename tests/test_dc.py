@@ -158,7 +158,59 @@ def test_inner_solve_stalls_on_ascent_gradient():
                               grad=lambda p: np.array([-10.0, 0.0]))
     with pytest.raises(StalledInnerSolveError) as err:
         inner_solve(bad, np.array([1.0, 0.0]), 1e-10, m)
-    assert err.value.best_point is not None
+    np.testing.assert_array_equal(err.value.best_point, [1.0, 0.0])
+
+
+def test_inner_solve_stall_after_progress_returns():
+    """A line search that runs out of halvings after an accepted step
+    returns the last accepted point and the step count."""
+    from hadamard_dc.dc import SubproblemObjective
+    start = np.array([1.0, 0.0])
+    e1 = np.array([1.0, 0.0])
+    # exact at the start, uphill everywhere after it
+    obj = SubproblemObjective(
+        value=lambda p: float(p @ p),
+        grad=lambda p: 2.0 * p if np.array_equal(p, start) else -2.0 * p - e1)
+    p, iters = inner_solve(obj, start, 1e-10, Euclidean(2))
+    np.testing.assert_array_equal(p, [0.0, 0.0])
+    assert iters == 1
+
+
+@pytest.mark.parametrize("alg", ["cr_dca", "b_dca"])
+def test_run_dca_stall_carries_partial_trace(alg):
+    """An inner solve that cannot take its first step ends the run with
+    StalledInnerSolveError and the trace up to the stalled iterate."""
+    e1 = np.array([1.0, 0.0])
+    prob = DCProblem(
+        manifold=Euclidean(2),
+        g=lambda p: float(p @ p),
+        h=lambda p: 0.0,
+        h_subgrad=lambda p: np.zeros(2),
+        g_rgrad=lambda p: -2.0 * p - e1,      # uphill: no Armijo step exists
+        name="uphill-gradient")
+    with pytest.raises(StalledInnerSolveError) as err:
+        run_dca(prob, np.array([1.0, 0.0]), SolverConfig(algorithm=alg))
+    trace = err.value.trace
+    assert trace.exit_reason == "stalled"
+    assert len(trace.records) == 1
+    assert trace.records[0].inner_iters == 0
+    assert trace.records[0].step_dist == 0.0
+    assert trace.time_s > 0.0
+
+
+def test_valley_stall_after_progress_continues_the_run(caplog):
+    """Valley start 5 stalls once inside an inner solve after progress;
+    the outer loop goes on from the returned point, and the run ends at a
+    fixed point, the one outer step that took no inner step."""
+    import logging
+    prob = rosenbrock_problem(RosenbrockParams())
+    p0 = random_start(prob, make_rng(5))
+    with caplog.at_level(logging.DEBUG, logger="hadamard_dc.dc"):
+        trace = run_dca(prob, p0, SolverConfig(algorithm="b_dca"))
+    assert sum("stalled after" in r.message for r in caplog.records) == 1
+    assert trace.exit_reason == "fixed_point"
+    assert trace.records[-2].inner_iters == 0
+    assert all(r.inner_iters >= 1 for r in trace.records[:-2])
 
 
 def test_run_dca_one_step_fixed_point():
