@@ -138,11 +138,48 @@ class SolverTrace:
 
 @dataclass
 class SubproblemObjective:
-    """Scalar objective plus gradient provider for one outer step."""
+    """Objective g(p) + term(p) of one outer step, with g and the
+    prepared model term held apart.
 
-    value: callable
-    grad: callable
-    analytic: bool = True
+    ``value(p, g_p)`` and ``grad(p, g_grad_p)`` take g(p) and grad g(p)
+    when the caller already has them and then evaluate only the term, so
+    that a solver which carries the values of g from one evaluation to
+    the next evaluates g once per point.  ``g_values`` is the one place
+    that evaluates that pair.  ``term`` None is the zero term (a
+    horofunction subproblem with s_k = 0, or g alone).  ``g_grad`` None
+    means g has no analytic gradient: ``grad`` then takes central finite
+    differences of the whole objective on ``manifold``.
+    """
+
+    g: callable
+    g_grad: callable = None
+    term: callable = None
+    term_grad: callable = None
+    manifold: object = None
+
+    @property
+    def analytic(self):
+        return self.g_grad is not None
+
+    def g_values(self, p, g_p=None):
+        """(g(p), grad g(p)), grad g None when g has no analytic gradient;
+        ``g_p`` is g(p) when the caller already has it."""
+        if g_p is None:
+            g_p = self.g(p)
+        return g_p, (self.g_grad(p) if self.analytic else None)
+
+    def value(self, p, g_p=None):
+        if g_p is None:
+            g_p = self.g(p)
+        return g_p if self.term is None else g_p + self.term(p)
+
+    def grad(self, p, g_grad_p=None):
+        if self.g_grad is None:
+            return fd_riemannian_grad(self.manifold, self.value, p)
+        if g_grad_p is None:
+            g_grad_p = self.g_grad(p)
+        return g_grad_p if self.term_grad is None \
+            else g_grad_p + self.term_grad(p)
 
 
 def scale_factor(problem: DCProblem, p0):
@@ -151,36 +188,30 @@ def scale_factor(problem: DCProblem, p0):
     return 1.0 / (problem.manifold.norm(p0, g0) + 1.0)
 
 
-def _objective(problem: DCProblem, value, grad, kind) -> SubproblemObjective:
-    """The subproblem ``value`` with gradient ``grad``, or with central
-    finite differences of ``value`` when g has no analytic gradient."""
-    if problem.g_rgrad is not None:
-        return SubproblemObjective(value, grad)
-    logger.warning("%s: no analytic gradient for g, %s subproblem falls "
-                   "back to finite differences", problem.name, kind)
-    manifold = problem.manifold
-    return SubproblemObjective(
-        value, lambda p: fd_riemannian_grad(manifold, value, p), analytic=False)
+def _objective(problem: DCProblem, kind, term=None,
+               term_grad=None) -> SubproblemObjective:
+    """g + ``term`` with gradient g_rgrad + ``term_grad``, or with central
+    finite differences of the sum when g has no analytic gradient."""
+    if problem.g_rgrad is None:
+        logger.warning("%s: no analytic gradient for g, %s subproblem falls "
+                       "back to finite differences", problem.name, kind)
+    return SubproblemObjective(problem.g, problem.g_rgrad, term, term_grad,
+                               problem.manifold)
 
 
 def make_cr_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     """Classic linearized subproblem  g(p) - <s_k, log_{p_k} p>.
 
     Validates ``p_k`` and ``s_k`` once and prepares the linear model once;
-    the objective takes checked points.
+    the objective takes checked points.  Its term is the negated model,
+    since a - b and a + (-b) are equal bit for bit.
     """
     manifold = problem.manifold
     p_k = manifold.check_point(p_k)
     s_k = manifold.check_tangent(p_k, s_k)
     model = manifold._linear_model(p_k, s_k)
-
-    def value(p):
-        return problem.g(p) - model.value(p)
-
-    def grad(p):
-        return problem.g_rgrad(p) - model.grad(p)
-
-    return _objective(problem, value, grad, "classic")
+    return _objective(problem, "classic", lambda p: -model.value(p),
+                      lambda p: -model.grad(p))
 
 
 def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
@@ -195,40 +226,45 @@ def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     s_k = manifold.check_tangent(p_k, s_k)
     ns = manifold._norm(p_k, s_k)
     if ns == 0.0:
-        return _objective(problem, problem.g, problem.g_rgrad, "horofunction")
-
+        return _objective(problem, "horofunction")
     horo = manifold._horofunction(p_k, s_k)
-
-    def value(p):
-        return problem.g(p) + ns * horo.value(p)
-
-    def grad(p):
-        return problem.g_rgrad(p) + ns * horo.grad(p)
-
-    return _objective(problem, value, grad, "horofunction")
+    return _objective(problem, "horofunction", lambda p: ns * horo.value(p),
+                      lambda p: ns * horo.grad(p))
 
 
-def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
+def inner_solve(objective: SubproblemObjective, start, tol: float, manifold,
+                g_start):
     """Riemannian steepest descent with Armijo backtracking.
 
-    Returns (point, iteration count).  The first trial step is 1, later
-    ones a secant estimate along the previous ray; a trial is shrunk by
-    ``_BACKTRACK`` until the Armijo test with ``_ARMIJO_C1`` holds.  Stops
+    Returns (point, iteration count, (g(point), grad g(point))).
+    ``g_start`` is (g(start), grad g(start)), as ``objective.g_values``
+    gives them; the outer loop passes the pair the previous inner solve
+    returned.  The returned pair feeds the caller's tests and the next
+    inner solve, so g is evaluated once at each trial point and its
+    gradient once at each accepted one.  grad g is None throughout when g
+    has no analytic gradient.
+
+    The first trial step is 1, later ones a secant estimate along the
+    previous ray; a trial is shrunk by ``_BACKTRACK`` until the Armijo
+    test with ``_ARMIJO_C1`` holds.  All trials from one iterate share
+    one prepared exponential map (``manifold._exponential``).  Stops
     when the subproblem gradient norm drops to ``tol``, after
     ``_MAX_INNER_ITERS`` steps, when the sufficient-decrease test falls
     below double-precision resolution of the objective (the point is then
     as converged as evaluations allow), or when a line search after an
     accepted step runs out of ``_MAX_HALVINGS`` halvings.  Raises
     StalledInnerSolveError if the first line search runs out of them.
-    ``start`` and every trial point out of ``exp`` are validated, so the
-    objective only sees checked points; the accepted iterate is not
-    checked again when a trial steps from it.
+    ``start`` and every trial point out of the exponential map are
+    validated, so the objective only sees checked points; the accepted
+    iterate is not checked again when a trial steps from it.  ``tol``
+    must be finite and positive.
     """
-    if tol <= 0.0:
-        raise ValueError("inner tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"inner tolerance must be finite and > 0: {tol}")
     p = manifold.check_point(start)
-    fp = objective.value(p)
-    g = objective.grad(p)
+    g_p, g_grad_p = g_start
+    fp = objective.value(p, g_p)
+    g = objective.grad(p, g_grad_p)
     gn = manifold._norm(p, g)
     iters = 0
     alpha_prev = None
@@ -256,11 +292,13 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
         accepted = False
         floored = False
         decrease_floor = 8.0 * eps_mach * (1.0 + abs(fp))
+        exp_p = manifold._exponential(p)
         for _ in range(_MAX_HALVINGS):
             required = _ARMIJO_C1 * alpha * gn * gn
             try:
-                cand = manifold.check_point(manifold._exp(p, -alpha * g))
-                fc = objective.value(cand)
+                cand = manifold.check_point(exp_p(-alpha * g))
+                g_c = objective.g(cand)
+                fc = objective.value(cand, g_c)
             except (OverflowError, FloatingPointError, NumericalDomainError,
                     ValidationError):
                 # trial point left the numerical domain; shorten the step
@@ -294,11 +332,12 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
 
         fp_prev, gn_prev, alpha_prev = fp, gn, alpha
         p, fp = cand, fc
-        g = objective.grad(p)
+        g_p, g_grad_p = objective.g_values(p, g_c)
+        g = objective.grad(p, g_grad_p)
         gn = manifold._norm(p, g)
         iters += 1
 
-    return p, iters
+    return p, iters, (g_p, g_grad_p)
 
 
 def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
@@ -317,8 +356,12 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     so the step exit additionally requires the gradient test at the new
     iterate.  Each iterate takes one subgradient of h, shared by its
     gradient test and its subproblem; a non-smooth problem takes it only
-    where a subproblem is built.  A stalled first line search raises
-    StalledInnerSolveError with the partial trace as ``exc.trace``.
+    where a subproblem is built.  g and grad g are evaluated at p0 here
+    and at every later iterate by the inner solve that reached it, which
+    returns them: phi = g - h and the gradient test grad g - s_k use
+    those values, and the next inner solve starts from them.  A stalled
+    first line search raises StalledInnerSolveError with the partial
+    trace as ``exc.trace``.
     """
     manifold = problem.manifold
     p0 = manifold.check_point(p0)
@@ -328,20 +371,22 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     inner_tol = _INNER_TOL_FACTOR * cfg.eps_base
     make = make_cr_subproblem if cfg.algorithm == "cr_dca" else make_b_subproblem
 
-    def subgradient_and_grad_norm(p):
-        # (s_k, gamma |grad phi(p)|); s_k is left to the loop top when
-        # there is no gradient test
+    def phi_and_tests(p, g_p, g_grad_p):
+        # (phi(p), s_k, gamma |grad phi(p)|) from the values of g at p;
+        # s_k is left to the loop top when there is no gradient test
+        fp = g_p - problem.h(p)
         if not smooth:
-            return None, math.inf
+            return fp, None, math.inf
         s = problem.h_subgrad(p)
-        return s, gamma * manifold.norm(p, problem.g_rgrad(p) - s)
+        return fp, s, gamma * manifold.norm(p, g_grad_p - s)
 
     trace = SolverTrace(gamma=gamma, eps=eps, algorithm=cfg.algorithm,
                         problem=problem.name)
     t0 = time.perf_counter()
     p = p0
-    fp = problem.phi(p)
-    s_k, gn = subgradient_and_grad_norm(p)
+    # g alone is the objective with no model term
+    g_k = SubproblemObjective(problem.g, problem.g_rgrad).g_values(p)
+    fp, s_k, gn = phi_and_tests(p, *g_k)
 
     def record(inner_iters=0, step_dist=0.0):
         trace.records.append(IterationRecord(
@@ -361,7 +406,8 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
             s_k = problem.h_subgrad(p)
         objective = make(problem, p, s_k)
         try:
-            p_next, n_inner = inner_solve(objective, p, inner_tol, manifold)
+            p_next, n_inner, g_k = inner_solve(objective, p, inner_tol,
+                                               manifold, g_k)
         except StalledInnerSolveError as exc:
             trace.exit_reason = "stalled"
             stall = exc
@@ -369,8 +415,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
         step = manifold._dist(p, p_next)
         record(n_inner, step)
         p = p_next
-        fp = problem.phi(p)
-        s_k, gn = subgradient_and_grad_norm(p)
+        fp, s_k, gn = phi_and_tests(p, *g_k)
         if n_inner == 0:            # no step taken, so p_next is p
             trace.exit_reason = "fixed_point"
             break
@@ -392,8 +437,8 @@ def complexity_bound_check(trace: SolverTrace, sigma, phi_inf):
 
     Returns (ok, witness) where witness is the first violating N.
     """
-    if sigma <= 0.0:
-        raise ValueError("complexity bound needs sigma > 0")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"complexity bound needs a finite sigma > 0: {sigma}")
     if phi_inf is None or not math.isfinite(phi_inf):
         raise ValueError("complexity bound needs a finite phi_inf")
     steps = trace.step_dists()

@@ -9,23 +9,36 @@ at the public boundary:
   :class:`~hadamard_dc.errors.ValidationError` naming the violated
   constraint;
 * the ``_``-prefixed kernels behind them (``_inner``, ``_norm``, ``_exp``,
-  ``_log``, ``_dist``, ``_horofunction``, ``_linear_model``) validate
-  nothing and are for callers that already hold validated values, as are
-  the limit-oracle hooks ``ray_point_distance`` and ``oracle_t_guard``;
+  ``_exponential``, ``_log``, ``_dist``, ``_horofunction``,
+  ``_linear_model``) validate nothing and are for callers that already
+  hold validated values, as are the limit-oracle hooks
+  ``ray_point_distance`` and ``oracle_t_guard``;
 * no array is trusted for having been checked before, so an array mutated
   after a check is checked again on its next public call.
 
-The one thing kept between evaluations is per-subproblem preparation:
-``_horofunction(q, v)`` and ``_linear_model(q, s)`` take a validated ray
-or linearization point and return a :class:`Horofunction` or
-:class:`LinearModel` whose ``value``/``grad`` evaluate at validated
-points.  Geometries with fixed work per ray or linearization point (SPD:
-matrix roots and the spectral split; hyperboloid: |v| and the horocenter
-w) do that work once, when the object is built; the solver builds one
-per outer step and its subproblem owns it.  The public ``busemann``,
-``busemann_grad`` and ``linear_model_grad`` evaluate the same object, so
-they and the solver run one code path; the generic forms call per-call
-kernels (``_busemann``, ``_busemann_grad``, ``_linear_model_grad``).
+What is kept between evaluations is preparation for a fixed point or ray,
+never a result looked up by the identity or content of an array:
+
+* ``_horofunction(q, v)`` and ``_linear_model(q, s)`` take a validated ray
+  or linearization point and return a :class:`Horofunction` or
+  :class:`LinearModel` whose ``value``/``grad`` evaluate at validated
+  points.  Geometries with fixed work per ray or linearization point
+  (SPD: matrix roots and the spectral split; hyperboloid: |v| and the
+  horocenter w) do that work once, when the object is built; the solver
+  builds one per outer step and its subproblem owns it.  The public
+  ``busemann``, ``busemann_grad`` and ``linear_model_grad`` evaluate the
+  same object, so they and the solver run one code path; the generic
+  forms call per-call kernels (``_busemann``, ``_busemann_grad``,
+  ``_linear_model_grad``).
+* ``_exponential(p)`` returns v -> exp_p(v) for a validated ``p``.  The
+  solver builds one per line search, so every trial step from the same
+  iterate shares it; SPD computes p^+-1/2 once in it, and the generic
+  form calls ``_exp``.  Its trial points still go through
+  ``check_point``.
+
+Values of the objective are not kept here: the solver passes g(p) and
+grad g(p) of the iterate it accepted from the inner solve to the outer
+loop and into the next inner solve as arguments.
 
 All operations are pure functions, so parallel callers need no
 synchronization.
@@ -33,6 +46,7 @@ synchronization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,6 +156,11 @@ class Manifold:
     def exp(self, p, v):
         p = self.check_point(p)
         return self._exp(p, self.check_tangent(p, v))
+
+    def _exponential(self, p):
+        """v -> exp_p(v) for a validated ``p``, prepared for repeated
+        evaluation along one line search."""
+        return functools.partial(self._exp, p)
 
     def log(self, p, q):
         return self._log(self.check_point(p), self.check_point(q))
@@ -287,8 +306,8 @@ def fd_riemannian_grad(manifold, f, p, h=None):
     p = manifold.check_point(p)
     if h is None:
         h = 1e-6 * (1.0 + manifold.rep_scale(p))
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"finite-difference step must be finite and > 0: {h}")
     grad = manifold.zero_tangent(p)
     for e in manifold.tangent_basis(p):
         fp = f(manifold._exp(p, h * e))

@@ -2,7 +2,10 @@
 
 All matrix functions run through the symmetric eigendecomposition; the
 non-symmetric congruence Log(Y^-1 X) is never formed.  Products and
-congruences are re-symmetrized to suppress rounding drift.
+congruences are re-symmetrized to suppress rounding drift, once each:
+``sym_eig`` and ``chol`` symmetrize their argument, so their callers pass
+the raw product, and ``sym`` of an exactly symmetric matrix returns it
+bit for bit (float addition commutes), so results stay the same.
 
 Metric and maps at a base point Y:
 
@@ -102,7 +105,7 @@ def _require_positive(w, what):
 
 def _log_at(xh, xih, y):
     """log_X(Y) from X^1/2 and X^-1/2; Y may be a stack of points."""
-    return sym(xh @ spd_fun(sym(xih @ y @ xih), "log") @ xh)
+    return sym(xh @ spd_fun(xih @ y @ xih, "log") @ xh)
 
 
 def _trace_product(a, b):
@@ -230,14 +233,23 @@ class SPDManifold(Manifold):
         return _trace_product(np.linalg.solve(y, u), np.linalg.solve(y, v))
 
     def _exp(self, y, v):
+        return self._exponential(y)(v)
+
+    def _exponential(self, y):
+        """exp_Y with Y^+-1/2 computed once, for every step of one line
+        search."""
         yh, yih = spd_roots(y)
-        w, u = sym_eig(yih @ v @ yih)
-        if np.max(np.abs(w)) > 700.0:
-            raise OverflowError(
-                f"{self.name}: exponential map argument "
-                f"{np.max(np.abs(w)):.3g} exceeds the overflow guard")
-        inner_exp = sym((u * np.exp(w)) @ u.T)
-        return sym(yh @ inner_exp @ yh)
+
+        def exp_y(v):
+            w, u = sym_eig(yih @ v @ yih)
+            if np.max(np.abs(w)) > 700.0:
+                raise OverflowError(
+                    f"{self.name}: exponential map argument "
+                    f"{np.max(np.abs(w)):.3g} exceeds the overflow guard")
+            inner_exp = sym((u * np.exp(w)) @ u.T)
+            return sym(yh @ inner_exp @ yh)
+
+        return exp_y
 
     def _log(self, x, y):
         """log_X(Y); for a stack of points Y, the stack of their logs, with
@@ -401,7 +413,7 @@ class SPDHorofunction(Horofunction):
     def _cholesky(self, x):
         # the leading products of u.T @ yih @ x @ yih @ u, evaluated left
         # to right, are the cached ut_yih
-        return chol(sym(self.ut_yih @ x @ self.yih @ self.u))
+        return chol(self.ut_yih @ x @ self.yih @ self.u)
 
     def value(self, x):
         if self.split is None:
@@ -435,6 +447,6 @@ class SPDLinearModel(LinearModel):
         return _trace_product(self.xk_inv_s, np.linalg.solve(self.q, log))
 
     def grad(self, x):
-        a = sym(self.c @ x @ self.c)
+        a = self.c @ x @ self.c
         egrad = sym(self.c @ frechet_log(a, self.csc) @ self.c)
         return sym(x @ egrad @ x)

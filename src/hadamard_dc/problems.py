@@ -16,7 +16,7 @@ import numpy as np
 
 from .dc import DCProblem
 from .errors import ValidationError
-from .geometry import Hyperboloid, SPDManifold, logdet, spd_fun, sym
+from .geometry import Hyperboloid, SPDManifold, logdet, spd_fun
 
 logger = logging.getLogger(__name__)
 
@@ -292,7 +292,7 @@ def contrastive_problem(params: ContrastiveParams, rng,
             out = manifold.zero_tangent(x)
             for w, log in zip(weights, manifold._log(x, stack)):
                 out = out - 2.0 * w * log
-            return sym(out)
+            return out          # exactly symmetric, as each log is
 
         return value, grad
 

@@ -113,12 +113,17 @@ def test_inner_solve_quadratic():
     prob = euclid_quadratic(2, c)
     p0 = np.array([5.0, 5.0])
     obj = make_cr_subproblem(prob, p0, c)
-    p, iters = inner_solve(obj, p0, 1e-8, prob.manifold)
+    p, iters, (g_p, g_grad_p) = inner_solve(
+        obj, p0, 1e-8, prob.manifold, obj.g_values(p0))
     np.testing.assert_allclose(p, c / 2, atol=1e-7)
     assert iters > 0
+    # the returned values of g are those of the returned point
+    assert g_p == prob.g(p)
+    np.testing.assert_array_equal(g_grad_p, prob.g_rgrad(p))
     assert obj.value(p) <= obj.value(p0) + 1e-12
     # starting at the minimizer costs zero iterations
-    p2, iters2 = inner_solve(obj, c / 2, 1e-8, prob.manifold)
+    p2, iters2, _ = inner_solve(obj, c / 2, 1e-8, prob.manifold,
+                                obj.g_values(c / 2))
     assert iters2 == 0
     np.testing.assert_array_equal(p2, c / 2)
 
@@ -128,7 +133,8 @@ def test_inner_solve_monotone_on_spd_subproblem():
     x0 = prob.metadata["fixed_start"]
     s = prob.h_subgrad(x0)
     obj = make_b_subproblem(prob, x0, s)
-    p, iters = inner_solve(obj, x0, 1e-6, prob.manifold)
+    p, iters, _ = inner_solve(obj, x0, 1e-6, prob.manifold,
+                              obj.g_values(x0))
     assert obj.value(p) <= obj.value(x0) + 1e-12
     assert iters > 0
 
@@ -144,7 +150,7 @@ def test_inner_solve_checks_start_and_each_trial_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(m, name, counted)
-    _, iters = inner_solve(obj, p0, 1e-6, m)
+    _, iters, _ = inner_solve(obj, p0, 1e-6, m, obj.g_values(p0))
     assert calls["_exp"] >= iters > 0
     assert calls["check_point"] == 1 + calls["_exp"]
 
@@ -154,10 +160,11 @@ def test_inner_solve_stalls_on_ascent_gradient():
     # a deliberately wrong provider: the "gradient" points away from any
     # descent direction, so no step can satisfy the Armijo test
     from hadamard_dc.dc import SubproblemObjective
-    bad = SubproblemObjective(value=lambda p: float(p @ p),
-                              grad=lambda p: np.array([-10.0, 0.0]))
+    bad = SubproblemObjective(g=lambda p: float(p @ p),
+                              g_grad=lambda p: np.array([-10.0, 0.0]))
+    start = np.array([1.0, 0.0])
     with pytest.raises(StalledInnerSolveError) as err:
-        inner_solve(bad, np.array([1.0, 0.0]), 1e-10, m)
+        inner_solve(bad, start, 1e-10, m, bad.g_values(start))
     np.testing.assert_array_equal(err.value.best_point, [1.0, 0.0])
 
 
@@ -169,9 +176,10 @@ def test_inner_solve_stall_after_progress_returns():
     e1 = np.array([1.0, 0.0])
     # exact at the start, uphill everywhere after it
     obj = SubproblemObjective(
-        value=lambda p: float(p @ p),
-        grad=lambda p: 2.0 * p if np.array_equal(p, start) else -2.0 * p - e1)
-    p, iters = inner_solve(obj, start, 1e-10, Euclidean(2))
+        g=lambda p: float(p @ p),
+        g_grad=lambda p: 2.0 * p if np.array_equal(p, start) else -2.0 * p - e1)
+    p, iters, _ = inner_solve(obj, start, 1e-10, Euclidean(2),
+                          obj.g_values(start))
     np.testing.assert_array_equal(p, [0.0, 0.0])
     assert iters == 1
 
@@ -278,8 +286,9 @@ def test_complexity_bound_check():
     ok2, witness2 = complexity_bound_check(trace, 2.0, prob.phi_inf)
     assert not ok2
     assert witness2 == 0
-    with pytest.raises(ValueError):
-        complexity_bound_check(trace, 0.0, prob.phi_inf)
+    for sigma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            complexity_bound_check(trace, sigma, prob.phi_inf)
     with pytest.raises(ValueError):
         complexity_bound_check(trace, 2.0, None)
 
@@ -307,8 +316,9 @@ def test_config_validation():
         SolverConfig(max_outer=-1)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="gd")
-    with pytest.raises(ValueError):
-        inner_solve(None, None, 0.0, None)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            inner_solve(None, None, tol, None, None)
 
 
 def test_phi_grad_requires_provider():
@@ -337,6 +347,7 @@ def test_fd_fallback_and_gradient_free_outer_loop(caplog):
         with caplog.at_level(logging.WARNING, logger="hadamard_dc.dc"):
             obj = make(prob, np.zeros(2), s_k)
         assert not obj.analytic
+        assert obj.g_values(p) == (prob.g(p), None)
         assert sum("finite differences" in r.message
                    for r in caplog.records) == 1
         np.testing.assert_allclose(obj.grad(p), want, atol=1e-5)
@@ -364,3 +375,96 @@ def test_gradient_free_outer_loop_takes_one_subgradient_per_step():
                     SolverConfig(algorithm="cr_dca"))
     assert trace.k > 0
     assert len(calls) == trace.k
+
+
+def _counting_run(prob, start, alg, monkeypatch):
+    """run_dca with its evaluations of g, grad g and h counted, and the
+    prepared exponential maps and their trial steps counted."""
+    counts = {"g": 0, "g_rgrad": 0, "h": 0, "line_searches": 0, "trials": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("g", "g_rgrad", "h"):
+        setattr(prob, name, counted(name, getattr(prob, name)))
+    m = prob.manifold
+    exponential = m._exponential
+
+    def counted_exponential(p):
+        counts["line_searches"] += 1
+        return counted("trials", exponential(p))
+
+    monkeypatch.setattr(m, "_exponential", counted_exponential)
+    trace = run_dca(prob, start, SolverConfig(algorithm=alg))
+    return trace, counts
+
+
+def _valley_start():
+    prob = rosenbrock_problem(RosenbrockParams())
+    return prob, random_start(prob, make_rng(20))
+
+
+def _contrastive_start():
+    from hadamard_dc.problems import ContrastiveParams, contrastive_problem
+    rng = make_rng(5)
+    prob = contrastive_problem(ContrastiveParams(n=4, m=3, r=2), rng)
+    return prob, random_start(prob, rng)
+
+
+@pytest.mark.parametrize("alg", ["cr_dca", "b_dca"])
+@pytest.mark.parametrize("instance", [_valley_start, _contrastive_start])
+def test_run_dca_evaluates_each_point_once(instance, alg, monkeypatch):
+    """g once per trial point and grad g once per accepted inner iterate,
+    carried from the inner solve to the outer tests and into the next
+    inner solve; p0 adds one g and two grad g (scale_factor and the
+    gradient test).  One prepared exponential per line search."""
+    prob, start = instance()
+    trace, counts = _counting_run(prob, start, alg, monkeypatch)
+    assert trace.exit_reason in ("grad", "step", "fixed_point")
+    assert trace.k > 0 and counts["trials"] > counts["line_searches"]
+    assert counts["g_rgrad"] == trace.inner_total + 2
+    assert counts["g"] == counts["trials"] + 1
+    assert counts["h"] == len(trace.records)
+    # every accepted step ends one line search; at most one more per
+    # inner solve ends without a step (floored or stalled)
+    assert trace.inner_total <= counts["line_searches"] \
+        <= trace.inner_total + trace.k
+
+
+def test_spd_exponential_takes_its_roots_once_per_line_search(monkeypatch):
+    """On SPD the prepared exponential computes X^+-1/2 once, when it is
+    built, and its trial steps compute none."""
+    from hadamard_dc.geometry import SPDManifold, spd
+    counts = {"roots": 0, "builds": 0, "build_roots": 0, "trial_roots": 0,
+              "trials": 0}
+    spd_roots, exponential = spd.spd_roots, SPDManifold._exponential
+
+    def counted_roots(a):
+        counts["roots"] += 1
+        return spd_roots(a)
+
+    def counted_exponential(self, p):
+        before = counts["roots"]
+        exp_p = exponential(self, p)
+        counts["builds"] += 1
+        counts["build_roots"] += counts["roots"] - before
+
+        def trial(v):
+            before = counts["roots"]
+            out = exp_p(v)
+            counts["trials"] += 1
+            counts["trial_roots"] += counts["roots"] - before
+            return out
+        return trial
+
+    monkeypatch.setattr(spd, "spd_roots", counted_roots)
+    monkeypatch.setattr(SPDManifold, "_exponential", counted_exponential)
+    for alg in ("cr_dca", "b_dca"):
+        prob, start = _contrastive_start()
+        run_dca(prob, start, SolverConfig(algorithm=alg))
+    assert counts["trials"] > counts["builds"] > 0
+    assert counts["build_roots"] == counts["builds"]
+    assert counts["trial_roots"] == 0

@@ -124,8 +124,9 @@ def test_fd_gradient_euclidean_quadratic():
 
 def test_fd_step_must_be_positive():
     m = Euclidean(2)
-    with pytest.raises(ValueError):
-        fd_riemannian_grad(m, lambda p: 0.0, np.zeros(2), h=0.0)
+    for h in (0.0, -1e-6, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fd_riemannian_grad(m, lambda p: 0.0, np.zeros(2), h=h)
 
 
 @pytest.mark.parametrize("manifold", [Euclidean(4), DikinOrthant(3)])

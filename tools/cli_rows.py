@@ -14,12 +14,23 @@ the same invocations:
     PYTHONPATH=<parent checkout>/src python tools/cli_rows.py > parent.txt
     PYTHONPATH=src python tools/cli_rows.py > change.txt
 
-and ``diff`` the two files.  It takes no flags.
+and ``diff`` the two files.  With ``--golden`` it prints instead a
+``# build`` line naming the numpy and BLAS/LAPACK build, then the three
+quick invocations whose lines ``tests/test_golden_rows.py`` compares
+with ``tests/data/golden_rows.txt``; a change that moves those rows on
+purpose rewrites the file with
+
+    PYTHONPATH=src python tools/cli_rows.py --golden > tests/data/golden_rows.txt
+
+and says which rows moved and why.
 """
 
 import contextlib
 import io
+import platform
 import sys
+
+import numpy as np
 
 from hadamard_dc.cli import main
 
@@ -35,6 +46,28 @@ INVOCATIONS = (
     ["spd-academic", "--n", "6"],
 )
 
+# about 1.6 s together
+GOLDEN = (
+    ["rosenbrock", "--runs", "2"],
+    ["spd-contrastive", "--n", "5", "--m", "5", "--r", "4", "--runs", "1"],
+    ["spd-academic", "--n", "4"],
+)
+
+
+def build():
+    """numpy version, BLAS and LAPACK libraries and machine of this
+    process: the last bits of fval and grad_norm may differ between
+    builds with no change to the solver."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):       # numpy < 1.25 prints, returns None
+        deps = {}
+    libs = ", ".join(f"{lib} {deps[lib].get('name', '?')} "
+                     f"{deps[lib].get('version', '?')}"
+                     for lib in ("blas", "lapack") if lib in deps)
+    return f"numpy {np.__version__}, {libs or 'blas/lapack unknown'}, " \
+        f"{platform.machine()}"
+
 
 def rows_without_time(argv):
     """(CSV lines without the time_s column, exit code) of one run."""
@@ -47,15 +80,21 @@ def rows_without_time(argv):
             for r in rows], code
 
 
-def run():
-    for argv in INVOCATIONS:
-        print("# hadamard-dc " + " ".join(argv))
-        lines, code = rows_without_time(argv)
-        for line in lines:
-            print(line)
-        print(f"# exit {code}")
+def render(argv):
+    """The printed lines of one invocation."""
+    lines, code = rows_without_time(argv)
+    return ["# hadamard-dc " + " ".join(argv), *lines, f"# exit {code}"]
+
+
+def run(invocations):
+    for argv in invocations:
+        print("\n".join(render(argv)))
         sys.stdout.flush()
 
 
 if __name__ == "__main__":
-    run()
+    if sys.argv[1:] not in ([], ["--golden"]):
+        sys.exit("usage: python tools/cli_rows.py [--golden]")
+    if sys.argv[1:]:
+        print(f"# build {build()}")
+    run(GOLDEN if sys.argv[1:] else INVOCATIONS)
