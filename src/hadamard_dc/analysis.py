@@ -13,6 +13,13 @@ geometries and leaves only the exponentially small curvature terms
 elsewhere.  When those terms have not yet died out at the last anchor
 (nearly degenerate direction spectra on the SPD side), the schedule is
 extended adaptively by doubling, within the geometry's overflow guard.
+
+Each call prepares its ray once: the geometry's ``_ray_probe`` returns
+the distance along the ray from p as a function of t, together with
+the guard, and every probe of the schedule and its refinement evaluates
+that one object (on SPD the eigendecompositions and the Cholesky factor
+are done when it is built, and a probe costs one Jacobi SVD).  Nothing
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -93,10 +100,11 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
     vhat = v / nv
     schedule = schedule or OracleSchedule()
     mode = schedule.mode or manifold.oracle_mode_default
+    probe = manifold._ray_probe(q, vhat, p)
 
     def raw(t):
         try:
-            d = manifold.ray_point_distance(q, vhat, t, p)
+            d = probe.distance(t)
         except OverflowError as exc:
             raise OverflowError(
                 f"limit probe overflowed at ray parameter t={t:g}: {exc}"
@@ -112,14 +120,13 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
         estimates.append((ts[i] * raws[i] - ts[i - 1] * raws[i - 1])
                          / (ts[i] - ts[i - 1]))
 
-    guard = manifold.oracle_t_guard(q, vhat)
     refined = False
     for _ in range(max_refine):
         if len(estimates) >= 2 and \
                 abs(estimates[-1] - estimates[-2]) <= refine_tol:
             break
         t_next = 2.0 * ts[-1]
-        if t_next > guard:
+        if t_next > probe.t_guard:
             break
         try:
             raw_next = raw(t_next)

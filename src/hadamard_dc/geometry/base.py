@@ -11,8 +11,8 @@ at the public boundary:
 * the ``_``-prefixed kernels behind them (``_inner``, ``_norm``, ``_exp``,
   ``_exponential``, ``_log``, ``_dist``, ``_horofunction``,
   ``_linear_model``) validate nothing and are for callers that already
-  hold validated values, as are the limit-oracle hooks
-  ``ray_point_distance`` and ``oracle_t_guard``;
+  hold validated values, as is the limit oracle's one hook,
+  ``_ray_probe``;
 * no array is trusted for having been checked before, so an array mutated
   after a check is checked again on its next public call.
 
@@ -35,6 +35,14 @@ never a result looked up by the identity or content of an array:
   iterate shares it; SPD computes p^+-1/2 once in it, and the generic
   form calls ``_exp``.  Its trial points still go through
   ``check_point``.
+* ``_ray_probe(q, u, p)`` returns a :class:`RayProbe` of a validated
+  ray (q, unit direction u) and point p: ``distance(t)`` = d(p,
+  exp_q(t u)) and the overflow guard ``t_guard``.  The limit oracle
+  builds one per call and probes it at every ray parameter of its
+  schedule.  SPD computes Y^-1/2, the spectrum of Y^-1/2 V Y^-1/2, the
+  Cholesky factor of the reduced point and the guard once in it; the
+  hyperboloid and the Dikin orthant supply only their guards, and the
+  generic form calls ``_exp`` and ``_dist`` per probe.
 
 Values of the objective are not kept here: the solver passes g(p) and
 grad g(p) of the iterate it accepted from the inner solve to the outer
@@ -107,6 +115,29 @@ class LinearModel:
 
     def grad(self, p):
         return self.manifold._linear_model_grad(self.q, self.s, p)
+
+
+class RayProbe:
+    """Distance from a validated point p to the points of one validated
+    ray (q, unit direction u), as ``distance(t)`` = d(p, exp_q(t u)), and
+    ``t_guard``, the largest ray parameter the limit oracle may use before
+    overflow.
+
+    This form calls ``_exp`` and ``_dist`` on every probe; a geometry with
+    fixed work per ray and point, or with a tighter guard, returns a
+    subclass or another guard from ``_ray_probe``.
+    """
+
+    def __init__(self, manifold, q, unit_dir, p, t_guard=1e12):
+        self.manifold = manifold
+        self.q = q
+        self.unit_dir = unit_dir
+        self.p = p
+        self.t_guard = t_guard
+
+    def distance(self, t):
+        m = self.manifold
+        return m._dist(self.p, m._exp(self.q, t * self.unit_dir))
 
 
 class Manifold:
@@ -281,19 +312,10 @@ class Manifold:
     # oracle support (numerical Busemann limit)
     # ------------------------------------------------------------------
 
-    def ray_point_distance(self, q, unit_dir, t, p):
-        """d(p, exp_q(t * unit_dir)) for the limit oracle, which has
-        validated ``q``, ``unit_dir`` and ``p``.
-
-        Geometries with overflow-prone kernels override this with a
-        log-domain path valid at much larger ``t``.
-        """
-        return self._dist(p, self._exp(q, t * unit_dir))
-
-    def oracle_t_guard(self, q, unit_dir):
-        """Largest ray parameter the oracle may use before overflow; takes
-        validated values, like ``ray_point_distance``."""
-        return 1e12
+    def _ray_probe(self, q, unit_dir, p):
+        """d(p, exp_q(t * unit_dir)) and the overflow guard of one ray and
+        point, prepared for the limit oracle's probes."""
+        return RayProbe(self, q, unit_dir, p)
 
 
 def fd_riemannian_grad(manifold, f, p, h=None):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .base import Manifold
+from .base import Manifold, RayProbe
 
 _EXPONENT_GUARD = 690.0     # e^690 is near the double-precision ceiling
 
@@ -97,8 +97,7 @@ class DikinOrthant(Manifold):
     def coordinate_directions(self):
         return iter(np.eye(self.n))
 
-    def oracle_t_guard(self, q, unit_dir):
+    def _ray_probe(self, q, unit_dir, p):
         rate = np.max(np.abs(unit_dir / q))
-        if rate == 0.0:
-            return 1e12
-        return _EXPONENT_GUARD / rate
+        guard = 1e12 if rate == 0.0 else _EXPONENT_GUARD / rate
+        return RayProbe(self, q, unit_dir, p, t_guard=guard)

@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 
 from ..errors import NumericalDomainError, ValidationError
-from .base import Horofunction, Manifold
+from .base import Horofunction, Manifold, RayProbe
 
 _EXP_ARG_GUARD = 350.0      # cosh overflows doubles near 710; stay well below
 _LARGE_ARCOSH = 1e8
@@ -273,8 +273,9 @@ class Hyperboloid(Manifold):
     def coordinate_directions(self):
         return iter(np.eye(self.n + 1))
 
-    def oracle_t_guard(self, q, unit_dir):
-        return _EXP_ARG_GUARD / math.sqrt(self.kappa)
+    def _ray_probe(self, q, unit_dir, p):
+        return RayProbe(self, q, unit_dir, p,
+                        t_guard=_EXP_ARG_GUARD / math.sqrt(self.kappa))
 
 
 class HyperboloidHorofunction(Horofunction):

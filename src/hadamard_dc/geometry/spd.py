@@ -27,10 +27,12 @@ The value is insensitive to how near-equal eigenvalues are grouped.
 
 Everything in these formulas that depends on the ray alone (Y^1/2,
 Y^-1/2, the split, U) is computed once per ray by
-:class:`SPDHorofunction`, and the fixed part of the classic linear model
-once per (X_k, S) by :class:`SPDLinearModel`.  ``sym``, ``spd_fun``,
-``_log`` and ``_dists`` also act on stacks of matrices of shape
-(k, n, n), so that k references cost one stacked eigendecomposition.
+:class:`SPDHorofunction`, the fixed part of the classic linear model
+once per (X_k, S) by :class:`SPDLinearModel`, and the congruence
+reduction of the limit oracle once per ray and point by
+:class:`SPDRayProbe`.  ``sym``, ``spd_fun``, ``_log`` and ``_dists``
+also act on stacks of matrices of shape (k, n, n), so that k references
+cost one stacked eigendecomposition.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from scipy.linalg.lapack import dgejsv
 
 from ..errors import (DefinitenessError, NumericalDomainError,
                       ValidationError, ZeroDirectionError)
-from .base import Horofunction, LinearModel, Manifold
+from .base import Horofunction, LinearModel, Manifold, RayProbe
 
 
 def sym(a):
@@ -171,16 +173,19 @@ def _log_singular_values(a):
     The Jacobi SVD keeps high relative accuracy for matrices of the form
     D * C with an ill-conditioned diagonal D, which plain QR-based SVD
     loses; that accuracy is what makes the large-t limit probes usable.
+    Only a failed Jacobi SVD (``info != 0``) warns and falls back to the
+    standard SVD.  A zero singular value, which a converged one reports
+    when the row scaling underflows, raises NumericalDomainError.
     """
     sva, _, _, work, _, info = dgejsv(np.asarray(a, dtype=float, order="F"),
                                       joba=2, jobu=3, jobv=3, jobr=0)
-    if info != 0 or np.any(sva <= 0.0):
+    if info != 0:
         warnings.warn("dgejsv did not converge, falling back to standard SVD",
                       RuntimeWarning)
-        s = np.linalg.svd(a, compute_uv=False)
-        if np.any(s <= 0.0):
-            raise NumericalDomainError("singular value underflow in limit probe")
-        return np.log(s)
+        # the standard SVD returns unscaled values: a unit scale factor
+        sva, work = np.linalg.svd(a, compute_uv=False), (1.0, 1.0)
+    if np.any(sva <= 0.0):
+        raise NumericalDomainError("singular value underflow in limit probe")
     return np.log(sva) + (math.log(work[0]) - math.log(work[1]))
 
 
@@ -301,20 +306,16 @@ class SPDManifold(Manifold):
             raise ZeroDirectionError(
                 f"{self.name}: spectral split needs a nonzero direction")
         gap_tol = 1e-10 * max(1.0, lmax)    # relative gap between groups
-        reps, mults, bounds = [], [], [0]
-        start = 0
-        for i in range(1, self.n + 1):
-            if i == self.n or lam[i] - lam[i - 1] > gap_tol:
-                reps.append(float(np.mean(lam[start:i])))
-                mults.append(i - start)
-                bounds.append(i)
-                start = i
-        reps = np.asarray(reps)
-        mults = np.asarray(mults, dtype=int)
+        cuts = np.flatnonzero(np.diff(lam) > gap_tol) + 1
+        bounds = np.concatenate(([0], cuts, [self.n]))
+        mults = np.diff(bounds)
+        # a singleton group is its eigenvalue; only larger groups average
+        reps = lam[bounds[:-1]]
+        for i in np.flatnonzero(mults > 1):
+            reps[i] = np.mean(lam[bounds[i]:bounds[i + 1]])
         per_index = np.repeat(reps, mults)
         norm_const = float(np.linalg.norm(per_index))
-        return SpectralSplit(reps, mults, u, np.asarray(bounds, dtype=int),
-                             norm_const, per_index)
+        return SpectralSplit(reps, mults, u, bounds, norm_const, per_index)
 
     def _horofunction(self, y, v):
         return SPDHorofunction(self, y, v)
@@ -363,31 +364,34 @@ class SPDManifold(Manifold):
     # oracle support
     # ------------------------------------------------------------------
 
-    def ray_point_distance(self, y, unit_dir, t, x):
-        """d(X, exp_Y(t V)) through an exactly congruence-reduced form.
+    def _ray_probe(self, y, unit_dir, x):
+        return SPDRayProbe(self, y, unit_dir, x)
 
-        With lam, U the spectrum of Y^-1/2 V Y^-1/2 and L the Cholesky
-        factor of U^T Y^-1/2 X Y^-1/2 U, affine invariance gives
-        d = |Log(S L L^T S)|_F with S = Exp(-t lam / 2); the eigenvalues
-        of S L L^T S are the squared singular values of S L, computed to
-        high relative accuracy by the Jacobi SVD even when the row
-        scaling spans hundreds of orders of magnitude.
-        """
-        yih = spd_fun(y, "invsqrt")
-        lam, u = sym_eig(yih @ unit_dir @ yih)
-        m = sym(u.T @ yih @ x @ yih @ u)
-        ell = chol(m)
-        a = np.exp(-0.5 * t * lam)[:, None] * ell
-        logs = 2.0 * _log_singular_values(a)
-        return float(np.linalg.norm(logs))
 
-    def oracle_t_guard(self, y, unit_dir):
+class SPDRayProbe(RayProbe):
+    """d(X, exp_Y(t V)) through an exactly congruence-reduced form.
+
+    With lam, U the spectrum of Y^-1/2 V Y^-1/2 and L the Cholesky factor
+    of U^T Y^-1/2 X Y^-1/2 U, affine invariance gives d = |Log(S L L^T S)|_F
+    with S = Exp(-t lam / 2); the eigenvalues of S L L^T S are the squared
+    singular values of S L, computed to high relative accuracy by the
+    Jacobi SVD even when the row scaling spans hundreds of orders of
+    magnitude.  Y^-1/2, lam, U, L and the guard 1200 / max |lam| (from an
+    eigvalsh of the same congruence) depend on the ray and X alone and
+    are computed here, once; a probe costs the row scaling and the SVD.
+    """
+
+    def __init__(self, manifold, y, unit_dir, x):
         yih = spd_fun(y, "invsqrt")
-        lam = np.linalg.eigvalsh(sym(yih @ unit_dir @ yih))
-        lmax = float(np.max(np.abs(lam)))
-        if lmax == 0.0:
-            return 1e12
-        return 1200.0 / lmax
+        c = yih @ unit_dir @ yih
+        self.lam, u = sym_eig(c)
+        self.ell = chol(u.T @ yih @ x @ yih @ u)
+        lmax = float(np.max(np.abs(np.linalg.eigvalsh(sym(c)))))
+        self.t_guard = 1e12 if lmax == 0.0 else 1200.0 / lmax
+
+    def distance(self, t):
+        a = np.exp(-0.5 * t * self.lam)[:, None] * self.ell
+        return float(np.linalg.norm(2.0 * _log_singular_values(a)))
 
 
 class SPDHorofunction(Horofunction):

@@ -54,6 +54,16 @@ class RosenbrockParams:
         if self.tangency not in ("internal", "external"):
             raise ValidationError(
                 f"rosenbrock: unknown tangency {self.tangency!r}")
+        for name, ref, power in (("pbar", self.pbar, 1.0),
+                                 ("qbar", self.qbar, 2.0)):
+            if ref is None:
+                try:
+                    math.cosh(self.a ** (power / self.theta))
+                except OverflowError:
+                    raise ValidationError(
+                        f"rosenbrock: the default {name} at radius "
+                        f"a^({power:g}/theta) overflows; lower a or raise "
+                        "theta") from None
 
 
 def _axis_point(n, radius, sign=1.0):
@@ -85,7 +95,13 @@ def rosenbrock_problem(params: RosenbrockParams = RosenbrockParams()) -> DCProbl
         qbar = _axis_point(params.n, r2)
     else:
         qbar = _axis_point(params.n, r2, sign=-1.0)
-    dref = manifold.dist(pbar, qbar)
+    if params.pbar is None and params.qbar is None:
+        # the axis points are on one geodesic; their Lorentz product
+        # cancels terms of size e^(r1 + r2), so take the distance from the
+        # radii
+        dref = abs(r2 - r1) if params.tangency == "internal" else r1 + r2
+    else:
+        dref = manifold.dist(pbar, qbar)
     if not (r2 - r1 - 1e-12 <= dref <= r2 + r1 + 1e-12):
         raise ValidationError(
             f"rosenbrock: reference distance {dref:.6g} violates the "

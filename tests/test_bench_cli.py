@@ -114,6 +114,25 @@ def test_flag_errors_exit_2(capsys):
         assert "error:" in err
 
 
+def test_far_valley_axis_point_overflow_exits_2(capsys):
+    # a = 100 puts the default qbar at radius 1e4, where cosh overflows
+    code, out, err = run_cli(["rosenbrock", "--a", "100", "--runs", "1"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("a", ["18", "26"])
+def test_far_valley_references_run(a, capsys):
+    # the reference points lie hundreds of units out on the axis, where
+    # their Lorentz product cancels; the problem is built and solved (a
+    # stall exits 3) instead of failing its radii check
+    code, out, _ = run_cli(["rosenbrock", "--a", a, "--runs", "1"], capsys)
+    assert code in (0, 3)
+    assert out.startswith(",".join(CSV_COLUMNS))
+
+
 def test_rosenbrock_default_b_depends_on_tangency():
     parser = build_parser()
     args = parser.parse_args(["rosenbrock", "--tangency", "external"])

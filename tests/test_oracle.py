@@ -1,5 +1,7 @@
 """Numerical Busemann limit oracle against the closed forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,8 +90,9 @@ def test_spd_reduced_distance_matches_plain_path():
         v = m.random_tangent(y, rng)
         vhat = v / m.norm(y, v)
         x = m.random_point(rng)
+        probe = m._ray_probe(y, vhat, x)
         for t in (0.5, 2.0, 8.0):
-            reduced = m.ray_point_distance(y, vhat, t, x)
+            reduced = probe.distance(t)
             plain = m.dist(x, m.exp(y, t * vhat))
             assert abs(reduced - plain) <= 1e-8 * (1 + plain)
 
@@ -138,13 +141,50 @@ def test_refinement_probe_underflow_reports_unconverged():
     p = m.random_point(rng)
     v = m.random_tangent(q, rng)
     ray = BusemannRay(q, v)
-    with pytest.warns(RuntimeWarning, match="dgejsv"):
+    # the Jacobi SVD converges and reports the underflow as a zero
+    # singular value: no fallback, so no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         res = busemann_numeric(m, ray, p)
-    assert not res.converged
-    assert res.t_values[-1] == 960.0
-    assert res.t_values == busemann_numeric(m, ray, p, max_refine=5).t_values
-    # the same probe in the base schedule still raises
-    with pytest.warns(RuntimeWarning, match="dgejsv"), \
-            pytest.raises(NumericalDomainError):
-        busemann_numeric(m, ray, p, OracleSchedule(t_values=(5.0, 1920.0)),
-                         max_refine=0)
+        assert not res.converged
+        assert res.t_values[-1] == 960.0
+        assert res.t_values == \
+            busemann_numeric(m, ray, p, max_refine=5).t_values
+        # the same probe in the base schedule still raises
+        with pytest.raises(NumericalDomainError, match="underflow"):
+            busemann_numeric(m, ray, p,
+                             OracleSchedule(t_values=(5.0, 1920.0)),
+                             max_refine=0)
+
+
+def _counted(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_spd_oracle_factorizations_do_not_grow_with_probes(monkeypatch):
+    """The ray's eigendecompositions and the point's Cholesky factor are
+    computed once per call, however many probes the schedule makes."""
+    m = SPDManifold(5)
+    rng = make_rng(6)
+    ray = random_ray(m, rng)
+    p = m.random_point(rng)
+    counts = _counted(monkeypatch, ("eigh", "eigvalsh", "cholesky"))
+    per_call = []
+    for ts in ((5.0, 10.0, 20.0, 30.0),
+               (5.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)):
+        before = dict(counts)
+        res = busemann_numeric(m, ray, p, OracleSchedule(t_values=ts),
+                               max_refine=0)
+        assert len(res.raw_values) == len(ts)
+        per_call.append({k: counts[k] - before[k] for k in counts})
+    assert per_call[0] == per_call[1]
+    assert per_call[0]["eigh"] > 0 and per_call[0]["cholesky"] > 0

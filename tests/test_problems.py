@@ -59,8 +59,10 @@ def test_rosenbrock_param_validation():
         RosenbrockParams(theta=0.5)
     with pytest.raises(ValidationError):
         RosenbrockParams(tangency="osculating")
+    # a = 100 and 1e200: the default qbar's radius overflows cosh, and
+    # a^2 itself
     for bad in ({"a": math.nan}, {"b": math.inf}, {"theta": math.nan},
-                {"theta": math.inf}):
+                {"theta": math.inf}, {"a": 100.0}, {"a": 1e200}):
         with pytest.raises(ValidationError):
             RosenbrockParams(**bad)
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hadamard_dc import (BusemannRay, DefinitenessError, SPDManifold,
@@ -117,6 +117,63 @@ def test_spectral_split_examples():
 
     with pytest.raises(ZeroDirectionError):
         m3.spectral_split(np.eye(3), np.zeros((3, 3)))
+
+
+def _loop_split(lam):
+    """Groups of an ascending spectrum by the per-eigenvalue loop that
+    ``_spectral_split`` replaced: (representatives, multiplicities,
+    boundaries)."""
+    n = lam.size
+    gap_tol = 1e-10 * max(1.0, float(np.max(np.abs(lam))))
+    reps, mults, bounds = [], [], [0]
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or lam[i] - lam[i - 1] > gap_tol:
+            reps.append(float(np.mean(lam[start:i])))
+            mults.append(i - start)
+            bounds.append(i)
+            start = i
+    return (np.asarray(reps), np.asarray(mults, dtype=int),
+            np.asarray(bounds, dtype=int))
+
+
+# steps between neighbouring eigenvalues, in units of the grouping
+# tolerance 1e-10 max(1, max |lam|): repeated, near-repeated on either side
+# of the tolerance, and well apart
+_GAP_STEPS = (0.0, 0.0, 0.3, 0.99, 1.0, 1.01, 2.0, 1e7, 3e9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-5.0, 5.0), scale=st.sampled_from([1.0, 1e-3, 40.0]),
+       steps=st.lists(st.sampled_from(_GAP_STEPS), min_size=0, max_size=7),
+       seed=st.integers(0, 2**32 - 1), rotate=st.booleans())
+@example(start=1.0, scale=1.0, steps=[0.0, 0.0, 0.0, 0.0], seed=0,
+         rotate=False)
+@example(start=-2.0, scale=1.0, steps=[1.0, 1.01, 0.99, 0.0], seed=0,
+         rotate=False)
+def test_spectral_split_matches_loop_bitwise(start, scale, steps, seed,
+                                             rotate):
+    lam = start + np.concatenate(([0.0], np.cumsum(steps))) * 1e-10 \
+        * max(1.0, abs(start) + 1.0)
+    lam = scale * lam
+    assume(np.any(lam != 0.0))
+    n = lam.size
+    m = SPDManifold(n)
+    v = np.diag(lam)
+    if rotate:
+        q, _ = np.linalg.qr(np.random.default_rng(seed)
+                            .standard_normal((n, n)))
+        v = sym((q * lam) @ q.T)
+    yih = np.eye(n)
+    got = m._spectral_split(yih, v)
+    eigenvalues, _ = np.linalg.eigh(sym(yih @ v @ yih))
+    reps, mults, bounds = _loop_split(eigenvalues)
+    for want, have in ((reps, got.eigenvalues), (mults, got.multiplicities),
+                       (bounds, got.boundaries),
+                       (np.repeat(reps, mults), got.per_index)):
+        assert have.dtype == want.dtype
+        assert np.array_equal(have, want)
+    assert got.norm_const == float(np.linalg.norm(np.repeat(reps, mults)))
 
 
 def test_grouping_insensitivity():
