@@ -115,10 +115,13 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
 
     ts = list(schedule.t_values)
     raws = [raw(t) for t in ts]
-    estimates = [raws[0]]
-    for i in range(1, len(ts)):
-        estimates.append((ts[i] * raws[i] - ts[i - 1] * raws[i - 1])
-                         / (ts[i] - ts[i - 1]))
+
+    def richardson(i):
+        # the anchors i-1 and i extrapolated in 1/t
+        return (ts[i] * raws[i] - ts[i - 1] * raws[i - 1]) \
+            / (ts[i] - ts[i - 1])
+
+    estimates = [raws[0]] + [richardson(i) for i in range(1, len(ts))]
 
     refined = False
     for _ in range(max_refine):
@@ -135,8 +138,7 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
             break
         ts.append(t_next)
         raws.append(raw_next)
-        estimates.append((ts[-1] * raws[-1] - ts[-2] * raws[-2])
-                         / (ts[-1] - ts[-2]))
+        estimates.append(richardson(len(ts) - 1))
         refined = True
 
     converged = len(estimates) < 2 or \

@@ -20,7 +20,7 @@ What is kept between evaluations is preparation for a fixed point or ray,
 never a result looked up by the identity or content of an array:
 
 * ``_horofunction(q, v)`` and ``_linear_model(q, s)`` take a validated ray
-  or linearization point and return a :class:`Horofunction` or
+  or linearization point and return a horofunction or a
   :class:`LinearModel` whose ``value``/``grad`` evaluate at validated
   points.  Geometries with fixed work per ray or linearization point
   (SPD: matrix roots and the spectral split; hyperboloid: |v| and the
@@ -28,8 +28,11 @@ never a result looked up by the identity or content of an array:
   builds one per outer step and its subproblem owns it.  The public
   ``busemann``, ``busemann_grad`` and ``linear_model_grad`` evaluate the
   same object, so they and the solver run one code path; the generic
-  forms call per-call kernels (``_busemann``, ``_busemann_grad``,
-  ``_linear_model_grad``).
+  linear model calls the per-call kernel ``_linear_model_grad``.
+* The public ``busemann`` and ``busemann_grad`` alone decide a zero
+  direction: B_{q,0} = d(q, .), so ``_horofunction(q, v)`` needs v != 0.
+  On flat geometries B_{q,v}(p) = -<v, log_q p>_q / |v|_q, the scaled
+  linear model, evaluated by :class:`FlatHorofunction`.
 * ``_exponential(p)`` returns v -> exp_p(v) for a validated ``p``.  The
   solver builds one per line search, so every trial step from the same
   iterate shares it; SPD computes p^+-1/2 once in it, and the generic
@@ -75,25 +78,23 @@ class BusemannRay:
     direction: np.ndarray
 
 
-class Horofunction:
-    """Busemann function B_{q,v} of one validated ray as ``value(p)`` and
-    ``grad(p)`` of validated points.
+class FlatHorofunction:
+    """Busemann function B_{q,v} of one validated ray with v != 0 on a flat
+    geometry, as ``value(p)`` and ``grad(p)`` of validated points.
 
-    This form calls the geometry's ``_busemann``/``_busemann_grad`` on
-    every evaluation; a geometry with fixed per-ray work returns a
-    subclass from ``_horofunction`` that does it once, in its constructor.
+    With zero curvature B_{q,v}(p) = -<v, log_q p>_q / |v|_q, so this is the
+    geometry's linear model of (q, v) divided by -|v|_q.
     """
 
     def __init__(self, manifold, q, v):
-        self.manifold = manifold
-        self.q = q
-        self.v = v
+        self.model = manifold._linear_model(q, v)
+        self.nv = manifold._norm(q, v)
 
     def value(self, p):
-        return self.manifold._busemann(self.q, self.v, p)
+        return -self.model.value(p) / self.nv
 
     def grad(self, p):
-        return self.manifold._busemann_grad(self.q, self.v, p)
+        return -self.model.grad(p) / self.nv
 
 
 class LinearModel:
@@ -217,22 +218,30 @@ class Manifold:
 
     def busemann(self, ray: BusemannRay, p):
         q = self.check_point(ray.base)
-        return self._horofunction(q, self.check_tangent(q, ray.direction)) \
-            .value(self.check_point(p))
+        v = self.check_tangent(q, ray.direction)
+        p = self.check_point(p)
+        if np.linalg.norm(v) == 0.0:
+            return self._dist(p, q)
+        return self._horofunction(q, v).value(p)
 
     def busemann_grad(self, ray: BusemannRay, p):
         q = self.check_point(ray.base)
-        return self._horofunction(q, self.check_tangent(q, ray.direction)) \
-            .grad(self.check_point(p))
+        v = self.check_tangent(q, ray.direction)
+        p = self.check_point(p)
+        if np.linalg.norm(v) == 0.0:
+            return self._distance_gradient(q, p)
+        return self._horofunction(q, v).grad(p)
 
     def _horofunction(self, q, v):
-        """B_{q,v} of a validated ray, prepared for repeated evaluation."""
-        return Horofunction(self, q, v)
+        """B_{q,v} of a validated ray with v != 0, prepared for repeated
+        evaluation: an object with ``value(p)`` and ``grad(p)``."""
+        raise NotImplementedError
 
     def _distance_gradient(self, q, p):
-        """Gradient at ``p`` of the distance to ``q`` (zero-direction rays)."""
+        """Gradient at ``p`` of the distance to ``q`` (zero-direction rays),
+        undefined at p = q even where d(q, q) rounds above 0 (SPD)."""
         d = self._dist(p, q)
-        if d == 0.0:
+        if d == 0.0 or np.array_equal(p, q):
             raise UndefinedGradientError(
                 f"{self.name}: gradient of a zero-direction ray is undefined "
                 "at the base point")

@@ -8,7 +8,8 @@ distance are coordinatewise:
     d(p, q)    = sqrt(sum_i ln^2(p_i/q_i))
 
 The curvature is identically zero, so the Busemann function of a ray
-(q, v) equals -<v, log_q p> / |v|_q exactly.
+(q, v), v != 0, equals -<v, log_q p> / |v|_q exactly: it is evaluated
+through the linear model, as a FlatHorofunction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .base import Manifold, RayProbe
+from .base import FlatHorofunction, Manifold, RayProbe
 
 _EXPONENT_GUARD = 690.0     # e^690 is near the double-precision ceiling
 
@@ -67,18 +68,8 @@ class DikinOrthant(Manifold):
     def project(self, p, x):
         return np.asarray(x, dtype=float)
 
-    def _busemann(self, q, v, p):
-        nv = self._norm(q, v)
-        if nv == 0.0:
-            return self._dist(q, p)
-        return float(-np.sum((v / q) * np.log(p / q)) / nv)
-
-    def _busemann_grad(self, q, v, p):
-        nv = self._norm(q, v)
-        if nv == 0.0:
-            return self._distance_gradient(q, p)
-        # Euclidean derivative -(v_i/q_i)/p_i pushed through G(p)^{-1}
-        return -(v / q) * p / nv
+    def _horofunction(self, q, v):
+        return FlatHorofunction(self, q, v)
 
     def egrad_to_rgrad(self, p, egrad):
         p = self.check_point(p)

@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .base import Manifold
+from .base import FlatHorofunction, Manifold
 
 
 class Euclidean(Manifold):
     """R^n with the standard inner product.
 
-    The Busemann function of a ray (q, v) is the affine map
-    -<v/|v|, p - q>; for v = 0 it is the distance to q.
+    The Busemann function of a ray (q, v), v != 0, is the affine map
+    -<v/|v|, p - q>, the scaled linear model.
     """
 
     def __init__(self, n):
@@ -51,17 +51,8 @@ class Euclidean(Manifold):
     def project(self, p, x):
         return np.asarray(x, dtype=float)
 
-    def _busemann(self, q, v, p):
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return self._dist(q, p)
-        return float(-(v / nv) @ (p - q))
-
-    def _busemann_grad(self, q, v, p):
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return self._distance_gradient(q, p)
-        return -v / nv
+    def _horofunction(self, q, v):
+        return FlatHorofunction(self, q, v)
 
     def egrad_to_rgrad(self, p, egrad):
         self.check_point(p)

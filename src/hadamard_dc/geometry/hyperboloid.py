@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 
 from ..errors import NumericalDomainError, ValidationError
-from .base import Horofunction, Manifold, RayProbe
+from .base import Manifold, RayProbe
 
 _EXP_ARG_GUARD = 350.0      # cosh overflows doubles near 710; stay well below
 _LARGE_ARCOSH = 1e8
@@ -145,8 +145,19 @@ class Hyperboloid(Manifold):
             raise ValidationError(
                 f"{self.name}: tangent has shape {v.shape}, "
                 f"expected ({self.n + 1},)")
-        pairing = self.lorentz(p, v)
-        scale = 1.0 + math.sqrt(max(float(p @ p) * float(v @ v), 0.0))
+        p = np.asarray(p, dtype=float)
+        if p.shape != (self.n + 1,):
+            raise ValidationError(
+                f"{self.name}: vectors must have length {self.n + 1}")
+        # hypot cannot overflow at far points; near the double ceiling the
+        # test is divided by |p| |v|, pairing unit copies
+        hp, hv = math.hypot(*p), math.hypot(*v)
+        if hp * hv > 1e300:
+            pairing = _lorentz(p / hp, v / hv)
+            scale = 1.0 / (hp * hv) + 1.0
+        else:
+            pairing = _lorentz(p, v)
+            scale = 1.0 + hp * hv
         if not (abs(pairing) <= 1e-8 * scale):
             raise ValidationError(
                 f"{self.name}: tangent violates <p,v> = 0 "
@@ -278,22 +289,18 @@ class Hyperboloid(Manifold):
                         t_guard=_EXP_ARG_GUARD / math.sqrt(self.kappa))
 
 
-class HyperboloidHorofunction(Horofunction):
-    """B_{q,v} with |v|, the horocenter w = kappa q + sqrt(kappa) v/|v| and
-    sqrt(kappa) computed once.  An evaluation then costs one Lorentz
-    pairing (and a projection for the gradient).  A zero direction gives
-    the distance to q and its gradient.
+class HyperboloidHorofunction:
+    """B_{q,v}, v != 0, with |v|, the horocenter w = kappa q + sqrt(kappa)
+    v/|v| and sqrt(kappa) computed once.  An evaluation then costs one
+    Lorentz pairing (and a projection for the gradient).
     """
 
     def __init__(self, manifold, q, v):
-        super().__init__(manifold, q, v)
-        nv = manifold._norm(q, v)
+        self.manifold = manifold
         self.sqrt_kappa = math.sqrt(manifold.kappa)
-        self.w = None if nv == 0.0 else manifold._horo_center(q, v, nv)
+        self.w = manifold._horo_center(q, v, manifold._norm(q, v))
 
     def value(self, p):
-        if self.w is None:
-            return self.manifold._dist(self.q, p)
         arg = -_lorentz(p, self.w)
         if arg <= 0.0:
             slack = 1e-12 * (1.0 + float(np.linalg.norm(p)) *
@@ -309,8 +316,6 @@ class HyperboloidHorofunction(Horofunction):
         return math.log(arg) / self.sqrt_kappa
 
     def grad(self, p):
-        if self.w is None:
-            return self.manifold._distance_gradient(self.q, p)
         m = self.manifold
         grad = m._project(p, self.w) / (self.sqrt_kappa * _lorentz(p, self.w))
         return m._project(p, grad)

@@ -46,7 +46,7 @@ from scipy.linalg.lapack import dgejsv
 
 from ..errors import (DefinitenessError, NumericalDomainError,
                       ValidationError, ZeroDirectionError)
-from .base import Horofunction, LinearModel, Manifold, RayProbe
+from .base import LinearModel, Manifold, RayProbe
 
 
 def sym(a):
@@ -376,9 +376,9 @@ class SPDRayProbe(RayProbe):
     with S = Exp(-t lam / 2); the eigenvalues of S L L^T S are the squared
     singular values of S L, computed to high relative accuracy by the
     Jacobi SVD even when the row scaling spans hundreds of orders of
-    magnitude.  Y^-1/2, lam, U, L and the guard 1200 / max |lam| (from an
-    eigvalsh of the same congruence) depend on the ray and X alone and
-    are computed here, once; a probe costs the row scaling and the SVD.
+    magnitude.  Y^-1/2, lam, U, L and the guard 1200 / max |lam| depend on
+    the ray and X alone and are computed here, once; a probe costs the row
+    scaling and the SVD.
     """
 
     def __init__(self, manifold, y, unit_dir, x):
@@ -386,7 +386,7 @@ class SPDRayProbe(RayProbe):
         c = yih @ unit_dir @ yih
         self.lam, u = sym_eig(c)
         self.ell = chol(u.T @ yih @ x @ yih @ u)
-        lmax = float(np.max(np.abs(np.linalg.eigvalsh(sym(c)))))
+        lmax = float(np.max(np.abs(self.lam)))
         self.t_guard = 1e12 if lmax == 0.0 else 1200.0 / lmax
 
     def distance(self, t):
@@ -394,19 +394,14 @@ class SPDRayProbe(RayProbe):
         return float(np.linalg.norm(2.0 * _log_singular_values(a)))
 
 
-class SPDHorofunction(Horofunction):
-    """B_{Y,V} with the ray's fixed data computed once: Y^+-1/2 (one
-    eigendecomposition), the spectral split of Y^-1/2 V Y^-1/2 (one more)
-    and the products of U with the roots.  An evaluation then costs one
-    Cholesky factorization and a few products.  A zero direction gives the
-    distance to Y and its gradient.
+class SPDHorofunction:
+    """B_{Y,V}, V != 0, with the ray's fixed data computed once: Y^+-1/2
+    (one eigendecomposition), the spectral split of Y^-1/2 V Y^-1/2 (one
+    more) and the products of U with the roots.  An evaluation then costs
+    one Cholesky factorization and a few products.
     """
 
     def __init__(self, manifold, y, v):
-        super().__init__(manifold, y, v)
-        self.split = None
-        if np.linalg.norm(v) == 0.0:
-            return
         self.yh, self.yih = spd_roots(y)
         self.split = manifold._spectral_split(self.yih, v)
         self.u = self.split.basis
@@ -420,15 +415,11 @@ class SPDHorofunction(Horofunction):
         return chol(self.ut_yih @ x @ self.yih @ self.u)
 
     def value(self, x):
-        if self.split is None:
-            return self.manifold._dist(x, self.q)
         ell = self._cholesky(x)
         return float(-2.0 / self.split.norm_const *
                      np.sum(self.split.per_index * np.log(np.diag(ell))))
 
     def grad(self, x):
-        if self.split is None:
-            return self.manifold._distance_gradient(self.q, x)
         ell = self._cholesky(x)
         grad = self.yh_u @ (ell @ self.d @ ell.T) @ self.u.T @ self.yh
         return sym(-grad / self.split.norm_const)

@@ -8,8 +8,10 @@ import pytest
 from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean,
                          UndefinedGradientError, ValidationError,
                          fd_riemannian_grad, make_rng)
+from helpers import all_geometries, same
 
 E = math.e
+EPS = float(np.finfo(float).eps)
 
 
 def test_euclidean_inner_orthogonal():
@@ -78,16 +80,55 @@ def test_busemann_values():
 
 
 def test_busemann_zero_direction_is_distance():
-    m = Euclidean(3)
-    rng = make_rng(0)
-    q = m.random_point(rng)
-    p = m.random_point(rng)
-    ray = BusemannRay(q, np.zeros(3))
-    assert m.busemann(ray, p) == pytest.approx(m.dist(q, p))
-    with pytest.raises(UndefinedGradientError):
-        m.busemann_grad(ray, q)
-    g = m.busemann_grad(ray, p)
-    assert m.norm(p, g) == pytest.approx(1.0, abs=1e-12)
+    # B_{q,0} = d(q, .) is decided in the public calls, on every geometry
+    for m in all_geometries():
+        rng = make_rng(0)
+        q = m.random_point(rng)
+        p = m.random_point(rng)
+        ray = BusemannRay(q, m.zero_tangent(q))
+        assert same(m.busemann(ray, p), m._dist(p, q))
+        assert m.busemann(ray, p) == pytest.approx(m.dist(q, p), rel=1e-12)
+        with pytest.raises(UndefinedGradientError):
+            m.busemann_grad(ray, q)
+        g = m.busemann_grad(ray, p)
+        assert same(g, m._distance_gradient(q, p))
+        assert m.norm(p, g) == pytest.approx(1.0, abs=1e-10)
+
+
+def reference_busemann(m, q, v, p):
+    """The per-call flat formulas that the linear-model form replaced."""
+    if isinstance(m, Euclidean):
+        nv = np.linalg.norm(v)
+        return float(-(v / nv) @ (p - q))
+    return float(-np.sum((v / q) * np.log(p / q)) / m._norm(q, v))
+
+
+def reference_busemann_grad(m, q, v, p):
+    if isinstance(m, Euclidean):
+        return -v / np.linalg.norm(v)
+    # Euclidean derivative -(v_i/q_i)/p_i pushed through G(p)^{-1}
+    return -(v / q) * p / m._norm(q, v)
+
+
+@pytest.mark.parametrize("manifold", [Euclidean(4), DikinOrthant(3)])
+def test_flat_horofunction_matches_per_call_formulas(manifold):
+    """B_{q,v} = -<v, log_q p>_q / |v|_q through the linear model: the
+    gradient bit for bit, the value to a few roundings of the formula."""
+    m = manifold
+    rng = make_rng(14)
+    for _ in range(1000):
+        q = m.random_point(rng)
+        v = 10.0 ** rng.uniform(-3.0, 3.0) * m.random_tangent(q, rng)
+        p = m.random_point(rng)
+        horo = m._horofunction(q, v)
+        ray = BusemannRay(q, v)
+        value = m.busemann(ray, p)
+        assert same(horo.value(p), value)
+        want = reference_busemann(m, q, v, p)
+        assert abs(value - want) <= 8.0 * EPS * (1.0 + abs(want))
+        grad = m.busemann_grad(ray, p)
+        assert same(horo.grad(p), grad)
+        assert same(grad, reference_busemann_grad(m, q, v, p))
 
 
 def test_busemann_grad_constant_euclidean():
@@ -191,7 +232,6 @@ def test_dikin_exp_overflow_guard():
 
 
 def test_tangent_basis_orthonormal_everywhere():
-    from helpers import all_geometries
     for manifold in all_geometries():
         rng = make_rng(21)
         p = manifold.random_point(rng)

@@ -188,3 +188,5 @@ def test_spd_oracle_factorizations_do_not_grow_with_probes(monkeypatch):
         per_call.append({k: counts[k] - before[k] for k in counts})
     assert per_call[0] == per_call[1]
     assert per_call[0]["eigh"] > 0 and per_call[0]["cholesky"] > 0
+    # the overflow guard comes from the spectrum the probe already has
+    assert per_call[0]["eigvalsh"] == 0

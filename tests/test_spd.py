@@ -446,7 +446,9 @@ def test_prepared_horofunction_matches_per_call(seed, n, log10_cond, kind):
     rng = np.random.default_rng(seed)
     y = conditioned_spd(n, rng, log10_cond)
     v = direction(y, rng, kind)
-    horo = m._horofunction(y, v)
+    # a zero direction is answered by the public calls alone, so only a
+    # nonzero one has a prepared horofunction
+    horo = None if kind == "zero" else m._horofunction(y, v)
     if kind == "repeated" and log10_cond <= 4.0:
         assert max(horo.split.multiplicities) >= 2     # grouping path
     ray = BusemannRay(y, v)
@@ -454,12 +456,13 @@ def test_prepared_horofunction_matches_per_call(seed, n, log10_cond, kind):
     # inner solver does, against fresh per-call evaluations
     for _ in range(3):
         x = conditioned_spd(n, rng, rng.uniform(0.0, log10_cond))
-        value = outcome(horo.value, x)
-        assert same(value, outcome(m.busemann, ray, x))
+        value = outcome(m.busemann, ray, x)
         assert same(value, outcome(reference_busemann, m, y, v, x))
-        grad = outcome(horo.grad, x)
-        assert same(grad, outcome(m.busemann_grad, ray, x))
+        grad = outcome(m.busemann_grad, ray, x)
         assert same(grad, outcome(reference_busemann_grad, m, y, v, x))
+        if horo is not None:
+            assert same(outcome(horo.value, x), value)
+            assert same(outcome(horo.grad, x), grad)
 
 
 @settings(max_examples=40, deadline=None)
