@@ -116,8 +116,7 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
     ts = list(schedule.t_values)
     raws = [raw(t) for t in ts]
 
-    def richardson(i):
-        # the anchors i-1 and i extrapolated in 1/t
+    def richardson(i):      # the anchors i-1 and i extrapolated in 1/t
         return (ts[i] * raws[i] - ts[i - 1] * raws[i - 1]) \
             / (ts[i] - ts[i - 1])
 

@@ -219,15 +219,16 @@ def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
 
     With s_k = 0 the second term is the constant 0 (continuity in s_k)
     and the subproblem reduces to minimizing g.  Otherwise the
-    horofunction of the ray (p_k, s_k) is prepared once.
+    horofunction of the ray (p_k, s_k) is prepared once.  s_k = 0 is
+    tested on the array, as in ``Manifold.busemann``.
     """
     manifold = problem.manifold
     p_k = manifold.check_point(p_k)
     s_k = manifold.check_tangent(p_k, s_k)
-    ns = manifold._norm(p_k, s_k)
-    if ns == 0.0:
+    if np.linalg.norm(s_k) == 0.0:
         return _objective(problem, "horofunction")
     horo = manifold._horofunction(p_k, s_k)
+    ns = manifold._norm(p_k, s_k)
     return _objective(problem, "horofunction", lambda p: ns * horo.value(p),
                       lambda p: ns * horo.grad(p))
 

@@ -29,8 +29,10 @@ never a result looked up by the identity or content of an array:
   ``busemann``, ``busemann_grad`` and ``linear_model_grad`` evaluate the
   same object, so they and the solver run one code path; the generic
   linear model calls the per-call kernel ``_linear_model_grad``.
-* The public ``busemann`` and ``busemann_grad`` alone decide a zero
-  direction: B_{q,0} = d(q, .), so ``_horofunction(q, v)`` needs v != 0.
+* Callers decide a zero direction with the array test
+  ``np.linalg.norm(v) == 0.0``: ``busemann``/``busemann_grad`` return
+  B_{q,0} = d(q, .) and its gradient, and the solver drops the term.
+  ``_horofunction(q, v)`` raises ZeroDirectionError where |v|_q rounds to 0.
   On flat geometries B_{q,v}(p) = -<v, log_q p>_q / |v|_q, the scaled
   linear model, evaluated by :class:`FlatHorofunction`.
 * ``_exponential(p)`` returns v -> exp_p(v) for a validated ``p``.  The
@@ -63,7 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import UndefinedGradientError, ValidationError
+from ..errors import (UndefinedGradientError, ValidationError,
+                      ZeroDirectionError)
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,14 @@ class BusemannRay:
     direction: np.ndarray
 
 
+def direction_norm(manifold, q, v):
+    """|v|_q of a validated v != 0; ZeroDirectionError where it rounds to 0."""
+    nv = manifold._norm(q, v)
+    if nv == 0.0:
+        raise ZeroDirectionError(f"{manifold.name}: |v|_q rounds to 0")
+    return nv
+
+
 class FlatHorofunction:
     """Busemann function B_{q,v} of one validated ray with v != 0 on a flat
     geometry, as ``value(p)`` and ``grad(p)`` of validated points.
@@ -88,7 +99,7 @@ class FlatHorofunction:
 
     def __init__(self, manifold, q, v):
         self.model = manifold._linear_model(q, v)
-        self.nv = manifold._norm(q, v)
+        self.nv = direction_norm(manifold, q, v)
 
     def value(self, p):
         return -self.model.value(p) / self.nv
@@ -233,15 +244,15 @@ class Manifold:
         return self._horofunction(q, v).grad(p)
 
     def _horofunction(self, q, v):
-        """B_{q,v} of a validated ray with v != 0, prepared for repeated
-        evaluation: an object with ``value(p)`` and ``grad(p)``."""
+        """B_{q,v} of a validated ray with ``np.linalg.norm(v) != 0``, as an
+        object with ``value(p)`` and ``grad(p)``; raises ZeroDirectionError
+        where |v|_q rounds to 0."""
         raise NotImplementedError
 
     def _distance_gradient(self, q, p):
-        """Gradient at ``p`` of the distance to ``q`` (zero-direction rays),
-        undefined at p = q even where d(q, q) rounds above 0 (SPD)."""
+        """Gradient of d(q, .) at ``p``; undefined at p = q."""
         d = self._dist(p, q)
-        if d == 0.0 or np.array_equal(p, q):
+        if d == 0.0 or np.array_equal(p, q):    # SPD's d(q, q) rounds above 0
             raise UndefinedGradientError(
                 f"{self.name}: gradient of a zero-direction ray is undefined "
                 "at the base point")

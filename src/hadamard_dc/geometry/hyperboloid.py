@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 
 from ..errors import NumericalDomainError, ValidationError
-from .base import Manifold, RayProbe
+from .base import Manifold, RayProbe, direction_norm
 
 _EXP_ARG_GUARD = 350.0      # cosh overflows doubles near 710; stay well below
 _LARGE_ARCOSH = 1e8
@@ -149,8 +149,7 @@ class Hyperboloid(Manifold):
         if p.shape != (self.n + 1,):
             raise ValidationError(
                 f"{self.name}: vectors must have length {self.n + 1}")
-        # hypot cannot overflow at far points; near the double ceiling the
-        # test is divided by |p| |v|, pairing unit copies
+        # hypot cannot overflow; near the double ceiling pair unit copies
         hp, hv = math.hypot(*p), math.hypot(*v)
         if hp * hv > 1e300:
             pairing = _lorentz(p / hp, v / hv)
@@ -298,7 +297,7 @@ class HyperboloidHorofunction:
     def __init__(self, manifold, q, v):
         self.manifold = manifold
         self.sqrt_kappa = math.sqrt(manifold.kappa)
-        self.w = manifold._horo_center(q, v, manifold._norm(q, v))
+        self.w = manifold._horo_center(q, v, direction_norm(manifold, q, v))
 
     def value(self, p):
         arg = -_lorentz(p, self.w)

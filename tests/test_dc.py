@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from hadamard_dc import (DCProblem, Euclidean, Hyperboloid, SolverConfig,
-                         StalledInnerSolveError, complexity_bound_check,
+from hadamard_dc import (DCProblem, DikinOrthant, Euclidean, Hyperboloid,
+                         SolverConfig, StalledInnerSolveError,
+                         ZeroDirectionError, complexity_bound_check,
                          inner_solve, make_b_subproblem, make_cr_subproblem,
                          make_rng, run_dca, scale_factor)
 from hadamard_dc.problems import (AcademicParams, RosenbrockParams,
@@ -83,6 +84,23 @@ def test_b_subproblem_zero_subgradient_reduces_to_g():
     p = np.array([0.3, -0.7])
     assert obj.value(p) == prob.g(p)
     np.testing.assert_allclose(obj.grad(p), 2 * p)
+
+
+def test_b_subproblem_subgradient_norm_underflow_raises():
+    # s_k = 0 is decided on the array, as in the public busemann; a nonzero
+    # s_k whose norm |s_k / p_k| underflows reaches the horofunction,
+    # which raises
+    m = DikinOrthant(3)
+    prob = DCProblem(
+        manifold=m,
+        g=lambda p: float(np.sum(np.log(p) ** 2)),
+        h=lambda p: 0.0,
+        h_subgrad=lambda p: np.zeros(3),
+        g_rgrad=lambda p: 2.0 * np.log(p) * p,
+        name="dikin-quadratic")
+    p_k = np.full(3, 1e200)
+    with pytest.raises(ZeroDirectionError):
+        make_b_subproblem(prob, p_k, np.full(3, 1e-100))
 
 
 def test_b_subproblem_value_at_base_and_convexity():

@@ -7,7 +7,7 @@ import pytest
 
 from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean,
                          UndefinedGradientError, ValidationError,
-                         fd_riemannian_grad, make_rng)
+                         ZeroDirectionError, fd_riemannian_grad, make_rng)
 from helpers import all_geometries, same
 
 E = math.e
@@ -92,7 +92,22 @@ def test_busemann_zero_direction_is_distance():
             m.busemann_grad(ray, q)
         g = m.busemann_grad(ray, p)
         assert same(g, m._distance_gradient(q, p))
-        assert m.norm(p, g) == pytest.approx(1.0, abs=1e-10)
+        assert m.norm(p, g) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_busemann_direction_norm_underflow_raises():
+    # |v|_q = |v / q| underflows to 0 at a huge base point; the nonzero
+    # direction passes the zero test and its horofunction raises instead
+    # of dividing by 0
+    m = DikinOrthant(3)
+    q = np.full(3, 1e200)
+    v = np.full(3, 1e-100)
+    assert m._norm(q, v) == 0.0
+    ray = BusemannRay(q, v)
+    with pytest.raises(ZeroDirectionError):
+        m.busemann(ray, np.ones(3))
+    with pytest.raises(ZeroDirectionError):
+        m.busemann_grad(ray, np.ones(3))
 
 
 def reference_busemann(m, q, v, p):

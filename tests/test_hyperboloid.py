@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hadamard_dc import (BusemannRay, Hyperboloid, NumericalDomainError,
                          UndefinedGradientError, ValidationError,
-                         busemann_numeric, fd_riemannian_grad, make_rng)
+                         ZeroDirectionError, busemann_numeric,
+                         fd_riemannian_grad, make_rng)
 from helpers import rel_err, same
 
 EPS = float(np.finfo(float).eps)
@@ -175,6 +176,22 @@ def test_busemann_grad_zero_direction_error():
     q = apex(2)
     with pytest.raises(UndefinedGradientError):
         m.busemann_grad(BusemannRay(q, np.zeros(3)), q)
+
+
+def test_busemann_direction_norm_underflow_raises():
+    # at scaled radius 20 the Lorentz norm of the unit radial tangent
+    # cancels to exactly 0; the nonzero direction passes the zero test
+    # and its horofunction raises instead of dividing by 0
+    m = Hyperboloid(2)
+    r = 20.0
+    q = m.check_point(np.array([math.sinh(r), 0.0, math.cosh(r)]))
+    v = m.check_tangent(q, np.array([math.cosh(r), 0.0, math.sinh(r)]))
+    assert m._norm(q, v) == 0.0
+    ray = BusemannRay(q, v)
+    with pytest.raises(ZeroDirectionError):
+        m.busemann(ray, apex(2))
+    with pytest.raises(ZeroDirectionError):
+        m.busemann_grad(ray, apex(2))
 
 
 def test_comparison_inequality():
