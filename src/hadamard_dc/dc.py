@@ -10,6 +10,18 @@ the current iterate p_k:
 On flat geometries the two subproblems coincide.  Subproblems are solved
 by Riemannian steepest descent with Armijo backtracking; the inner
 tolerance is tied to the outer stopping tolerance.
+
+Every iterate and trial point is a prepared point
+(:class:`~hadamard_dc.geometry.base.Point`), built by ``Manifold._point``
+right after ``check_point``: once for p0 in ``run_dca`` and once per
+line-search trial in ``inner_solve``.  The problem closures, the
+subproblem term and the geometry kernels take it and keep on it what they
+derive from it, so each is computed once per point: the SPD roots, g and
+grad g, the subgradient of h, and the term's factorizations.  The point a
+trial reaches carries them out of the inner solve to the outer tests and
+into the next subproblem.  A point is trusted because of its type:
+``make_cr_subproblem``, ``make_b_subproblem`` and ``inner_solve`` check
+an array once and skip ``check_point`` for a point.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import numpy as np
 
 from .errors import (NumericalDomainError, StalledInnerSolveError,
                      ValidationError)
-from .geometry.base import fd_riemannian_grad
+from .geometry.base import Point, fd_riemannian_grad
 
 logger = logging.getLogger(__name__)
 
@@ -39,8 +51,11 @@ _INNER_TOL_FACTOR = 0.1     # inner gradient tolerance / outer eps_base
 class DCProblem:
     """The pair (g, h) with evaluators and first-order providers.
 
-    ``h_subgrad`` must return a tangent vector at its argument.  ``sigma``
-    is the strong-convexity modulus shared by g and h (0 when unknown);
+    ``g``, ``h``, ``h_subgrad`` and ``g_rgrad`` take a
+    :class:`~hadamard_dc.geometry.base.Point` of ``manifold``, and
+    ``h_subgrad`` must return a tangent vector at it.  ``phi`` and
+    ``phi_grad`` take a point or an array, which they check.  ``sigma`` is
+    the strong-convexity modulus shared by g and h (0 when unknown);
     ``phi_inf`` is an optional lower bound on phi used by the iteration
     complexity check.
     """
@@ -56,12 +71,16 @@ class DCProblem:
     metadata: dict = field(default_factory=dict)
 
     def phi(self, p):
-        return self.g(p) - self.h(p)
+        p = self.manifold.point(p)
+        return p.derived(self.g) - self.h(p)
 
     def phi_grad(self, p):
+        """grad g - s at ``p``, with g's gradient and the subgradient s of
+        h kept on the point for the caller's next use."""
         if self.g_rgrad is None:
             raise ValueError(f"{self.name}: no gradient provider registered for g")
-        return self.g_rgrad(p) - self.h_subgrad(p)
+        p = self.manifold.point(p)
+        return p.derived(self.g_rgrad) - p.derived(self.h_subgrad)
 
 
 @dataclass
@@ -98,7 +117,9 @@ class SolverTrace:
     ``step_dist`` belong to the move p_i -> p_{i+1} (zero on the final
     record).  Gradient norms are scaled by the run's gamma, matching the
     reporting convention of the benchmark tables.  ``exit_reason`` is one
-    of "grad", "step", "fixed_point", "max_outer".
+    of "grad", "step", "fixed_point", "max_outer", "stalled" (the first
+    line search of an inner solve ran out of halvings; ``run_dca`` then
+    raises StalledInnerSolveError with this trace).
     """
 
     records: list = field(default_factory=list)
@@ -141,14 +162,14 @@ class SubproblemObjective:
     """Objective g(p) + term(p) of one outer step, with g and the
     prepared model term held apart.
 
-    ``value(p, g_p)`` and ``grad(p, g_grad_p)`` take g(p) and grad g(p)
-    when the caller already has them and then evaluate only the term, so
-    that a solver which carries the values of g from one evaluation to
-    the next evaluates g once per point.  ``g_values`` is the one place
-    that evaluates that pair.  ``term`` None is the zero term (a
-    horofunction subproblem with s_k = 0, or g alone).  ``g_grad`` None
-    means g has no analytic gradient: ``grad`` then takes central finite
-    differences of the whole objective on ``manifold``.
+    ``value`` and ``grad`` evaluate at a point; an array is checked and
+    made one, which needs ``manifold``.  g(p) and grad g(p) are kept on
+    the point, so a point the inner solve accepts carries them to the
+    outer tests and into the next inner solve, and g is evaluated once
+    per point.  ``term`` None is the zero term (a horofunction
+    subproblem with s_k = 0, or g alone).  ``g_grad`` None means g has
+    no analytic gradient: ``grad`` then takes central finite differences
+    of the whole objective on ``manifold``.
     """
 
     g: callable
@@ -161,31 +182,33 @@ class SubproblemObjective:
     def analytic(self):
         return self.g_grad is not None
 
-    def g_values(self, p, g_p=None):
-        """(g(p), grad g(p)), grad g None when g has no analytic gradient;
-        ``g_p`` is g(p) when the caller already has it."""
-        if g_p is None:
-            g_p = self.g(p)
-        return g_p, (self.g_grad(p) if self.analytic else None)
-
-    def value(self, p, g_p=None):
-        if g_p is None:
-            g_p = self.g(p)
+    def value(self, p):
+        if not isinstance(p, Point):
+            p = self.manifold.point(p)
+        g_p = p.derived(self.g)
         return g_p if self.term is None else g_p + self.term(p)
 
-    def grad(self, p, g_grad_p=None):
+    def grad(self, p):
+        if not isinstance(p, Point):
+            p = self.manifold.point(p)
         if self.g_grad is None:
-            return fd_riemannian_grad(self.manifold, self.value, p)
-        if g_grad_p is None:
-            g_grad_p = self.g_grad(p)
+            m = self.manifold
+            return fd_riemannian_grad(m, lambda x: self.value(m._point(x)),
+                                      p.x)
+        g_grad_p = p.derived(self.g_grad)
         return g_grad_p if self.term_grad is None \
             else g_grad_p + self.term_grad(p)
 
 
 def scale_factor(problem: DCProblem, p0):
     """gamma = 1/(|grad phi(p0)| + 1), the tolerance scaling of a run."""
-    g0 = problem.phi_grad(p0)
-    return 1.0 / (problem.manifold.norm(p0, g0) + 1.0)
+    return 1.0 / (_grad_norm(problem, problem.manifold.point(p0)) + 1.0)
+
+
+def _grad_norm(problem, p):
+    """|grad phi(p)|_p at a point, with grad phi checked as a tangent."""
+    m = problem.manifold
+    return m._norm(p.x, m.check_tangent(p.x, problem.phi_grad(p)))
 
 
 def _objective(problem: DCProblem, kind, term=None,
@@ -202,13 +225,13 @@ def _objective(problem: DCProblem, kind, term=None,
 def make_cr_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     """Classic linearized subproblem  g(p) - <s_k, log_{p_k} p>.
 
-    Validates ``p_k`` and ``s_k`` once and prepares the linear model once;
-    the objective takes checked points.  Its term is the negated model,
-    since a - b and a + (-b) are equal bit for bit.
+    Validates ``s_k``, and ``p_k`` unless it is a point already, and
+    prepares the linear model once.  Its term is the negated model, since
+    a - b and a + (-b) are equal bit for bit.
     """
     manifold = problem.manifold
-    p_k = manifold.check_point(p_k)
-    s_k = manifold.check_tangent(p_k, s_k)
+    p_k = manifold.point(p_k)
+    s_k = manifold.check_tangent(p_k.x, s_k)
     model = manifold._linear_model(p_k, s_k)
     return _objective(problem, "classic", lambda p: -model.value(p),
                       lambda p: -model.grad(p))
@@ -220,30 +243,28 @@ def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     With s_k = 0 the second term is the constant 0 (continuity in s_k)
     and the subproblem reduces to minimizing g.  Otherwise the
     horofunction of the ray (p_k, s_k) is prepared once.  s_k = 0 is
-    tested on the array, as in ``Manifold.busemann``.
+    tested on the array, as in ``Manifold.busemann``.  Validates ``s_k``,
+    and ``p_k`` unless it is a point already.
     """
     manifold = problem.manifold
-    p_k = manifold.check_point(p_k)
-    s_k = manifold.check_tangent(p_k, s_k)
+    p_k = manifold.point(p_k)
+    s_k = manifold.check_tangent(p_k.x, s_k)
     if np.linalg.norm(s_k) == 0.0:
         return _objective(problem, "horofunction")
     horo = manifold._horofunction(p_k, s_k)
-    ns = manifold._norm(p_k, s_k)
+    ns = manifold._norm(p_k.x, s_k)
     return _objective(problem, "horofunction", lambda p: ns * horo.value(p),
                       lambda p: ns * horo.grad(p))
 
 
-def inner_solve(objective: SubproblemObjective, start, tol: float, manifold,
-                g_start):
+def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
     """Riemannian steepest descent with Armijo backtracking.
 
-    Returns (point, iteration count, (g(point), grad g(point))).
-    ``g_start`` is (g(start), grad g(start)), as ``objective.g_values``
-    gives them; the outer loop passes the pair the previous inner solve
-    returned.  The returned pair feeds the caller's tests and the next
-    inner solve, so g is evaluated once at each trial point and its
-    gradient once at each accepted one.  grad g is None throughout when g
-    has no analytic gradient.
+    Returns (point, iteration count), the point a
+    :class:`~hadamard_dc.geometry.base.Point` that carries g and grad g
+    (when g has an analytic gradient).  The outer loop passes the point
+    the previous inner solve returned as ``start``, so g is evaluated
+    once at each trial point and its gradient once at each accepted one.
 
     The first trial step is 1, later ones a secant estimate along the
     previous ray; a trial is shrunk by ``_BACKTRACK`` until the Armijo
@@ -255,18 +276,17 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold,
     as converged as evaluations allow), or when a line search after an
     accepted step runs out of ``_MAX_HALVINGS`` halvings.  Raises
     StalledInnerSolveError if the first line search runs out of them.
-    ``start`` and every trial point out of the exponential map are
-    validated, so the objective only sees checked points; the accepted
-    iterate is not checked again when a trial steps from it.  ``tol``
-    must be finite and positive.
+    ``start``, unless it is a point already, and every trial point out of
+    the exponential map are validated and made points, so the objective
+    only sees checked points; the accepted iterate is not checked again
+    when a trial steps from it.  ``tol`` must be finite and positive.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"inner tolerance must be finite and > 0: {tol}")
-    p = manifold.check_point(start)
-    g_p, g_grad_p = g_start
-    fp = objective.value(p, g_p)
-    g = objective.grad(p, g_grad_p)
-    gn = manifold._norm(p, g)
+    p = manifold.point(start)
+    fp = objective.value(p)
+    g = objective.grad(p)
+    gn = manifold._norm(p.x, g)
     iters = 0
     alpha_prev = None
     fp_prev = None
@@ -297,9 +317,8 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold,
         for _ in range(_MAX_HALVINGS):
             required = _ARMIJO_C1 * alpha * gn * gn
             try:
-                cand = manifold.check_point(exp_p(-alpha * g))
-                g_c = objective.g(cand)
-                fc = objective.value(cand, g_c)
+                cand = manifold._point(manifold.check_point(exp_p(-alpha * g)))
+                fc = objective.value(cand)
             except (OverflowError, FloatingPointError, NumericalDomainError,
                     ValidationError):
                 # trial point left the numerical domain; shorten the step
@@ -326,19 +345,18 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold,
                 raise StalledInnerSolveError(
                     f"line search stalled after {_MAX_HALVINGS} halvings "
                     f"(grad norm {gn:.3g}, tol {tol:.3g})",
-                    best_point=p, best_value=fp)
+                    best_point=p.x, best_value=fp)
             # as after a floored stop, the outer tests judge this point
             logger.debug("inner solve stalled after %d iterations", iters)
             break
 
         fp_prev, gn_prev, alpha_prev = fp, gn, alpha
         p, fp = cand, fc
-        g_p, g_grad_p = objective.g_values(p, g_c)
-        g = objective.grad(p, g_grad_p)
-        gn = manifold._norm(p, g)
+        g = objective.grad(p)
+        gn = manifold._norm(p.x, g)
         iters += 1
 
-    return p, iters, (g_p, g_grad_p)
+    return p, iters
 
 
 def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
@@ -355,43 +373,39 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     distances are manifold distances compared against eps directly.
     A short step alone does not certify criticality on smooth problems,
     so the step exit additionally requires the gradient test at the new
-    iterate.  Each iterate takes one subgradient of h, shared by its
-    gradient test and its subproblem; a non-smooth problem takes it only
-    where a subproblem is built.  g and grad g are evaluated at p0 here
-    and at every later iterate by the inner solve that reached it, which
-    returns them: phi = g - h and the gradient test grad g - s_k use
-    those values, and the next inner solve starts from them.  A stalled
-    first line search raises StalledInnerSolveError with the partial
-    trace as ``exc.trace``.
+    iterate.  Each iterate is one point, checked once (p0 here, every
+    later one as a trial of the inner solve that reached it), which keeps
+    g, grad g and the one subgradient s_k of h taken there: phi = g - h,
+    the gradient test grad g - s_k, the subproblem and the next inner
+    solve share them.  A non-smooth problem takes s_k only where a
+    subproblem is built.  A stalled first line search raises
+    StalledInnerSolveError with the partial trace as ``exc.trace``.
     """
     manifold = problem.manifold
-    p0 = manifold.check_point(p0)
+    p = manifold.point(p0)
     smooth = problem.g_rgrad is not None
-    gamma = scale_factor(problem, p0) if smooth else 1.0
+    gamma = scale_factor(problem, p) if smooth else 1.0
     eps = gamma * cfg.eps_base
     inner_tol = _INNER_TOL_FACTOR * cfg.eps_base
     make = make_cr_subproblem if cfg.algorithm == "cr_dca" else make_b_subproblem
 
-    def phi_and_tests(p, g_p, g_grad_p):
-        # (phi(p), s_k, gamma |grad phi(p)|) from the values of g at p;
-        # s_k is left to the loop top when there is no gradient test
-        fp = g_p - problem.h(p)
+    def phi_and_tests(p):
+        # (phi(p), s_k, gamma |grad phi(p)|); s_k is left to the loop top
+        # when there is no gradient test
+        fp = problem.phi(p)
         if not smooth:
             return fp, None, math.inf
-        s = problem.h_subgrad(p)
-        return fp, s, gamma * manifold.norm(p, g_grad_p - s)
+        return fp, p.derived(problem.h_subgrad), \
+            gamma * _grad_norm(problem, p)
 
     trace = SolverTrace(gamma=gamma, eps=eps, algorithm=cfg.algorithm,
                         problem=problem.name)
     t0 = time.perf_counter()
-    p = p0
-    # g alone is the objective with no model term
-    g_k = SubproblemObjective(problem.g, problem.g_rgrad).g_values(p)
-    fp, s_k, gn = phi_and_tests(p, *g_k)
+    fp, s_k, gn = phi_and_tests(p)
 
     def record(inner_iters=0, step_dist=0.0):
         trace.records.append(IterationRecord(
-            k=len(trace.records), point=p, fval=fp, grad_norm=gn,
+            k=len(trace.records), point=p.x, fval=fp, grad_norm=gn,
             inner_iters=inner_iters, step_dist=step_dist,
             elapsed_s=time.perf_counter() - t0))
 
@@ -404,19 +418,18 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
             trace.exit_reason = "max_outer"
             break
         if s_k is None:
-            s_k = problem.h_subgrad(p)
+            s_k = p.derived(problem.h_subgrad)
         objective = make(problem, p, s_k)
         try:
-            p_next, n_inner, g_k = inner_solve(objective, p, inner_tol,
-                                               manifold, g_k)
+            p_next, n_inner = inner_solve(objective, p, inner_tol, manifold)
         except StalledInnerSolveError as exc:
             trace.exit_reason = "stalled"
             stall = exc
             break
-        step = manifold._dist(p, p_next)
+        step = manifold._dist(p.x, p_next.x)
         record(n_inner, step)
         p = p_next
-        fp, s_k, gn = phi_and_tests(p, *g_k)
+        fp, s_k, gn = phi_and_tests(p)
         if n_inner == 0:            # no step taken, so p_next is p
             trace.exit_reason = "fixed_point"
             break

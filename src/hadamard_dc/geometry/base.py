@@ -13,31 +13,54 @@ at the public boundary:
   ``_linear_model``) validate nothing and are for callers that already
   hold validated values, as is the limit oracle's one hook,
   ``_ray_probe``;
-* no array is trusted for having been checked before, so an array mutated
-  after a check is checked again on its next public call.
+* an array is never trusted for having been checked before, so an array
+  mutated after a check is checked again on its next public call.
 
-What is kept between evaluations is preparation for a fixed point or ray,
-never a result looked up by the identity or content of an array:
+A :class:`Point` is a checked array together with what derives from it,
+each computed on first use and kept with the point:
 
-* ``_horofunction(q, v)`` and ``_linear_model(q, s)`` take a validated ray
-  or linearization point and return a horofunction or a
-  :class:`LinearModel` whose ``value``/``grad`` evaluate at validated
-  points.  Geometries with fixed work per ray or linearization point
-  (SPD: matrix roots and the spectral split; hyperboloid: |v| and the
-  horocenter w) do that work once, when the object is built; the solver
-  builds one per outer step and its subproblem owns it.  The public
-  ``busemann``, ``busemann_grad`` and ``linear_model_grad`` evaluate the
-  same object, so they and the solver run one code path; the generic
-  linear model calls the per-call kernel ``_linear_model_grad``.
+* ``Manifold._point(x)`` wraps an array right after ``check_point``; the
+  solver builds one per line-search trial and one for p0, and the public
+  methods one per argument.  ``Manifold.point(x)`` checks an array and
+  passes a point of the same manifold through, so a point is trusted
+  because of its type, never because of its address or contents.
+* A geometry keeps there what its kernels take from a base point: SPD
+  keeps X^1/2 and X^-1/2 (``SPDPoint.roots``, one eigendecomposition),
+  which ``_exponential``, ``_log``, ``_horofunction`` and
+  ``_linear_model`` share.  The base point of ``_exponential``, ``_log``,
+  ``_horofunction`` and ``_linear_model`` and the argument of a
+  horofunction's or linear model's ``value``/``grad`` are points; the
+  other kernels take arrays.
+* ``Point.derived(make)`` keeps ``make(point)`` under ``make``: the
+  solver keeps g, grad g and the subgradient of h there, the problem
+  closures their shared work (Rosenbrock's distances and logs, ln det X),
+  and a model term what its gradient reuses from its value (the SPD
+  horofunction's Cholesky factor, the SPD linear model's
+  eigendecomposition of C X C).
+
+What is kept between evaluations is otherwise preparation for a fixed
+ray or linearization point, never a result looked up by the identity or
+content of an array:
+
+* ``_horofunction(q, v)`` and ``_linear_model(q, s)`` take a point and a
+  validated direction and return a horofunction or a :class:`LinearModel`
+  whose ``value``/``grad`` evaluate at points.  Geometries with fixed work
+  per ray or linearization point (SPD: the spectral split and the
+  products with the roots; hyperboloid: |v| and the horocenter w) do that
+  work once, when the object is built; the solver builds one per outer
+  step and its subproblem owns it.  The public ``busemann``,
+  ``busemann_grad`` and ``linear_model_grad`` evaluate the same object, so
+  they and the solver run one code path; the generic linear model calls
+  the per-call kernel ``_linear_model_grad``.
 * Callers decide a zero direction with the array test
   ``np.linalg.norm(v) == 0.0``: ``busemann``/``busemann_grad`` return
   B_{q,0} = d(q, .) and its gradient, and the solver drops the term.
   ``_horofunction(q, v)`` raises ZeroDirectionError where |v|_q rounds to 0.
   On flat geometries B_{q,v}(p) = -<v, log_q p>_q / |v|_q, the scaled
   linear model, evaluated by :class:`FlatHorofunction`.
-* ``_exponential(p)`` returns v -> exp_p(v) for a validated ``p``.  The
+* ``_exponential(p)`` returns v -> exp_p(v) for a point ``p``.  The
   solver builds one per line search, so every trial step from the same
-  iterate shares it; SPD computes p^+-1/2 once in it, and the generic
+  iterate shares it; SPD takes p^+-1/2 from the point, and the generic
   form calls ``_exp``.  Its trial points still go through
   ``check_point``.
 * ``_ray_probe(q, u, p)`` returns a :class:`RayProbe` of a validated
@@ -49,12 +72,8 @@ never a result looked up by the identity or content of an array:
   hyperboloid and the Dikin orthant supply only their guards, and the
   generic form calls ``_exp`` and ``_dist`` per probe.
 
-Values of the objective are not kept here: the solver passes g(p) and
-grad g(p) of the iterate it accepted from the inner solve to the outer
-loop and into the next inner solve as arguments.
-
-All operations are pure functions, so parallel callers need no
-synchronization.
+All operations are pure functions of their arguments, so parallel
+callers need no synchronization as long as they do not share a point.
 """
 
 from __future__ import annotations
@@ -89,9 +108,41 @@ def direction_norm(manifold, q, v):
     return nv
 
 
+_MISSING = object()
+
+
+class Point:
+    """A point of ``manifold`` that passed its ``check_point``, and what
+    derives from it, each computed on first use and kept with the point.
+
+    ``Manifold._point`` builds one from an array that was just checked,
+    so a point is trusted because of its type: ``Manifold.point`` and the
+    solver's entry points check an array once and pass a point of their
+    manifold through.  ``x`` is the checked array and must not be mutated.
+    ``derived(make)`` is ``make(self)``, computed on the first request and
+    kept under ``make``: a problem closure, g or its gradient, or a bound
+    method of a subproblem term.  The point keeps each ``make`` alive with
+    it, so a ``make`` must hold no point.  A geometry adds what every
+    consumer takes from a point (SPD: ``roots``, X^1/2 and X^-1/2).
+    """
+
+    __slots__ = ("manifold", "x", "_derived")
+
+    def __init__(self, manifold, x):
+        self.manifold = manifold
+        self.x = x
+        self._derived = {}
+
+    def derived(self, make):
+        value = self._derived.get(make, _MISSING)
+        if value is _MISSING:
+            value = self._derived[make] = make(self)
+        return value
+
+
 class FlatHorofunction:
     """Busemann function B_{q,v} of one validated ray with v != 0 on a flat
-    geometry, as ``value(p)`` and ``grad(p)`` of validated points.
+    geometry, as ``value(p)`` and ``grad(p)`` of points.
 
     With zero curvature B_{q,v}(p) = -<v, log_q p>_q / |v|_q, so this is the
     geometry's linear model of (q, v) divided by -|v|_q.
@@ -99,7 +150,7 @@ class FlatHorofunction:
 
     def __init__(self, manifold, q, v):
         self.model = manifold._linear_model(q, v)
-        self.nv = direction_norm(manifold, q, v)
+        self.nv = direction_norm(manifold, q.x, v)
 
     def value(self, p):
         return -self.model.value(p) / self.nv
@@ -110,10 +161,11 @@ class FlatHorofunction:
 
 class LinearModel:
     """Linearization term p -> <s, log_q p>_q of the classic subproblem,
-    for validated ``q`` and ``s``, as ``value(p)`` and ``grad(p)``.
+    for a point ``q`` and validated ``s``, as ``value(p)`` and ``grad(p)``
+    of points.
 
     This form calls the kernels on every evaluation; a geometry with fixed
-    per-(q, s) work returns a subclass from ``_linear_model``.
+    per-(q, s) work returns its own model from ``_linear_model``.
     """
 
     def __init__(self, manifold, q, s):
@@ -123,10 +175,10 @@ class LinearModel:
 
     def value(self, p):
         m = self.manifold
-        return m._inner(self.q, self.s, m._log(self.q, p))
+        return m._inner(self.q.x, self.s, m._log(self.q, p.x))
 
     def grad(self, p):
-        return self.manifold._linear_model_grad(self.q, self.s, p)
+        return self.manifold._linear_model_grad(self.q.x, self.s, p.x)
 
 
 class RayProbe:
@@ -174,6 +226,19 @@ class Manifold:
     def check_tangent(self, p, v):
         raise NotImplementedError
 
+    def point(self, x):
+        """``x`` as a :class:`Point`: a point of this manifold as it is,
+        an array (or another manifold's point) after ``check_point``."""
+        if isinstance(x, Point):
+            if x.manifold is self:
+                return x
+            x = x.x
+        return self._point(self.check_point(x))
+
+    def _point(self, x):
+        """The :class:`Point` of an array that passed ``check_point``."""
+        return Point(self, x)
+
     def _as_array(self, x, what="array"):
         a = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(a)):
@@ -201,12 +266,12 @@ class Manifold:
         return self._exp(p, self.check_tangent(p, v))
 
     def _exponential(self, p):
-        """v -> exp_p(v) for a validated ``p``, prepared for repeated
+        """v -> exp_p(v) for a point ``p``, prepared for repeated
         evaluation along one line search."""
-        return functools.partial(self._exp, p)
+        return functools.partial(self._exp, p.x)
 
     def log(self, p, q):
-        return self._log(self.check_point(p), self.check_point(q))
+        return self._log(self.point(p), self.check_point(q))
 
     def dist(self, p, q):
         return self._dist(self.check_point(p), self.check_point(q))
@@ -220,33 +285,34 @@ class Manifold:
 
     def geodesic(self, p, q, t):
         """Point at parameter ``t`` on the geodesic from ``p`` to ``q``."""
-        p = self.check_point(p)
-        return self._exp(p, t * self._log(p, self.check_point(q)))
+        p = self.point(p)
+        return self._exponential(p)(t * self._log(p, self.check_point(q)))
 
     # ------------------------------------------------------------------
     # Busemann functions
     # ------------------------------------------------------------------
 
     def busemann(self, ray: BusemannRay, p):
-        q = self.check_point(ray.base)
-        v = self.check_tangent(q, ray.direction)
-        p = self.check_point(p)
+        q = self.point(ray.base)
+        v = self.check_tangent(q.x, ray.direction)
+        p = self.point(p)
         if np.linalg.norm(v) == 0.0:
-            return self._dist(p, q)
+            return self._dist(p.x, q.x)
         return self._horofunction(q, v).value(p)
 
     def busemann_grad(self, ray: BusemannRay, p):
-        q = self.check_point(ray.base)
-        v = self.check_tangent(q, ray.direction)
-        p = self.check_point(p)
+        q = self.point(ray.base)
+        v = self.check_tangent(q.x, ray.direction)
+        p = self.point(p)
         if np.linalg.norm(v) == 0.0:
-            return self._distance_gradient(q, p)
+            return self._distance_gradient(q.x, p.x)
         return self._horofunction(q, v).grad(p)
 
     def _horofunction(self, q, v):
-        """B_{q,v} of a validated ray with ``np.linalg.norm(v) != 0``, as an
-        object with ``value(p)`` and ``grad(p)``; raises ZeroDirectionError
-        where |v|_q rounds to 0."""
+        """B_{q,v} of a ray from the point ``q`` with a validated direction,
+        ``np.linalg.norm(v) != 0``, as an object with ``value(p)`` and
+        ``grad(p)`` of points; raises ZeroDirectionError where |v|_q rounds
+        to 0."""
         raise NotImplementedError
 
     def _distance_gradient(self, q, p):
@@ -256,7 +322,7 @@ class Manifold:
             raise UndefinedGradientError(
                 f"{self.name}: gradient of a zero-direction ray is undefined "
                 "at the base point")
-        return -self._log(p, q) / d
+        return -self._log(self._point(p), q) / d
 
     # ------------------------------------------------------------------
     # gradients and linear models
@@ -273,13 +339,13 @@ class Manifold:
         ``s`` is a tangent vector at ``q``; the inner product is taken in
         the metric at ``q``.  Used by the classic DC subproblem.
         """
-        q = self.check_point(q)
-        return self._linear_model(q, self.check_tangent(q, s)) \
-            .grad(self.check_point(p))
+        q = self.point(q)
+        return self._linear_model(q, self.check_tangent(q.x, s)) \
+            .grad(self.point(p))
 
     def _linear_model(self, q, s):
-        """p -> <s, log_q p> for validated ``q``, ``s``, prepared for
-        repeated evaluation."""
+        """p -> <s, log_q p> for a point ``q`` and a validated ``s``,
+        prepared for repeated evaluation at points."""
         return LinearModel(self, q, s)
 
     # ------------------------------------------------------------------

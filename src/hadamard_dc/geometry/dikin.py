@@ -49,7 +49,8 @@ class DikinOrthant(Manifold):
         return v
 
     def _inner(self, p, u, v):
-        return float(np.sum(u * v / p**2))
+        # scaled before the product, so that p**2 cannot overflow
+        return float(np.sum((u / p) * (v / p)))
 
     def _exp(self, p, v):
         expo = v / p
@@ -60,6 +61,7 @@ class DikinOrthant(Manifold):
         return p * np.exp(expo)
 
     def _log(self, p, q):
+        p = p.x
         return p * np.log(q / p)
 
     def _dist(self, p, q):

@@ -43,7 +43,7 @@ class Euclidean(Manifold):
         return p + v
 
     def _log(self, p, q):
-        return q - p
+        return q - p.x
 
     def _dist(self, p, q):
         return float(np.linalg.norm(q - p))

@@ -198,6 +198,7 @@ class Hyperboloid(Manifold):
     def _log(self, q, p):
         # log_q p = d * P/|P| with P the projection of p; the ratio d/|P|
         # equals _ucoef(-kappa<q,p>), which stays finite as p -> q
+        q = q.x
         beta = max(-self.kappa * _lorentz(q, p), 1.0)
         v = _ucoef(beta) * self._project(q, p)
         # clean rounding drift in the tangency constraint
@@ -297,9 +298,11 @@ class HyperboloidHorofunction:
     def __init__(self, manifold, q, v):
         self.manifold = manifold
         self.sqrt_kappa = math.sqrt(manifold.kappa)
+        q = q.x
         self.w = manifold._horo_center(q, v, direction_norm(manifold, q, v))
 
     def value(self, p):
+        p = p.x
         arg = -_lorentz(p, self.w)
         if arg <= 0.0:
             slack = 1e-12 * (1.0 + float(np.linalg.norm(p)) *
@@ -316,5 +319,6 @@ class HyperboloidHorofunction:
 
     def grad(self, p):
         m = self.manifold
+        p = p.x
         grad = m._project(p, self.w) / (self.sqrt_kappa * _lorentz(p, self.w))
         return m._project(p, grad)

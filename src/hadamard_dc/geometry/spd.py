@@ -25,8 +25,10 @@ orthogonal factor U), Cholesky-factor U^T Y^-1/2 X Y^-1/2 U = L L^T, and
 with lam_(j) the group representative at index j and D = diag(lam_(j)).
 The value is insensitive to how near-equal eigenvalues are grouped.
 
-Everything in these formulas that depends on the ray alone (Y^1/2,
-Y^-1/2, the split, U) is computed once per ray by
+X^1/2 and X^-1/2 of a point are computed once, by :class:`SPDPoint`,
+and shared by the exponential map, the logarithm and the models built
+at X.  Everything in these formulas that depends on the ray alone (the
+split, U and their products with the roots) is computed once per ray by
 :class:`SPDHorofunction`, the fixed part of the classic linear model
 once per (X_k, S) by :class:`SPDLinearModel`, and the congruence
 reduction of the limit oracle once per ray and point by
@@ -46,7 +48,7 @@ from scipy.linalg.lapack import dgejsv
 
 from ..errors import (DefinitenessError, NumericalDomainError,
                       ValidationError, ZeroDirectionError)
-from .base import LinearModel, Manifold, RayProbe
+from .base import Manifold, Point, RayProbe
 
 
 def sym(a):
@@ -82,7 +84,11 @@ def spd_fun(a, kind):
     of a stack, spectrally."""
     if kind not in _SPD_FUNCS:
         raise ValueError(f"unknown matrix function {kind!r}")
-    w, u = sym_eig(a)
+    return _spectral_fun(*sym_eig(a), kind)
+
+
+def _spectral_fun(w, u, kind):
+    """``spd_fun`` of the matrix with spectrum ``w`` and factor ``u``."""
     if kind in _PD_REQUIRED:
         _require_positive(w, f"matrix function {kind!r}")
     return sym((u * _SPD_FUNCS[kind](w)[..., None, :]) @ u.swapaxes(-1, -2))
@@ -126,7 +132,11 @@ def frechet_log(a, e):
     Divided differences of ln in the eigenbasis of A: the (i, j) weight is
     (ln w_i - ln w_j)/(w_i - w_j), with the limit 1/w_i on the diagonal.
     """
-    w, u = sym_eig(a)
+    return _frechet_log_spectral(*sym_eig(a), e)
+
+
+def _frechet_log_spectral(w, u, e):
+    """``frechet_log`` of the matrix with spectrum ``w`` and factor ``u``."""
     if w.min() <= 0.0:
         raise DefinitenessError(
             "frechet_log needs a positive definite base point "
@@ -237,13 +247,16 @@ class SPDManifold(Manifold):
     def _inner(self, y, u, v):
         return _trace_product(np.linalg.solve(y, u), np.linalg.solve(y, v))
 
+    def _point(self, x):
+        return SPDPoint(self, x)
+
     def _exp(self, y, v):
-        return self._exponential(y)(v)
+        return self._exponential(self._point(y))(v)
 
     def _exponential(self, y):
-        """exp_Y with Y^+-1/2 computed once, for every step of one line
-        search."""
-        yh, yih = spd_roots(y)
+        """exp_Y with Y^+-1/2 taken from the point, for every step of one
+        line search."""
+        yh, yih = y.roots
 
         def exp_y(v):
             w, u = sym_eig(yih @ v @ yih)
@@ -257,9 +270,9 @@ class SPDManifold(Manifold):
         return exp_y
 
     def _log(self, x, y):
-        """log_X(Y); for a stack of points Y, the stack of their logs, with
-        X^+-1/2 computed once and one stacked eigendecomposition."""
-        return _log_at(*spd_roots(x), y)
+        """log_X(Y) from the point X; for a stack of points Y, the stack of
+        their logs, through one stacked eigendecomposition."""
+        return _log_at(*x.roots, y)
 
     def _dist(self, x, y):
         return self._dists(x, spd_fun(y, "invsqrt")[None])[0]
@@ -394,15 +407,31 @@ class SPDRayProbe(RayProbe):
         return float(np.linalg.norm(2.0 * _log_singular_values(a)))
 
 
+def _point_roots(x):
+    return spd_roots(x.x)
+
+
+class SPDPoint(Point):
+    """A point X of P(n) with ``roots`` = (X^1/2, X^-1/2), from one
+    eigendecomposition on first use."""
+
+    __slots__ = ()
+
+    @property
+    def roots(self):
+        return self.derived(_point_roots)
+
+
 class SPDHorofunction:
     """B_{Y,V}, V != 0, with the ray's fixed data computed once: Y^+-1/2
-    (one eigendecomposition), the spectral split of Y^-1/2 V Y^-1/2 (one
-    more) and the products of U with the roots.  An evaluation then costs
-    one Cholesky factorization and a few products.
+    (from the point Y), the spectral split of Y^-1/2 V Y^-1/2 (one
+    eigendecomposition) and the products of U with the roots.  An
+    evaluation then costs one Cholesky factorization, which the point
+    keeps for the gradient there, and a few products.
     """
 
     def __init__(self, manifold, y, v):
-        self.yh, self.yih = spd_roots(y)
+        self.yh, self.yih = y.roots
         self.split = manifold._spectral_split(self.yih, v)
         self.u = self.split.basis
         self.ut_yih = self.u.T @ self.yih
@@ -412,36 +441,43 @@ class SPDHorofunction:
     def _cholesky(self, x):
         # the leading products of u.T @ yih @ x @ yih @ u, evaluated left
         # to right, are the cached ut_yih
-        return chol(self.ut_yih @ x @ self.yih @ self.u)
+        return chol(self.ut_yih @ x.x @ self.yih @ self.u)
 
     def value(self, x):
-        ell = self._cholesky(x)
+        ell = x.derived(self._cholesky)
         return float(-2.0 / self.split.norm_const *
                      np.sum(self.split.per_index * np.log(np.diag(ell))))
 
     def grad(self, x):
-        ell = self._cholesky(x)
+        ell = x.derived(self._cholesky)
         grad = self.yh_u @ (ell @ self.d @ ell.T) @ self.u.T @ self.yh
         return sym(-grad / self.split.norm_const)
 
 
-class SPDLinearModel(LinearModel):
+class SPDLinearModel:
     """p -> <S, log_{X_k} p> with the fixed data of (X_k, S) computed once:
-    X_k^+-1/2 (one eigendecomposition), X_k^-1 S for the value and
-    C S C, C = X_k^-1/2, for the gradient.
+    X_k^+-1/2 (from the point X_k), X_k^-1 S for the value and C S C,
+    C = X_k^-1/2, for the gradient.  Value and gradient at X both start
+    from the eigendecomposition of C X C, which the point keeps.  Holds
+    arrays only, since each point it evaluates keeps it alive.
     """
 
     def __init__(self, manifold, xk, s):
-        super().__init__(manifold, xk, s)
-        self.xkh, self.c = spd_roots(xk)
-        self.xk_inv_s = np.linalg.solve(xk, s)
+        self.xk = xk.x
+        self.xkh, self.c = xk.roots
+        self.xk_inv_s = np.linalg.solve(self.xk, s)
         self.csc = sym(self.c @ s @ self.c)
 
+    def _reduced(self, x):
+        # spectrum of C X C, the argument of Log in log_{X_k} X
+        return sym_eig(self.c @ x.x @ self.c)
+
     def value(self, x):
-        log = _log_at(self.xkh, self.c, x)
-        return _trace_product(self.xk_inv_s, np.linalg.solve(self.q, log))
+        log = sym(self.xkh @ _spectral_fun(*x.derived(self._reduced), "log")
+                  @ self.xkh)
+        return _trace_product(self.xk_inv_s, np.linalg.solve(self.xk, log))
 
     def grad(self, x):
-        a = self.c @ x @ self.c
-        egrad = sym(self.c @ frechet_log(a, self.csc) @ self.c)
-        return sym(x @ egrad @ x)
+        egrad = sym(self.c @ _frechet_log_spectral(*x.derived(self._reduced),
+                                                   self.csc) @ self.c)
+        return sym(x.x @ egrad @ x.x)

@@ -2,8 +2,10 @@
 
 Each constructor returns a ready-made :class:`~hadamard_dc.dc.DCProblem`
 with analytic gradients and known-optimum metadata.  The problem closures
-take points the solver has already validated and call the unchecked
-geometry kernels.
+take a :class:`~hadamard_dc.geometry.base.Point`, which the solver has
+validated, and call the unchecked geometry kernels; what several closures
+need at one point (Rosenbrock's two distances and logs, ln det X, the
+SPD roots) they take from the point, which computes it once.
 """
 
 from __future__ import annotations
@@ -110,18 +112,25 @@ def rosenbrock_problem(params: RosenbrockParams = RosenbrockParams()) -> DCProbl
     def _dists(p):
         return manifold._dist(p, pbar), manifold._dist(p, qbar)
 
+    def _point_dists(p):
+        return _dists(p.x)
+
+    def _sq_dist_grads(p):
+        # gradients -2 log_p(ref) of d_p^2 and d_q^2
+        return -2.0 * manifold._log(p, pbar), -2.0 * manifold._log(p, qbar)
+
     def f(p):
         dp, dq = _dists(p)
         return (a - dp ** theta) ** 2 + b * (dq ** theta
                                              - dp ** (2 * theta)) ** 2
 
     def g(p):
-        dp, dq = _dists(p)
+        dp, dq = p.derived(_point_dists)
         return (a * a + dp ** (2 * theta) + 2 * b * dq ** (2 * theta)
                 + 2 * b * dp ** (4 * theta))
 
     def h(p):
-        dp, dq = _dists(p)
+        dp, dq = p.derived(_point_dists)
         return (2 * a * dp ** theta
                 + b * (dp ** (2 * theta) + dq ** theta) ** 2)
 
@@ -138,17 +147,15 @@ def rosenbrock_problem(params: RosenbrockParams = RosenbrockParams()) -> DCProbl
         return (0.5 * alpha) * d ** (alpha - 2.0) * gsq
 
     def g_rgrad(p):
-        dp, dq = _dists(p)
-        gsq_p = -2.0 * manifold._log(p, pbar)
-        gsq_q = -2.0 * manifold._log(p, qbar)
+        dp, dq = p.derived(_point_dists)
+        gsq_p, gsq_q = p.derived(_sq_dist_grads)
         return (_pow_grad(dp, gsq_p, 2 * theta)
                 + 2 * b * _pow_grad(dq, gsq_q, 2 * theta)
                 + 2 * b * _pow_grad(dp, gsq_p, 4 * theta))
 
     def h_subgrad(p):
-        dp, dq = _dists(p)
-        gsq_p = -2.0 * manifold._log(p, pbar)
-        gsq_q = -2.0 * manifold._log(p, qbar)
+        dp, dq = p.derived(_point_dists)
+        gsq_p, gsq_q = p.derived(_sq_dist_grads)
         u = dp ** (2 * theta) + dq ** theta
         return (2 * a * _pow_grad(dp, gsq_p, theta)
                 + 2 * b * u * (_pow_grad(dp, gsq_p, 2 * theta)
@@ -205,17 +212,20 @@ def academic_problem(params: AcademicParams = AcademicParams()) -> DCProblem:
     x0[-1, 0] += 1.0
     manifold.check_point(x0)        # positive definite for n >= 2
 
+    def _logdet(x):
+        return logdet(x.x)
+
     def g(x):
-        return logdet(x) ** 4
+        return x.derived(_logdet) ** 4
 
     def h(x):
-        return logdet(x) ** 2
+        return x.derived(_logdet) ** 2
 
     def g_rgrad(x):
-        return (4.0 * logdet(x) ** 3) * x
+        return (4.0 * x.derived(_logdet) ** 3) * x.x
 
     def h_subgrad(x):
-        return (2.0 * logdet(x)) * x
+        return (2.0 * x.derived(_logdet)) * x.x
 
     metadata = {
         "f_star": -0.25,
@@ -296,16 +306,17 @@ def contrastive_problem(params: ContrastiveParams, rng,
     def sq_dist_sum(weights, refs):
         # sum_i w_i d^2(X, R_i) and its gradient -2 sum_i w_i log_X(R_i);
         # the references go through the kernels as one (k, n, n) stack,
-        # with each R_i^-1/2 computed here once
+        # with each R_i^-1/2 computed here once and X^+-1/2 taken from the
+        # point
         stack = np.array(refs, dtype=float).reshape(-1, params.n, params.n)
         invsqrt = spd_fun(stack, "invsqrt")
 
         def value(x):
             return float(sum(w * d ** 2 for w, d in
-                             zip(weights, manifold._dists(x, invsqrt))))
+                             zip(weights, manifold._dists(x.x, invsqrt))))
 
         def grad(x):
-            out = manifold.zero_tangent(x)
+            out = manifold.zero_tangent(x.x)
             for w, log in zip(weights, manifold._log(x, stack)):
                 out = out - 2.0 * w * log
             return out          # exactly symmetric, as each log is

@@ -189,10 +189,10 @@ def _euclidean_sc_instance(manifold, z1, z2):
                + float(z1 @ z1) - 0.5 * float(z2 @ z2))
     return DCProblem(
         manifold=manifold,
-        g=lambda p: float((p - z1) @ (p - z1)),
-        h=lambda p: 0.5 * float((p - z2) @ (p - z2)),
-        h_subgrad=lambda p: p - z2,
-        g_rgrad=lambda p: 2.0 * (p - z1),
+        g=lambda p: float((p.x - z1) @ (p.x - z1)),
+        h=lambda p: 0.5 * float((p.x - z2) @ (p.x - z2)),
+        h_subgrad=lambda p: p.x - z2,
+        g_rgrad=lambda p: 2.0 * (p.x - z1),
         sigma=2.0, phi_inf=phi_inf, name="euclid-strongly-convex")
 
 

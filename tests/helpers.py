@@ -12,6 +12,12 @@ def rel_err(got, want):
     return np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want))
 
 
+def on_arrays(manifold, fn):
+    """A function of a point (a problem closure, a subproblem term) as a
+    function of an array, which it checks into a point first."""
+    return lambda p: fn(manifold.point(p))
+
+
 def all_geometries():
     return [Euclidean(5), DikinOrthant(3), Hyperboloid(2), Hyperboloid(5),
             SPDManifold(3)]

@@ -20,7 +20,7 @@ from hadamard_dc import (AcademicParams, BusemannRay, ContrastiveParams,
                          make_cr_subproblem, make_rng, random_start,
                          rosenbrock_problem, run_dca)
 from hadamard_dc.geometry import frechet_log, spd_fun, sym
-from helpers import bounded_point, rel_err
+from helpers import bounded_point, on_arrays, rel_err
 
 ALGS = ("cr_dca", "b_dca")
 
@@ -199,13 +199,14 @@ def _gradient_cases():
         contrastive_problem(ContrastiveParams(n=5, m=5, r=1), make_rng(2)),
     ]
     for prob in problems:
-        cases.append((f"{prob.name} grad_h", prob.manifold, prob.h,
-                      prob.h_subgrad))
-        cases.append((f"{prob.name} grad_g", prob.manifold, prob.g,
-                      prob.g_rgrad))
+        m = prob.manifold
+        cases.append((f"{prob.name} grad_h", m, on_arrays(m, prob.h),
+                      on_arrays(m, prob.h_subgrad)))
+        cases.append((f"{prob.name} grad_g", m, on_arrays(m, prob.g),
+                      on_arrays(m, prob.g_rgrad)))
         rng_p = make_rng(3)
         p_k = random_start(prob, rng_p)
-        s_k = prob.h_subgrad(p_k)
+        s_k = prob.h_subgrad(m.point(p_k))
         for label, make in (("psi_k", make_cr_subproblem),
                             ("phi_k", make_b_subproblem)):
             obj = make(prob, p_k, s_k)
@@ -308,10 +309,10 @@ def _euclid_sc_instance(rng):
                - 0.5 * float((pstar - z2) @ (pstar - z2)))
     return DCProblem(
         manifold=m,
-        g=lambda p: float((p - z1) @ (p - z1)),
-        h=lambda p: 0.5 * float((p - z2) @ (p - z2)),
-        h_subgrad=lambda p: p - z2,
-        g_rgrad=lambda p: 2.0 * (p - z1),
+        g=lambda p: float((p.x - z1) @ (p.x - z1)),
+        h=lambda p: 0.5 * float((p.x - z2) @ (p.x - z2)),
+        h_subgrad=lambda p: p.x - z2,
+        g_rgrad=lambda p: 2.0 * (p.x - z1),
         sigma=2.0, phi_inf=phi_inf, name="euclid-sc")
 
 

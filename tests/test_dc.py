@@ -18,10 +18,10 @@ def euclid_quadratic(n, c):
     m = Euclidean(n)
     return DCProblem(
         manifold=m,
-        g=lambda p: float(p @ p),
-        h=lambda p: float(c @ p),
+        g=lambda p: float(p.x @ p.x),
+        h=lambda p: float(c @ p.x),
         h_subgrad=lambda p: c.copy(),
-        g_rgrad=lambda p: 2.0 * p,
+        g_rgrad=lambda p: 2.0 * p.x,
         sigma=0.0, phi_inf=None, name="euclid-quadratic")
 
 
@@ -33,10 +33,10 @@ def euclid_strongly_convex(z1, z2):
                - 0.5 * float((pstar - z2) @ (pstar - z2)))
     return DCProblem(
         manifold=m,
-        g=lambda p: float((p - z1) @ (p - z1)),
-        h=lambda p: 0.5 * float((p - z2) @ (p - z2)),
-        h_subgrad=lambda p: p - z2,
-        g_rgrad=lambda p: 2.0 * (p - z1),
+        g=lambda p: float((p.x - z1) @ (p.x - z1)),
+        h=lambda p: 0.5 * float((p.x - z2) @ (p.x - z2)),
+        h_subgrad=lambda p: p.x - z2,
+        g_rgrad=lambda p: 2.0 * (p.x - z1),
         sigma=2.0, phi_inf=phi_inf, name="euclid-sc")
 
 
@@ -60,7 +60,8 @@ def test_cr_subproblem_euclidean():
     assert obj.value(p) == pytest.approx(float(p @ p) - float(s_k @ (p - p_k)),
                                          rel=1e-12)
     np.testing.assert_allclose(obj.grad(p), 2 * p - s_k, rtol=1e-12)
-    assert obj.value(p_k) == pytest.approx(prob.g(p_k), rel=1e-12)
+    assert obj.value(p_k) == pytest.approx(prob.g(prob.manifold.point(p_k)),
+                                           rel=1e-12)
 
 
 def test_b_subproblem_matches_cr_on_flat():
@@ -82,7 +83,7 @@ def test_b_subproblem_zero_subgradient_reduces_to_g():
     p_k = np.array([1.0, 1.0])
     obj = make_b_subproblem(prob, p_k, np.zeros(2))
     p = np.array([0.3, -0.7])
-    assert obj.value(p) == prob.g(p)
+    assert obj.value(p) == prob.g(prob.manifold.point(p))
     np.testing.assert_allclose(obj.grad(p), 2 * p)
 
 
@@ -93,10 +94,10 @@ def test_b_subproblem_subgradient_norm_underflow_raises():
     m = DikinOrthant(3)
     prob = DCProblem(
         manifold=m,
-        g=lambda p: float(np.sum(np.log(p) ** 2)),
+        g=lambda p: float(np.sum(np.log(p.x) ** 2)),
         h=lambda p: 0.0,
         h_subgrad=lambda p: np.zeros(3),
-        g_rgrad=lambda p: 2.0 * np.log(p) * p,
+        g_rgrad=lambda p: 2.0 * np.log(p.x) * p.x,
         name="dikin-quadratic")
     p_k = np.full(3, 1e200)
     with pytest.raises(ZeroDirectionError):
@@ -109,15 +110,15 @@ def test_b_subproblem_value_at_base_and_convexity():
     z = m.random_point(rng)
     prob = DCProblem(
         manifold=m,
-        g=lambda p: m.dist(p, z) ** 2,
+        g=lambda p: m.dist(p.x, z) ** 2,
         h=lambda p: 0.0,
-        h_subgrad=lambda p: m.random_tangent(p, make_rng(99)),
-        g_rgrad=lambda p: -2.0 * m.log(p, z),
+        h_subgrad=lambda p: m.random_tangent(p.x, make_rng(99)),
+        g_rgrad=lambda p: -2.0 * m.log(p.x, z),
         name="hyp-quadratic")
     p_k = m.random_point(rng)
     s_k = m.random_tangent(p_k, rng)
     obj = make_b_subproblem(prob, p_k, s_k)
-    assert obj.value(p_k) == pytest.approx(prob.g(p_k), rel=1e-12)
+    assert obj.value(p_k) == pytest.approx(prob.g(m.point(p_k)), rel=1e-12)
     for _ in range(20):
         p1 = m.random_point(rng)
         p2 = m.random_point(rng)
@@ -131,28 +132,27 @@ def test_inner_solve_quadratic():
     prob = euclid_quadratic(2, c)
     p0 = np.array([5.0, 5.0])
     obj = make_cr_subproblem(prob, p0, c)
-    p, iters, (g_p, g_grad_p) = inner_solve(
-        obj, p0, 1e-8, prob.manifold, obj.g_values(p0))
-    np.testing.assert_allclose(p, c / 2, atol=1e-7)
+    p, iters = inner_solve(obj, p0, 1e-8, prob.manifold)
+    np.testing.assert_allclose(p.x, c / 2, atol=1e-7)
     assert iters > 0
-    # the returned values of g are those of the returned point
-    assert g_p == prob.g(p)
-    np.testing.assert_array_equal(g_grad_p, prob.g_rgrad(p))
+    # the returned point carries the values of g there
+    fresh = prob.manifold.point(p.x.copy())
+    assert p.derived(prob.g) == prob.g(fresh)
+    np.testing.assert_array_equal(p.derived(prob.g_rgrad),
+                                  prob.g_rgrad(fresh))
     assert obj.value(p) <= obj.value(p0) + 1e-12
     # starting at the minimizer costs zero iterations
-    p2, iters2, _ = inner_solve(obj, c / 2, 1e-8, prob.manifold,
-                                obj.g_values(c / 2))
+    p2, iters2 = inner_solve(obj, c / 2, 1e-8, prob.manifold)
     assert iters2 == 0
-    np.testing.assert_array_equal(p2, c / 2)
+    np.testing.assert_array_equal(p2.x, c / 2)
 
 
 def test_inner_solve_monotone_on_spd_subproblem():
     prob = academic_problem(AcademicParams(n=4))
     x0 = prob.metadata["fixed_start"]
-    s = prob.h_subgrad(x0)
+    s = prob.h_subgrad(prob.manifold.point(x0))
     obj = make_b_subproblem(prob, x0, s)
-    p, iters, _ = inner_solve(obj, x0, 1e-6, prob.manifold,
-                              obj.g_values(x0))
+    p, iters = inner_solve(obj, x0, 1e-6, prob.manifold)
     assert obj.value(p) <= obj.value(x0) + 1e-12
     assert iters > 0
 
@@ -161,14 +161,14 @@ def test_inner_solve_checks_start_and_each_trial_once(monkeypatch):
     prob = rosenbrock_problem(RosenbrockParams())
     m = prob.manifold
     p0 = random_start(prob, make_rng(3))
-    obj = make_b_subproblem(prob, p0, prob.h_subgrad(p0))
+    obj = make_b_subproblem(prob, p0, prob.h_subgrad(m.point(p0)))
     calls = {"check_point": 0, "_exp": 0}       # one _exp per trial
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(m, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(m, name, counted)
-    _, iters, _ = inner_solve(obj, p0, 1e-6, m, obj.g_values(p0))
+    _, iters = inner_solve(obj, p0, 1e-6, m)
     assert calls["_exp"] >= iters > 0
     assert calls["check_point"] == 1 + calls["_exp"]
 
@@ -178,11 +178,11 @@ def test_inner_solve_stalls_on_ascent_gradient():
     # a deliberately wrong provider: the "gradient" points away from any
     # descent direction, so no step can satisfy the Armijo test
     from hadamard_dc.dc import SubproblemObjective
-    bad = SubproblemObjective(g=lambda p: float(p @ p),
+    bad = SubproblemObjective(g=lambda p: float(p.x @ p.x),
                               g_grad=lambda p: np.array([-10.0, 0.0]))
     start = np.array([1.0, 0.0])
     with pytest.raises(StalledInnerSolveError) as err:
-        inner_solve(bad, start, 1e-10, m, bad.g_values(start))
+        inner_solve(bad, start, 1e-10, m)
     np.testing.assert_array_equal(err.value.best_point, [1.0, 0.0])
 
 
@@ -194,11 +194,11 @@ def test_inner_solve_stall_after_progress_returns():
     e1 = np.array([1.0, 0.0])
     # exact at the start, uphill everywhere after it
     obj = SubproblemObjective(
-        g=lambda p: float(p @ p),
-        g_grad=lambda p: 2.0 * p if np.array_equal(p, start) else -2.0 * p - e1)
-    p, iters, _ = inner_solve(obj, start, 1e-10, Euclidean(2),
-                          obj.g_values(start))
-    np.testing.assert_array_equal(p, [0.0, 0.0])
+        g=lambda p: float(p.x @ p.x),
+        g_grad=lambda p: 2.0 * p.x if np.array_equal(p.x, start)
+        else -2.0 * p.x - e1)
+    p, iters = inner_solve(obj, start, 1e-10, Euclidean(2))
+    np.testing.assert_array_equal(p.x, [0.0, 0.0])
     assert iters == 1
 
 
@@ -209,10 +209,10 @@ def test_run_dca_stall_carries_partial_trace(alg):
     e1 = np.array([1.0, 0.0])
     prob = DCProblem(
         manifold=Euclidean(2),
-        g=lambda p: float(p @ p),
+        g=lambda p: float(p.x @ p.x),
         h=lambda p: 0.0,
         h_subgrad=lambda p: np.zeros(2),
-        g_rgrad=lambda p: -2.0 * p - e1,      # uphill: no Armijo step exists
+        g_rgrad=lambda p: -2.0 * p.x - e1,    # uphill: no Armijo step exists
         name="uphill-gradient")
     with pytest.raises(StalledInnerSolveError) as err:
         run_dca(prob, np.array([1.0, 0.0]), SolverConfig(algorithm=alg))
@@ -320,8 +320,8 @@ def test_stationarity_surrogate_at_step_exit():
         tr = run_dca(prob, x0, SolverConfig(algorithm=alg))
         assert tr.exit_reason in ("grad", "step")
         m = prob.manifold
-        p = tr.final.point
-        resid = m.norm(p, prob.g_rgrad(p) - prob.h_subgrad(p)) * tr.gamma
+        p = m.point(tr.final.point)
+        resid = m.norm(p.x, prob.g_rgrad(p) - prob.h_subgrad(p)) * tr.gamma
         assert resid <= 10.0 * tr.eps
 
 
@@ -336,7 +336,7 @@ def test_config_validation():
         SolverConfig(algorithm="gd")
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            inner_solve(None, None, tol, None, None)
+            inner_solve(None, None, tol, None)
 
 
 def test_phi_grad_requires_provider():
@@ -352,8 +352,8 @@ def test_fd_fallback_and_gradient_free_outer_loop(caplog):
     m = Euclidean(2)
     prob = DCProblem(
         manifold=m,
-        g=lambda p: float(p @ p),
-        h=lambda p: float(c @ p),
+        g=lambda p: float(p.x @ p.x),
+        h=lambda p: float(c @ p.x),
         h_subgrad=lambda p: c.copy(),
         name="gradient-free")
     p = np.array([0.7, -0.4])
@@ -365,7 +365,8 @@ def test_fd_fallback_and_gradient_free_outer_loop(caplog):
         with caplog.at_level(logging.WARNING, logger="hadamard_dc.dc"):
             obj = make(prob, np.zeros(2), s_k)
         assert not obj.analytic
-        assert obj.g_values(p) == (prob.g(p), None)
+        assert obj.value(p) == prob.g(m.point(p)) + (
+            0.0 if obj.term is None else obj.term(m.point(p)))
         assert sum("finite differences" in r.message
                    for r in caplog.records) == 1
         np.testing.assert_allclose(obj.grad(p), want, atol=1e-5)
@@ -385,8 +386,8 @@ def test_gradient_free_outer_loop_takes_one_subgradient_per_step():
     calls = []
     prob = DCProblem(
         manifold=Euclidean(2),
-        g=lambda p: float(p @ p),
-        h=lambda p: float(c @ p),
+        g=lambda p: float(p.x @ p.x),
+        h=lambda p: float(c @ p.x),
         h_subgrad=lambda p: calls.append(p) or c.copy(),
         name="gradient-free")
     trace = run_dca(prob, np.array([4.0, 4.0]),
@@ -436,14 +437,15 @@ def _contrastive_start():
 @pytest.mark.parametrize("instance", [_valley_start, _contrastive_start])
 def test_run_dca_evaluates_each_point_once(instance, alg, monkeypatch):
     """g once per trial point and grad g once per accepted inner iterate,
-    carried from the inner solve to the outer tests and into the next
-    inner solve; p0 adds one g and two grad g (scale_factor and the
-    gradient test).  One prepared exponential per line search."""
+    carried on the point from the inner solve to the outer tests and into
+    the next inner solve; p0 adds one g and one grad g, which scale_factor
+    and the gradient test share.  One prepared exponential per line
+    search."""
     prob, start = instance()
     trace, counts = _counting_run(prob, start, alg, monkeypatch)
     assert trace.exit_reason in ("grad", "step", "fixed_point")
     assert trace.k > 0 and counts["trials"] > counts["line_searches"]
-    assert counts["g_rgrad"] == trace.inner_total + 2
+    assert counts["g_rgrad"] == trace.inner_total + 1
     assert counts["g"] == counts["trials"] + 1
     assert counts["h"] == len(trace.records)
     # every accepted step ends one line search; at most one more per
@@ -453,8 +455,9 @@ def test_run_dca_evaluates_each_point_once(instance, alg, monkeypatch):
 
 
 def test_spd_exponential_takes_its_roots_once_per_line_search(monkeypatch):
-    """On SPD the prepared exponential computes X^+-1/2 once, when it is
-    built, and its trial steps compute none."""
+    """On SPD the prepared exponential takes X^+-1/2 from the point, where
+    the gradient of g at that iterate has already put them, so neither
+    its build nor its trial steps compute any."""
     from hadamard_dc.geometry import SPDManifold, spd
     counts = {"roots": 0, "builds": 0, "build_roots": 0, "trial_roots": 0,
               "trials": 0}
@@ -478,11 +481,11 @@ def test_spd_exponential_takes_its_roots_once_per_line_search(monkeypatch):
             return out
         return trial
 
+    instances = [_contrastive_start() for _ in range(2)]
     monkeypatch.setattr(spd, "spd_roots", counted_roots)
     monkeypatch.setattr(SPDManifold, "_exponential", counted_exponential)
-    for alg in ("cr_dca", "b_dca"):
-        prob, start = _contrastive_start()
+    for alg, (prob, start) in zip(("cr_dca", "b_dca"), instances):
         run_dca(prob, start, SolverConfig(algorithm=alg))
     assert counts["trials"] > counts["builds"] > 0
-    assert counts["build_roots"] == counts["builds"]
+    assert counts["build_roots"] == 0
     assert counts["trial_roots"] == 0

@@ -110,6 +110,22 @@ def test_busemann_direction_norm_underflow_raises():
         m.busemann_grad(ray, np.ones(3))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dikin_inner_at_huge_base_point_does_not_overflow():
+    # q_i^2 overflows at q = 1e200, while (u/q)(v/q) is representable; the
+    # underflowing direction still raises ZeroDirectionError, silently
+    m = DikinOrthant(3)
+    q = np.full(3, 1e200)
+    assert m.inner(q, q, 2.0 * q) == 6.0
+    assert m.norm(q, q) == math.sqrt(3.0)
+    assert m._norm(q, np.full(3, 1e-100)) == 0.0
+    ray = BusemannRay(q, np.full(3, 1e-100))
+    with pytest.raises(ZeroDirectionError):
+        m.busemann(ray, np.ones(3))
+    with pytest.raises(ZeroDirectionError):
+        m.busemann_grad(ray, np.ones(3))
+
+
 def reference_busemann(m, q, v, p):
     """The per-call flat formulas that the linear-model form replaced."""
     if isinstance(m, Euclidean):
@@ -135,14 +151,14 @@ def test_flat_horofunction_matches_per_call_formulas(manifold):
         q = m.random_point(rng)
         v = 10.0 ** rng.uniform(-3.0, 3.0) * m.random_tangent(q, rng)
         p = m.random_point(rng)
-        horo = m._horofunction(q, v)
+        horo = m._horofunction(m._point(q), v)
         ray = BusemannRay(q, v)
         value = m.busemann(ray, p)
-        assert same(horo.value(p), value)
+        assert same(horo.value(m._point(p)), value)
         want = reference_busemann(m, q, v, p)
         assert abs(value - want) <= 8.0 * EPS * (1.0 + abs(want))
         grad = m.busemann_grad(ray, p)
-        assert same(horo.grad(p), grad)
+        assert same(horo.grad(m._point(p)), grad)
         assert same(grad, reference_busemann_grad(m, q, v, p))
 
 

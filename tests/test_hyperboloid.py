@@ -362,7 +362,7 @@ def test_prepared_horofunction_matches_per_call(seed, n, kappa, log10_nv,
         10.0 ** log10_nv * random_unit_tangent(m, q, rng)
     # a zero direction is answered by the public calls alone, so only a
     # nonzero one has a prepared horofunction
-    horo = None if zero else m._horofunction(q, v)
+    horo = None if zero else m._horofunction(m._point(q), v)
     ray = BusemannRay(q, v)
     # one prepared object, evaluated in turn at several points as the
     # inner solver does (the base point included, where a zero direction
@@ -373,8 +373,9 @@ def test_prepared_horofunction_matches_per_call(seed, n, kappa, log10_nv,
         grad = outcome(m.busemann_grad, ray, p)
         assert same(grad, outcome(reference_busemann_grad, m, q, v, p))
         if horo is not None:
-            assert same(outcome(horo.value, p), value)
-            assert same(outcome(horo.grad, p), grad)
+            pt = m._point(p)
+            assert same(outcome(horo.value, pt), value)
+            assert same(outcome(horo.grad, pt), grad)
 
 
 @settings(max_examples=80, deadline=None)

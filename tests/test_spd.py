@@ -448,7 +448,7 @@ def test_prepared_horofunction_matches_per_call(seed, n, log10_cond, kind):
     v = direction(y, rng, kind)
     # a zero direction is answered by the public calls alone, so only a
     # nonzero one has a prepared horofunction
-    horo = None if kind == "zero" else m._horofunction(y, v)
+    horo = None if kind == "zero" else m._horofunction(m._point(y), v)
     if kind == "repeated" and log10_cond <= 4.0:
         assert max(horo.split.multiplicities) >= 2     # grouping path
     ray = BusemannRay(y, v)
@@ -461,8 +461,11 @@ def test_prepared_horofunction_matches_per_call(seed, n, log10_cond, kind):
         grad = outcome(m.busemann_grad, ray, x)
         assert same(grad, outcome(reference_busemann_grad, m, y, v, x))
         if horo is not None:
-            assert same(outcome(horo.value, x), value)
-            assert same(outcome(horo.grad, x), grad)
+            # the gradient reuses the Cholesky factor the value put on
+            # the point
+            pt = m._point(x)
+            assert same(outcome(horo.value, pt), value)
+            assert same(outcome(horo.grad, pt), grad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -474,12 +477,15 @@ def test_prepared_linear_model_matches_per_call(seed, n, log10_cond):
     rng = np.random.default_rng(seed)
     y = conditioned_spd(n, rng, log10_cond)
     s = direction(y, rng, "generic")
-    model = m._linear_model(y, s)
+    model = m._linear_model(m._point(y), s)
     for _ in range(3):
         x = conditioned_spd(n, rng, rng.uniform(0.0, log10_cond))
-        assert same(outcome(model.value, x),
+        # the gradient reuses the spectrum of C X C the value put on the
+        # point
+        pt = m._point(x)
+        assert same(outcome(model.value, pt),
                     outcome(reference_linear_model, y, s, x))
-        grad = outcome(model.grad, x)
+        grad = outcome(model.grad, pt)
         assert same(grad, outcome(reference_linear_model_grad, y, s, x))
         assert same(grad, outcome(m.linear_model_grad, y, s, x))
 
