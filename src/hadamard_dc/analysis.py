@@ -90,9 +90,9 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
     underflowing far out on the ray); a probe of the base schedule that
     does so raises :class:`~hadamard_dc.errors.NumericalDomainError`.
     """
-    q = manifold.check_point(ray.base)
-    v = manifold.check_tangent(q, ray.direction)
-    p = manifold.check_point(p)
+    q = manifold.point(ray.base)
+    v = manifold.check_tangent(q.x, ray.direction)
+    p = manifold._array(p)
     nv = manifold._norm(q, v)
     if nv == 0.0:
         raise ZeroDirectionError(
@@ -169,13 +169,16 @@ class SupportCheckReport:
         return self.violations == 0
 
 
-def _bounded_sample(manifold, q, radius, rng):
-    w = manifold.random_tangent(q, rng)
-    nw = manifold.norm(q, w)
-    if nw == 0.0:
-        return q
-    r = rng.uniform(0.0, radius)
-    return manifold.exp(q, (r / nw) * w)
+def _support_term(manifold, q, s):
+    """p -> |s|_q B_{q,s}(p) at points p, for the point ``q`` and a
+    validated ``s``, with the horofunction built once.  s = 0 is decided
+    on the array, as the solver does, and gives the zero term; a nonzero
+    s whose norm rounds to 0 raises ZeroDirectionError."""
+    if np.linalg.norm(s) == 0.0:
+        return lambda p: 0.0
+    horo = manifold._horofunction(q, s)
+    ns = manifold._norm(q, s)
+    return lambda p: ns * horo.value(p)
 
 
 def support_check(manifold, f, subgrad, sigma, q, samples, rng,
@@ -183,26 +186,26 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
     """Check the support inequality for ``f`` at ``q`` over random points.
 
     ``subgrad`` maps a point to an element of the subdifferential there.
-    Sample points are drawn within geodesic distance ``radius`` of ``q``.
-    A sample violates when the right-hand side exceeds f(p) by more than
-    ``slack``.
+    Sample points are drawn within geodesic distance ``radius`` of ``q``
+    by ``manifold.random_point_near``.  A sample violates when the
+    right-hand side exceeds f(p) by more than ``slack``.  ``f`` and
+    ``subgrad`` take arrays.
     """
-    q = manifold.check_point(q)
-    s = subgrad(q)
-    ns = manifold.norm(q, s)
-    fq = f(q)
-    ray = BusemannRay(q, s)
+    q = manifold.point(q)
+    support = _support_term(manifold, q,
+                            manifold.check_tangent(q.x, subgrad(q.x)))
+    fq = f(q.x)
     worst = -np.inf
     witness = None
     violations = 0
     for _ in range(samples):
-        p = _bounded_sample(manifold, q, radius, rng)
-        bus = manifold.busemann(ray, p) if ns > 0.0 else 0.0
-        rhs = fq - ns * bus + 0.5 * sigma * manifold.dist(p, q) ** 2
-        gap = rhs - f(p)
+        x = manifold.random_point_near(q, radius, rng)
+        p = manifold.point(x)
+        rhs = fq - support(p) + 0.5 * sigma * manifold._dist(x, q.x) ** 2
+        gap = rhs - f(x)
         if gap > worst:
             worst = gap
-            witness = p
+            witness = x
         if gap > slack:
             violations += 1
     return SupportCheckReport(samples=samples, max_violation=float(worst),
@@ -226,12 +229,10 @@ def bregman_busemann(manifold, psi, psi_grad, p, q):
 
     When grad psi(q) = 0 the product is defined as 0, keeping D continuous
     in the gradient and equal to the plain difference psi(p) - psi(q).
+    ``psi`` and ``psi_grad`` take arrays.
     """
-    p = manifold.check_point(p)
-    q = manifold.check_point(q)
-    g = psi_grad(q)
-    ng = manifold.norm(q, g)
-    base = psi(p) - psi(q)
-    if ng == 0.0:
-        return float(base)
-    return float(base + ng * manifold.busemann(BusemannRay(q, g), p))
+    p = manifold.point(p)
+    q = manifold.point(q)
+    support = _support_term(manifold, q,
+                            manifold.check_tangent(q.x, psi_grad(q.x)))
+    return float(psi(p.x) - psi(q.x) + support(p))

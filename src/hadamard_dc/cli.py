@@ -24,6 +24,7 @@ import sys
 
 from .bench import (family_params, records_to_csv, records_to_json,
                     run_benchmark, solver_configs)
+from .rng import check_seeds
 from .verify import run_verify
 
 
@@ -102,9 +103,12 @@ def main(argv=None):
     try:
         if args.subcommand == "verify":
             run_verify(seeds=(), tol_scale=args.tol_scale)
+            for seed in args.seed or ():
+                check_seeds(seed)
         else:
             family_params(args.subcommand, args)
             solver_configs(args)
+            check_seeds(args.seed, args.runs)
     except ValueError as exc:
         print(f"{parser.prog} {args.subcommand}: error: {exc}",
               file=sys.stderr)

@@ -14,14 +14,15 @@ tolerance is tied to the outer stopping tolerance.
 Every iterate and trial point is a prepared point
 (:class:`~hadamard_dc.geometry.base.Point`), built by ``Manifold._point``
 right after ``check_point``: once for p0 in ``run_dca`` and once per
-line-search trial in ``inner_solve``.  The problem closures, the
-subproblem term and the geometry kernels take it and keep on it what they
-derive from it, so each is computed once per point: the SPD roots, g and
-grad g, the subgradient of h, and the term's factorizations.  The point a
-trial reaches carries them out of the inner solve to the outer tests and
-into the next subproblem.  A point is trusted because of its type:
-``make_cr_subproblem``, ``make_b_subproblem`` and ``inner_solve`` check
-an array once and skip ``check_point`` for a point.
+line-search trial in ``inner_solve``.  It is the argument of the problem
+closures and of the subproblem term and the base point of every geometry
+kernel; each keeps on it what it derives from it, so the SPD roots, g
+and grad g, the subgradient of h and the term's factorizations are
+computed once per point.  The point a trial reaches carries them out of
+the inner solve to the outer tests and into the next subproblem.  A
+point is trusted because of its type: ``make_cr_subproblem``,
+``make_b_subproblem`` and ``inner_solve`` check an array once and skip
+``check_point`` for a point.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ class SubproblemObjective:
         if self.g_grad is None:
             m = self.manifold
             return fd_riemannian_grad(m, lambda x: self.value(m._point(x)),
-                                      p.x)
+                                      p)
         g_grad_p = p.derived(self.g_grad)
         return g_grad_p if self.term_grad is None \
             else g_grad_p + self.term_grad(p)
@@ -208,7 +209,7 @@ def scale_factor(problem: DCProblem, p0):
 def _grad_norm(problem, p):
     """|grad phi(p)|_p at a point, with grad phi checked as a tangent."""
     m = problem.manifold
-    return m._norm(p.x, m.check_tangent(p.x, problem.phi_grad(p)))
+    return m._norm(p, m.check_tangent(p.x, problem.phi_grad(p)))
 
 
 def _objective(problem: DCProblem, kind, term=None,
@@ -252,7 +253,7 @@ def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     if np.linalg.norm(s_k) == 0.0:
         return _objective(problem, "horofunction")
     horo = manifold._horofunction(p_k, s_k)
-    ns = manifold._norm(p_k.x, s_k)
+    ns = manifold._norm(p_k, s_k)
     return _objective(problem, "horofunction", lambda p: ns * horo.value(p),
                       lambda p: ns * horo.grad(p))
 
@@ -268,13 +269,14 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
 
     The first trial step is 1, later ones a secant estimate along the
     previous ray; a trial is shrunk by ``_BACKTRACK`` until the Armijo
-    test with ``_ARMIJO_C1`` holds.  All trials from one iterate share
-    one prepared exponential map (``manifold._exponential``).  Stops
-    when the subproblem gradient norm drops to ``tol``, after
-    ``_MAX_INNER_ITERS`` steps, when the sufficient-decrease test falls
-    below double-precision resolution of the objective (the point is then
-    as converged as evaluations allow), or when a line search after an
-    accepted step runs out of ``_MAX_HALVINGS`` halvings.  Raises
+    test with ``_ARMIJO_C1`` holds.  Every trial is ``manifold._exp`` at
+    the iterate's point, so the trials from one iterate share what the
+    point keeps (the SPD roots).  Stops when the subproblem gradient norm
+    drops to ``tol``, after ``_MAX_INNER_ITERS`` steps, when the
+    sufficient-decrease test falls below double-precision resolution of
+    the objective (the point is then as converged as evaluations allow),
+    or when a line search after an accepted step runs out of
+    ``_MAX_HALVINGS`` halvings.  Raises
     StalledInnerSolveError if the first line search runs out of them.
     ``start``, unless it is a point already, and every trial point out of
     the exponential map are validated and made points, so the objective
@@ -286,7 +288,7 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
     p = manifold.point(start)
     fp = objective.value(p)
     g = objective.grad(p)
-    gn = manifold._norm(p.x, g)
+    gn = manifold._norm(p, g)
     iters = 0
     alpha_prev = None
     fp_prev = None
@@ -313,11 +315,11 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
         accepted = False
         floored = False
         decrease_floor = 8.0 * eps_mach * (1.0 + abs(fp))
-        exp_p = manifold._exponential(p)
         for _ in range(_MAX_HALVINGS):
             required = _ARMIJO_C1 * alpha * gn * gn
             try:
-                cand = manifold._point(manifold.check_point(exp_p(-alpha * g)))
+                cand = manifold._point(
+                    manifold.check_point(manifold._exp(p, -alpha * g)))
                 fc = objective.value(cand)
             except (OverflowError, FloatingPointError, NumericalDomainError,
                     ValidationError):
@@ -353,7 +355,7 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
         fp_prev, gn_prev, alpha_prev = fp, gn, alpha
         p, fp = cand, fc
         g = objective.grad(p)
-        gn = manifold._norm(p.x, g)
+        gn = manifold._norm(p, g)
         iters += 1
 
     return p, iters

@@ -1,6 +1,6 @@
 """Manifold interface shared by all geometries.
 
-Points and tangent vectors are plain numpy arrays whose interpretation is
+Points and tangent vectors are numpy arrays whose interpretation is
 owned by the manifold object (vectors for the flat and hyperbolic
 geometries, symmetric matrices for the SPD geometry).  Validation happens
 at the public boundary:
@@ -8,29 +8,24 @@ at the public boundary:
 * public methods validate every argument on every call and raise
   :class:`~hadamard_dc.errors.ValidationError` naming the violated
   constraint;
-* the ``_``-prefixed kernels behind them (``_inner``, ``_norm``, ``_exp``,
-  ``_exponential``, ``_log``, ``_dist``, ``_horofunction``,
-  ``_linear_model``) validate nothing and are for callers that already
-  hold validated values, as is the limit oracle's one hook,
-  ``_ray_probe``;
+* the ``_``-prefixed kernels behind them validate nothing and are for
+  callers that already hold validated values;
 * an array is never trusted for having been checked before, so an array
   mutated after a check is checked again on its next public call.
 
-A :class:`Point` is a checked array together with what derives from it,
-each computed on first use and kept with the point:
+A kernel's base point is a :class:`Point`; every other point argument
+is an array.  A point is a checked array together with what derives from
+it, each computed on first use and kept with the point:
 
 * ``Manifold._point(x)`` wraps an array right after ``check_point``; the
   solver builds one per line-search trial and one for p0, and the public
-  methods one per argument.  ``Manifold.point(x)`` checks an array and
+  methods one per base point.  ``Manifold.point(x)`` checks an array and
   passes a point of the same manifold through, so a point is trusted
-  because of its type, never because of its address or contents.
+  because of its type, never because of its address or contents; every
+  public method accepts a point wherever it takes one.
 * A geometry keeps there what its kernels take from a base point: SPD
   keeps X^1/2 and X^-1/2 (``SPDPoint.roots``, one eigendecomposition),
-  which ``_exponential``, ``_log``, ``_horofunction`` and
-  ``_linear_model`` share.  The base point of ``_exponential``, ``_log``,
-  ``_horofunction`` and ``_linear_model`` and the argument of a
-  horofunction's or linear model's ``value``/``grad`` are points; the
-  other kernels take arrays.
+  which all its kernels at X share.
 * ``Point.derived(make)`` keeps ``make(point)`` under ``make``: the
   solver keeps g, grad g and the subgradient of h there, the problem
   closures their shared work (Rosenbrock's distances and logs, ln det X),
@@ -58,19 +53,14 @@ content of an array:
   ``_horofunction(q, v)`` raises ZeroDirectionError where |v|_q rounds to 0.
   On flat geometries B_{q,v}(p) = -<v, log_q p>_q / |v|_q, the scaled
   linear model, evaluated by :class:`FlatHorofunction`.
-* ``_exponential(p)`` returns v -> exp_p(v) for a point ``p``.  The
-  solver builds one per line search, so every trial step from the same
-  iterate shares it; SPD takes p^+-1/2 from the point, and the generic
-  form calls ``_exp``.  Its trial points still go through
-  ``check_point``.
 * ``_ray_probe(q, u, p)`` returns a :class:`RayProbe` of a validated
   ray (q, unit direction u) and point p: ``distance(t)`` = d(p,
   exp_q(t u)) and the overflow guard ``t_guard``.  The limit oracle
   builds one per call and probes it at every ray parameter of its
-  schedule.  SPD computes Y^-1/2, the spectrum of Y^-1/2 V Y^-1/2, the
-  Cholesky factor of the reduced point and the guard once in it; the
-  hyperboloid and the Dikin orthant supply only their guards, and the
-  generic form calls ``_exp`` and ``_dist`` per probe.
+  schedule.  SPD computes the spectrum of Y^-1/2 V Y^-1/2, the Cholesky
+  factor of the reduced point and the guard once in it; the hyperboloid
+  and the Dikin orthant supply only their guards, and the generic form
+  calls ``_exp`` and ``_dist`` per probe.
 
 All operations are pure functions of their arguments, so parallel
 callers need no synchronization as long as they do not share a point.
@@ -78,7 +68,6 @@ callers need no synchronization as long as they do not share a point.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -150,7 +139,7 @@ class FlatHorofunction:
 
     def __init__(self, manifold, q, v):
         self.model = manifold._linear_model(q, v)
-        self.nv = direction_norm(manifold, q.x, v)
+        self.nv = direction_norm(manifold, q, v)
 
     def value(self, p):
         return -self.model.value(p) / self.nv
@@ -175,17 +164,17 @@ class LinearModel:
 
     def value(self, p):
         m = self.manifold
-        return m._inner(self.q.x, self.s, m._log(self.q, p.x))
+        return m._inner(self.q, self.s, m._log(self.q, p.x))
 
     def grad(self, p):
-        return self.manifold._linear_model_grad(self.q.x, self.s, p.x)
+        return self.manifold._linear_model_grad(self.q, self.s, p.x)
 
 
 class RayProbe:
     """Distance from a validated point p to the points of one validated
-    ray (q, unit direction u), as ``distance(t)`` = d(p, exp_q(t u)), and
-    ``t_guard``, the largest ray parameter the limit oracle may use before
-    overflow.
+    ray (the point q, unit direction u), as ``distance(t)`` =
+    d(p, exp_q(t u)), and ``t_guard``, the largest ray parameter the limit
+    oracle may use before overflow.
 
     This form calls ``_exp`` and ``_dist`` on every probe; a geometry with
     fixed work per ray and point, or with a tighter guard, returns a
@@ -235,14 +224,25 @@ class Manifold:
             x = x.x
         return self._point(self.check_point(x))
 
+    def _array(self, x):
+        """The checked array of ``x``, a point or an array, for a point
+        argument that is not a base point."""
+        if isinstance(x, Point):
+            return self.point(x).x
+        return self.check_point(x)
+
     def _point(self, x):
         """The :class:`Point` of an array that passed ``check_point``."""
         return Point(self, x)
 
-    def _as_array(self, x, what="array"):
+    def _as_array(self, x, what="array", shape=None):
         a = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(a)):
-            raise ValidationError(f"{self.name}: {what} has non-finite entries")
+            raise ValidationError(
+                f"{self.name}: {what} has non-finite entries")
+        if shape is not None and a.shape != shape:
+            raise ValidationError(
+                f"{self.name}: {what} has shape {a.shape}, expected {shape}")
         return a
 
     # ------------------------------------------------------------------
@@ -250,31 +250,26 @@ class Manifold:
     # ------------------------------------------------------------------
 
     def inner(self, p, u, v):
-        p = self.check_point(p)
-        return self._inner(p, self.check_tangent(p, u),
-                           self.check_tangent(p, v))
+        p = self.point(p)
+        return self._inner(p, self.check_tangent(p.x, u),
+                           self.check_tangent(p.x, v))
 
     def norm(self, p, v):
-        p = self.check_point(p)
-        return self._norm(p, self.check_tangent(p, v))
+        p = self.point(p)
+        return self._norm(p, self.check_tangent(p.x, v))
 
     def _norm(self, p, v):
         return math.sqrt(max(self._inner(p, v, v), 0.0))
 
     def exp(self, p, v):
-        p = self.check_point(p)
-        return self._exp(p, self.check_tangent(p, v))
-
-    def _exponential(self, p):
-        """v -> exp_p(v) for a point ``p``, prepared for repeated
-        evaluation along one line search."""
-        return functools.partial(self._exp, p.x)
+        p = self.point(p)
+        return self._exp(p, self.check_tangent(p.x, v))
 
     def log(self, p, q):
-        return self._log(self.point(p), self.check_point(q))
+        return self._log(self.point(p), self._array(q))
 
     def dist(self, p, q):
-        return self._dist(self.check_point(p), self.check_point(q))
+        return self._dist(self._array(p), self._array(q))
 
     def project(self, p, x):
         """Project an ambient array onto the tangent space at ``p``."""
@@ -286,7 +281,7 @@ class Manifold:
     def geodesic(self, p, q, t):
         """Point at parameter ``t`` on the geodesic from ``p`` to ``q``."""
         p = self.point(p)
-        return self._exponential(p)(t * self._log(p, self.check_point(q)))
+        return self._exp(p, t * self._log(p, self._array(q)))
 
     # ------------------------------------------------------------------
     # Busemann functions
@@ -305,7 +300,7 @@ class Manifold:
         v = self.check_tangent(q.x, ray.direction)
         p = self.point(p)
         if np.linalg.norm(v) == 0.0:
-            return self._distance_gradient(q.x, p.x)
+            return self._distance_gradient(q.x, p)
         return self._horofunction(q, v).grad(p)
 
     def _horofunction(self, q, v):
@@ -316,13 +311,13 @@ class Manifold:
         raise NotImplementedError
 
     def _distance_gradient(self, q, p):
-        """Gradient of d(q, .) at ``p``; undefined at p = q."""
-        d = self._dist(p, q)
-        if d == 0.0 or np.array_equal(p, q):    # SPD's d(q, q) rounds above 0
+        """Gradient of d(q, .) at the point ``p``; undefined at p = q."""
+        d = self._dist(p.x, q)
+        if d == 0.0 or np.array_equal(p.x, q):  # SPD's d(q, q) rounds above 0
             raise UndefinedGradientError(
                 f"{self.name}: gradient of a zero-direction ray is undefined "
                 "at the base point")
-        return -self._log(self._point(p), q) / d
+        return -self._log(p, q) / d
 
     # ------------------------------------------------------------------
     # gradients and linear models
@@ -358,6 +353,18 @@ class Manifold:
     def random_tangent(self, p, rng):
         raise NotImplementedError
 
+    def random_point_near(self, center, radius, rng):
+        """exp_c((r/|w|_c) w) for a random tangent w at ``center`` and r
+        drawn from ``rng.uniform(0, radius)`` after w: a random point
+        within distance ``radius``, ``center`` itself if w = 0."""
+        c = self.point(center)
+        w = self.random_tangent(c, rng)
+        r = rng.uniform(0.0, radius)
+        nw = self._norm(c, w)
+        if nw == 0.0:
+            return c.x.copy()
+        return self._exp(c, (r / nw) * w)
+
     # ------------------------------------------------------------------
     # finite-difference support
     # ------------------------------------------------------------------
@@ -377,10 +384,10 @@ class Manifold:
         Gram-Schmidt over the projected ambient coordinate directions;
         near-dependent candidates are dropped.
         """
-        p = self.check_point(p)
+        p = self.point(p)
         basis = []
         for cand in self.coordinate_directions():
-            v = self.project(p, cand)
+            v = self.project(p.x, cand)
             for b in basis:
                 v = v - self._inner(p, v, b) * b
             nv = self._norm(p, v)
@@ -411,12 +418,12 @@ def fd_riemannian_grad(manifold, f, p, h=None):
     tangent basis e_i, assembled back into a tangent vector.  Serves as
     the independent oracle for every closed-form gradient in the package.
     """
-    p = manifold.check_point(p)
+    p = manifold.point(p)
     if h is None:
-        h = 1e-6 * (1.0 + manifold.rep_scale(p))
+        h = 1e-6 * (1.0 + manifold.rep_scale(p.x))
     if not 0.0 < h < math.inf:
         raise ValueError(f"finite-difference step must be finite and > 0: {h}")
-    grad = manifold.zero_tangent(p)
+    grad = manifold.zero_tangent(p.x)
     for e in manifold.tangent_basis(p):
         fp = f(manifold._exp(p, h * e))
         fm = f(manifold._exp(p, -h * e))

@@ -32,27 +32,22 @@ class DikinOrthant(Manifold):
         self.name = f"dikin({n})"
 
     def check_point(self, p):
-        p = self._as_array(p, "point")
-        if p.shape != (self.n,):
-            raise ValidationError(
-                f"{self.name}: point has shape {p.shape}, expected ({self.n},)")
+        p = self._as_array(p, "point", (self.n,))
         if np.any(p <= 0.0):
             raise ValidationError(
                 f"{self.name}: point must have strictly positive coordinates")
         return p
 
     def check_tangent(self, p, v):
-        v = self._as_array(v, "tangent")
-        if v.shape != (self.n,):
-            raise ValidationError(
-                f"{self.name}: tangent has shape {v.shape}, expected ({self.n},)")
-        return v
+        return self._as_array(v, "tangent", (self.n,))
 
     def _inner(self, p, u, v):
+        p = p.x
         # scaled before the product, so that p**2 cannot overflow
         return float(np.sum((u / p) * (v / p)))
 
     def _exp(self, p, v):
+        p = p.x
         expo = v / p
         if np.max(np.abs(expo)) > _EXPONENT_GUARD:
             raise OverflowError(
@@ -74,23 +69,23 @@ class DikinOrthant(Manifold):
         return FlatHorofunction(self, q, v)
 
     def egrad_to_rgrad(self, p, egrad):
-        p = self.check_point(p)
-        return np.asarray(egrad, dtype=float) * p**2
+        p = self._array(p)
+        return self.check_tangent(p, egrad) * p**2
 
     def _linear_model_grad(self, q, s, p):
-        return (s / q) * p
+        return (s / q.x) * p
 
     def random_point(self, rng):
         return np.exp(rng.standard_normal(self.n))
 
     def random_tangent(self, p, rng):
-        p = self.check_point(p)
+        p = self._array(p)
         return p * rng.standard_normal(self.n)
 
     def coordinate_directions(self):
         return iter(np.eye(self.n))
 
     def _ray_probe(self, q, unit_dir, p):
-        rate = np.max(np.abs(unit_dir / q))
+        rate = np.max(np.abs(unit_dir / q.x))
         guard = 1e12 if rate == 0.0 else _EXPONENT_GUARD / rate
         return RayProbe(self, q, unit_dir, p, t_guard=guard)

@@ -23,24 +23,16 @@ class Euclidean(Manifold):
         self.name = f"euclidean({n})"
 
     def check_point(self, p):
-        p = self._as_array(p, "point")
-        if p.shape != (self.n,):
-            raise ValidationError(
-                f"{self.name}: point has shape {p.shape}, expected ({self.n},)")
-        return p
+        return self._as_array(p, "point", (self.n,))
 
     def check_tangent(self, p, v):
-        v = self._as_array(v, "tangent")
-        if v.shape != (self.n,):
-            raise ValidationError(
-                f"{self.name}: tangent has shape {v.shape}, expected ({self.n},)")
-        return v
+        return self._as_array(v, "tangent", (self.n,))
 
     def _inner(self, p, u, v):
         return float(u @ v)
 
     def _exp(self, p, v):
-        return p + v
+        return p.x + v
 
     def _log(self, p, q):
         return q - p.x
@@ -55,8 +47,7 @@ class Euclidean(Manifold):
         return FlatHorofunction(self, q, v)
 
     def egrad_to_rgrad(self, p, egrad):
-        self.check_point(p)
-        return np.asarray(egrad, dtype=float)
+        return self.check_tangent(self._array(p), egrad)
 
     def _linear_model_grad(self, q, s, p):
         return s.copy()
@@ -65,7 +56,7 @@ class Euclidean(Manifold):
         return rng.standard_normal(self.n)
 
     def random_tangent(self, p, rng):
-        self.check_point(p)
+        self._array(p)
         return rng.standard_normal(self.n)
 
     def coordinate_directions(self):

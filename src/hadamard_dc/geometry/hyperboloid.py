@@ -185,6 +185,7 @@ class Hyperboloid(Manifold):
 
     def _exp(self, p, v):
         nv = self._norm(p, v)
+        p = p.x
         arg = math.sqrt(self.kappa) * nv
         if arg > _EXP_ARG_GUARD:
             raise OverflowError(
@@ -233,17 +234,14 @@ class Hyperboloid(Manifold):
 
     def egrad_to_rgrad(self, p, egrad):
         """Riemannian gradient Proj_p(J g) from the Euclidean derivative g."""
-        p = self.check_point(p)
-        g = self._as_array(egrad, "euclidean gradient")
-        if g.shape != (self.n + 1,):
-            raise ValidationError(
-                f"{self.name}: gradient has shape {g.shape}, "
-                f"expected ({self.n + 1},)")
+        p = self._array(p)
+        g = self._as_array(egrad, "euclidean gradient", (self.n + 1,))
         jg = g.copy()
         jg[-1] = -jg[-1]
         return self._project(p, jg)
 
     def _linear_model_grad(self, q, s, p):
+        q = q.x
         beta = max(-self.kappa * _lorentz(q, p), 1.0)
         c = _ucoef(beta)
         dc = _ucoef_deriv(beta)
@@ -274,10 +272,10 @@ class Hyperboloid(Manifold):
         if ng == 0.0:
             return apex
         radius = rng.uniform(0.0, 3.0)
-        return self._exp(apex, (radius / ng) * g)
+        return self._exp(self._point(apex), (radius / ng) * g)
 
     def random_tangent(self, p, rng):
-        p = self.check_point(p)
+        p = self._array(p)
         v = self._project(p, rng.standard_normal(self.n + 1))
         return self._project(p, v)
 
@@ -298,8 +296,7 @@ class HyperboloidHorofunction:
     def __init__(self, manifold, q, v):
         self.manifold = manifold
         self.sqrt_kappa = math.sqrt(manifold.kappa)
-        q = q.x
-        self.w = manifold._horo_center(q, v, direction_norm(manifold, q, v))
+        self.w = manifold._horo_center(q.x, v, direction_norm(manifold, q, v))
 
     def value(self, p):
         p = p.x

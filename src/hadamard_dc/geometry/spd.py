@@ -25,9 +25,9 @@ orthogonal factor U), Cholesky-factor U^T Y^-1/2 X Y^-1/2 U = L L^T, and
 with lam_(j) the group representative at index j and D = diag(lam_(j)).
 The value is insensitive to how near-equal eigenvalues are grouped.
 
-X^1/2 and X^-1/2 of a point are computed once, by :class:`SPDPoint`,
-and shared by the exponential map, the logarithm and the models built
-at X.  Everything in these formulas that depends on the ray alone (the
+A kernel's base point is an :class:`SPDPoint`, whose X^1/2 and X^-1/2
+are computed once, on first use, and shared by every kernel at X.
+Everything in these formulas that depends on the ray alone (the
 split, U and their products with the roots) is computed once per ray by
 :class:`SPDHorofunction`, the fixed part of the classic linear model
 once per (X_k, S) by :class:`SPDLinearModel`, and the congruence
@@ -214,11 +214,7 @@ class SPDManifold(Manifold):
     # ------------------------------------------------------------------
 
     def check_point(self, x):
-        x = self._as_array(x, "point")
-        if x.shape != (self.n, self.n):
-            raise ValidationError(
-                f"{self.name}: point has shape {x.shape}, "
-                f"expected ({self.n}, {self.n})")
+        x = self._as_array(x, "point", (self.n, self.n))
         scale = 1.0 + float(np.linalg.norm(x))
         if np.linalg.norm(x - x.T) > 1e-10 * scale:
             raise ValidationError(f"{self.name}: point is not symmetric")
@@ -230,11 +226,7 @@ class SPDManifold(Manifold):
         return x
 
     def check_tangent(self, x, v):
-        v = self._as_array(v, "tangent")
-        if v.shape != (self.n, self.n):
-            raise ValidationError(
-                f"{self.name}: tangent has shape {v.shape}, "
-                f"expected ({self.n}, {self.n})")
+        v = self._as_array(v, "tangent", (self.n, self.n))
         scale = 1.0 + float(np.linalg.norm(v))
         if np.linalg.norm(v - v.T) > 1e-10 * scale:
             raise ValidationError(f"{self.name}: tangent is not symmetric")
@@ -245,29 +237,21 @@ class SPDManifold(Manifold):
     # ------------------------------------------------------------------
 
     def _inner(self, y, u, v):
+        y = y.x
         return _trace_product(np.linalg.solve(y, u), np.linalg.solve(y, v))
 
     def _point(self, x):
         return SPDPoint(self, x)
 
     def _exp(self, y, v):
-        return self._exponential(self._point(y))(v)
-
-    def _exponential(self, y):
-        """exp_Y with Y^+-1/2 taken from the point, for every step of one
-        line search."""
         yh, yih = y.roots
-
-        def exp_y(v):
-            w, u = sym_eig(yih @ v @ yih)
-            if np.max(np.abs(w)) > 700.0:
-                raise OverflowError(
-                    f"{self.name}: exponential map argument "
-                    f"{np.max(np.abs(w)):.3g} exceeds the overflow guard")
-            inner_exp = sym((u * np.exp(w)) @ u.T)
-            return sym(yh @ inner_exp @ yh)
-
-        return exp_y
+        w, u = sym_eig(yih @ v @ yih)
+        if np.max(np.abs(w)) > 700.0:
+            raise OverflowError(
+                f"{self.name}: exponential map argument "
+                f"{np.max(np.abs(w)):.3g} exceeds the overflow guard")
+        inner_exp = sym((u * np.exp(w)) @ u.T)
+        return sym(yh @ inner_exp @ yh)
 
     def _log(self, x, y):
         """log_X(Y) from the point X; for a stack of points Y, the stack of
@@ -294,8 +278,8 @@ class SPDManifold(Manifold):
     # ------------------------------------------------------------------
 
     def egrad_to_rgrad(self, x, egrad):
-        x = self.check_point(x)
-        g = sym(self._as_array(egrad, "euclidean gradient"))
+        x = self._array(x)
+        g = sym(self._as_array(egrad, "euclidean gradient", (self.n, self.n)))
         return sym(x @ g @ x)
 
     def _linear_model(self, xk, s):
@@ -307,9 +291,8 @@ class SPDManifold(Manifold):
 
     def spectral_split(self, y, v):
         """Group the spectrum of Y^-1/2 V Y^-1/2 by near-equality."""
-        y = self.check_point(y)
-        return self._spectral_split(spd_fun(y, "invsqrt"),
-                                    self.check_tangent(y, v))
+        y = self.point(y)
+        return self._spectral_split(y.roots[1], self.check_tangent(y.x, v))
 
     def _spectral_split(self, yih, v):
         """``spectral_split`` from Y^-1/2 and a validated direction V."""
@@ -344,9 +327,8 @@ class SPDManifold(Manifold):
         return sym((q * np.exp(u)) @ q.T)
 
     def random_tangent(self, x, rng):
-        x = self.check_point(x)
+        xh = self.point(x).roots[0]
         g = sym(rng.standard_normal((self.n, self.n)))
-        xh = spd_fun(x, "sqrt")
         return sym(xh @ g @ xh)
 
     def coordinate_directions(self):
@@ -369,8 +351,7 @@ class SPDManifold(Manifold):
         Equivalent to Gram-Schmidt on the projected coordinate directions
         but exact, since the units are orthonormal under the metric at I.
         """
-        x = self.check_point(x)
-        xh = spd_fun(x, "sqrt")
+        xh = self.point(x).roots[0]
         return [sym(xh @ e @ xh) for e in self.coordinate_directions()]
 
     # ------------------------------------------------------------------
@@ -389,13 +370,13 @@ class SPDRayProbe(RayProbe):
     with S = Exp(-t lam / 2); the eigenvalues of S L L^T S are the squared
     singular values of S L, computed to high relative accuracy by the
     Jacobi SVD even when the row scaling spans hundreds of orders of
-    magnitude.  Y^-1/2, lam, U, L and the guard 1200 / max |lam| depend on
-    the ray and X alone and are computed here, once; a probe costs the row
-    scaling and the SVD.
+    magnitude.  lam, U, L and the guard 1200 / max |lam| depend on the ray
+    and X alone and are computed here, once, with Y^-1/2 taken from the
+    point Y; a probe costs the row scaling and the SVD.
     """
 
     def __init__(self, manifold, y, unit_dir, x):
-        yih = spd_fun(y, "invsqrt")
+        yih = y.roots[1]
         c = yih @ unit_dir @ yih
         self.lam, u = sym_eig(c)
         self.ell = chol(u.T @ yih @ x @ yih @ u)

@@ -285,18 +285,14 @@ def contrastive_problem(params: ContrastiveParams, rng,
         raise ValidationError("contrastive: negative weights must be "
                               f"{params.r} finite positive reals")
 
-    def _perturb(center, radius_max):
-        w = manifold.random_tangent(center, rng)
-        nw = manifold.norm(center, w)
-        radius = rng.uniform(0.0, radius_max)
-        return manifold.exp(center, (radius / nw) * w)
-
     if positives is None or negatives is None:
-        center = manifold.random_point(rng)
+        center = manifold.point(manifold.random_point(rng))
         if positives is None:
-            positives = [_perturb(center, 0.5) for _ in range(params.m)]
+            positives = [manifold.random_point_near(center, 0.5, rng)
+                         for _ in range(params.m)]
         if negatives is None:
-            negatives = [_perturb(center, 1.0) for _ in range(params.r)]
+            negatives = [manifold.random_point_near(center, 1.0, rng)
+                         for _ in range(params.r)]
     positives = [manifold.check_point(p) for p in positives]
     negatives = [manifold.check_point(q) for q in negatives]
     if len(positives) != params.m or len(negatives) != params.r:

@@ -1,5 +1,8 @@
 """Shared utilities for the test suite."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean, Hyperboloid,
@@ -10,6 +13,17 @@ def rel_err(got, want):
     got = np.asarray(got, dtype=float)
     want = np.asarray(want, dtype=float)
     return np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want))
+
+
+def primitive_counter():
+    """A ``PrimitiveCounter`` of ``tools/count_primitives.py``, which the
+    counting tests share."""
+    path = Path(__file__).resolve().parent.parent / "tools" \
+        / "count_primitives.py"
+    spec = importlib.util.spec_from_file_location("count_primitives", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PrimitiveCounter()
 
 
 def on_arrays(manifold, fn):
@@ -30,12 +44,6 @@ def random_ray(manifold, rng, max_dir_norm=None):
         nv = manifold.norm(q, v)
         v = v * (max_dir_norm * rng.uniform(0.1, 1.0) / nv)
     return BusemannRay(q, v)
-
-
-def bounded_point(manifold, center, radius, rng):
-    w = manifold.random_tangent(center, rng)
-    nw = manifold.norm(center, w)
-    return manifold.exp(center, (rng.uniform(0.0, radius) / nw) * w)
 
 
 def same(a, b):

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from hadamard_dc import (BusemannRay, Euclidean, Hyperboloid,
-                         SPDManifold, bregman_busemann,
+from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean, Hyperboloid,
+                         SPDManifold, ZeroDirectionError, bregman_busemann,
                          lipschitz_subgrad_bound_check, make_rng,
                          support_check)
-from helpers import bounded_point
 
 
 def sq_dist_instance(manifold, rng):
@@ -75,7 +74,7 @@ def test_argmin_support_characterization():
         ray = BusemannRay(q, s)
         fq = f(q)
         for _ in range(1000):
-            p = bounded_point(manifold, q, 5.0, rng)
+            p = manifold.random_point_near(q, 5.0, rng)
             psi = f(p) + ns * manifold.busemann(ray, p) \
                 - manifold.dist(p, q) ** 2
             assert psi >= fq - 1e-10 * (1 + abs(fq))
@@ -86,7 +85,7 @@ def test_lipschitz_subgrad_bound():
     rng = make_rng(5)
     z = m.random_point(rng)
     q = m.random_point(rng)
-    s = m._distance_gradient(z, q)
+    s = m._distance_gradient(z, m.point(q))
     f = None
     assert lipschitz_subgrad_bound_check(m, f, 1.0, q, s)
     assert m.norm(q, s) == pytest.approx(1.0, abs=1e-10)
@@ -102,7 +101,7 @@ def test_lipschitz_subgrad_bound():
         active = z if m.dist(p, z) >= m.dist(p, z2) else z2
         if abs(m.dist(p, z) - m.dist(p, z2)) < 1e-9:
             continue
-        s = m._distance_gradient(active, p)
+        s = m._distance_gradient(active, m.point(p))
         assert lipschitz_subgrad_bound_check(m, f, 1.0, p, s)
 
 
@@ -162,3 +161,39 @@ def test_bregman_nonnegative_and_convex(manifold):
         mid = manifold.geodesic(p1, p2, 0.5)
         dm = bregman_busemann(manifold, psi, psi_grad, mid, q)
         assert dm <= 0.5 * d1 + 0.5 * d2 + 1e-10
+
+
+@pytest.mark.parametrize("manifold", [Hyperboloid(2), SPDManifold(3)])
+def test_support_terms_build_one_horofunction_per_call(manifold,
+                                                       monkeypatch):
+    """support_check and bregman_busemann build B_{q,s} once per call and
+    evaluate it at every sample, instead of once per sample."""
+    rng = make_rng(9)
+    f, subgrad, _ = sq_dist_instance(manifold, rng)
+    q = manifold.random_point(rng)
+    p = manifold.random_point(rng)
+    builds = []
+    horofunction = type(manifold)._horofunction
+
+    def counted(self, q, v):
+        builds.append(v)
+        return horofunction(self, q, v)
+
+    monkeypatch.setattr(type(manifold), "_horofunction", counted)
+    assert support_check(manifold, f, subgrad, 2.0, q, 50, rng).passed
+    assert len(builds) == 1
+    assert bregman_busemann(manifold, f, subgrad, p, q) >= -1e-9
+    assert len(builds) == 2
+
+
+def test_support_terms_subgradient_norm_underflow_raises():
+    # s = 0 is decided on the array, as in make_b_subproblem; a nonzero s
+    # whose norm |s / q| underflows reaches the horofunction, which raises
+    m = DikinOrthant(3)
+    q = np.full(3, 1e200)
+    f = lambda x: 0.0
+    tiny = lambda x: np.full(3, 1e-100)
+    with pytest.raises(ZeroDirectionError):
+        support_check(m, f, tiny, 0.0, q, 10, make_rng(0))
+    with pytest.raises(ZeroDirectionError):
+        bregman_busemann(m, f, tiny, np.ones(3), q)

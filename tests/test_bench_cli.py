@@ -114,6 +114,19 @@ def test_flag_errors_exit_2(capsys):
         assert "error:" in err
 
 
+def test_out_of_range_seed_exits_2(capsys):
+    """A run seed outside the Philox keys [0, 2^64) is a usage error found
+    before any solve, not an overflow after some runs."""
+    for argv in (["rosenbrock", "--seed", "-1", "--runs", "1"],
+                 ["verify", "--seed", "-1"],
+                 ["rosenbrock", "--seed", str(2**64 - 1), "--runs", "2"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "error:" in err and "Traceback" not in err
+
+
 def test_far_valley_axis_point_overflow_exits_2(capsys):
     # a = 100 puts the default qbar at radius 1e4, where cosh overflows
     code, out, err = run_cli(["rosenbrock", "--a", "100", "--runs", "1"],

@@ -397,9 +397,9 @@ def test_gradient_free_outer_loop_takes_one_subgradient_per_step():
 
 
 def _counting_run(prob, start, alg, monkeypatch):
-    """run_dca with its evaluations of g, grad g and h counted, and the
-    prepared exponential maps and their trial steps counted."""
-    counts = {"g": 0, "g_rgrad": 0, "h": 0, "line_searches": 0, "trials": 0}
+    """run_dca with its evaluations of g, grad g and h counted, and its
+    line-search trial steps: the calls of the manifold's ``_exp``."""
+    counts = {"g": 0, "g_rgrad": 0, "h": 0, "trials": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -410,13 +410,7 @@ def _counting_run(prob, start, alg, monkeypatch):
     for name in ("g", "g_rgrad", "h"):
         setattr(prob, name, counted(name, getattr(prob, name)))
     m = prob.manifold
-    exponential = m._exponential
-
-    def counted_exponential(p):
-        counts["line_searches"] += 1
-        return counted("trials", exponential(p))
-
-    monkeypatch.setattr(m, "_exponential", counted_exponential)
+    monkeypatch.setattr(m, "_exp", counted("trials", m._exp))
     trace = run_dca(prob, start, SolverConfig(algorithm=alg))
     return trace, counts
 
@@ -439,53 +433,40 @@ def test_run_dca_evaluates_each_point_once(instance, alg, monkeypatch):
     """g once per trial point and grad g once per accepted inner iterate,
     carried on the point from the inner solve to the outer tests and into
     the next inner solve; p0 adds one g and one grad g, which scale_factor
-    and the gradient test share.  One prepared exponential per line
-    search."""
+    and the gradient test share."""
     prob, start = instance()
     trace, counts = _counting_run(prob, start, alg, monkeypatch)
     assert trace.exit_reason in ("grad", "step", "fixed_point")
-    assert trace.k > 0 and counts["trials"] > counts["line_searches"]
+    assert trace.k > 0 and counts["trials"] >= trace.inner_total
     assert counts["g_rgrad"] == trace.inner_total + 1
     assert counts["g"] == counts["trials"] + 1
     assert counts["h"] == len(trace.records)
-    # every accepted step ends one line search; at most one more per
-    # inner solve ends without a step (floored or stalled)
-    assert trace.inner_total <= counts["line_searches"] \
-        <= trace.inner_total + trace.k
 
 
-def test_spd_exponential_takes_its_roots_once_per_line_search(monkeypatch):
-    """On SPD the prepared exponential takes X^+-1/2 from the point, where
-    the gradient of g at that iterate has already put them, so neither
-    its build nor its trial steps compute any."""
+def test_spd_trial_steps_take_the_iterates_roots(monkeypatch):
+    """On SPD a trial step takes X^+-1/2 from the iterate's point, where
+    the gradient of g at that iterate has already put them, so no trial
+    step computes any."""
     from hadamard_dc.geometry import SPDManifold, spd
-    counts = {"roots": 0, "builds": 0, "build_roots": 0, "trial_roots": 0,
-              "trials": 0}
-    spd_roots, exponential = spd.spd_roots, SPDManifold._exponential
+    counts = {"roots": 0, "trial_roots": 0, "trials": 0}
+    spd_roots, exp = spd.spd_roots, SPDManifold._exp
 
     def counted_roots(a):
         counts["roots"] += 1
         return spd_roots(a)
 
-    def counted_exponential(self, p):
+    def counted_exp(self, y, v):
         before = counts["roots"]
-        exp_p = exponential(self, p)
-        counts["builds"] += 1
-        counts["build_roots"] += counts["roots"] - before
-
-        def trial(v):
-            before = counts["roots"]
-            out = exp_p(v)
-            counts["trials"] += 1
-            counts["trial_roots"] += counts["roots"] - before
-            return out
-        return trial
+        out = exp(self, y, v)
+        counts["trials"] += 1
+        counts["trial_roots"] += counts["roots"] - before
+        return out
 
     instances = [_contrastive_start() for _ in range(2)]
     monkeypatch.setattr(spd, "spd_roots", counted_roots)
-    monkeypatch.setattr(SPDManifold, "_exponential", counted_exponential)
+    monkeypatch.setattr(SPDManifold, "_exp", counted_exp)
     for alg, (prob, start) in zip(("cr_dca", "b_dca"), instances):
-        run_dca(prob, start, SolverConfig(algorithm=alg))
-    assert counts["trials"] > counts["builds"] > 0
-    assert counts["build_roots"] == 0
+        trace = run_dca(prob, start, SolverConfig(algorithm=alg))
+        assert trace.inner_total > 0
+    assert counts["trials"] > 0
     assert counts["trial_roots"] == 0

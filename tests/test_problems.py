@@ -1,8 +1,6 @@
 """Benchmark problem families: construction, gradients, optima metadata."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,36 +14,20 @@ from hadamard_dc import dc
 from hadamard_dc.geometry import (Hyperboloid, SPDManifold, logdet, spd,
                                   spd_fun, sym)
 from hadamard_dc.rng import run_seed
-from helpers import on_arrays, rel_err
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _count_primitives():
-    """``tools/count_primitives.py``, whose counter the counting tests
-    share."""
-    spec = importlib.util.spec_from_file_location(
-        "count_primitives", ROOT / "tools" / "count_primitives.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import on_arrays, primitive_counter, rel_err
 
 
 def _count_trials(manifold, monkeypatch):
     """Counts, in the returned dict, the trial steps of every line search
-    on ``manifold``: the calls of its prepared exponential maps."""
+    on ``manifold``: the calls of its ``_exp``."""
     counts = {"trials": 0}
-    exponential = manifold._exponential
+    exp = manifold._exp
 
-    def counted_exponential(p):
-        exp_p = exponential(p)
+    def counted_exp(p, v):
+        counts["trials"] += 1
+        return exp(p, v)
 
-        def trial(v):
-            counts["trials"] += 1
-            return exp_p(v)
-        return trial
-
-    monkeypatch.setattr(manifold, "_exponential", counted_exponential)
+    monkeypatch.setattr(manifold, "_exp", counted_exp)
     return counts
 
 
@@ -375,6 +357,18 @@ def test_valley_b_dca_prepares_each_step_once(monkeypatch):
     assert counts["subgrad"] == len(trace.records)
 
 
+def test_contrastive_construction_primitive_counts():
+    """The references of an instance are sampled by random_point_near
+    around one checked center, so the center is checked and factored once
+    (20 check_point, 20 Cholesky, 17 eigh and 5 spd_roots when each sample
+    checked and factored it again)."""
+    with primitive_counter() as counter:
+        contrastive_problem(ContrastiveParams(n=4, m=3, r=2), make_rng(5))
+    assert counter.counts == {"eigh": 8, "eigvalsh": 0, "cholesky": 6,
+                              "check_point": 6, "spd_roots": 1,
+                              "hyperboloid._dist": 0, "hyperboloid._log": 0}
+
+
 def test_contrastive_convexity_of_components():
     rng = make_rng(10)
     prob = contrastive_problem(ContrastiveParams(n=3, m=3, r=2), rng)
@@ -461,7 +455,7 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, cholesky,
     it."""
     prob, start = _cli_contrastive_start()
     trials = _count_trials(prob.manifold, monkeypatch)
-    with _count_primitives().PrimitiveCounter() as counter:
+    with primitive_counter() as counter:
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
     assert (trace.k, trace.inner_total) == (k, inn)
     assert counter.counts["eigh"] == eigh
@@ -500,7 +494,7 @@ def test_valley_b_dca_primitive_counts():
     for seed in range(20):
         prob = rosenbrock_problem(RosenbrockParams())
         start = random_start(prob, make_rng(run_seed(seed, 0)))
-        with _count_primitives().PrimitiveCounter() as counter:
+        with primitive_counter() as counter:
             trace = run_dca(prob, start, SolverConfig(algorithm="b_dca"))
         outer += trace.k
         for name in totals:

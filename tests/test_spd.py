@@ -12,7 +12,7 @@ from hadamard_dc import (BusemannRay, DefinitenessError, SPDManifold,
                          UndefinedGradientError, ValidationError,
                          ZeroDirectionError, fd_riemannian_grad, make_rng)
 from hadamard_dc.geometry import chol, frechet_log, logdet, spd_fun, sym
-from helpers import rel_err, same
+from helpers import primitive_counter, rel_err, same
 
 E = math.e
 
@@ -354,6 +354,28 @@ def test_point_validation_errors():
         m.dist(x, np.eye(2))
 
 
+def test_kernels_at_a_point_take_its_roots():
+    """Given a point whose X^+-1/2 are already computed, the public
+    spectral_split, random_tangent, tangent_basis, exp and log and the
+    limit oracle's ray probe compute no roots again: one eigh each for
+    the split, exp, log and the probe, none for the samplers."""
+    m = SPDManifold(3)
+    rng = make_rng(41)
+    y = m.point(m.random_point(rng))
+    y.roots
+    v = m.random_tangent(y, rng)
+    x = m.random_point(rng)
+    with primitive_counter() as counter:
+        m.spectral_split(y, v)
+        m.random_tangent(y, rng)
+        m.tangent_basis(y)
+        m.exp(y, v)
+        m.log(y, x)
+        m._ray_probe(y, v / m.norm(y, v), x)
+    assert counter.counts["spd_roots"] == 0
+    assert counter.counts["eigh"] == 4
+
+
 def test_fd_gradient_zero_at_distance_minimizer():
     m = SPDManifold(3)
     g = fd_riemannian_grad(m, lambda x: m.dist(x, np.eye(3)) ** 2, np.eye(3))
@@ -400,7 +422,7 @@ def reference_busemann(m, y, v, x):
 
 def reference_busemann_grad(m, y, v, x):
     if np.linalg.norm(v) == 0.0:
-        return m._distance_gradient(y, x)
+        return m._distance_gradient(y, m.point(x))
     split = m.spectral_split(y, v)
     yh = spd_fun(y, "sqrt")
     yih = spd_fun(y, "invsqrt")
