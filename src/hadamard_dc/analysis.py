@@ -201,7 +201,7 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
     for _ in range(samples):
         x = manifold.random_point_near(q, radius, rng)
         p = manifold.point(x)
-        rhs = fq - support(p) + 0.5 * sigma * manifold._dist(x, q.x) ** 2
+        rhs = fq - support(p) + 0.5 * sigma * manifold._dist_to(x, q) ** 2
         gap = rhs - f(x)
         if gap > worst:
             worst = gap

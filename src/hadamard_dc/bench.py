@@ -17,7 +17,7 @@ from .errors import StalledInnerSolveError
 from .problems import (AcademicParams, ContrastiveParams, RosenbrockParams,
                        academic_problem, contrastive_problem, random_start,
                        rosenbrock_problem)
-from .rng import make_rng, run_seed
+from .rng import check_seeds, make_rng, run_seed
 
 CSV_COLUMNS = ("problem", "algorithm", "run", "seed", "k", "inn",
                "inn_per_k", "fval", "grad_norm", "time_s")
@@ -107,8 +107,10 @@ def run_benchmark(subcommand, args):
     the runs.  Per run index, a fresh problem instance (where references
     are sampled) and a starting point are drawn from the derived per-run
     seed; both algorithms then use the identical start point and
-    tolerances.
+    tolerances.  Raises ValueError before any solve unless every run seed
+    is a Philox key.
     """
+    check_seeds(args.seed, args.runs)
     configs = solver_configs(args)
     records = []
     stall = None

@@ -428,7 +428,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
             trace.exit_reason = "stalled"
             stall = exc
             break
-        step = manifold._dist(p.x, p_next.x)
+        step = manifold._dist_to(p.x, p_next)
         record(n_inner, step)
         p = p_next
         fp, s_k, gn = phi_and_tests(p)

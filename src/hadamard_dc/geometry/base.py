@@ -14,8 +14,12 @@ at the public boundary:
   mutated after a check is checked again on its next public call.
 
 A kernel's base point is a :class:`Point`; every other point argument
-is an array.  A point is a checked array together with what derives from
-it, each computed on first use and kept with the point:
+is an array, except in ``_dist_to(x, y)``, d(x, y) with ``y`` a point
+whose derived values (SPD: Y^-1/2) the caller already holds: the
+solver's step distance to the iterate it just accepted, and the support
+check's distance to its base point.  A point is a checked array together
+with what derives from it, each computed on first use and kept with the
+point:
 
 * ``Manifold._point(x)`` wraps an array right after ``check_point``; the
   solver builds one per line-search trial and one for p0, and the public
@@ -270,6 +274,11 @@ class Manifold:
 
     def dist(self, p, q):
         return self._dist(self._array(p), self._array(q))
+
+    def _dist_to(self, x, y):
+        """d(x, y) of an array ``x`` and a point ``y``; equals
+        ``_dist(x, y.x)``."""
+        return self._dist(x, y.x)
 
     def project(self, p, x):
         """Project an ambient array onto the tangent space at ``p``."""

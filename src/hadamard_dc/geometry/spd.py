@@ -35,6 +35,12 @@ reduction of the limit oracle once per ray and point by
 :class:`SPDRayProbe`.  ``sym``, ``spd_fun``, ``_log`` and ``_dists``
 also act on stacks of matrices of shape (k, n, n), so that k references
 cost one stacked eigendecomposition.
+
+The limit probes take singular values from LAPACK's Jacobi SVD, which
+numpy does not wrap.  ``dgejsv`` imports it from ``scipy.linalg`` on its
+first call, so importing this module, and every kernel other than the
+probe, loads numpy alone: ``scipy.linalg`` would take longer to import
+than numpy itself.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgejsv
 
 from ..errors import (DefinitenessError, NumericalDomainError,
                       ValidationError, ZeroDirectionError)
@@ -177,6 +182,19 @@ class SpectralSplit:
     per_index: np.ndarray
 
 
+_jacobi_svd = None          # scipy.linalg.lapack.dgejsv, once imported
+
+
+def dgejsv(a, **options):
+    """``scipy.linalg.lapack.dgejsv(a, **options)``, imported on the first
+    call and kept in ``_jacobi_svd``, so that later calls cost one Python
+    call more than the LAPACK wrapper."""
+    global _jacobi_svd
+    if _jacobi_svd is None:
+        from scipy.linalg.lapack import dgejsv as _jacobi_svd
+    return _jacobi_svd(a, **options)
+
+
 def _log_singular_values(a):
     """Logs of the singular values of a row-scaled triangular factor.
 
@@ -186,6 +204,10 @@ def _log_singular_values(a):
     Only a failed Jacobi SVD (``info != 0``) warns and falls back to the
     standard SVD.  A zero singular value, which a converged one reports
     when the row scaling underflows, raises NumericalDomainError.
+
+    The SVD is called through the module global ``dgejsv``, which loads
+    ``scipy.linalg`` on the first probe; nothing rebinds that global, so
+    a wrapper put in its place sees every call.
     """
     sva, _, _, work, _, info = dgejsv(np.asarray(a, dtype=float, order="F"),
                                       joba=2, jobu=3, jobv=3, jobr=0)
@@ -240,6 +262,11 @@ class SPDManifold(Manifold):
         y = y.x
         return _trace_product(np.linalg.solve(y, u), np.linalg.solve(y, v))
 
+    def _norm(self, y, v):
+        # the generic form's _inner(y, v, v) solves Y^-1 V twice
+        z = np.linalg.solve(y.x, v)
+        return math.sqrt(max(_trace_product(z, z), 0.0))
+
     def _point(self, x):
         return SPDPoint(self, x)
 
@@ -260,6 +287,9 @@ class SPDManifold(Manifold):
 
     def _dist(self, x, y):
         return self._dists(x, spd_fun(y, "invsqrt")[None])[0]
+
+    def _dist_to(self, x, y):
+        return self._dists(x, y.roots[1][None])[0]
 
     def _dists(self, x, yih):
         """List of d(X, Y_i) from the stack of Y_i^-1/2, through one stacked

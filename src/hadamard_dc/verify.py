@@ -17,7 +17,7 @@ from .geometry import (BusemannRay, DikinOrthant, Euclidean, Hyperboloid,
                        SPDManifold)
 from .problems import (AcademicParams, ContrastiveParams, academic_problem,
                        contrastive_problem, random_start)
-from .rng import make_rng
+from .rng import check_seeds, make_rng
 
 
 @dataclass
@@ -200,9 +200,13 @@ ALL_SUITES = (roundtrip_suite, busemann_oracle_suite,
 
 def run_verify(seeds=(0,), tol_scale=1.0):
     """Run every suite for every seed; returns the list of SuiteResult.
-    Raises ValueError before any suite unless 0 <= tol_scale < inf."""
+    Raises ValueError before any suite unless 0 <= tol_scale < inf and
+    every seed is a Philox key, an integer in [0, 2^64)."""
     if not 0.0 <= tol_scale < math.inf:
         raise ValueError(f"tol_scale must be finite and >= 0: {tol_scale}")
+    seeds = list(seeds)
+    for seed in seeds:
+        check_seeds(seed)
     results = []
     for seed in seeds:
         for suite in ALL_SUITES:

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hadamard_dc
 from hadamard_dc.bench import CSV_COLUMNS, records_to_csv, records_to_json
 from hadamard_dc.cli import build_parser, main
 
@@ -125,6 +130,55 @@ def test_out_of_range_seed_exits_2(capsys):
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "error:" in err and "Traceback" not in err
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("ran before checking the seeds")
+
+
+def test_run_verify_checks_seeds_first(monkeypatch):
+    """A library call with a seed outside [0, 2^64) raises ValueError
+    before any suite runs, instead of OverflowError from make_rng."""
+    import hadamard_dc.verify as verify
+    monkeypatch.setattr(verify, "ALL_SUITES", (_no_solve,))
+    with pytest.raises(ValueError, match="2\\^64"):
+        verify.run_verify(seeds=[0, -1])
+
+
+def test_run_benchmark_checks_seeds_first(monkeypatch):
+    """run_benchmark checks every run seed before it builds a problem."""
+    import hadamard_dc.bench as bench
+    monkeypatch.setattr(bench, "make_problem", _no_solve)
+    for seed, runs in ((-1, 1), (2**64 - 1, 2), (2**64, 1)):
+        args = build_parser().parse_args(
+            ["rosenbrock", "--seed", str(seed), "--runs", str(runs)])
+        with pytest.raises(ValueError, match="2\\^64"):
+            bench.run_benchmark("rosenbrock", args)
+
+
+def test_cli_runs_load_no_scipy():
+    """Importing the package and running each benchmark family loads
+    numpy alone: scipy's Jacobi SVD is imported by the first limit probe.
+    A fresh interpreter, since this one imports scipy elsewhere."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import hadamard_dc, hadamard_dc.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [hadamard_dc.cli.main(argv) for argv in (\n"
+        "        ['rosenbrock', '--runs', '1'],\n"
+        "        ['spd-contrastive', '--runs', '1'], ['spd-academic'])]\n"
+        "print(json.dumps([codes, sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
+    src = str(Path(hadamard_dc.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == []
 
 
 def test_far_valley_axis_point_overflow_exits_2(capsys):

@@ -190,3 +190,29 @@ def test_spd_oracle_factorizations_do_not_grow_with_probes(monkeypatch):
     assert per_call[0]["eigh"] > 0 and per_call[0]["cholesky"] > 0
     # the overflow guard comes from the spectrum the probe already has
     assert per_call[0]["eigvalsh"] == 0
+
+
+def test_spd_oracle_calls_the_jacobi_svd_through_the_module_global(
+        monkeypatch):
+    """The SPD probe reaches the Jacobi SVD through ``spd.dgejsv``, which
+    imports it from scipy on its first call: a wrapper put there, as a
+    tracer puts one, sees one call per probe, and the limit converges to
+    the closed form."""
+    from hadamard_dc.geometry import spd
+    m = SPDManifold(4)
+    rng = make_rng(3)
+    ray = random_ray(m, rng)
+    p = m.random_point(rng)
+    calls = []
+    dgejsv = spd.dgejsv
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dgejsv(*args, **kwargs)
+
+    monkeypatch.setattr(spd, "dgejsv", counted)
+    res = busemann_numeric(m, ray, p)
+    assert res.converged
+    assert abs(res.value - m.busemann(ray, p)) <= 1e-5
+    assert len(calls) == len(res.raw_values) > 0
+    assert set(calls) == {(4, 4)}

@@ -290,9 +290,10 @@ def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
     """One spectral split per outer step with s_k != 0, and eigh calls
     (a stacked call counting as one): one per trial step (its exponential),
     two per inner iteration (the roots of the accepted point and the
-    stacked logs of grad g there), three per outer step (the split, the
-    stacked logs of s_k and X^-1/2 of the step distance) and three at p0
-    (its roots and the stacked logs of grad g and s_k)."""
+    stacked logs of grad g there), two per outer step (the split and the
+    stacked logs of s_k; the step distance takes X^-1/2 from the roots of
+    the accepted point) and three at p0 (its roots and the stacked logs
+    of grad g and s_k)."""
     params = ContrastiveParams(n=4, m=3, r=2)
     rng = make_rng(5)
     prob = contrastive_problem(params, rng)
@@ -322,7 +323,7 @@ def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
     assert counts["ray"] == trace.k > 0
     assert counts["split"] == counts["ray"]
     assert counts["eigh"] == (trials["trials"] + 2 * trace.inner_total
-                              + 3 * trace.k + 3)
+                              + 2 * trace.k + 3)
 
 
 def test_valley_b_dca_prepares_each_step_once(monkeypatch):
@@ -361,11 +362,12 @@ def test_contrastive_construction_primitive_counts():
     """The references of an instance are sampled by random_point_near
     around one checked center, so the center is checked and factored once
     (20 check_point, 20 Cholesky, 17 eigh and 5 spd_roots when each sample
-    checked and factored it again)."""
+    checked and factored it again), and each sample's norm takes one
+    solve (10 solves when the SPD norm solved Y^-1 V twice)."""
     with primitive_counter() as counter:
         contrastive_problem(ContrastiveParams(n=4, m=3, r=2), make_rng(5))
     assert counter.counts == {"eigh": 8, "eigvalsh": 0, "cholesky": 6,
-                              "check_point": 6, "spd_roots": 1,
+                              "solve": 5, "check_point": 6, "spd_roots": 1,
                               "hyperboloid._dist": 0, "hyperboloid._log": 0}
 
 
@@ -442,17 +444,19 @@ def _cli_contrastive_start():
     return prob, random_start(prob, rng)
 
 
-@pytest.mark.parametrize("alg, k, inn, eigh, cholesky", [
-    ("cr_dca", 59, 215, 1394, 393),
-    ("b_dca", 94, 424, 1912, 1653),
+@pytest.mark.parametrize("alg, k, inn, eigh, cholesky, solve", [
+    ("cr_dca", 59, 215, 1335, 393, 845),
+    ("b_dca", 94, 424, 1818, 1653, 708),
 ])
-def test_contrastive_primitive_counts(alg, k, inn, eigh, cholesky,
+def test_contrastive_primitive_counts(alg, k, inn, eigh, cholesky, solve,
                                       monkeypatch):
     """Exact LAPACK counts of one spd-contrastive run (2,006 eigh and 572
     Cholesky for cr_dca, 2,529 and 2,455 for b_dca when every consumer of
-    a point factored it again), and one check_point per trial step plus
-    one for p0: an iterate is validated once, as the trial that reached
-    it."""
+    a point factored it again; one eigh more per outer step when the step
+    distance factored the new iterate again; 1,180 and 1,416 solves when
+    the SPD norm solved Y^-1 V twice), and one check_point per trial step
+    plus one for p0: an iterate is validated once, as the trial that
+    reached it."""
     prob, start = _cli_contrastive_start()
     trials = _count_trials(prob.manifold, monkeypatch)
     with primitive_counter() as counter:
@@ -460,6 +464,7 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, cholesky,
     assert (trace.k, trace.inner_total) == (k, inn)
     assert counter.counts["eigh"] == eigh
     assert counter.counts["cholesky"] == cholesky
+    assert counter.counts["solve"] == solve
     assert counter.counts["check_point"] == trials["trials"] + 1
 
 

@@ -4,10 +4,10 @@ invocations make, per algorithm.
 For each invocation of ``GOLDEN`` in ``tools/cli_rows.py`` and each
 algorithm, this runs ``hadamard_dc.cli.main`` in-process and prints one
 line: the algorithm, k and inn summed over the invocation's runs, and the
-calls of ``numpy.linalg.eigh``, ``eigvalsh`` and ``cholesky``, of every
-geometry's ``check_point``, of ``spd_roots`` (X^1/2 and X^-1/2 of one SPD
-point) and of ``Hyperboloid._dist`` and ``_log``, problem construction
-included.  The counts are a deterministic function
+calls of ``numpy.linalg.eigh``, ``eigvalsh``, ``cholesky`` and ``solve``,
+of every geometry's ``check_point``, of ``spd_roots`` (X^1/2 and X^-1/2
+of one SPD point) and of ``Hyperboloid._dist`` and ``_log``, problem
+construction included.  The counts are a deterministic function
 of the flags, so running this file against two source trees
 
     PYTHONPATH=<parent checkout>/src python tools/count_primitives.py > parent.txt
@@ -31,7 +31,7 @@ from hadamard_dc import geometry
 from hadamard_dc.cli import main
 
 ALGORITHMS = ("cr", "b")
-LAPACK = ("eigh", "eigvalsh", "cholesky")
+LAPACK = ("eigh", "eigvalsh", "cholesky", "solve")
 GEOMETRIES = (geometry.Euclidean, geometry.DikinOrthant, geometry.Hyperboloid,
               geometry.SPDManifold)
 HYPERBOLOID = ("_dist", "_log")
