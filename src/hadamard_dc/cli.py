@@ -20,6 +20,7 @@ flag or parameter value, reported before any solve), 3 solver stall
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import (family_params, records_to_csv, records_to_json,
@@ -87,6 +88,18 @@ def build_parser():
     return parser
 
 
+def _check_output(path):
+    """Raise ValueError where ``path``, unless None, cannot be created as
+    a file: its directory is missing, or it is a directory itself."""
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise ValueError(f"output directory {folder} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path} is a directory")
+
+
 def _emit(text, path):
     if path is None:
         sys.stdout.write(text)
@@ -109,6 +122,7 @@ def main(argv=None):
             family_params(args.subcommand, args)
             solver_configs(args)
             check_seeds(args.seed, args.runs)
+            _check_output(args.output)
     except ValueError as exc:
         print(f"{parser.prog} {args.subcommand}: error: {exc}",
               file=sys.stderr)

@@ -12,17 +12,17 @@ by Riemannian steepest descent with Armijo backtracking; the inner
 tolerance is tied to the outer stopping tolerance.
 
 Every iterate and trial point is a prepared point
-(:class:`~hadamard_dc.geometry.base.Point`), built by ``Manifold._point``
-right after ``check_point``: once for p0 in ``run_dca`` and once per
-line-search trial in ``inner_solve``.  It is the argument of the problem
-closures and of the subproblem term and the base point of every geometry
-kernel; each keeps on it what it derives from it, so the SPD roots, g
-and grad g, the subgradient of h and the term's factorizations are
-computed once per point.  The point a trial reaches carries them out of
-the inner solve to the outer tests and into the next subproblem.  A
-point is trusted because of its type: ``make_cr_subproblem``,
-``make_b_subproblem`` and ``inner_solve`` check an array once and skip
-``check_point`` for a point.
+(:class:`~hadamard_dc.geometry.base.Point`): p0 is checked and made one
+once in ``run_dca``, and each line-search trial in ``inner_solve`` is one
+``Manifold._step``, which checks exp_p(v) and makes it one.  It is the
+argument of the problem closures and of the subproblem term and the base
+point of every geometry kernel; each keeps on it what it derives from
+it, so the SPD roots, g and grad g, the subgradient of h and the term's
+factorizations are computed once per point.  The point a trial reaches
+carries them out of the inner solve to the outer tests and into the
+next subproblem.  A point is trusted because of its type:
+``make_cr_subproblem``, ``make_b_subproblem`` and ``inner_solve`` check
+an array once and skip ``check_point`` for a point.
 """
 
 from __future__ import annotations
@@ -269,19 +269,20 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
 
     The first trial step is 1, later ones a secant estimate along the
     previous ray; a trial is shrunk by ``_BACKTRACK`` until the Armijo
-    test with ``_ARMIJO_C1`` holds.  Every trial is ``manifold._exp`` at
-    the iterate's point, so the trials from one iterate share what the
-    point keeps (the SPD roots).  Stops when the subproblem gradient norm
+    test with ``_ARMIJO_C1`` holds.  Every trial is one
+    ``manifold._step`` at the iterate's point, the checked point of the
+    exponential map, so the trials from one iterate share what the point
+    keeps (the SPD roots).  Stops when the subproblem gradient norm
     drops to ``tol``, after ``_MAX_INNER_ITERS`` steps, when the
     sufficient-decrease test falls below double-precision resolution of
     the objective (the point is then as converged as evaluations allow),
     or when a line search after an accepted step runs out of
     ``_MAX_HALVINGS`` halvings.  Raises
     StalledInnerSolveError if the first line search runs out of them.
-    ``start``, unless it is a point already, and every trial point out of
-    the exponential map are validated and made points, so the objective
-    only sees checked points; the accepted iterate is not checked again
-    when a trial steps from it.  ``tol`` must be finite and positive.
+    ``start``, unless it is a point already, and every trial point (in
+    ``_step``) are validated and made points, so the objective only sees
+    checked points; the accepted iterate is not checked again when a
+    trial steps from it.  ``tol`` must be finite and positive.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"inner tolerance must be finite and > 0: {tol}")
@@ -318,8 +319,7 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
         for _ in range(_MAX_HALVINGS):
             required = _ARMIJO_C1 * alpha * gn * gn
             try:
-                cand = manifold._point(
-                    manifold.check_point(manifold._exp(p, -alpha * g)))
+                cand = manifold._step(p, -alpha * g)
                 fc = objective.value(cand)
             except (OverflowError, FloatingPointError, NumericalDomainError,
                     ValidationError):
@@ -327,13 +327,13 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
                 alpha *= _BACKTRACK
                 continue
             decrease = fp - fc
-            if np.isfinite(fc) and decrease >= required \
+            if math.isfinite(fc) and decrease >= required \
                     and decrease >= decrease_floor:
                 # sufficient AND representable progress
                 accepted = True
                 break
             if required < decrease_floor and gn <= 1e3 * tol \
-                    and np.isfinite(fc) and abs(decrease) <= decrease_floor:
+                    and math.isfinite(fc) and abs(decrease) <= decrease_floor:
                 # the required decrease is no longer representable in the
                 # objective values and the gradient is already near the
                 # target: converged to evaluation precision

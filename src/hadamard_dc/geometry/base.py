@@ -22,8 +22,11 @@ with what derives from it, each computed on first use and kept with the
 point:
 
 * ``Manifold._point(x)`` wraps an array right after ``check_point``; the
-  solver builds one per line-search trial and one for p0, and the public
-  methods one per base point.  ``Manifold.point(x)`` checks an array and
+  solver builds one for p0, and the public methods one per base point.
+  A line-search trial is ``Manifold._step(p, v)``, the checked point of
+  exp_p(v): by default ``_point(check_point(_exp(p, v)))``, while the
+  hyperboloid runs the same exponential and sheet tests with the largest
+  |coordinate| taken once.  ``Manifold.point(x)`` checks an array and
   passes a point of the same manifold through, so a point is trusted
   because of its type, never because of its address or contents; every
   public method accepts a point wherever it takes one.
@@ -268,6 +271,11 @@ class Manifold:
     def exp(self, p, v):
         p = self.point(p)
         return self._exp(p, self.check_tangent(p.x, v))
+
+    def _step(self, p, v):
+        """The checked :class:`Point` of exp_p(v), for a point ``p`` and a
+        validated ``v``; raises as ``_exp`` and ``check_point`` do."""
+        return self._point(self.check_point(self._exp(p, v)))
 
     def log(self, p, q):
         return self._log(self.point(p), self._array(q))

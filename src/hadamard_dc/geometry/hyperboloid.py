@@ -85,6 +85,7 @@ class Hyperboloid(Manifold):
         self.n = int(n)
         self.dim = self.n
         self.kappa = float(curvature)
+        self.sqrt_kappa = math.sqrt(self.kappa)
         self.name = f"hyperbolic({n},{self.kappa:g})"
 
     # ------------------------------------------------------------------
@@ -110,7 +111,7 @@ class Hyperboloid(Manifold):
 
     def apex(self):
         p = np.zeros(self.n + 1)
-        p[-1] = 1.0 / math.sqrt(self.kappa)
+        p[-1] = 1.0 / self.sqrt_kappa
         return p
 
     # ------------------------------------------------------------------
@@ -123,21 +124,27 @@ class Hyperboloid(Manifold):
             raise ValidationError(
                 f"{self.name}: point has shape {p.shape}, "
                 f"expected ({self.n + 1},)")
+        return self._on_sheet(p, float(np.abs(p).max()))
+
+    def _on_sheet(self, x, top):
+        """``x``, an array of the right shape whose largest |coordinate| is
+        ``top``, after the quadric and upper-sheet tests of ``check_point``.
+        """
         # check the quadric constraint on rescaled coordinates so that far
         # points (huge cosh factors) do not overflow the residual; the
         # negated comparisons also reject NaN coordinates
-        s = max(1.0, float(np.abs(p).max()))
-        ph = p / s
+        s = max(1.0, top)
+        ph = x / s
         residual = _lorentz(ph, ph) + 1.0 / (self.kappa * s * s)
         if not (abs(residual) <= 1e-8 * (1.0 + float(ph.dot(ph)))):
             raise ValidationError(
                 f"{self.name}: point violates <p,p> = -1/kappa "
                 f"(scaled residual {residual:.3g})")
-        if not (p[-1] > 0.0):
+        if not (x[-1] > 0.0):
             raise ValidationError(
                 f"{self.name}: point must lie on the upper sheet "
                 "(last coordinate > 0)")
-        return p
+        return x
 
     def check_tangent(self, p, v):
         v = np.asarray(v, dtype=float)
@@ -163,16 +170,6 @@ class Hyperboloid(Manifold):
                 f"(residual {pairing:.3g})")
         return v
 
-    def _renormalize(self, p):
-        # pull a drifted point back to <p,p> = -1/kappa; the quadratic form
-        # carries cancellation noise of order eps * |p|^2, so renormalizing
-        # is only a cleanup (not a distortion) near unit coordinate scale,
-        # while the cosh/sinh combination is already relatively accurate
-        if float(np.abs(p).max()) > 1e2:
-            return p
-        quad = _lorentz(p, p)
-        return p / math.sqrt(max(-self.kappa * quad, _TINY))
-
     # ------------------------------------------------------------------
     # metric, exponential, logarithm
     # ------------------------------------------------------------------
@@ -184,24 +181,42 @@ class Hyperboloid(Manifold):
         return math.sqrt(max(_lorentz(v, v), 0.0))
 
     def _exp(self, p, v):
+        return self._exp_top(p, v)[0]
+
+    def _exp_top(self, p, v):
+        """exp_p(v) and its largest |coordinate|."""
         nv = self._norm(p, v)
         p = p.x
-        arg = math.sqrt(self.kappa) * nv
+        arg = self.sqrt_kappa * nv
         if arg > _EXP_ARG_GUARD:
             raise OverflowError(
                 f"{self.name}: exponential map argument {arg:.3g} exceeds "
                 f"the overflow guard {_EXP_ARG_GUARD:g}")
         if nv == 0.0:
-            return p.copy()
+            return p.copy(), float(np.abs(p).max())
         out = math.cosh(arg) * p + (math.sinh(arg) / arg) * v
-        return self._renormalize(out)
+        top = float(np.abs(out).max())
+        # pull a drifted point back to <p,p> = -1/kappa; the quadratic form
+        # carries cancellation noise of order eps * |p|^2, so renormalizing
+        # is only a cleanup (not a distortion) near unit coordinate scale,
+        # while the cosh/sinh combination is already relatively accurate.
+        # Rounded division by c > 0 is monotone, so the largest coordinate
+        # of out / c is top / c exactly
+        if top > 1e2:
+            return out, top
+        c = math.sqrt(max(-self.kappa * _lorentz(out, out), _TINY))
+        return out / c, top / c
+
+    def _step(self, p, v):
+        return self._point(self._on_sheet(*self._exp_top(p, v)))
 
     def _log(self, q, p):
         # log_q p = d * P/|P| with P the projection of p; the ratio d/|P|
         # equals _ucoef(-kappa<q,p>), which stays finite as p -> q
         q = q.x
-        beta = max(-self.kappa * _lorentz(q, p), 1.0)
-        v = _ucoef(beta) * self._project(q, p)
+        qp = _lorentz(q, p)
+        beta = max(-self.kappa * qp, 1.0)
+        v = _ucoef(beta) * (p + self.kappa * qp * q)
         # clean rounding drift in the tangency constraint
         return self._project(q, v)
 
@@ -213,11 +228,11 @@ class Hyperboloid(Manifold):
             diff = p - q
             x = max(0.5 * self.kappa * _lorentz(diff, diff), 0.0)
             return math.log1p(x + math.sqrt(x * (2.0 + x))) \
-                / math.sqrt(self.kappa)
+                / self.sqrt_kappa
         if arg <= _LARGE_ARCOSH:
-            return arcosh(arg) / math.sqrt(self.kappa)
+            return arcosh(arg) / self.sqrt_kappa
         if math.isfinite(2.0 * arg):
-            return math.log(2.0 * arg) / math.sqrt(self.kappa)
+            return math.log(2.0 * arg) / self.sqrt_kappa
         # far points overflow the raw pairing (or its double): rescale
         # coordinates and recover the arcosh in the log domain; the two
         # scale logs are summed first, so that dist(p, q) == dist(q, p)
@@ -226,7 +241,7 @@ class Hyperboloid(Manifold):
         sq = max(1.0, float(np.abs(q).max()))
         scaled = -self.kappa * _lorentz(p / sp, q / sq)
         return (math.log(2.0 * scaled) + (math.log(sp) + math.log(sq))) \
-            / math.sqrt(self.kappa)
+            / self.sqrt_kappa
 
     # ------------------------------------------------------------------
     # gradients
@@ -254,7 +269,7 @@ class Hyperboloid(Manifold):
     # ------------------------------------------------------------------
 
     def _horo_center(self, q, v, nv):
-        return self.kappa * q + (math.sqrt(self.kappa) / nv) * v
+        return self.kappa * q + (self.sqrt_kappa / nv) * v
 
     def _horofunction(self, q, v):
         return HyperboloidHorofunction(self, q, v)
@@ -284,18 +299,18 @@ class Hyperboloid(Manifold):
 
     def _ray_probe(self, q, unit_dir, p):
         return RayProbe(self, q, unit_dir, p,
-                        t_guard=_EXP_ARG_GUARD / math.sqrt(self.kappa))
+                        t_guard=_EXP_ARG_GUARD / self.sqrt_kappa)
 
 
 class HyperboloidHorofunction:
-    """B_{q,v}, v != 0, with |v|, the horocenter w = kappa q + sqrt(kappa)
-    v/|v| and sqrt(kappa) computed once.  An evaluation then costs one
+    """B_{q,v}, v != 0, with |v| and the horocenter w = kappa q +
+    sqrt(kappa) v/|v| computed once.  An evaluation then costs one
     Lorentz pairing (and a projection for the gradient).
     """
 
     def __init__(self, manifold, q, v):
         self.manifold = manifold
-        self.sqrt_kappa = math.sqrt(manifold.kappa)
+        self.sqrt_kappa = manifold.sqrt_kappa
         self.w = manifold._horo_center(q.x, v, direction_norm(manifold, q, v))
 
     def value(self, p):

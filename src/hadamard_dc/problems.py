@@ -109,15 +109,21 @@ def rosenbrock_problem(params: RosenbrockParams = RosenbrockParams()) -> DCProbl
             f"rosenbrock: reference distance {dref:.6g} violates the "
             f"radii condition [{r2 - r1:.6g}, {r2 + r1:.6g}]")
 
+    # every a = 1 internal instance has one reference point; d_q and
+    # log_p(qbar) are then d_p and log_p(pbar) bit for bit
+    one_ref = pbar.tobytes() == qbar.tobytes()
+
     def _dists(p):
-        return manifold._dist(p, pbar), manifold._dist(p, qbar)
+        dp = manifold._dist(p, pbar)
+        return dp, (dp if one_ref else manifold._dist(p, qbar))
 
     def _point_dists(p):
         return _dists(p.x)
 
     def _sq_dist_grads(p):
         # gradients -2 log_p(ref) of d_p^2 and d_q^2
-        return -2.0 * manifold._log(p, pbar), -2.0 * manifold._log(p, qbar)
+        gsq_p = -2.0 * manifold._log(p, pbar)
+        return gsq_p, (gsq_p if one_ref else -2.0 * manifold._log(p, qbar))
 
     def f(p):
         dp, dq = _dists(p)
@@ -198,8 +204,10 @@ class AcademicParams:
     n: int = 4
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError("academic: dimension must be >= 2")
+        if self.n < 3:
+            # the fixed start ln(n) I plus antidiagonal ones is positive
+            # definite only where ln n > 1
+            raise ValidationError("academic: dimension must be >= 3")
 
 
 def academic_problem(params: AcademicParams = AcademicParams()) -> DCProblem:
@@ -210,7 +218,7 @@ def academic_problem(params: AcademicParams = AcademicParams()) -> DCProblem:
     x0 = math.log(n) * np.eye(n)
     x0[0, -1] += 1.0
     x0[-1, 0] += 1.0
-    manifold.check_point(x0)        # positive definite for n >= 2
+    manifold.check_point(x0)        # positive definite for n >= 3
 
     def _logdet(x):
         return logdet(x.x)

@@ -98,6 +98,7 @@ def test_flag_errors_exit_2(capsys):
     capsys.readouterr()
     for argv in (["spd-academic", "--eps", "-1"],
                  ["spd-academic", "--n", "1"],
+                 ["spd-academic", "--n", "2"],
                  ["rosenbrock", "--theta", "0.5"],
                  ["rosenbrock", "--n", "-1"],
                  ["spd-contrastive", "--m", "0"],
@@ -117,6 +118,25 @@ def test_flag_errors_exit_2(capsys):
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "error:" in err
+
+
+def test_output_into_missing_directory_exits_2(tmp_path, capsys,
+                                               monkeypatch):
+    """An --output path whose directory does not exist, or that is a
+    directory, is a usage error found before the first solve."""
+    import hadamard_dc.bench as bench
+    solves = []
+    monkeypatch.setattr(bench, "run_dca",
+                        lambda *args: solves.append(args))
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(["rosenbrock", "--runs", "1",
+                                  "--output", str(path)], capsys)
+        assert code == 2, path
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "error:" in err
+    assert solves == []
+    assert not (tmp_path / "missing").exists()
 
 
 def test_out_of_range_seed_exits_2(capsys):

@@ -162,15 +162,18 @@ def test_inner_solve_checks_start_and_each_trial_once(monkeypatch):
     m = prob.manifold
     p0 = random_start(prob, make_rng(3))
     obj = make_b_subproblem(prob, p0, prob.h_subgrad(m.point(p0)))
-    calls = {"check_point": 0, "_exp": 0}       # one _exp per trial
+    calls = {"check_point": 0, "_step": 0, "_on_sheet": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(m, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(m, name, counted)
     _, iters = inner_solve(obj, p0, 1e-6, m)
-    assert calls["_exp"] >= iters > 0
-    assert calls["check_point"] == 1 + calls["_exp"]
+    # one _step per trial; the start is checked by check_point, each trial
+    # inside its _step, and both run the sheet tests once
+    assert calls["_step"] >= iters > 0
+    assert calls["check_point"] == 1
+    assert calls["_on_sheet"] == 1 + calls["_step"]
 
 
 def test_inner_solve_stalls_on_ascent_gradient():
@@ -398,7 +401,7 @@ def test_gradient_free_outer_loop_takes_one_subgradient_per_step():
 
 def _counting_run(prob, start, alg, monkeypatch):
     """run_dca with its evaluations of g, grad g and h counted, and its
-    line-search trial steps: the calls of the manifold's ``_exp``."""
+    line-search trial steps: the calls of the manifold's ``_step``."""
     counts = {"g": 0, "g_rgrad": 0, "h": 0, "trials": 0}
 
     def counted(name, fn):
@@ -410,7 +413,7 @@ def _counting_run(prob, start, alg, monkeypatch):
     for name in ("g", "g_rgrad", "h"):
         setattr(prob, name, counted(name, getattr(prob, name)))
     m = prob.manifold
-    monkeypatch.setattr(m, "_exp", counted("trials", m._exp))
+    monkeypatch.setattr(m, "_step", counted("trials", m._step))
     trace = run_dca(prob, start, SolverConfig(algorithm=alg))
     return trace, counts
 

@@ -12,6 +12,8 @@ from hadamard_dc import (BusemannRay, Hyperboloid, NumericalDomainError,
                          UndefinedGradientError, ValidationError,
                          ZeroDirectionError, busemann_numeric,
                          fd_riemannian_grad, make_rng)
+from hadamard_dc.geometry.hyperboloid import (_EXP_ARG_GUARD, _TINY,
+                                              _lorentz, _ucoef)
 from helpers import rel_err, same
 
 EPS = float(np.finfo(float).eps)
@@ -477,3 +479,131 @@ def test_busemann_matches_limit_oracle(seed, n, kappa):
     res = busemann_numeric(m, ray, p)
     if res.converged:
         assert abs(res.value - m.busemann(ray, p)) <= 1e-6
+
+
+# ----------------------------------------------------------------------
+# the fused trial step and log against their former forms, bit for bit
+# ----------------------------------------------------------------------
+
+def former_exp(m, p, v):
+    """exp_p(v) as it was before it returned its largest coordinate: the
+    largest |coordinate| taken here to decide the renormalization, and
+    again by ``former_check_point``."""
+    nv = math.sqrt(max(_lorentz(v, v), 0.0))
+    arg = math.sqrt(m.kappa) * nv
+    if arg > _EXP_ARG_GUARD:
+        raise OverflowError(
+            f"{m.name}: exponential map argument {arg:.3g} exceeds "
+            f"the overflow guard {_EXP_ARG_GUARD:g}")
+    if nv == 0.0:
+        return p.copy()
+    out = math.cosh(arg) * p + (math.sinh(arg) / arg) * v
+    if float(np.abs(out).max()) > 1e2:
+        return out
+    quad = _lorentz(out, out)
+    return out / math.sqrt(max(-m.kappa * quad, _TINY))
+
+
+def former_check_point(m, p):
+    """The sheet tests of ``check_point`` on an array of the right shape,
+    with the largest |coordinate| taken from the array."""
+    s = max(1.0, float(np.abs(p).max()))
+    ph = p / s
+    residual = _lorentz(ph, ph) + 1.0 / (m.kappa * s * s)
+    if not (abs(residual) <= 1e-8 * (1.0 + float(ph.dot(ph)))):
+        raise ValidationError(
+            f"{m.name}: point violates <p,p> = -1/kappa "
+            f"(scaled residual {residual:.3g})")
+    if not (p[-1] > 0.0):
+        raise ValidationError(
+            f"{m.name}: point must lie on the upper sheet "
+            "(last coordinate > 0)")
+    return p
+
+
+def former_log(m, q, p):
+    """log_q p with <q, p> formed twice, once more in the projection."""
+    beta = max(-m.kappa * _lorentz(q, p), 1.0)
+    v = _ucoef(beta) * (p + m.kappa * _lorentz(q, p) * q)
+    return v + m.kappa * _lorentz(q, v) * q
+
+
+def polar_tangent(m, r, u, rng):
+    """A unit tangent at ``polar_point(m, r, u)`` in closed form: a multiple
+    of the radial unit tangent (cosh(r) u, sinh(r)) plus (w, 0), w
+    orthogonal to u, scaled by its exact norm, since the Lorentz form
+    cancels at far points."""
+    w = rng.standard_normal(m.n)
+    w -= (w @ u) * u
+    a = rng.standard_normal()
+    v = a * np.append(math.cosh(r) * u, math.sinh(r)) + np.append(w, 0.0)
+    return v / math.hypot(a, *w)
+
+
+def bytes_or_error(fn, *args):
+    """(bytes of the array fn returns, or of the point's array), or the
+    type and message of the error it raised."""
+    try:
+        out = fn(*args)
+    except (OverflowError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return np.asarray(getattr(out, "x", out)).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       kappa=st.sampled_from([1.0, 0.3, 2.5]), radius=st.floats(0.0, 20.0),
+       log10_t=st.floats(-8.0, 2.7),
+       skew=st.sampled_from([0.0, 0.0, 1e-9, 1e-4, 1.0, -3.0]),
+       nan=st.booleans())
+@example(seed=0, n=2, kappa=1.0, radius=20.0, log10_t=1.0, skew=0.0,
+         nan=False)                                     # scaled radius 20
+@example(seed=1, n=3, kappa=1.0, radius=20.0, log10_t=math.log10(349.0),
+         skew=0.0, nan=False)                           # below the guard
+@example(seed=1, n=3, kappa=1.0, radius=3.0, log10_t=math.log10(351.0),
+         skew=0.0, nan=False)                           # above the guard
+@example(seed=2, n=2, kappa=2.5, radius=1.0, log10_t=0.0, skew=0.0,
+         nan=True)                                      # NaN direction
+@example(seed=3, n=2, kappa=0.3, radius=2.0, log10_t=0.5, skew=1.0,
+         nan=False)                                     # off the sheet
+@example(seed=4, n=2, kappa=1.0, radius=0.5, log10_t=math.log10(5.0),
+         skew=-3.0, nan=False)                          # spacelike
+def test_step_matches_checked_former_exp(seed, n, kappa, radius, log10_t,
+                                         skew, nan):
+    """``_step(p, v)`` is the point of ``check_point(_exp(p, v))`` as it was
+    before the largest coordinate was taken once: the same bytes, or the
+    same error type and message; ``_exp`` keeps its former bytes too."""
+    m = Hyperboloid(n, curvature=kappa)
+    rng = np.random.default_rng(seed)
+    u = random_unit(n, rng)
+    p = polar_point(m, radius, u)
+    v = 10.0 ** log10_t * polar_tangent(m, radius, u, rng) + skew * p
+    if nan:
+        v[0] = math.nan
+    pt = m._point(p)
+
+    def former_step(p, v):
+        return m._point(former_check_point(m, former_exp(m, p, v)))
+
+    step = bytes_or_error(m._step, pt, v)
+    assert step == bytes_or_error(former_step, p, v)
+    assert bytes_or_error(m._exp, pt, v) == bytes_or_error(former_exp, m, p,
+                                                           v)
+    if not isinstance(step, tuple):
+        assert type(m._step(pt, v)) is type(pt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       kappa=st.sampled_from([1.0, 0.3, 2.5]), radius=st.floats(0.0, 20.0))
+@example(seed=0, n=2, kappa=1.0, radius=20.0)
+@example(seed=1, n=1, kappa=2.5, radius=0.0)
+def test_log_matches_former_double_pairing(seed, n, kappa, radius):
+    """``_log`` forms <q, p> once; its bytes equal the former form, which
+    formed it again in the projection, also at q = p and for NaN input."""
+    m = Hyperboloid(n, curvature=kappa)
+    rng = np.random.default_rng(seed)
+    q = random_point_within(m, radius, rng)
+    nan_p = np.full(n + 1, math.nan)
+    for p in (q, q.copy(), random_point_within(m, radius, rng), nan_p):
+        assert same(m._log(m._point(q), p), former_log(m, q, p))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hadamard_dc import (AcademicParams, ContrastiveParams, RosenbrockParams,
                          SolverConfig, ValidationError, academic_problem,
@@ -19,15 +21,15 @@ from helpers import on_arrays, primitive_counter, rel_err
 
 def _count_trials(manifold, monkeypatch):
     """Counts, in the returned dict, the trial steps of every line search
-    on ``manifold``: the calls of its ``_exp``."""
+    on ``manifold``: the calls of its ``_step``."""
     counts = {"trials": 0}
-    exp = manifold._exp
+    step = manifold._step
 
-    def counted_exp(p, v):
+    def counted_step(p, v):
         counts["trials"] += 1
-        return exp(p, v)
+        return step(p, v)
 
-    monkeypatch.setattr(manifold, "_exp", counted_exp)
+    monkeypatch.setattr(manifold, "_step", counted_step)
     return counts
 
 
@@ -367,8 +369,9 @@ def test_contrastive_construction_primitive_counts():
     with primitive_counter() as counter:
         contrastive_problem(ContrastiveParams(n=4, m=3, r=2), make_rng(5))
     assert counter.counts == {"eigh": 8, "eigvalsh": 0, "cholesky": 6,
-                              "solve": 5, "check_point": 6, "spd_roots": 1,
-                              "hyperboloid._dist": 0, "hyperboloid._log": 0}
+                              "solve": 5, "check_point": 6, "_step": 0,
+                              "spd_roots": 1, "hyperboloid._dist": 0,
+                              "hyperboloid._log": 0}
 
 
 def test_contrastive_convexity_of_components():
@@ -436,6 +439,84 @@ def test_rosenbrock_subgradient_selection_at_reference(caplog):
     assert any("zero subgradient" in r.message for r in caplog.records)
 
 
+def former_rosenbrock_closures(prob, a, b, theta):
+    """g, h, g_rgrad and h_subgrad of a Rosenbrock instance as they were
+    before coinciding references shared one distance and one log: every
+    point takes d_p and d_q, and log_p(pbar) and log_p(qbar), apart."""
+    m = prob.manifold
+    pbar, qbar = prob.metadata["pbar"], prob.metadata["qbar"]
+
+    def dists(p):
+        return m._dist(p.x, pbar), m._dist(p.x, qbar)
+
+    def sq_dist_grads(p):
+        return -2.0 * m._log(p, pbar), -2.0 * m._log(p, qbar)
+
+    def pow_grad(d, gsq, alpha):
+        if d == 0.0:
+            return 0.0 * gsq
+        if alpha == 2.0:
+            return gsq
+        return (0.5 * alpha) * d ** (alpha - 2.0) * gsq
+
+    def g(p):
+        dp, dq = dists(p)
+        return (a * a + dp ** (2 * theta) + 2 * b * dq ** (2 * theta)
+                + 2 * b * dp ** (4 * theta))
+
+    def h(p):
+        dp, dq = dists(p)
+        return (2 * a * dp ** theta
+                + b * (dp ** (2 * theta) + dq ** theta) ** 2)
+
+    def g_rgrad(p):
+        dp, dq = dists(p)
+        gsq_p, gsq_q = sq_dist_grads(p)
+        return (pow_grad(dp, gsq_p, 2 * theta)
+                + 2 * b * pow_grad(dq, gsq_q, 2 * theta)
+                + 2 * b * pow_grad(dp, gsq_p, 4 * theta))
+
+    def h_subgrad(p):
+        dp, dq = dists(p)
+        gsq_p, gsq_q = sq_dist_grads(p)
+        u = dp ** (2 * theta) + dq ** theta
+        return (2 * a * pow_grad(dp, gsq_p, theta)
+                + 2 * b * u * (pow_grad(dp, gsq_p, 2 * theta)
+                               + pow_grad(dq, gsq_q, theta)))
+
+    return g, h, g_rgrad, h_subgrad
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       theta=st.floats(1.0, 3.0), b=st.floats(0.5, 200.0),
+       radius=st.floats(0.0, 20.0), explicit=st.booleans())
+@example(seed=0, n=2, theta=1.0, b=100.0, radius=3.0, explicit=False)
+@example(seed=1, n=2, theta=2.0, b=2.0, radius=20.0, explicit=True)
+def test_rosenbrock_coinciding_references_match_two_reference_forms(
+        seed, n, theta, b, radius, explicit):
+    """With pbar = qbar (a = 1 and internal tangency, or the same point
+    given twice) one distance and one log serve both references; g, h,
+    g_rgrad and h_subgrad keep the bytes of the two-reference forms, at
+    pbar too, where the distance is 0."""
+    rng = np.random.default_rng(seed)
+    m = Hyperboloid(n)
+    ref = m.random_point_near(m.apex(), 3.0, rng)
+    params = RosenbrockParams(a=1.0, b=b, theta=theta, n=n,
+                              pbar=ref if explicit else None,
+                              qbar=ref.copy() if explicit else None)
+    prob = rosenbrock_problem(params)
+    former = former_rosenbrock_closures(prob, 1.0, b, theta)
+    current = (prob.g, prob.h, prob.g_rgrad, prob.h_subgrad)
+    xs = [prob.metadata["pbar"]] + [
+        m.random_point_near(m.apex(), radius, rng) for _ in range(3)]
+    for x in xs:
+        p, p_former = m.point(x), m.point(x)
+        for fn, fn_former in zip(current, former):
+            assert np.asarray(fn(p)).tobytes() \
+                == np.asarray(fn_former(p_former)).tobytes()
+
+
 def _cli_contrastive_start():
     """The instance and start of run 0 of ``hadamard-dc spd-contrastive
     --n 5 --m 5 --r 4 --seed 0``."""
@@ -448,24 +529,22 @@ def _cli_contrastive_start():
     ("cr_dca", 59, 215, 1335, 393, 845),
     ("b_dca", 94, 424, 1818, 1653, 708),
 ])
-def test_contrastive_primitive_counts(alg, k, inn, eigh, cholesky, solve,
-                                      monkeypatch):
+def test_contrastive_primitive_counts(alg, k, inn, eigh, cholesky, solve):
     """Exact LAPACK counts of one spd-contrastive run (2,006 eigh and 572
     Cholesky for cr_dca, 2,529 and 2,455 for b_dca when every consumer of
     a point factored it again; one eigh more per outer step when the step
     distance factored the new iterate again; 1,180 and 1,416 solves when
     the SPD norm solved Y^-1 V twice), and one check_point per trial step
-    plus one for p0: an iterate is validated once, as the trial that
-    reached it."""
+    (_step) plus one for p0: an iterate is validated once, as the trial
+    that reached it."""
     prob, start = _cli_contrastive_start()
-    trials = _count_trials(prob.manifold, monkeypatch)
     with primitive_counter() as counter:
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
     assert (trace.k, trace.inner_total) == (k, inn)
     assert counter.counts["eigh"] == eigh
     assert counter.counts["cholesky"] == cholesky
     assert counter.counts["solve"] == solve
-    assert counter.counts["check_point"] == trials["trials"] + 1
+    assert counter.counts["check_point"] == counter.counts["_step"] + 1
 
 
 def test_spd_roots_once_per_distinct_point(monkeypatch):
@@ -491,10 +570,14 @@ def test_spd_roots_once_per_distinct_point(monkeypatch):
 
 def test_valley_b_dca_primitive_counts():
     """Exact hyperboloid kernel counts over the valley starts of seeds
-    0-19: Rosenbrock's two distances and two logs are computed once per
-    point (130,025 _dist and 24,744 _log when each closure computed them
-    again)."""
-    totals = {"hyperboloid._dist": 0, "hyperboloid._log": 0}
+    0-19: the valley's two references coincide, so one distance and one
+    log are computed per point (130,025 _dist and 24,744 _log when each
+    closure computed both again, 98,203 and 17,586 when each point
+    computed both once), and each line-search trial is one _step, which
+    validates its point without check_point (one check_point per trial
+    and per p0 before)."""
+    totals = {"hyperboloid._dist": 0, "hyperboloid._log": 0, "_step": 0,
+              "check_point": 0}
     outer = 0
     for seed in range(20):
         prob = rosenbrock_problem(RosenbrockParams())
@@ -505,4 +588,5 @@ def test_valley_b_dca_primitive_counts():
         for name in totals:
             totals[name] += counter.counts[name]
     assert outer == 3519
-    assert totals == {"hyperboloid._dist": 98203, "hyperboloid._log": 17586}
+    assert totals == {"hyperboloid._dist": 50861, "hyperboloid._log": 8793,
+                      "_step": 47322, "check_point": 20}
