@@ -24,6 +24,7 @@ is kept between calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class OracleSchedule:
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.t_values)
-        if len(ts) == 0 or any(t <= 0 for t in ts):
-            raise ValueError("schedule needs positive ray parameters")
+        if len(ts) == 0 or not all(0.0 < t < math.inf for t in ts):
+            raise ValueError("schedule needs finite positive ray parameters")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("schedule must be strictly increasing")
         if self.mode not in (None, "difference", "quotient"):
@@ -169,18 +170,6 @@ class SupportCheckReport:
         return self.violations == 0
 
 
-def _support_term(manifold, q, s):
-    """p -> |s|_q B_{q,s}(p) at points p, for the point ``q`` and a
-    validated ``s``, with the horofunction built once.  s = 0 is decided
-    on the array, as the solver does, and gives the zero term; a nonzero
-    s whose norm rounds to 0 raises ZeroDirectionError."""
-    if np.linalg.norm(s) == 0.0:
-        return lambda p: 0.0
-    horo = manifold._horofunction(q, s)
-    ns = manifold._norm(q, s)
-    return lambda p: ns * horo.value(p)
-
-
 def support_check(manifold, f, subgrad, sigma, q, samples, rng,
                   radius=5.0, slack=1e-9):
     """Check the support inequality for ``f`` at ``q`` over random points.
@@ -189,11 +178,16 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
     Sample points are drawn within geodesic distance ``radius`` of ``q``
     by ``manifold.random_point_near``.  A sample violates when the
     right-hand side exceeds f(p) by more than ``slack``.  ``f`` and
-    ``subgrad`` take arrays.
+    ``subgrad`` take arrays.  |s| B_{q,s} is ``Manifold._support_term``.
     """
+    if not (samples >= 1 and 0.0 <= radius < math.inf
+            and 0.0 <= slack < math.inf):
+        raise ValueError("support check needs samples >= 1 and a finite "
+                         f"radius and slack >= 0: {samples}, {radius}, "
+                         f"{slack}")
     q = manifold.point(q)
-    support = _support_term(manifold, q,
-                            manifold.check_tangent(q.x, subgrad(q.x)))
+    term, scale = manifold._support_term(
+        q, manifold.check_tangent(q.x, subgrad(q.x)))
     fq = f(q.x)
     worst = -np.inf
     witness = None
@@ -201,7 +195,8 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
     for _ in range(samples):
         x = manifold.random_point_near(q, radius, rng)
         p = manifold.point(x)
-        rhs = fq - support(p) + 0.5 * sigma * manifold._dist_to(x, q) ** 2
+        support = 0.0 if term is None else scale * term.value(p)
+        rhs = fq - support + 0.5 * sigma * manifold._dist_to(x, q) ** 2
         gap = rhs - f(x)
         if gap > worst:
             worst = gap
@@ -233,6 +228,7 @@ def bregman_busemann(manifold, psi, psi_grad, p, q):
     """
     p = manifold.point(p)
     q = manifold.point(q)
-    support = _support_term(manifold, q,
-                            manifold.check_tangent(q.x, psi_grad(q.x)))
-    return float(psi(p.x) - psi(q.x) + support(p))
+    term, scale = manifold._support_term(
+        q, manifold.check_tangent(q.x, psi_grad(q.x)))
+    support = 0.0 if term is None else scale * term.value(p)
+    return float(psi(p.x) - psi(q.x) + support)

@@ -7,8 +7,10 @@ the current iterate p_k:
     classic:   minimize  g(p) - <s_k, log_{p_k} p>
     horofunction: minimize  g(p) + |s_k| B_{p_k, s_k}(p)
 
-On flat geometries the two subproblems coincide.  Subproblems are solved
-by Riemannian steepest descent with Armijo backtracking; the inner
+On flat geometries the two subproblems coincide.  Each is g + scale *
+term with the model (term, scale) of h at p_k: the linear model and -1,
+or ``Manifold._support_term(p_k, s_k)``.  Subproblems are solved by
+Riemannian steepest descent with Armijo backtracking; the inner
 tolerance is tied to the outer stopping tolerance.
 
 Every iterate and trial point is a prepared point
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import (NumericalDomainError, StalledInnerSolveError,
                      ValidationError)
-from .geometry.base import Point, fd_riemannian_grad
+from .geometry.base import Point, check_count, fd_riemannian_grad
 
 logger = logging.getLogger(__name__)
 
@@ -93,8 +95,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.eps_base < math.inf:
             raise ValueError(f"eps_base must be finite and > 0: {self.eps_base}")
-        if not self.max_outer >= 0:
-            raise ValueError(f"max_outer must be >= 0: {self.max_outer}")
+        check_count(self.max_outer, "max_outer", least=0)
         if self.algorithm not in ("cr_dca", "b_dca"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
@@ -160,45 +161,38 @@ class SolverTrace:
 
 @dataclass
 class SubproblemObjective:
-    """Objective g(p) + term(p) of one outer step, with g and the
-    prepared model term held apart.
+    """Objective g(p) + scale * term(p) of one outer step, with the model
+    (term, scale) of h at p_k prepared: ``term`` has ``value``, ``grad``.
 
     ``value`` and ``grad`` evaluate at a point; an array is checked and
-    made one, which needs ``manifold``.  g(p) and grad g(p) are kept on
-    the point, so a point the inner solve accepts carries them to the
-    outer tests and into the next inner solve, and g is evaluated once
-    per point.  ``term`` None is the zero term (a horofunction
-    subproblem with s_k = 0, or g alone).  ``g_grad`` None means g has
-    no analytic gradient: ``grad`` then takes central finite differences
-    of the whole objective on ``manifold``.
+    made one.  g(p) and grad g(p) are kept on the point, so a point the
+    inner solve accepts carries them to the outer tests and into the
+    next inner solve, and g is evaluated once per point.  ``term`` None
+    is the zero term (a horofunction subproblem with s_k = 0, or g
+    alone).  When g has no analytic gradient, ``grad`` takes central
+    finite differences of ``value``, which checks each difference point.
     """
 
-    g: callable
-    g_grad: callable = None
-    term: callable = None
-    term_grad: callable = None
-    manifold: object = None
-
-    @property
-    def analytic(self):
-        return self.g_grad is not None
+    problem: DCProblem
+    term: object = None
+    scale: float = 0.0
 
     def value(self, p):
         if not isinstance(p, Point):
-            p = self.manifold.point(p)
-        g_p = p.derived(self.g)
-        return g_p if self.term is None else g_p + self.term(p)
+            p = self.problem.manifold.point(p)
+        g_p = p.derived(self.problem.g)
+        return g_p if self.term is None \
+            else g_p + self.scale * self.term.value(p)
 
     def grad(self, p):
+        problem = self.problem
         if not isinstance(p, Point):
-            p = self.manifold.point(p)
-        if self.g_grad is None:
-            m = self.manifold
-            return fd_riemannian_grad(m, lambda x: self.value(m._point(x)),
-                                      p)
-        g_grad_p = p.derived(self.g_grad)
-        return g_grad_p if self.term_grad is None \
-            else g_grad_p + self.term_grad(p)
+            p = problem.manifold.point(p)
+        if problem.g_rgrad is None:
+            return fd_riemannian_grad(problem.manifold, self.value, p)
+        g_grad_p = p.derived(problem.g_rgrad)
+        return g_grad_p if self.term is None \
+            else g_grad_p + self.scale * self.term.grad(p)
 
 
 def scale_factor(problem: DCProblem, p0):
@@ -212,54 +206,47 @@ def _grad_norm(problem, p):
     return m._norm(p, m.check_tangent(p.x, problem.phi_grad(p)))
 
 
-def _objective(problem: DCProblem, kind, term=None,
-               term_grad=None) -> SubproblemObjective:
-    """g + ``term`` with gradient g_rgrad + ``term_grad``, or with central
-    finite differences of the sum when g has no analytic gradient."""
+def _model_point(problem: DCProblem, p_k, s_k, kind):
+    """p_k as a point and s_k checked at it; warns where g has no analytic
+    gradient."""
+    p_k = problem.manifold.point(p_k)
+    s_k = problem.manifold.check_tangent(p_k.x, s_k)
     if problem.g_rgrad is None:
         logger.warning("%s: no analytic gradient for g, %s subproblem falls "
                        "back to finite differences", problem.name, kind)
-    return SubproblemObjective(problem.g, problem.g_rgrad, term, term_grad,
-                               problem.manifold)
+    return p_k, s_k
 
 
 def make_cr_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     """Classic linearized subproblem  g(p) - <s_k, log_{p_k} p>.
 
     Validates ``s_k``, and ``p_k`` unless it is a point already, and
-    prepares the linear model once.  Its term is the negated model, since
-    a - b and a + (-b) are equal bit for bit.
+    prepares the linear model once.  Its scale is -1, since a - b and
+    a + (-1.0 * b) are equal bit for bit.
     """
-    manifold = problem.manifold
-    p_k = manifold.point(p_k)
-    s_k = manifold.check_tangent(p_k.x, s_k)
-    model = manifold._linear_model(p_k, s_k)
-    return _objective(problem, "classic", lambda p: -model.value(p),
-                      lambda p: -model.grad(p))
+    p_k, s_k = _model_point(problem, p_k, s_k, "classic")
+    return SubproblemObjective(problem,
+                               problem.manifold._linear_model(p_k, s_k), -1.0)
 
 
 def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     """Horofunction subproblem  g(p) + |s_k| B_{p_k, s_k}(p).
 
-    With s_k = 0 the second term is the constant 0 (continuity in s_k)
-    and the subproblem reduces to minimizing g.  Otherwise the
-    horofunction of the ray (p_k, s_k) is prepared once.  s_k = 0 is
-    tested on the array, as in ``Manifold.busemann``.  Validates ``s_k``,
-    and ``p_k`` unless it is a point already.
+    Its term and scale are ``Manifold._support_term(p_k, s_k)``: the
+    horofunction of the ray (p_k, s_k), prepared once, and |s_k|, or the
+    zero term where s_k = 0 (continuity in s_k), which reduces the
+    subproblem to minimizing g.  Validates ``s_k``, and ``p_k`` unless it
+    is a point already.
     """
-    manifold = problem.manifold
-    p_k = manifold.point(p_k)
-    s_k = manifold.check_tangent(p_k.x, s_k)
-    if np.linalg.norm(s_k) == 0.0:
-        return _objective(problem, "horofunction")
-    horo = manifold._horofunction(p_k, s_k)
-    ns = manifold._norm(p_k, s_k)
-    return _objective(problem, "horofunction", lambda p: ns * horo.value(p),
-                      lambda p: ns * horo.grad(p))
+    p_k, s_k = _model_point(problem, p_k, s_k, "horofunction")
+    return SubproblemObjective(problem,
+                               *problem.manifold._support_term(p_k, s_k))
 
 
-def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
-    """Riemannian steepest descent with Armijo backtracking.
+def inner_solve(objective: SubproblemObjective, start, tol: float):
+    """Riemannian steepest descent with Armijo backtracking on g + scale *
+    term, (term, scale) the linear model and -1 or ``_support_term``, on
+    the manifold of ``objective.problem``.
 
     Returns (point, iteration count), the point a
     :class:`~hadamard_dc.geometry.base.Point` that carries g and grad g
@@ -286,6 +273,7 @@ def inner_solve(objective: SubproblemObjective, start, tol: float, manifold):
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"inner tolerance must be finite and > 0: {tol}")
+    manifold = objective.problem.manifold
     p = manifold.point(start)
     fp = objective.value(p)
     g = objective.grad(p)
@@ -423,7 +411,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
             s_k = p.derived(problem.h_subgrad)
         objective = make(problem, p, s_k)
         try:
-            p_next, n_inner = inner_solve(objective, p, inner_tol, manifold)
+            p_next, n_inner = inner_solve(objective, p, inner_tol)
         except StalledInnerSolveError as exc:
             trace.exit_reason = "stalled"
             stall = exc

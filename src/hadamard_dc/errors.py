@@ -28,8 +28,7 @@ class StalledInnerSolveError(RuntimeError):
     Carries the best point, the start of the inner solve, and its value.
     """
 
-    def __init__(self, message, best_point=None, best_value=None, iterations=0):
+    def __init__(self, message, best_point=None, best_value=None):
         super().__init__(message)
         self.best_point = best_point
         self.best_value = best_value
-        self.iterations = iterations

@@ -56,8 +56,11 @@ content of an array:
   the per-call kernel ``_linear_model_grad``.
 * Callers decide a zero direction with the array test
   ``np.linalg.norm(v) == 0.0``: ``busemann``/``busemann_grad`` return
-  B_{q,0} = d(q, .) and its gradient, and the solver drops the term.
-  ``_horofunction(q, v)`` raises ZeroDirectionError where |v|_q rounds to 0.
+  B_{q,0} = d(q, .) and its gradient, and ``_support_term(q, s)``, the
+  model (term, scale) = (B_{q,s}, |s|_q) of h that the horofunction
+  subproblem and the support checks share, returns (None, 0.0), the
+  zero term.  ``_horofunction(q, v)`` raises ZeroDirectionError where
+  |v|_q rounds to 0.
   On flat geometries B_{q,v}(p) = -<v, log_q p>_q / |v|_q, the scaled
   linear model, evaluated by :class:`FlatHorofunction`.
 * ``_ray_probe(q, u, p)`` returns a :class:`RayProbe` of a validated
@@ -76,6 +79,7 @@ callers need no synchronization as long as they do not share a point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +98,15 @@ class BusemannRay:
 
     base: np.ndarray
     direction: np.ndarray
+
+
+def check_count(value, what, least=1):
+    """``value``, an integer count such as a dimension, as an int;
+    ValidationError naming ``what`` unless it is an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{what} must be an integer >= {least}: "
+                              f"{value!r}")
+    return int(value)
 
 
 def direction_norm(manifold, q, v):
@@ -319,6 +332,14 @@ class Manifold:
         if np.linalg.norm(v) == 0.0:
             return self._distance_gradient(q.x, p)
         return self._horofunction(q, v).grad(p)
+
+    def _support_term(self, q, s):
+        """(term, scale) = (B_{q,s}, |s|_q) of the point ``q`` and a
+        validated ``s``, the horofunction prepared once; (None, 0.0), the
+        zero term, where s = 0 by the array test."""
+        if np.linalg.norm(s) == 0.0:
+            return None, 0.0
+        return self._horofunction(q, s), self._norm(q, s)
 
     def _horofunction(self, q, v):
         """B_{q,v} of a ray from the point ``q`` with a validated direction,

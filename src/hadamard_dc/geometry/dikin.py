@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .base import FlatHorofunction, Manifold, RayProbe
+from .base import FlatHorofunction, Manifold, RayProbe, check_count
 
 _EXPONENT_GUARD = 690.0     # e^690 is near the double-precision ceiling
 
@@ -25,9 +25,7 @@ _EXPONENT_GUARD = 690.0     # e^690 is near the double-precision ceiling
 class DikinOrthant(Manifold):
 
     def __init__(self, n):
-        if n < 1:
-            raise ValidationError("dikin: dimension must be >= 1")
-        self.n = int(n)
+        self.n = check_count(n, "dikin: dimension")
         self.dim = self.n
         self.name = f"dikin({n})"
 

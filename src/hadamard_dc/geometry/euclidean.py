@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ValidationError
-from .base import FlatHorofunction, Manifold
+from .base import FlatHorofunction, Manifold, check_count
 
 
 class Euclidean(Manifold):
@@ -16,9 +15,7 @@ class Euclidean(Manifold):
     """
 
     def __init__(self, n):
-        if n < 1:
-            raise ValidationError("euclidean: dimension must be >= 1")
-        self.n = int(n)
+        self.n = check_count(n, "euclidean: dimension")
         self.dim = self.n
         self.name = f"euclidean({n})"
 

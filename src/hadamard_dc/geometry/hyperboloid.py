@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 
 from ..errors import NumericalDomainError, ValidationError
-from .base import Manifold, RayProbe, direction_norm
+from .base import Manifold, RayProbe, check_count, direction_norm
 
 _EXP_ARG_GUARD = 350.0      # cosh overflows doubles near 710; stay well below
 _LARGE_ARCOSH = 1e8
@@ -78,11 +78,10 @@ class Hyperboloid(Manifold):
     oracle_mode_default = "difference"
 
     def __init__(self, n, curvature=1.0):
-        if n < 1:
-            raise ValidationError("hyperboloid: dimension must be >= 1")
-        if curvature <= 0.0:
-            raise ValidationError("hyperboloid: curvature parameter must be > 0")
-        self.n = int(n)
+        self.n = check_count(n, "hyperboloid: dimension")
+        if not 0.0 < curvature < math.inf:
+            raise ValidationError("hyperboloid: curvature parameter must be "
+                                  f"finite and > 0: {curvature!r}")
         self.dim = self.n
         self.kappa = float(curvature)
         self.sqrt_kappa = math.sqrt(self.kappa)

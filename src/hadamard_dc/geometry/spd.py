@@ -53,7 +53,7 @@ import numpy as np
 
 from ..errors import (DefinitenessError, NumericalDomainError,
                       ValidationError, ZeroDirectionError)
-from .base import Manifold, Point, RayProbe
+from .base import Manifold, Point, RayProbe, check_count
 
 
 def sym(a):
@@ -225,9 +225,7 @@ class SPDManifold(Manifold):
     """P(n) with the affine-invariant geometry."""
 
     def __init__(self, n):
-        if n < 1:
-            raise ValidationError("spd: dimension must be >= 1")
-        self.n = int(n)
+        self.n = check_count(n, "spd: dimension")
         self.dim = self.n * (self.n + 1) // 2
         self.name = f"spd({n})"
 

@@ -19,6 +19,7 @@ import numpy as np
 from .dc import DCProblem
 from .errors import ValidationError
 from .geometry import Hyperboloid, SPDManifold, logdet, spd_fun
+from .geometry.base import check_count
 
 logger = logging.getLogger(__name__)
 
@@ -51,8 +52,7 @@ class RosenbrockParams:
             raise ValidationError("rosenbrock: a and b must be finite and positive")
         if not 1.0 <= self.theta < math.inf:
             raise ValidationError("rosenbrock: theta must be finite and >= 1")
-        if self.n < 1:
-            raise ValidationError("rosenbrock: dimension must be >= 1")
+        check_count(self.n, "rosenbrock: dimension")
         if self.tangency not in ("internal", "external"):
             raise ValidationError(
                 f"rosenbrock: unknown tangency {self.tangency!r}")
@@ -204,10 +204,9 @@ class AcademicParams:
     n: int = 4
 
     def __post_init__(self):
-        if self.n < 3:
-            # the fixed start ln(n) I plus antidiagonal ones is positive
-            # definite only where ln n > 1
-            raise ValidationError("academic: dimension must be >= 3")
+        # the fixed start ln(n) I plus antidiagonal ones is positive
+        # definite only where ln n > 1
+        check_count(self.n, "academic: dimension", least=3)
 
 
 def academic_problem(params: AcademicParams = AcademicParams()) -> DCProblem:
@@ -261,13 +260,9 @@ class ContrastiveParams:
     neg_weights: tuple = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("contrastive: dimension must be >= 1")
-        if self.m < 1:
-            raise ValidationError("contrastive: need at least one positive "
-                                  "reference")
-        if self.r < 0:
-            raise ValidationError("contrastive: negative count must be >= 0")
+        check_count(self.n, "contrastive: dimension")
+        check_count(self.m, "contrastive: positive reference count")
+        check_count(self.r, "contrastive: negative reference count", least=0)
 
 
 def contrastive_problem(params: ContrastiveParams, rng,

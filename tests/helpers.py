@@ -15,15 +15,19 @@ def rel_err(got, want):
     return np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want))
 
 
+def load_tool(name):
+    """The module of ``tools/<name>.py``, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def primitive_counter():
     """A ``PrimitiveCounter`` of ``tools/count_primitives.py``, which the
     counting tests share."""
-    path = Path(__file__).resolve().parent.parent / "tools" \
-        / "count_primitives.py"
-    spec = importlib.util.spec_from_file_location("count_primitives", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.PrimitiveCounter()
+    return load_tool("count_primitives").PrimitiveCounter()
 
 
 def on_arrays(manifold, fn):

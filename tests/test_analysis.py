@@ -197,3 +197,19 @@ def test_support_terms_subgradient_norm_underflow_raises():
         support_check(m, f, tiny, 0.0, q, 10, make_rng(0))
     with pytest.raises(ZeroDirectionError):
         bregman_busemann(m, f, tiny, np.ones(3), q)
+
+
+@pytest.mark.parametrize("samples, radius, slack", [
+    (0, 5.0, 1e-9), (-1, 5.0, 1e-9),
+    (10, 5.0, float("nan")), (10, 5.0, float("inf")), (10, 5.0, -1e-9),
+    (10, float("nan"), 1e-9), (10, float("inf"), 1e-9), (10, -1.0, 1e-9),
+])
+def test_support_check_rejects_vacuous_arguments(samples, radius, slack):
+    """No samples, or a slack or radius no sample can be judged by, would
+    report a pass without a test; each raises before f is called."""
+    def f(x):
+        raise AssertionError("f evaluated")
+
+    with pytest.raises(ValueError):
+        support_check(Euclidean(2), f, f, 0.0, np.zeros(2), samples,
+                      make_rng(0), radius=radius, slack=slack)

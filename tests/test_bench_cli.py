@@ -277,7 +277,7 @@ def test_solver_stall_exits_3(monkeypatch, capsys, tmp_path):
             step_dist=0.0, elapsed_s=0.0))
         trace.exit_reason = "stalled"
         err = StalledInnerSolveError("stalled", best_point=start,
-                                     best_value=1.0, iterations=3)
+                                     best_value=1.0)
         err.trace = trace
         raise err
 

@@ -5,7 +5,7 @@ import pytest
 
 from hadamard_dc import (DCProblem, DikinOrthant, Euclidean, Hyperboloid,
                          SolverConfig, StalledInnerSolveError,
-                         ZeroDirectionError, complexity_bound_check,
+                         ValidationError, ZeroDirectionError, complexity_bound_check,
                          inner_solve, make_b_subproblem, make_cr_subproblem,
                          make_rng, run_dca, scale_factor)
 from hadamard_dc.problems import (AcademicParams, RosenbrockParams,
@@ -23,6 +23,14 @@ def euclid_quadratic(n, c):
         h_subgrad=lambda p: c.copy(),
         g_rgrad=lambda p: 2.0 * p.x,
         sigma=0.0, phi_inf=None, name="euclid-quadratic")
+
+
+def g_only(g_rgrad):
+    """g = |p|^2 on R^2 with the gradient provider ``g_rgrad`` and h = 0:
+    the subproblem g alone."""
+    return DCProblem(manifold=Euclidean(2), g=lambda p: float(p.x @ p.x),
+                     h=lambda p: 0.0, h_subgrad=lambda p: np.zeros(2),
+                     g_rgrad=g_rgrad, name="g-only")
 
 
 def euclid_strongly_convex(z1, z2):
@@ -132,7 +140,7 @@ def test_inner_solve_quadratic():
     prob = euclid_quadratic(2, c)
     p0 = np.array([5.0, 5.0])
     obj = make_cr_subproblem(prob, p0, c)
-    p, iters = inner_solve(obj, p0, 1e-8, prob.manifold)
+    p, iters = inner_solve(obj, p0, 1e-8)
     np.testing.assert_allclose(p.x, c / 2, atol=1e-7)
     assert iters > 0
     # the returned point carries the values of g there
@@ -142,7 +150,7 @@ def test_inner_solve_quadratic():
                                   prob.g_rgrad(fresh))
     assert obj.value(p) <= obj.value(p0) + 1e-12
     # starting at the minimizer costs zero iterations
-    p2, iters2 = inner_solve(obj, c / 2, 1e-8, prob.manifold)
+    p2, iters2 = inner_solve(obj, c / 2, 1e-8)
     assert iters2 == 0
     np.testing.assert_array_equal(p2.x, c / 2)
 
@@ -152,7 +160,7 @@ def test_inner_solve_monotone_on_spd_subproblem():
     x0 = prob.metadata["fixed_start"]
     s = prob.h_subgrad(prob.manifold.point(x0))
     obj = make_b_subproblem(prob, x0, s)
-    p, iters = inner_solve(obj, x0, 1e-6, prob.manifold)
+    p, iters = inner_solve(obj, x0, 1e-6)
     assert obj.value(p) <= obj.value(x0) + 1e-12
     assert iters > 0
 
@@ -168,7 +176,7 @@ def test_inner_solve_checks_start_and_each_trial_once(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(m, name, counted)
-    _, iters = inner_solve(obj, p0, 1e-6, m)
+    _, iters = inner_solve(obj, p0, 1e-6)
     # one _step per trial; the start is checked by check_point, each trial
     # inside its _step, and both run the sheet tests once
     assert calls["_step"] >= iters > 0
@@ -177,15 +185,13 @@ def test_inner_solve_checks_start_and_each_trial_once(monkeypatch):
 
 
 def test_inner_solve_stalls_on_ascent_gradient():
-    m = Euclidean(2)
     # a deliberately wrong provider: the "gradient" points away from any
     # descent direction, so no step can satisfy the Armijo test
     from hadamard_dc.dc import SubproblemObjective
-    bad = SubproblemObjective(g=lambda p: float(p.x @ p.x),
-                              g_grad=lambda p: np.array([-10.0, 0.0]))
+    bad = SubproblemObjective(g_only(lambda p: np.array([-10.0, 0.0])))
     start = np.array([1.0, 0.0])
     with pytest.raises(StalledInnerSolveError) as err:
-        inner_solve(bad, start, 1e-10, m)
+        inner_solve(bad, start, 1e-10)
     np.testing.assert_array_equal(err.value.best_point, [1.0, 0.0])
 
 
@@ -196,11 +202,10 @@ def test_inner_solve_stall_after_progress_returns():
     start = np.array([1.0, 0.0])
     e1 = np.array([1.0, 0.0])
     # exact at the start, uphill everywhere after it
-    obj = SubproblemObjective(
-        g=lambda p: float(p.x @ p.x),
-        g_grad=lambda p: 2.0 * p.x if np.array_equal(p.x, start)
-        else -2.0 * p.x - e1)
-    p, iters = inner_solve(obj, start, 1e-10, Euclidean(2))
+    obj = SubproblemObjective(g_only(
+        lambda p: 2.0 * p.x if np.array_equal(p.x, start)
+        else -2.0 * p.x - e1))
+    p, iters = inner_solve(obj, start, 1e-10)
     np.testing.assert_array_equal(p.x, [0.0, 0.0])
     assert iters == 1
 
@@ -339,7 +344,7 @@ def test_config_validation():
         SolverConfig(algorithm="gd")
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            inner_solve(None, None, tol, None)
+            inner_solve(None, None, tol)
 
 
 def test_phi_grad_requires_provider():
@@ -367,9 +372,10 @@ def test_fd_fallback_and_gradient_free_outer_loop(caplog):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="hadamard_dc.dc"):
             obj = make(prob, np.zeros(2), s_k)
-        assert not obj.analytic
+        assert obj.problem is prob
         assert obj.value(p) == prob.g(m.point(p)) + (
-            0.0 if obj.term is None else obj.term(m.point(p)))
+            0.0 if obj.term is None
+            else obj.scale * obj.term.value(m.point(p)))
         assert sum("finite differences" in r.message
                    for r in caplog.records) == 1
         np.testing.assert_allclose(obj.grad(p), want, atol=1e-5)
@@ -380,6 +386,21 @@ def test_fd_fallback_and_gradient_free_outer_loop(caplog):
     assert trace.gamma == 1.0
     assert trace.exit_reason in ("step", "fixed_point")
     np.testing.assert_allclose(trace.final.point, c / 2, atol=1e-3)
+
+
+@pytest.mark.parametrize("make", [make_cr_subproblem, make_b_subproblem])
+def test_fd_fallback_checks_each_difference_point(make, monkeypatch):
+    """Without an analytic gradient, ``grad`` differences ``value`` at the
+    points exp_p(+-h e_i) as arrays, which it checks: an exponential map
+    that leaves the manifold raises instead of reaching g."""
+    m = DikinOrthant(2)
+    prob = DCProblem(manifold=m, g=lambda p: float(np.sum(np.log(p.x) ** 2)),
+                     h=lambda p: 0.0, h_subgrad=lambda p: np.ones(2),
+                     name="gradient-free")
+    obj = make(prob, np.ones(2), np.ones(2))
+    monkeypatch.setattr(m, "_exp", lambda p, v: -np.ones(2))
+    with pytest.raises(ValidationError):
+        obj.grad(np.ones(2))
 
 
 def test_gradient_free_outer_loop_takes_one_subgradient_per_step():

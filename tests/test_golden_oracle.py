@@ -16,12 +16,12 @@ the file with
 and says which cases moved and why.
 """
 
-import importlib.util
 from pathlib import Path
 
 from hadamard_dc import (BusemannRay, DikinOrthant, Hyperboloid,
                          OracleSchedule, SPDManifold, busemann_numeric,
                          make_rng)
+from helpers import load_tool
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_oracle.txt"
@@ -30,11 +30,7 @@ FIELDS = ("value", "t_values", "raw_values", "estimates", "refined",
 
 
 def _build():
-    spec = importlib.util.spec_from_file_location(
-        "cli_rows", ROOT / "tools" / "cli_rows.py")
-    cli_rows = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli_rows)
-    return cli_rows.build()
+    return load_tool("cli_rows").build()
 
 
 def _seeded(m, seed):

@@ -11,14 +11,12 @@ or CPU dispatch path may move the last bits of fval and grad_norm with
 no solver change, so a failure names both builds.
 """
 
-import importlib.util
 from pathlib import Path
 
+from helpers import load_tool
+
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    "cli_rows", ROOT / "tools" / "cli_rows.py")
-cli_rows = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(cli_rows)
+cli_rows = load_tool("cli_rows")
 
 
 def test_golden_rows_unchanged():

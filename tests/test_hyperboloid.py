@@ -355,6 +355,8 @@ def outcome(fn, *args):
        log10_nv=st.floats(-6.0, 3.0), zero=st.booleans())
 @example(seed=1, n=1, kappa=1.0, log10_nv=0.0, zero=True)
 @example(seed=2, n=5, kappa=2.5, log10_nv=3.0, zero=False)
+# far field: the Busemann log argument rounds to <= 0 and is clamped
+@example(seed=322737, n=1, kappa=1.0, log10_nv=0.0, zero=False)
 def test_prepared_horofunction_matches_per_call(seed, n, kappa, log10_nv,
                                                 zero):
     m = Hyperboloid(n, curvature=kappa)

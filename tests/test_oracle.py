@@ -118,6 +118,9 @@ def test_schedule_validation():
         OracleSchedule(t_values=())
     with pytest.raises(ValueError):
         OracleSchedule(t_values=(-1.0, 2.0))
+    for ts in ((float("nan"),), (5.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            OracleSchedule(t_values=ts)
     with pytest.raises(ValueError):
         OracleSchedule(mode="secant")
 

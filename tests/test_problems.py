@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hadamard_dc import (AcademicParams, ContrastiveParams, RosenbrockParams,
-                         SolverConfig, ValidationError, academic_problem,
+from hadamard_dc import (AcademicParams, ContrastiveParams, DikinOrthant,
+                         Euclidean, RosenbrockParams, SolverConfig,
+                         ValidationError, academic_problem,
                          contrastive_problem, fd_riemannian_grad, make_rng,
                          make_b_subproblem, make_cr_subproblem,
                          random_start, rosenbrock_problem, run_dca)
@@ -424,7 +425,7 @@ def test_subproblem_gradients_match_fd(factory):
         p = m.random_point(rng)
         for make in (make_cr_subproblem, make_b_subproblem):
             obj = make(prob, p_k, s_k)
-            assert obj.analytic
+            assert obj.problem.g_rgrad is not None
             assert rel_err(obj.grad(p),
                            fd_riemannian_grad(m, obj.value, p)) < 1e-5
 
@@ -590,3 +591,25 @@ def test_valley_b_dca_primitive_counts():
     assert outer == 3519
     assert totals == {"hyperboloid._dist": 50861, "hyperboloid._log": 8793,
                       "_step": 47322, "check_point": 20}
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Hyperboloid(2, curvature=math.nan), ValidationError),
+    (lambda: Hyperboloid(2, curvature=math.inf), ValidationError),
+    (lambda: Hyperboloid(2.5), ValidationError),
+    (lambda: SPDManifold(2.5), ValidationError),
+    (lambda: Euclidean(2.5), ValidationError),
+    (lambda: DikinOrthant(2.5), ValidationError),
+    (lambda: RosenbrockParams(n=2.5), ValidationError),
+    (lambda: AcademicParams(n=3.5), ValidationError),
+    (lambda: ContrastiveParams(m=2.5), ValidationError),
+    (lambda: ContrastiveParams(r=0.5), ValidationError),
+    (lambda: SolverConfig(max_outer=2.5), ValueError),
+], ids=["curvature-nan", "curvature-inf", "hyperboloid-n", "spd-n",
+        "euclidean-n", "dikin-n", "rosenbrock-n", "academic-n",
+        "contrastive-m", "contrastive-r", "max_outer"])
+def test_constructors_reject_invalid_numbers(build, error):
+    """A non-finite curvature or a non-integer count is rejected when the
+    object is built, not truncated or left to fail later."""
+    with pytest.raises(error):
+        build()
