@@ -209,10 +209,12 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
 
 
 def lipschitz_subgrad_bound_check(manifold, f, lipschitz_const, q, s):
-    """Subgradients of an L-Lipschitz convex function have norm <= L."""
-    q = manifold.check_point(q)
-    s = manifold.check_tangent(q, s)
-    return manifold.norm(q, s) <= lipschitz_const + 1e-10
+    """Subgradients of an L-Lipschitz convex function have norm <= L.
+
+    Checks q and s once each."""
+    q = manifold.point(q)
+    return manifold._norm(q, manifold.check_tangent(q.x, s)) \
+        <= lipschitz_const + 1e-10
 
 
 # ----------------------------------------------------------------------

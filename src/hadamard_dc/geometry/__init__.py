@@ -4,8 +4,8 @@ from .base import BusemannRay, Manifold, fd_riemannian_grad
 from .dikin import DikinOrthant
 from .euclidean import Euclidean
 from .hyperboloid import Hyperboloid, arcosh
-from .spd import (SpectralSplit, SPDManifold, chol, frechet_log, logdet,
-                  spd_fun, sym, sym_eig)
+from .spd import (SpectralSplit, SPDDistanceSum, SPDManifold, chol,
+                  frechet_log, logdet, spd_fun, sym, sym_eig)
 
 __all__ = [
     "BusemannRay",
@@ -16,6 +16,7 @@ __all__ = [
     "Hyperboloid",
     "arcosh",
     "SPDManifold",
+    "SPDDistanceSum",
     "SpectralSplit",
     "sym",
     "sym_eig",

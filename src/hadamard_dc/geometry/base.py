@@ -35,10 +35,10 @@ point:
   which all its kernels at X share.
 * ``Point.derived(make)`` keeps ``make(point)`` under ``make``: the
   solver keeps g, grad g and the subgradient of h there, the problem
-  closures their shared work (Rosenbrock's distances and logs, ln det X),
-  and a model term what its gradient reuses from its value (the SPD
-  horofunction's Cholesky factor, the SPD linear model's
-  eigendecomposition of C X C).
+  closures their shared work (Rosenbrock's distances and logs, ln det X,
+  the stacked spectrum of an SPD distance sum), and a model term what
+  its gradient reuses from its value (the SPD horofunction's Cholesky
+  factor, the SPD linear model's eigendecomposition of C X C).
 
 What is kept between evaluations is otherwise preparation for a fixed
 ray or linearization point, never a result looked up by the identity or

@@ -25,16 +25,28 @@ orthogonal factor U), Cholesky-factor U^T Y^-1/2 X Y^-1/2 U = L L^T, and
 with lam_(j) the group representative at index j and D = diag(lam_(j)).
 The value is insensitive to how near-equal eigenvalues are grouped.
 
+Weighted sums of squared distances to fixed references R_i, and their
+gradients, come from the spectrum of M_i = R_i^-1/2 X R_i^-1/2 =
+V_i diag(mu_i) V_i^T alone, because the log is equivariant under the
+congruence by R_i^1/2:
+
+    d^2(X, R_i)  = sum_j (ln mu_ij)^2
+    log_X(R_i)   = -R_i^1/2 V_i diag(mu_i ln mu_i) V_i^T R_i^1/2
+
 A kernel's base point is an :class:`SPDPoint`, whose X^1/2 and X^-1/2
 are computed once, on first use, and shared by every kernel at X.
 Everything in these formulas that depends on the ray alone (the
 split, U and their products with the roots) is computed once per ray by
 :class:`SPDHorofunction`, the fixed part of the classic linear model
-once per (X_k, S) by :class:`SPDLinearModel`, and the congruence
+once per (X_k, S) by :class:`SPDLinearModel`, the roots R_i^+-1/2 once
+per stack of references by :class:`SPDDistanceSum`, and the congruence
 reduction of the limit oracle once per ray and point by
-:class:`SPDRayProbe`.  ``sym``, ``spd_fun``, ``_log`` and ``_dists``
-also act on stacks of matrices of shape (k, n, n), so that k references
-cost one stacked eigendecomposition.
+:class:`SPDRayProbe`.  At a point the horofunction keeps its Cholesky
+factor, the linear model the spectrum of X_k^-1/2 X X_k^-1/2 and the
+distance sum the stacked spectrum of the M_i, which its value and
+gradient share.  ``sym``, ``sym_eig``, ``spd_fun`` and ``spd_roots`` act
+on a matrix or on each matrix of a stack of shape (k, n, n), so that
+the k references of a sum cost one stacked eigendecomposition.
 
 The limit probes take singular values from LAPACK's Jacobi SVD, which
 numpy does not wrap.  ``dgejsv`` imports it from ``scipy.linalg`` on its
@@ -100,12 +112,14 @@ def _spectral_fun(w, u, kind):
 
 
 def spd_roots(a):
-    """(A^1/2, A^-1/2) from one eigendecomposition; each equals what
-    ``spd_fun`` returns for "sqrt" and "invsqrt"."""
+    """(A^1/2, A^-1/2) of a matrix, or of each matrix of a stack, from one
+    eigendecomposition; each equals what ``spd_fun`` returns for "sqrt"
+    and "invsqrt"."""
     w, u = sym_eig(a)
     _require_positive(w, "matrix square root")
-    r = np.sqrt(w)
-    return sym((u * r) @ u.T), sym((u * (1.0 / r)) @ u.T)
+    r = np.sqrt(w)[..., None, :]
+    ut = u.swapaxes(-1, -2)
+    return sym((u * r) @ ut), sym((u * (1.0 / r)) @ ut)
 
 
 def _require_positive(w, what):
@@ -114,11 +128,6 @@ def _require_positive(w, what):
         raise DefinitenessError(
             f"{what} needs a positive definite argument "
             f"(min eigenvalue {w.min():.3g})")
-
-
-def _log_at(xh, xih, y):
-    """log_X(Y) from X^1/2 and X^-1/2; Y may be a stack of points."""
-    return sym(xh @ spd_fun(xih @ y @ xih, "log") @ xh)
 
 
 def _trace_product(a, b):
@@ -279,24 +288,23 @@ class SPDManifold(Manifold):
         return sym(yh @ inner_exp @ yh)
 
     def _log(self, x, y):
-        """log_X(Y) from the point X; for a stack of points Y, the stack of
-        their logs, through one stacked eigendecomposition."""
-        return _log_at(*x.roots, y)
+        """log_X(Y) from the point X."""
+        xh, xih = x.roots
+        return sym(xh @ spd_fun(xih @ y @ xih, "log") @ xh)
 
     def _dist(self, x, y):
-        return self._dists(x, spd_fun(y, "invsqrt")[None])[0]
+        return self._dist_invsqrt(x, spd_fun(y, "invsqrt"))
 
     def _dist_to(self, x, y):
-        return self._dists(x, y.roots[1][None])[0]
+        return self._dist_invsqrt(x, y.roots[1])
 
-    def _dists(self, x, yih):
-        """List of d(X, Y_i) from the stack of Y_i^-1/2, through one stacked
-        eigvalsh; an empty stack gives an empty list."""
+    def _dist_invsqrt(self, x, yih):
+        """d(X, Y) from Y^-1/2, through the eigvalsh of Y^-1/2 X Y^-1/2."""
         w = np.linalg.eigvalsh(sym(yih @ x @ yih))
         if np.any(w <= 0.0):
             raise DefinitenessError(
                 f"{self.name}: congruence lost definiteness in dist")
-        return [float(np.linalg.norm(np.log(row))) for row in w]
+        return float(np.linalg.norm(np.log(w)))
 
     def project(self, x, a):
         return sym(np.asarray(a, dtype=float))
@@ -490,3 +498,45 @@ class SPDLinearModel:
         egrad = sym(self.c @ _frechet_log_spectral(*x.derived(self._reduced),
                                                    self.csc) @ self.c)
         return sym(x.x @ egrad @ x.x)
+
+
+class SPDDistanceSum:
+    """X -> sum_i w_i d^2(X, R_i) over fixed references R_i, and its
+    gradient -2 sum_i w_i log_X(R_i), from one spectrum per point.
+
+    With M_i = R_i^-1/2 X R_i^-1/2 = V_i diag(mu_i) V_i^T,
+
+        d^2(X, R_i)  = sum_j (ln mu_ij)^2
+        log_X(R_i)   = -R_i^1/2 V_i diag(mu_i ln mu_i) V_i^T R_i^1/2
+
+    (the log is equivariant under the congruence by R_i^1/2, and
+    log_M(I) = -M^1/2 Log(M) M^1/2).  R_i^+-1/2 come from one stacked
+    eigendecomposition, here; at a point X the stacked eigendecomposition
+    of the M_i, which the point keeps, serves the value and the gradient,
+    so neither needs X^+-1/2.  A nonpositive mu raises DefinitenessError,
+    which the line search takes as a trial outside the domain.  An empty
+    stack of references gives 0 and the zero gradient.  Holds arrays only.
+    """
+
+    def __init__(self, refs, weights):
+        self.weights = np.asarray(weights, dtype=float)
+        self.rh, self.rih = spd_roots(refs)
+
+    def _spectrum(self, x):
+        # (ln mu, mu, V) of the stack of M_i
+        mu, v = sym_eig(self.rih @ x.x @ self.rih)
+        if np.any(mu <= 0.0):
+            raise DefinitenessError(
+                "spd: congruence lost definiteness in a distance sum")
+        return np.log(mu), mu, v
+
+    def value(self, x):
+        log_mu = x.derived(self._spectrum)[0]
+        return float(self.weights @ np.sum(log_mu * log_mu, axis=-1))
+
+    def grad(self, x):
+        log_mu, mu, v = x.derived(self._spectrum)
+        a = self.rh @ v
+        c = self.weights[:, None] * (mu * log_mu)
+        return sym(2.0 * np.sum((a * c[:, None, :]) @ a.swapaxes(-1, -2),
+                                axis=0))

@@ -5,7 +5,8 @@ with analytic gradients and known-optimum metadata.  The problem closures
 take a :class:`~hadamard_dc.geometry.base.Point`, which the solver has
 validated, and call the unchecked geometry kernels; what several closures
 need at one point (Rosenbrock's two distances and logs, ln det X, the
-SPD roots) they take from the point, which computes it once.
+contrastive sums' spectra) they take from the point, which computes it
+once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dc import DCProblem
 from .errors import ValidationError
-from .geometry import Hyperboloid, SPDManifold, logdet, spd_fun
+from .geometry import Hyperboloid, SPDDistanceSum, SPDManifold, logdet
 from .geometry.base import check_count
 
 logger = logging.getLogger(__name__)
@@ -303,24 +304,12 @@ def contrastive_problem(params: ContrastiveParams, rng,
                               "the declared m, r")
 
     def sq_dist_sum(weights, refs):
-        # sum_i w_i d^2(X, R_i) and its gradient -2 sum_i w_i log_X(R_i);
-        # the references go through the kernels as one (k, n, n) stack,
-        # with each R_i^-1/2 computed here once and X^+-1/2 taken from the
-        # point
-        stack = np.array(refs, dtype=float).reshape(-1, params.n, params.n)
-        invsqrt = spd_fun(stack, "invsqrt")
-
-        def value(x):
-            return float(sum(w * d ** 2 for w, d in
-                             zip(weights, manifold._dists(x.x, invsqrt))))
-
-        def grad(x):
-            out = manifold.zero_tangent(x.x)
-            for w, log in zip(weights, manifold._log(x, stack)):
-                out = out - 2.0 * w * log
-            return out          # exactly symmetric, as each log is
-
-        return value, grad
+        # sum_i w_i d^2(X, R_i) and its gradient -2 sum_i w_i log_X(R_i),
+        # both from the one stacked spectrum that each point keeps
+        dist_sum = SPDDistanceSum(
+            np.array(refs, dtype=float).reshape(-1, params.n, params.n),
+            weights)
+        return dist_sum.value, dist_sum.grad
 
     g, g_rgrad = sq_dist_sum(wp, positives)
     h, h_subgrad = sq_dist_sum(wn, negatives)

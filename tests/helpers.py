@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean, Hyperboloid,
                          SPDManifold)
@@ -13,6 +14,17 @@ def rel_err(got, want):
     got = np.asarray(got, dtype=float)
     want = np.asarray(want, dtype=float)
     return np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want))
+
+
+EXPLORE_FACTOR = 20         # examples per tier1 example under "explore"
+
+
+def examples(n):
+    """``max_examples`` of a property test that runs ``n`` examples under
+    the tier1 profile (see ``conftest.py``)."""
+    if settings.get_current_profile_name() == "explore":
+        return EXPLORE_FACTOR * n
+    return n
 
 
 def load_tool(name):

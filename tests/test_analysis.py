@@ -105,6 +105,41 @@ def test_lipschitz_subgrad_bound():
         assert lipschitz_subgrad_bound_check(m, f, 1.0, p, s)
 
 
+def test_lipschitz_subgrad_bound_checks_once(monkeypatch):
+    """One check_point, one check_tangent and (on SPD) one Cholesky factor
+    per call, with the result of the public norm (two of each when the
+    check called the public norm after checking q and s itself)."""
+    m = SPDManifold(3)
+    rng = make_rng(8)
+    q = m.random_point(rng)
+    s = m.random_tangent(q, rng)
+    bound = m.norm(q, s)
+    counts = {"check_point": 0, "check_tangent": 0, "cholesky": 0}
+    check_point, check_tangent = SPDManifold.check_point, \
+        SPDManifold.check_tangent
+    cholesky = np.linalg.cholesky
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SPDManifold, "check_point",
+                        counted("check_point", check_point))
+    monkeypatch.setattr(SPDManifold, "check_tangent",
+                        counted("check_tangent", check_tangent))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
+    # the largest limit that fails and the smallest that passes
+    passing = bound - 1e-10
+    for limit, want in ((float(np.nextafter(passing, 0.0)), False),
+                        (passing, True)):
+        counts.update(dict.fromkeys(counts, 0))
+        assert lipschitz_subgrad_bound_check(m, None, limit, q, s) is want
+        assert counts == {"check_point": 1, "check_tangent": 1,
+                          "cholesky": 1}
+
+
 def test_bregman_basics():
     m = Euclidean(3)
     rng = make_rng(6)

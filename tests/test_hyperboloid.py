@@ -14,7 +14,7 @@ from hadamard_dc import (BusemannRay, Hyperboloid, NumericalDomainError,
                          fd_riemannian_grad, make_rng)
 from hadamard_dc.geometry.hyperboloid import (_EXP_ARG_GUARD, _TINY,
                                               _lorentz, _ucoef)
-from helpers import rel_err, same
+from helpers import examples, rel_err, same
 
 EPS = float(np.finfo(float).eps)
 
@@ -349,7 +349,7 @@ def outcome(fn, *args):
         return type(exc)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
        kappa=st.sampled_from([1.0, 0.3, 2.5]),
        log10_nv=st.floats(-6.0, 3.0), zero=st.booleans())
@@ -382,7 +382,7 @@ def test_prepared_horofunction_matches_per_call(seed, n, kappa, log10_nv,
             assert same(outcome(horo.grad, pt), grad)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(n=st.integers(2, 5), kappa=st.sampled_from([1.0, 0.3, 2.5]),
        r1=st.floats(10.0, 700.0), r2=st.floats(10.0, 700.0),
        theta=st.floats(0.5, math.pi))
@@ -413,7 +413,7 @@ def test_far_pairs_dist(n, kappa, r1, r2, theta):
     assert d == m.dist(q, p)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
        kappa=st.sampled_from([1.0, 0.3, 2.5]),
        log10_delta=st.floats(-12.0, -2.0))
@@ -432,7 +432,7 @@ def test_near_pairs_dist(seed, n, kappa, log10_delta):
     assert d == m.dist(q, p)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
        kappa=st.sampled_from([1.0, 0.3, 2.5]), radius=st.floats(0.0, 3.0))
 def test_exp_log_round_trip_and_symmetry(seed, n, kappa, radius):
@@ -450,7 +450,7 @@ def test_exp_log_round_trip_and_symmetry(seed, n, kappa, radius):
     assert m.dist(p, q) == m.dist(q, p)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
        kappa=st.sampled_from([1.0, 0.3, 2.5]),
        log10_nv=st.floats(-6.0, 3.0))
@@ -468,7 +468,7 @@ def test_busemann_grad_unit_norm(seed, n, kappa, log10_nv):
         assert abs(m.norm(p, g) - 1.0) <= 1e-8
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
        kappa=st.sampled_from([1.0, 0.3, 2.5]))
 @example(seed=0, n=2, kappa=1.0)
@@ -552,7 +552,7 @@ def bytes_or_error(fn, *args):
     return np.asarray(getattr(out, "x", out)).tobytes()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
        kappa=st.sampled_from([1.0, 0.3, 2.5]), radius=st.floats(0.0, 20.0),
        log10_t=st.floats(-8.0, 2.7),
@@ -595,7 +595,7 @@ def test_step_matches_checked_former_exp(seed, n, kappa, radius, log10_t,
         assert type(m._step(pt, v)) is type(pt)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
        kappa=st.sampled_from([1.0, 0.3, 2.5]), radius=st.floats(0.0, 20.0))
 @example(seed=0, n=2, kappa=1.0, radius=20.0)

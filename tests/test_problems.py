@@ -17,7 +17,7 @@ from hadamard_dc import dc
 from hadamard_dc.geometry import (Hyperboloid, SPDManifold, logdet, spd,
                                   spd_fun, sym)
 from hadamard_dc.rng import run_seed
-from helpers import on_arrays, primitive_counter, rel_err
+from helpers import examples, on_arrays, primitive_counter, rel_err
 
 
 def _count_trials(manifold, monkeypatch):
@@ -254,25 +254,34 @@ def test_contrastive_gradients_match_fd():
 
 def reference_sq_dist_sum(x, weights, refs):
     """sum_i w_i d^2(X, R_i) and -2 sum_i w_i log_X(R_i), one reference at
-    a time with every matrix root rebuilt."""
-    value = 0
+    a time with every matrix root rebuilt, from the spectrum mu, V of
+    M = R^-1/2 X R^-1/2: d^2 = sum_j (ln mu_j)^2 and log_X(R) =
+    -R^1/2 V diag(mu ln mu) V^T R^1/2.  The terms are added in reference
+    order, and the weighted sum of the d^2 is taken by the dot product
+    that the implementation uses."""
+    sq = []
     out = np.zeros_like(x)
-    xh, xih = spd_fun(x, "sqrt"), spd_fun(x, "invsqrt")
     for w, r in zip(weights, refs):
-        rih = spd_fun(r, "invsqrt")
-        d = float(np.linalg.norm(np.log(np.linalg.eigvalsh(
-            sym(rih @ x @ rih)))))
-        value = value + w * d ** 2
-        log = sym(xh @ spd_fun(sym(xih @ r @ xih), "log") @ xh)
-        out = out - 2.0 * w * log
-    return float(value), sym(out)
+        rh, rih = spd_fun(r, "sqrt"), spd_fun(r, "invsqrt")
+        mu, v = np.linalg.eigh(sym(rih @ x @ rih))
+        log_mu = np.log(mu)
+        sq.append(np.sum(log_mu * log_mu))
+        a = rh @ v
+        out = out + (a * (w * (mu * log_mu))) @ a.T
+    value = float(np.asarray(weights, dtype=float) @ np.array(sq))
+    return value, sym(2.0 * out)
 
 
-@pytest.mark.parametrize("m_refs, r_refs", [(3, 2), (2, 0)])
-def test_contrastive_closures_match_per_reference_sums(m_refs, r_refs):
+@pytest.mark.parametrize("m_refs, r_refs, pos_weights, neg_weights", [
+    (3, 2, None, None), (3, 2, (0.5, 1.25, 2.0), (0.75, 1.5)),
+    (2, 0, None, None)], ids=["3-2", "3-2-weighted", "2-0"])
+def test_contrastive_closures_match_per_reference_sums(m_refs, r_refs,
+                                                       pos_weights,
+                                                       neg_weights):
     rng = make_rng(13)
-    prob = contrastive_problem(ContrastiveParams(n=4, m=m_refs, r=r_refs),
-                               rng)
+    prob = contrastive_problem(
+        ContrastiveParams(n=4, m=m_refs, r=r_refs, pos_weights=pos_weights,
+                          neg_weights=neg_weights), rng)
     md = prob.metadata
     for _ in range(5):
         x = prob.manifold.random_point(rng)
@@ -291,12 +300,16 @@ def test_contrastive_closures_match_per_reference_sums(m_refs, r_refs):
 
 def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
     """One spectral split per outer step with s_k != 0, and eigh calls
-    (a stacked call counting as one): one per trial step (its exponential),
-    two per inner iteration (the roots of the accepted point and the
-    stacked logs of grad g there), two per outer step (the split and the
-    stacked logs of s_k; the step distance takes X^-1/2 from the roots of
-    the accepted point) and three at p0 (its roots and the stacked logs
-    of grad g and s_k)."""
+    (a stacked call counting as one): two per trial step (its exponential
+    and the stacked spectrum of g's references, which serves g there and,
+    at an accepted point, grad g), one per inner iteration (the roots of
+    the accepted point), two per outer step (the split and the stacked
+    spectrum of h's references, which serves h and s_k; the step distance
+    takes X^-1/2 from the roots of the accepted point) and three at p0
+    (the two spectra and its roots).
+    When the value of each sum took an eigvalsh and its gradient a stacked
+    eigh of X^-1/2 R_i X^-1/2, this read one eigh per trial, two per inner
+    iteration, two per outer step and three at p0."""
     params = ContrastiveParams(n=4, m=3, r=2)
     rng = make_rng(5)
     prob = contrastive_problem(params, rng)
@@ -325,7 +338,7 @@ def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
     assert trace.exit_reason in ("grad", "step")
     assert counts["ray"] == trace.k > 0
     assert counts["split"] == counts["ray"]
-    assert counts["eigh"] == (trials["trials"] + 2 * trace.inner_total
+    assert counts["eigh"] == (2 * trials["trials"] + trace.inner_total
                               + 2 * trace.k + 3)
 
 
@@ -366,12 +379,15 @@ def test_contrastive_construction_primitive_counts():
     around one checked center, so the center is checked and factored once
     (20 check_point, 20 Cholesky, 17 eigh and 5 spd_roots when each sample
     checked and factored it again), and each sample's norm takes one
-    solve (10 solves when the SPD norm solved Y^-1 V twice)."""
+    solve (10 solves when the SPD norm solved Y^-1 V twice).  The roots
+    R^+-1/2 of each stack of references, for g and for h, are one stacked
+    spd_roots each (eigh 8 and spd_roots 1 when a stacked spd_fun made
+    R^-1/2 alone)."""
     with primitive_counter() as counter:
         contrastive_problem(ContrastiveParams(n=4, m=3, r=2), make_rng(5))
     assert counter.counts == {"eigh": 8, "eigvalsh": 0, "cholesky": 6,
                               "solve": 5, "check_point": 6, "_step": 0,
-                              "spd_roots": 1, "hyperboloid._dist": 0,
+                              "spd_roots": 3, "hyperboloid._dist": 0,
                               "hyperboloid._log": 0}
 
 
@@ -488,7 +504,7 @@ def former_rosenbrock_closures(prob, a, b, theta):
     return g, h, g_rgrad, h_subgrad
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
        theta=st.floats(1.0, 3.0), b=st.floats(0.5, 200.0),
        radius=st.floats(0.0, 20.0), explicit=st.booleans())
@@ -526,23 +542,28 @@ def _cli_contrastive_start():
     return prob, random_start(prob, rng)
 
 
-@pytest.mark.parametrize("alg, k, inn, eigh, cholesky, solve", [
-    ("cr_dca", 59, 215, 1335, 393, 845),
-    ("b_dca", 94, 424, 1818, 1653, 708),
+@pytest.mark.parametrize("alg, k, inn, eigh, eigvalsh, cholesky, solve", [
+    ("cr_dca", 59, 215, 1512, 59, 393, 845),
+    ("b_dca", 94, 424, 2173, 94, 1653, 708),
 ])
-def test_contrastive_primitive_counts(alg, k, inn, eigh, cholesky, solve):
+def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
+                                      solve):
     """Exact LAPACK counts of one spd-contrastive run (2,006 eigh and 572
     Cholesky for cr_dca, 2,529 and 2,455 for b_dca when every consumer of
     a point factored it again; one eigh more per outer step when the step
     distance factored the new iterate again; 1,180 and 1,416 solves when
-    the SPD norm solved Y^-1 V twice), and one check_point per trial step
-    (_step) plus one for p0: an iterate is validated once, as the trial
-    that reached it."""
+    the SPD norm solved Y^-1 V twice; 1,335 eigh and 512 eigvalsh for
+    cr_dca, 1,818 and 969 for b_dca when each distance sum took an
+    eigvalsh for its value and a second stacked eigh for its gradient),
+    one eigvalsh per outer step (the step distance), and one check_point
+    per trial step (_step) plus one for p0: an iterate is validated once,
+    as the trial that reached it."""
     prob, start = _cli_contrastive_start()
     with primitive_counter() as counter:
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
     assert (trace.k, trace.inner_total) == (k, inn)
     assert counter.counts["eigh"] == eigh
+    assert counter.counts["eigvalsh"] == eigvalsh == k
     assert counter.counts["cholesky"] == cholesky
     assert counter.counts["solve"] == solve
     assert counter.counts["check_point"] == counter.counts["_step"] + 1
@@ -550,8 +571,9 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, cholesky, solve):
 
 def test_spd_roots_once_per_distinct_point(monkeypatch):
     """X^+-1/2 of each iterate comes from one spd_roots call, shared by the
-    gradients of g and h, the subproblem and the exponential map: one call
-    per accepted point and p0, none on the same matrix twice."""
+    subproblem, the step distance and the exponential map (the gradients
+    of g and h need none): one call per accepted point and p0, none on the
+    same matrix twice."""
     factored = []
     spd_roots = spd.spd_roots
 
