@@ -16,13 +16,14 @@ tolerance is tied to the outer stopping tolerance.
 Every iterate and trial point is a prepared point
 (:class:`~hadamard_dc.geometry.base.Point`): p0 is checked and made one
 once in ``run_dca``, and each line-search trial in ``inner_solve`` is one
-``Manifold._step``, which checks exp_p(v) and makes it one.  It is the
-argument of the problem closures and of the subproblem term and the base
-point of every geometry kernel; each keeps on it what it derives from
-it, so the SPD roots, g and grad g, the subgradient of h and the term's
-factorizations are computed once per point.  The point a trial reaches
-carries them out of the inner solve to the outer tests and into the
-next subproblem.  A point is trusted because of its type:
+``step`` of the ray ``Manifold._ray(p, -grad)`` that the line search
+prepared at its iterate, which checks exp_p(-alpha grad) and makes it
+one.  It is the argument of the problem closures and of the subproblem
+term and the base point of every geometry kernel; each keeps on it what
+it derives from it, so the SPD roots, g and grad g, the subgradient of
+h and the term's factorizations are computed once per point.  The point
+a trial reaches carries them out of the inner solve to the outer tests
+and into the next subproblem.  A point is trusted because of its type:
 ``make_cr_subproblem``, ``make_b_subproblem`` and ``inner_solve`` check
 an array once and skip ``check_point`` for a point.
 """
@@ -256,10 +257,12 @@ def inner_solve(objective: SubproblemObjective, start, tol: float):
 
     The first trial step is 1, later ones a secant estimate along the
     previous ray; a trial is shrunk by ``_BACKTRACK`` until the Armijo
-    test with ``_ARMIJO_C1`` holds.  Every trial is one
-    ``manifold._step`` at the iterate's point, the checked point of the
-    exponential map, so the trials from one iterate share what the point
-    keeps (the SPD roots).  Stops when the subproblem gradient norm
+    test with ``_ARMIJO_C1`` holds.  Each accepted iterate p, the start
+    included, prepares one ray ``manifold._ray(p, -grad)``, whose
+    ``speed`` is the gradient norm, and every trial from p is one
+    ``ray.step(alpha)``, the checked point of exp_p(-alpha grad), so the
+    trials from one iterate share what the ray prepared (on SPD, one
+    eigendecomposition).  Stops when the subproblem gradient norm
     drops to ``tol``, after ``_MAX_INNER_ITERS`` steps, when the
     sufficient-decrease test falls below double-precision resolution of
     the objective (the point is then as converged as evaluations allow),
@@ -267,7 +270,7 @@ def inner_solve(objective: SubproblemObjective, start, tol: float):
     ``_MAX_HALVINGS`` halvings.  Raises
     StalledInnerSolveError if the first line search runs out of them.
     ``start``, unless it is a point already, and every trial point (in
-    ``_step``) are validated and made points, so the objective only sees
+    ``step``) are validated and made points, so the objective only sees
     checked points; the accepted iterate is not checked again when a
     trial steps from it.  ``tol`` must be finite and positive.
     """
@@ -276,8 +279,8 @@ def inner_solve(objective: SubproblemObjective, start, tol: float):
     manifold = objective.problem.manifold
     p = manifold.point(start)
     fp = objective.value(p)
-    g = objective.grad(p)
-    gn = manifold._norm(p, g)
+    ray = manifold._ray(p, -objective.grad(p))
+    gn = ray.speed
     iters = 0
     alpha_prev = None
     fp_prev = None
@@ -307,7 +310,7 @@ def inner_solve(objective: SubproblemObjective, start, tol: float):
         for _ in range(_MAX_HALVINGS):
             required = _ARMIJO_C1 * alpha * gn * gn
             try:
-                cand = manifold._step(p, -alpha * g)
+                cand = ray.step(alpha)
                 fc = objective.value(cand)
             except (OverflowError, FloatingPointError, NumericalDomainError,
                     ValidationError):
@@ -342,8 +345,8 @@ def inner_solve(objective: SubproblemObjective, start, tol: float):
 
         fp_prev, gn_prev, alpha_prev = fp, gn, alpha
         p, fp = cand, fc
-        g = objective.grad(p)
-        gn = manifold._norm(p, g)
+        ray = manifold._ray(p, -objective.grad(p))
+        gn = ray.speed
         iters += 1
 
     return p, iters

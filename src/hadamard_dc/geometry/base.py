@@ -23,13 +23,17 @@ point:
 
 * ``Manifold._point(x)`` wraps an array right after ``check_point``; the
   solver builds one for p0, and the public methods one per base point.
-  A line-search trial is ``Manifold._step(p, v)``, the checked point of
-  exp_p(v): by default ``_point(check_point(_exp(p, v)))``, while the
-  hyperboloid runs the same exponential and sheet tests with the largest
-  |coordinate| taken once.  ``Manifold.point(x)`` checks an array and
-  passes a point of the same manifold through, so a point is trusted
-  because of its type, never because of its address or contents; every
-  public method accepts a point wherever it takes one.
+  A line search runs along ``Manifold._ray(p, d)``, the geodesic
+  t -> exp_p(t d) prepared once: its ``speed`` is |d|_p, and a trial is
+  its ``step(t)``, the checked point of exp_p(t d).  By default that is
+  ``_point(check_point(_exp(p, t d)))``; the hyperboloid runs the same
+  exponential and sheet tests with the largest |coordinate| taken once,
+  and SPD diagonalizes X^-1/2 D X^-1/2 once per ray, so that a step is
+  one product and the Cholesky test of ``check_point``.
+  ``Manifold.point(x)`` checks an array and passes a point of the same
+  manifold through, so a point is trusted because of its type, never
+  because of its address or contents; every public method accepts a
+  point wherever it takes one.
 * A geometry keeps there what its kernels take from a base point: SPD
   keeps X^1/2 and X^-1/2 (``SPDPoint.roots``, one eigendecomposition),
   which all its kernels at X share.
@@ -190,6 +194,30 @@ class LinearModel:
         return self.manifold._linear_model_grad(self.q, self.s, p.x)
 
 
+class Ray:
+    """The geodesic t -> exp_p(t d) of a point p and a validated direction
+    d, prepared for one line search along it: ``speed`` = |d|_p, and
+    ``step(t)``, the checked :class:`Point` of exp_p(t d), which raises as
+    ``_exp`` and ``check_point`` do.
+
+    This form calls ``_exp`` and ``check_point`` on every step; a geometry
+    with fixed work per ray, or a cheaper test of its trial points,
+    returns its own ray from ``_ray``.
+    """
+
+    __slots__ = ("manifold", "p", "d", "speed")
+
+    def __init__(self, manifold, p, d):
+        self.manifold = manifold
+        self.p = p
+        self.d = d
+        self.speed = manifold._norm(p, d)
+
+    def step(self, t):
+        m = self.manifold
+        return m._point(m.check_point(m._exp(self.p, t * self.d)))
+
+
 class RayProbe:
     """Distance from a validated point p to the points of one validated
     ray (the point q, unit direction u), as ``distance(t)`` =
@@ -285,10 +313,10 @@ class Manifold:
         p = self.point(p)
         return self._exp(p, self.check_tangent(p.x, v))
 
-    def _step(self, p, v):
-        """The checked :class:`Point` of exp_p(v), for a point ``p`` and a
-        validated ``v``; raises as ``_exp`` and ``check_point`` do."""
-        return self._point(self.check_point(self._exp(p, v)))
+    def _ray(self, p, d):
+        """The geodesic t -> exp_p(t d) of a point ``p`` and a validated
+        ``d``, prepared for a line search along it: a :class:`Ray`."""
+        return Ray(self, p, d)
 
     def log(self, p, q):
         return self._log(self.point(p), self._array(q))

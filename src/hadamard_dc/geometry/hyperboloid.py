@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 
 from ..errors import NumericalDomainError, ValidationError
-from .base import Manifold, RayProbe, check_count, direction_norm
+from .base import Manifold, Ray, RayProbe, check_count, direction_norm
 
 _EXP_ARG_GUARD = 350.0      # cosh overflows doubles near 710; stay well below
 _LARGE_ARCOSH = 1e8
@@ -206,8 +206,8 @@ class Hyperboloid(Manifold):
         c = math.sqrt(max(-self.kappa * _lorentz(out, out), _TINY))
         return out / c, top / c
 
-    def _step(self, p, v):
-        return self._point(self._on_sheet(*self._exp_top(p, v)))
+    def _ray(self, p, d):
+        return HyperboloidRay(self, p, d)
 
     def _log(self, q, p):
         # log_q p = d * P/|P| with P the projection of p; the ratio d/|P|
@@ -299,6 +299,18 @@ class Hyperboloid(Manifold):
     def _ray_probe(self, q, unit_dir, p):
         return RayProbe(self, q, unit_dir, p,
                         t_guard=_EXP_ARG_GUARD / self.sqrt_kappa)
+
+
+class HyperboloidRay(Ray):
+    """A ray whose steps run ``_exp_top`` and ``_on_sheet``: the
+    exponential and sheet tests of ``check_point(_exp(p, t d))``, with the
+    largest |coordinate| taken once."""
+
+    __slots__ = ()
+
+    def step(self, t):
+        m = self.manifold
+        return m._point(m._on_sheet(*m._exp_top(self.p, t * self.d)))
 
 
 class HyperboloidHorofunction:

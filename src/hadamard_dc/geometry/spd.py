@@ -11,9 +11,13 @@ Metric and maps at a base point Y:
 
     <U, V>_Y   = tr(Y^-1 U Y^-1 V)
     d(X, Y)    = |Log(Y^-1/2 X Y^-1/2)|_F
-    exp_Y(V)   = Y^1/2 Exp(Y^-1/2 V Y^-1/2) Y^1/2
+    exp_Y(V)   = Y^1/2 Exp(Y^-1/2 V Y^-1/2) Y^1/2 = G diag(e^lam) G^T
     log_X(Y)   = X^1/2 Log(X^-1/2 Y X^-1/2) X^1/2
     grad f(X)  = X f'(X) X
+
+with Y^-1/2 V Y^-1/2 = U diag(lam) U^T and G = Y^1/2 U.  A line search
+along exp_Y(t V) keeps lam and G (:class:`SPDRay`), so that each trial
+costs one product and no eigendecomposition.
 
 Busemann function of a ray (Y, V), V != 0: split Y^-1/2 V Y^-1/2 into
 eigenvalue groups (ascending representatives lam_i, multiplicities n_i,
@@ -101,11 +105,7 @@ def spd_fun(a, kind):
     of a stack, spectrally."""
     if kind not in _SPD_FUNCS:
         raise ValueError(f"unknown matrix function {kind!r}")
-    return _spectral_fun(*sym_eig(a), kind)
-
-
-def _spectral_fun(w, u, kind):
-    """``spd_fun`` of the matrix with spectrum ``w`` and factor ``u``."""
+    w, u = sym_eig(a)
     if kind in _PD_REQUIRED:
         _require_positive(w, f"matrix function {kind!r}")
     return sym((u * _SPD_FUNCS[kind](w)[..., None, :]) @ u.swapaxes(-1, -2))
@@ -247,8 +247,14 @@ class SPDManifold(Manifold):
         scale = 1.0 + float(np.linalg.norm(x))
         if np.linalg.norm(x - x.T) > 1e-10 * scale:
             raise ValidationError(f"{self.name}: point is not symmetric")
+        self._definite(sym(x))
+        return x
+
+    def _definite(self, x):
+        """``x``, a finite and exactly symmetric matrix, after the Cholesky
+        test of ``check_point``."""
         try:
-            np.linalg.cholesky(sym(x))
+            np.linalg.cholesky(x)
         except np.linalg.LinAlgError as exc:
             raise DefinitenessError(
                 f"{self.name}: point is not positive definite") from exc
@@ -278,14 +284,10 @@ class SPDManifold(Manifold):
         return SPDPoint(self, x)
 
     def _exp(self, y, v):
-        yh, yih = y.roots
-        w, u = sym_eig(yih @ v @ yih)
-        if np.max(np.abs(w)) > 700.0:
-            raise OverflowError(
-                f"{self.name}: exponential map argument "
-                f"{np.max(np.abs(w)):.3g} exceeds the overflow guard")
-        inner_exp = sym((u * np.exp(w)) @ u.T)
-        return sym(yh @ inner_exp @ yh)
+        return SPDRay(self, y, v).exp(1.0)
+
+    def _ray(self, y, d):
+        return SPDRay(self, y, d)
 
     def _log(self, x, y):
         """log_X(Y) from the point X."""
@@ -424,6 +426,50 @@ class SPDRayProbe(RayProbe):
         return float(np.linalg.norm(2.0 * _log_singular_values(a)))
 
 
+class SPDRay:
+    """t -> exp_X(t D) with W = X^-1/2 D X^-1/2 = U diag(lam) U^T
+    diagonalized once: exp_X(t D) = G diag(e^{t lam}) G^T with G = X^1/2 U,
+    a factor of X (G G^T = X) that reduces the congruence of D to
+    diag(lam).  ``speed`` = |D|_X = |lam|_2.  ``exp(t)`` is the array, with
+    the overflow guard t max|lam| <= 700; ``step(t)`` is its checked
+    point, tested for finite entries and by ``_definite``: the array is
+    exactly symmetric and of the right shape by construction, so the
+    other tests of ``check_point`` could not fail.
+    """
+
+    __slots__ = ("manifold", "lam", "g", "top", "speed")
+
+    def __init__(self, manifold, x, d):
+        xh, xih = x.roots
+        self.manifold = manifold
+        try:
+            self.lam, u = sym_eig(xih @ d @ xih)
+        except np.linalg.LinAlgError:
+            # eigh fails only where X^-1/2 D X^-1/2 is not finite: the ray
+            # then has speed NaN, as |D|_X had, so no line search runs
+            # along it
+            self.lam, u = np.full(manifold.n, math.nan), np.asarray(d)
+        self.g = xh @ u
+        self.top = float(np.max(np.abs(self.lam)))
+        self.speed = float(np.linalg.norm(self.lam))
+
+    def exp(self, t):
+        arg = t * self.top
+        if arg > 700.0:
+            raise OverflowError(
+                f"{self.manifold.name}: exponential map argument "
+                f"{arg:.3g} exceeds the overflow guard")
+        g = self.g
+        return sym((g * np.exp(t * self.lam)) @ g.T)
+
+    def step(self, t):
+        m = self.manifold
+        x = self.exp(t)
+        if not np.isfinite(x).all():
+            raise ValidationError(f"{m.name}: point has non-finite entries")
+        return m._point(m._definite(x))
+
+
 def _point_roots(x):
     return spd_roots(x.x)
 
@@ -473,16 +519,17 @@ class SPDHorofunction:
 
 class SPDLinearModel:
     """p -> <S, log_{X_k} p> with the fixed data of (X_k, S) computed once:
-    X_k^+-1/2 (from the point X_k), X_k^-1 S for the value and C S C,
-    C = X_k^-1/2, for the gradient.  Value and gradient at X both start
-    from the eigendecomposition of C X C, which the point keeps.  Holds
-    arrays only, since each point it evaluates keeps it alive.
+    C = X_k^-1/2 (from the point X_k) and C S C.  Value and gradient at X
+    both start from the eigendecomposition C X C = U diag(w) U^T, which
+    the point keeps; the value is
+
+        tr(C S C Log(C X C)) = sum_j ln w_j u_j^T (C S C) u_j.
+
+    Holds arrays only, since each point it evaluates keeps it alive.
     """
 
     def __init__(self, manifold, xk, s):
-        self.xk = xk.x
-        self.xkh, self.c = xk.roots
-        self.xk_inv_s = np.linalg.solve(self.xk, s)
+        self.c = xk.roots[1]
         self.csc = sym(self.c @ s @ self.c)
 
     def _reduced(self, x):
@@ -490,9 +537,9 @@ class SPDLinearModel:
         return sym_eig(self.c @ x.x @ self.c)
 
     def value(self, x):
-        log = sym(self.xkh @ _spectral_fun(*x.derived(self._reduced), "log")
-                  @ self.xkh)
-        return _trace_product(self.xk_inv_s, np.linalg.solve(self.xk, log))
+        w, u = x.derived(self._reduced)
+        _require_positive(w, "matrix function 'log'")
+        return float(np.sum(u * (self.csc @ u), axis=0) @ np.log(w))
 
     def grad(self, x):
         egrad = sym(self.c @ _frechet_log_spectral(*x.derived(self._reduced),

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import settings
 
 from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean, Hyperboloid,
-                         SPDManifold)
+                         SPDManifold, ValidationError)
 
 
 def rel_err(got, want):
@@ -67,3 +67,13 @@ def same(a, b):
     if isinstance(a, type) or isinstance(b, type):
         return a is b
     return np.array_equal(a, b, equal_nan=True)
+
+
+def bytes_or_error(fn, *args):
+    """(bytes of the array fn returns, or of the point's array), or the
+    type and message of the error it raised."""
+    try:
+        out = fn(*args)
+    except (OverflowError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return np.asarray(getattr(out, "x", out)).tobytes()

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from hadamard_dc import (AcademicParams, BusemannRay, ContrastiveParams,
-                         DCProblem, DikinOrthant, Euclidean, Hyperboloid,
+                         DikinOrthant, Euclidean, Hyperboloid,
                          RosenbrockParams, SPDManifold, SolverConfig,
                          academic_problem, busemann_numeric,
                          complexity_bound_check, contrastive_problem,
                          fd_riemannian_grad, make_b_subproblem,
                          make_cr_subproblem, make_rng, random_start,
-                         rosenbrock_problem, run_dca)
+                         rosenbrock_problem, run_dca, verify)
 from hadamard_dc.geometry import frechet_log, spd_fun, sym
 from helpers import on_arrays, rel_err
 
@@ -300,22 +300,6 @@ def test_criterion_08_support_inequalities():
     assert report("8 (support inequalities)", ok, "1000-sample checks")
 
 
-def _euclid_sc_instance(rng):
-    m = Euclidean(4)
-    z1 = rng.standard_normal(4)
-    z2 = rng.standard_normal(4)
-    pstar = 2 * z1 - z2
-    phi_inf = (float((pstar - z1) @ (pstar - z1))
-               - 0.5 * float((pstar - z2) @ (pstar - z2)))
-    return DCProblem(
-        manifold=m,
-        g=lambda p: float((p.x - z1) @ (p.x - z1)),
-        h=lambda p: 0.5 * float((p.x - z2) @ (p.x - z2)),
-        h_subgrad=lambda p: p.x - z2,
-        g_rgrad=lambda p: 2.0 * (p.x - z1),
-        sigma=2.0, phi_inf=phi_inf, name="euclid-sc")
-
-
 def test_criterion_09_descent_and_complexity(academic_runs, internal_runs,
                                              external_runs,
                                              contrastive_runs):
@@ -331,7 +315,9 @@ def test_criterion_09_descent_and_complexity(academic_runs, internal_runs,
         worst = max(worst, ascent)
         ok &= ascent <= 1e-9
     rng = make_rng(8)
-    prob = _euclid_sc_instance(rng)
+    z1 = rng.standard_normal(4)
+    z2 = rng.standard_normal(4)
+    prob = verify._euclidean_sc_instance(Euclidean(4), z1, z2)
     trace = run_dca(prob, 3.0 * rng.standard_normal(4),
                     SolverConfig(algorithm="b_dca"))
     passed, witness = complexity_bound_check(trace, 2.0, prob.phi_inf)

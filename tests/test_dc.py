@@ -11,6 +11,7 @@ from hadamard_dc import (DCProblem, DikinOrthant, Euclidean, Hyperboloid,
 from hadamard_dc.problems import (AcademicParams, RosenbrockParams,
                                   academic_problem, random_start,
                                   rosenbrock_problem)
+from helpers import primitive_counter
 
 
 def euclid_quadratic(n, c):
@@ -170,18 +171,20 @@ def test_inner_solve_checks_start_and_each_trial_once(monkeypatch):
     m = prob.manifold
     p0 = random_start(prob, make_rng(3))
     obj = make_b_subproblem(prob, p0, prob.h_subgrad(m.point(p0)))
-    calls = {"check_point": 0, "_step": 0, "_on_sheet": 0}
+    calls = {"check_point": 0, "_on_sheet": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(m, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(m, name, counted)
-    _, iters = inner_solve(obj, p0, 1e-6)
-    # one _step per trial; the start is checked by check_point, each trial
-    # inside its _step, and both run the sheet tests once
-    assert calls["_step"] >= iters > 0
+    with primitive_counter() as counter:
+        _, iters = inner_solve(obj, p0, 1e-6)
+    # one ray step per trial; the start is checked by check_point, each
+    # trial inside its step, and both run the sheet tests once
+    trials = counter.counts["step"]
+    assert trials >= iters > 0
     assert calls["check_point"] == 1
-    assert calls["_on_sheet"] == 1 + calls["_step"]
+    assert calls["_on_sheet"] == 1 + trials
 
 
 def test_inner_solve_stalls_on_ascent_gradient():
@@ -420,10 +423,10 @@ def test_gradient_free_outer_loop_takes_one_subgradient_per_step():
     assert len(calls) == trace.k
 
 
-def _counting_run(prob, start, alg, monkeypatch):
+def _counting_run(prob, start, alg):
     """run_dca with its evaluations of g, grad g and h counted, and its
-    line-search trial steps: the calls of the manifold's ``_step``."""
-    counts = {"g": 0, "g_rgrad": 0, "h": 0, "trials": 0}
+    line-search trial steps: the calls of ``step`` of its rays."""
+    counts = {"g": 0, "g_rgrad": 0, "h": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -433,9 +436,9 @@ def _counting_run(prob, start, alg, monkeypatch):
 
     for name in ("g", "g_rgrad", "h"):
         setattr(prob, name, counted(name, getattr(prob, name)))
-    m = prob.manifold
-    monkeypatch.setattr(m, "_step", counted("trials", m._step))
-    trace = run_dca(prob, start, SolverConfig(algorithm=alg))
+    with primitive_counter() as counter:
+        trace = run_dca(prob, start, SolverConfig(algorithm=alg))
+    counts["trials"] = counter.counts["step"]
     return trace, counts
 
 
@@ -453,13 +456,13 @@ def _contrastive_start():
 
 @pytest.mark.parametrize("alg", ["cr_dca", "b_dca"])
 @pytest.mark.parametrize("instance", [_valley_start, _contrastive_start])
-def test_run_dca_evaluates_each_point_once(instance, alg, monkeypatch):
+def test_run_dca_evaluates_each_point_once(instance, alg):
     """g once per trial point and grad g once per accepted inner iterate,
     carried on the point from the inner solve to the outer tests and into
     the next inner solve; p0 adds one g and one grad g, which scale_factor
     and the gradient test share."""
     prob, start = instance()
-    trace, counts = _counting_run(prob, start, alg, monkeypatch)
+    trace, counts = _counting_run(prob, start, alg)
     assert trace.exit_reason in ("grad", "step", "fixed_point")
     assert trace.k > 0 and counts["trials"] >= trace.inner_total
     assert counts["g_rgrad"] == trace.inner_total + 1
@@ -468,33 +471,43 @@ def test_run_dca_evaluates_each_point_once(instance, alg, monkeypatch):
 
 
 def test_spd_trial_steps_take_the_iterates_roots(monkeypatch):
-    """On SPD the trial steps from one iterate share its X^+-1/2, which the
-    point keeps: the first trial from an inner iterate computes them (no
-    gradient of the contrastive sums needs them), and no later trial from
-    it computes them again.  An outer iterate has them before its first
-    trial, from the subproblem build or the step distance."""
+    """On SPD the trial steps from one iterate share its X^+-1/2 through
+    the ray that the iterate prepares: the first ray from an inner iterate
+    computes them (no gradient of the contrastive sums needs them), no
+    later ray from it computes them again, and no trial step computes
+    any.  An outer iterate has them before its first ray, from the
+    subproblem build or the step distance."""
     from hadamard_dc.geometry import SPDManifold, spd
     counts = {"roots": 0}
-    made = {}               # base point bytes -> roots made per trial
-    spd_roots, exp = spd.spd_roots, SPDManifold._exp
+    made = {}               # base point bytes -> roots made per ray
+    stepped = []            # roots made per trial step
+    spd_roots, ray, step = spd.spd_roots, SPDManifold._ray, spd.SPDRay.step
 
     def counted_roots(a):
         counts["roots"] += 1
         return spd_roots(a)
 
-    def counted_exp(self, y, v):
+    def counted_ray(self, y, d):
         before = counts["roots"]
-        out = exp(self, y, v)
+        out = ray(self, y, d)
         made.setdefault(y.x.tobytes(), []).append(counts["roots"] - before)
+        return out
+
+    def counted_step(self, t):
+        before = counts["roots"]
+        out = step(self, t)
+        stepped.append(counts["roots"] - before)
         return out
 
     instances = [_contrastive_start() for _ in range(2)]
     monkeypatch.setattr(spd, "spd_roots", counted_roots)
-    monkeypatch.setattr(SPDManifold, "_exp", counted_exp)
+    monkeypatch.setattr(SPDManifold, "_ray", counted_ray)
+    monkeypatch.setattr(spd.SPDRay, "step", counted_step)
     for alg, (prob, start) in zip(("cr_dca", "b_dca"), instances):
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
         assert trace.inner_total > 0
-    assert made
-    assert all(trials[0] in (0, 1) and not any(trials[1:])
-               for trials in made.values())
-    assert any(trials[0] for trials in made.values())
+    assert made and stepped
+    assert not any(stepped)
+    assert all(rays[0] in (0, 1) and not any(rays[1:])
+               for rays in made.values())
+    assert any(rays[0] for rays in made.values())

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean,
                          UndefinedGradientError, ValidationError,
                          ZeroDirectionError, fd_riemannian_grad, make_rng)
-from helpers import all_geometries, same
+from helpers import all_geometries, bytes_or_error, examples, same
 
 E = math.e
 EPS = float(np.finfo(float).eps)
@@ -260,6 +262,31 @@ def test_dikin_exp_overflow_guard():
     d = DikinOrthant(1)
     with pytest.raises(OverflowError):
         d.exp(np.array([1.0]), np.array([1e4]))
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dikin=st.booleans(),
+       n=st.integers(1, 5), log10_t=st.floats(-8.0, 3.5),
+       nan=st.booleans())
+@example(seed=0, dikin=True, n=3, log10_t=3.5, nan=False)   # above the guard
+@example(seed=1, dikin=False, n=2, log10_t=0.0, nan=True)   # NaN direction
+def test_ray_step_matches_checked_exp(seed, dikin, n, log10_t, nan):
+    """On the flat geometries ``_ray(p, d).step(t)`` is the point of
+    ``check_point(_exp(p, t d))``: the same bytes, or the same error type
+    and message, at t and at a halving; the ray's speed is the bytes of
+    ``_norm(p, d)``."""
+    m = DikinOrthant(n) if dikin else Euclidean(n)
+    rng = np.random.default_rng(seed)
+    p = m.random_point(rng)
+    d = m.random_tangent(p, rng)
+    if nan:
+        d[0] = math.nan
+    pt = m._point(p)
+    ray = m._ray(pt, d)
+    assert same(ray.speed, m._norm(pt, d))
+    for t in (10.0 ** log10_t, 0.5 * 10.0 ** log10_t):
+        assert bytes_or_error(ray.step, t) == bytes_or_error(
+            lambda: m._point(m.check_point(m._exp(pt, t * d))))
 
 
 def test_egrad_to_rgrad_validates_the_gradient():

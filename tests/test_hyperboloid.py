@@ -14,7 +14,7 @@ from hadamard_dc import (BusemannRay, Hyperboloid, NumericalDomainError,
                          fd_riemannian_grad, make_rng)
 from hadamard_dc.geometry.hyperboloid import (_EXP_ARG_GUARD, _TINY,
                                               _lorentz, _ucoef)
-from helpers import examples, rel_err, same
+from helpers import bytes_or_error, examples, rel_err, same
 
 EPS = float(np.finfo(float).eps)
 
@@ -542,16 +542,6 @@ def polar_tangent(m, r, u, rng):
     return v / math.hypot(a, *w)
 
 
-def bytes_or_error(fn, *args):
-    """(bytes of the array fn returns, or of the point's array), or the
-    type and message of the error it raised."""
-    try:
-        out = fn(*args)
-    except (OverflowError, ValidationError) as exc:
-        return type(exc), str(exc)
-    return np.asarray(getattr(out, "x", out)).tobytes()
-
-
 @settings(max_examples=examples(150), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
        kappa=st.sampled_from([1.0, 0.3, 2.5]), radius=st.floats(0.0, 20.0),
@@ -572,27 +562,32 @@ def bytes_or_error(fn, *args):
          skew=-3.0, nan=False)                          # spacelike
 def test_step_matches_checked_former_exp(seed, n, kappa, radius, log10_t,
                                          skew, nan):
-    """``_step(p, v)`` is the point of ``check_point(_exp(p, v))`` as it was
-    before the largest coordinate was taken once: the same bytes, or the
-    same error type and message; ``_exp`` keeps its former bytes too."""
+    """``_ray(p, d).step(t)`` is the point of ``check_point(_exp(p, t d))``
+    as it was before the largest coordinate was taken once: the same
+    bytes, or the same error type and message, at t = 1 and at the
+    halvings a line search tries; ``_exp`` keeps its former bytes too, and
+    the ray's speed is the bytes of ``_norm(p, d)``."""
     m = Hyperboloid(n, curvature=kappa)
     rng = np.random.default_rng(seed)
     u = random_unit(n, rng)
     p = polar_point(m, radius, u)
-    v = 10.0 ** log10_t * polar_tangent(m, radius, u, rng) + skew * p
+    d = 10.0 ** log10_t * polar_tangent(m, radius, u, rng) + skew * p
     if nan:
-        v[0] = math.nan
+        d[0] = math.nan
     pt = m._point(p)
 
     def former_step(p, v):
         return m._point(former_check_point(m, former_exp(m, p, v)))
 
-    step = bytes_or_error(m._step, pt, v)
-    assert step == bytes_or_error(former_step, p, v)
-    assert bytes_or_error(m._exp, pt, v) == bytes_or_error(former_exp, m, p,
-                                                           v)
-    if not isinstance(step, tuple):
-        assert type(m._step(pt, v)) is type(pt)
+    ray = m._ray(pt, d)
+    assert same(ray.speed, m._norm(pt, d))
+    for t in (1.0, 0.5, 2.0 ** -20):
+        step = bytes_or_error(ray.step, t)
+        assert step == bytes_or_error(former_step, p, t * d)
+        if not isinstance(step, tuple):
+            assert type(ray.step(t)) is type(pt)
+    assert bytes_or_error(m._exp, pt, d) == bytes_or_error(former_exp, m, p,
+                                                           d)
 
 
 @settings(max_examples=examples(150), deadline=None)

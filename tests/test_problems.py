@@ -20,20 +20,6 @@ from hadamard_dc.rng import run_seed
 from helpers import examples, on_arrays, primitive_counter, rel_err
 
 
-def _count_trials(manifold, monkeypatch):
-    """Counts, in the returned dict, the trial steps of every line search
-    on ``manifold``: the calls of its ``_step``."""
-    counts = {"trials": 0}
-    step = manifold._step
-
-    def counted_step(p, v):
-        counts["trials"] += 1
-        return step(p, v)
-
-    monkeypatch.setattr(manifold, "_step", counted_step)
-    return counts
-
-
 # ----------------------------------------------------------------------
 # hyperbolic Rosenbrock
 # ----------------------------------------------------------------------
@@ -300,23 +286,25 @@ def test_contrastive_closures_match_per_reference_sums(m_refs, r_refs,
 
 def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
     """One spectral split per outer step with s_k != 0, and eigh calls
-    (a stacked call counting as one): two per trial step (its exponential
-    and the stacked spectrum of g's references, which serves g there and,
-    at an accepted point, grad g), one per inner iteration (the roots of
-    the accepted point), two per outer step (the split and the stacked
-    spectrum of h's references, which serves h and s_k; the step distance
-    takes X^-1/2 from the roots of the accepted point) and three at p0
-    (the two spectra and its roots).
-    When the value of each sum took an eigvalsh and its gradient a stacked
-    eigh of X^-1/2 R_i X^-1/2, this read one eigh per trial, two per inner
+    (a stacked call counting as one): one per trial step (the stacked
+    spectrum of g's references, which serves g there and, at an accepted
+    point, grad g), two per inner iteration (the roots of the accepted
+    point and the ray of its line search), three per outer step (the
+    split, the stacked spectrum of h's references, which serves h and
+    s_k, and the ray of the inner solve's first line search; the step
+    distance takes X^-1/2 from the roots of the accepted point) and three
+    at p0 (the two spectra and its roots).
+    When each trial step took its own exponential map, this read two per
+    trial, one per inner iteration, two per outer step and three at p0;
+    when the value of each sum took an eigvalsh and its gradient a
+    stacked eigh of X^-1/2 R_i X^-1/2, one per trial, two per inner
     iteration, two per outer step and three at p0."""
     params = ContrastiveParams(n=4, m=3, r=2)
     rng = make_rng(5)
     prob = contrastive_problem(params, rng)
     start = random_start(prob, rng)
-    counts = {"ray": 0, "split": 0, "eigh": 0}
-    make_b, split, eigh = (dc.make_b_subproblem,
-                           SPDManifold._spectral_split, np.linalg.eigh)
+    counts = {"ray": 0, "split": 0}
+    make_b, split = dc.make_b_subproblem, SPDManifold._spectral_split
 
     def counted_make_b(problem, p_k, s_k):
         counts["ray"] += bool(np.any(s_k != 0.0))
@@ -326,20 +314,16 @@ def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
         counts["split"] += 1
         return split(*args, **kwargs)
 
-    def counted_eigh(*args, **kwargs):
-        counts["eigh"] += 1
-        return eigh(*args, **kwargs)
-
     monkeypatch.setattr(dc, "make_b_subproblem", counted_make_b)
     monkeypatch.setattr(SPDManifold, "_spectral_split", counted_split)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    trials = _count_trials(prob.manifold, monkeypatch)
-    trace = run_dca(prob, start, SolverConfig(algorithm="b_dca"))
+    with primitive_counter() as counter:
+        trace = run_dca(prob, start, SolverConfig(algorithm="b_dca"))
     assert trace.exit_reason in ("grad", "step")
     assert counts["ray"] == trace.k > 0
     assert counts["split"] == counts["ray"]
-    assert counts["eigh"] == (2 * trials["trials"] + trace.inner_total
-                              + 2 * trace.k + 3)
+    assert counter.counts["eigh"] == (counter.counts["step"]
+                                      + 2 * trace.inner_total
+                                      + 3 * trace.k + 3)
 
 
 def test_valley_b_dca_prepares_each_step_once(monkeypatch):
@@ -379,15 +363,17 @@ def test_contrastive_construction_primitive_counts():
     around one checked center, so the center is checked and factored once
     (20 check_point, 20 Cholesky, 17 eigh and 5 spd_roots when each sample
     checked and factored it again), and each sample's norm takes one
-    solve (10 solves when the SPD norm solved Y^-1 V twice).  The roots
+    solve (10 solves when the SPD norm solved Y^-1 V twice); each
+    check_point makes its Cholesky test in _definite.  The roots
     R^+-1/2 of each stack of references, for g and for h, are one stacked
     spd_roots each (eigh 8 and spd_roots 1 when a stacked spd_fun made
     R^-1/2 alone)."""
     with primitive_counter() as counter:
         contrastive_problem(ContrastiveParams(n=4, m=3, r=2), make_rng(5))
     assert counter.counts == {"eigh": 8, "eigvalsh": 0, "cholesky": 6,
-                              "solve": 5, "check_point": 6, "_step": 0,
-                              "spd_roots": 3, "hyperboloid._dist": 0,
+                              "solve": 5, "check_point": 6, "step": 0,
+                              "_definite": 6, "spd_roots": 3,
+                              "hyperboloid._dist": 0,
                               "hyperboloid._log": 0}
 
 
@@ -543,9 +529,9 @@ def _cli_contrastive_start():
 
 
 @pytest.mark.parametrize("alg, k, inn, eigh, eigvalsh, cholesky, solve", [
-    ("cr_dca", 59, 215, 1512, 59, 393, 845),
-    ("b_dca", 94, 424, 2173, 94, 1653, 708),
-])
+    ("cr_dca", 59, 215, 1394, 59, 393, 61),
+    ("b_dca", 94, 424, 1912, 94, 1653, 190),
+], ids=["cr_dca", "b_dca"])
 def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
                                       solve):
     """Exact LAPACK counts of one spd-contrastive run (2,006 eigh and 572
@@ -554,10 +540,14 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
     distance factored the new iterate again; 1,180 and 1,416 solves when
     the SPD norm solved Y^-1 V twice; 1,335 eigh and 512 eigvalsh for
     cr_dca, 1,818 and 969 for b_dca when each distance sum took an
-    eigvalsh for its value and a second stacked eigh for its gradient),
-    one eigvalsh per outer step (the step distance), and one check_point
-    per trial step (_step) plus one for p0: an iterate is validated once,
-    as the trial that reached it."""
+    eigvalsh for its value and a second stacked eigh for its gradient;
+    1,512 eigh and 845 solves for cr_dca, 2,173 and 708 for b_dca when
+    each trial step took its own exponential map, each line search the
+    gradient norm by a solve, each classic value a solve and each
+    classic model one more), one
+    eigvalsh per outer step (the step distance), one check_point, for
+    p0, and one Cholesky test (_definite) per trial step and for p0: an
+    iterate is validated once, as the trial that reached it."""
     prob, start = _cli_contrastive_start()
     with primitive_counter() as counter:
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
@@ -566,7 +556,8 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
     assert counter.counts["eigvalsh"] == eigvalsh == k
     assert counter.counts["cholesky"] == cholesky
     assert counter.counts["solve"] == solve
-    assert counter.counts["check_point"] == counter.counts["_step"] + 1
+    assert counter.counts["check_point"] == 1
+    assert counter.counts["_definite"] == counter.counts["step"] + 1
 
 
 def test_spd_roots_once_per_distinct_point(monkeypatch):
@@ -596,10 +587,10 @@ def test_valley_b_dca_primitive_counts():
     0-19: the valley's two references coincide, so one distance and one
     log are computed per point (130,025 _dist and 24,744 _log when each
     closure computed both again, 98,203 and 17,586 when each point
-    computed both once), and each line-search trial is one _step, which
-    validates its point without check_point (one check_point per trial
-    and per p0 before)."""
-    totals = {"hyperboloid._dist": 0, "hyperboloid._log": 0, "_step": 0,
+    computed both once), and each line-search trial is one ray step,
+    which validates its point without check_point (one check_point per
+    trial and per p0 before)."""
+    totals = {"hyperboloid._dist": 0, "hyperboloid._log": 0, "step": 0,
               "check_point": 0}
     outer = 0
     for seed in range(20):
@@ -612,7 +603,7 @@ def test_valley_b_dca_primitive_counts():
             totals[name] += counter.counts[name]
     assert outer == 3519
     assert totals == {"hyperboloid._dist": 50861, "hyperboloid._log": 8793,
-                      "_step": 47322, "check_point": 20}
+                      "step": 47322, "check_point": 20}
 
 
 @pytest.mark.parametrize("build, error", [

@@ -5,10 +5,12 @@ For each invocation of ``GOLDEN`` in ``tools/cli_rows.py`` and each
 algorithm, this runs ``hadamard_dc.cli.main`` in-process and prints one
 line: the algorithm, k and inn summed over the invocation's runs, and the
 calls of ``numpy.linalg.eigh``, ``eigvalsh``, ``cholesky`` and ``solve``,
-of every geometry's ``check_point`` and ``_step`` (one line-search trial,
-which validates its point without ``check_point`` on the hyperboloid),
-of ``spd_roots`` (X^1/2 and X^-1/2 of one SPD point) and of
-``Hyperboloid._dist`` and ``_log``, problem construction included.  The counts are a deterministic function
+of every geometry's ``check_point``, of ``step`` of every ray class (one
+line-search trial, which validates its point without ``check_point`` on
+the hyperboloid and SPD), of ``SPDManifold._definite`` (the Cholesky
+test of an SPD trial and of ``check_point``), of ``spd_roots`` (X^1/2
+and X^-1/2 of one SPD point) and of ``Hyperboloid._dist`` and ``_log``,
+problem construction included.  The counts are a deterministic function
 of the flags, so running this file against two source trees
 
     PYTHONPATH=<parent checkout>/src python tools/count_primitives.py > parent.txt
@@ -36,17 +38,18 @@ LAPACK = ("eigh", "eigvalsh", "cholesky", "solve")
 GEOMETRIES = (geometry.Euclidean, geometry.DikinOrthant, geometry.Hyperboloid,
               geometry.SPDManifold)
 HYPERBOLOID = ("_dist", "_log")
-STEPS = (geometry.Manifold, geometry.Hyperboloid)     # every _step
-NAMES = LAPACK + ("check_point", "_step", "spd_roots") + tuple(
+RAYS = (geometry.base.Ray, geometry.hyperboloid.HyperboloidRay,
+        geometry.spd.SPDRay)                        # every step
+NAMES = LAPACK + ("check_point", "step", "_definite", "spd_roots") + tuple(
     f"hyperboloid.{op}" for op in HYPERBOLOID)
 
 
 class PrimitiveCounter:
     """Counts, in ``counts``, the calls made while it is entered: the
     numpy LAPACK routines of ``LAPACK``, ``check_point`` of each geometry
-    of ``GEOMETRIES`` (all under one name), ``_step`` of each class of
-    ``STEPS`` (the classes that define one), ``spd_roots`` and the
-    hyperboloid kernels of ``HYPERBOLOID``.  Leaving it restores the
+    of ``GEOMETRIES`` (all under one name), ``step`` of each ray class of
+    ``RAYS`` (all under one name), ``SPDManifold._definite``,
+    ``spd_roots`` and the hyperboloid kernels of ``HYPERBOLOID``.  Leaving it restores the
     originals."""
 
     def __init__(self):
@@ -69,8 +72,9 @@ class PrimitiveCounter:
             self._patch(np.linalg, op, op)
         for cls in GEOMETRIES:
             self._patch(cls, "check_point", "check_point")
-        for cls in STEPS:
-            self._patch(cls, "_step", "_step")
+        for cls in RAYS:
+            self._patch(cls, "step", "step")
+        self._patch(geometry.SPDManifold, "_definite", "_definite")
         self._patch(geometry.spd, "spd_roots", "spd_roots")
         for op in HYPERBOLOID:
             self._patch(geometry.Hyperboloid, op, f"hyperboloid.{op}")
