@@ -15,28 +15,31 @@ at the public boundary:
 
 A kernel's base point is a :class:`Point`; every other point argument
 is an array, except in ``_dist_to(x, y)``, d(x, y) with ``y`` a point
-whose derived values (SPD: Y^-1/2) the caller already holds: the
-solver's step distance to the iterate it just accepted, and the support
-check's distance to its base point.  A point is a checked array together
-with what derives from it, each computed on first use and kept with the
-point:
+whose derived values (SPD: the factor of Y) the caller already holds:
+the solver's step distance to the iterate it just accepted, the support
+check's distance to its base point, and the public ``dist``.  A point
+is a checked array together with what derives from it, each computed on
+first use and kept with the point:
 
-* ``Manifold._point(x)`` wraps an array right after ``check_point``; the
-  solver builds one for p0, and the public methods one per base point.
+* ``Manifold._point(x)`` wraps an array right after ``check_point``
+  (``Manifold._checked_point(x)`` does both); the solver builds one for
+  p0, and the public methods one per base point.
   A line search runs along ``Manifold._ray(p, d)``, the geodesic
   t -> exp_p(t d) prepared once: its ``speed`` is |d|_p, and a trial is
   its ``step(t)``, the checked point of exp_p(t d).  By default that is
   ``_point(check_point(_exp(p, t d)))``; the hyperboloid runs the same
   exponential and sheet tests with the largest |coordinate| taken once,
-  and SPD diagonalizes X^-1/2 D X^-1/2 once per ray, so that a step is
-  one product and the Cholesky test of ``check_point``.
+  and SPD diagonalizes L^-1 D L^-T once per ray, so that a step is one
+  product and the Cholesky test of ``check_point``.
   ``Manifold.point(x)`` checks an array and passes a point of the same
   manifold through, so a point is trusted because of its type, never
   because of its address or contents; every public method accepts a
   point wherever it takes one.
 * A geometry keeps there what its kernels take from a base point: SPD
-  keeps X^1/2 and X^-1/2 (``SPDPoint.roots``, one eigendecomposition),
-  which all its kernels at X share.
+  keeps a factor A of X = A A^T and its inverse (``SPDPoint.factor``),
+  which all its kernels at X share; every SPD formula holds for any such
+  factor, and the one kept is the lower Cholesky factor L that the
+  point's check computed, so that L^-1 is its only extra cost.
 * ``Point.derived(make)`` keeps ``make(point)`` under ``make``: the
   solver keeps g, grad g and the subgradient of h there, the problem
   closures their shared work (Rosenbrock's distances and logs, ln det X,
@@ -52,7 +55,7 @@ content of an array:
   validated direction and return a horofunction or a :class:`LinearModel`
   whose ``value``/``grad`` evaluate at points.  Geometries with fixed work
   per ray or linearization point (SPD: the spectral split and the
-  products with the roots; hyperboloid: |v| and the horocenter w) do that
+  products with the factor; hyperboloid: |v| and the horocenter w) do that
   work once, when the object is built; the solver builds one per outer
   step and its subproblem owns it.  The public ``busemann``,
   ``busemann_grad`` and ``linear_model_grad`` evaluate the same object, so
@@ -71,7 +74,7 @@ content of an array:
   ray (q, unit direction u) and point p: ``distance(t)`` = d(p,
   exp_q(t u)) and the overflow guard ``t_guard``.  The limit oracle
   builds one per call and probes it at every ray parameter of its
-  schedule.  SPD computes the spectrum of Y^-1/2 V Y^-1/2, the Cholesky
+  schedule.  SPD computes the spectrum of L^-1 V L^-T, the Cholesky
   factor of the reduced point and the guard once in it; the hyperboloid
   and the Dikin orthant supply only their guards, and the generic form
   calls ``_exp`` and ``_dist`` per probe.
@@ -136,7 +139,8 @@ class Point:
     kept under ``make``: a problem closure, g or its gradient, or a bound
     method of a subproblem term.  The point keeps each ``make`` alive with
     it, so a ``make`` must hold no point.  A geometry adds what every
-    consumer takes from a point (SPD: ``roots``, X^1/2 and X^-1/2).
+    consumer takes from a point (SPD: ``factor``, L and L^-1 with
+    L L^T = X).
     """
 
     __slots__ = ("manifold", "x", "_derived")
@@ -270,6 +274,12 @@ class Manifold:
             if x.manifold is self:
                 return x
             x = x.x
+        return self._checked_point(x)
+
+    def _checked_point(self, x):
+        """The :class:`Point` of an array after ``check_point``; a geometry
+        whose check computes what its kernels take from a point (SPD: the
+        Cholesky factor) hands it to the point here."""
         return self._point(self.check_point(x))
 
     def _array(self, x):
@@ -322,7 +332,7 @@ class Manifold:
         return self._log(self.point(p), self._array(q))
 
     def dist(self, p, q):
-        return self._dist(self._array(p), self._array(q))
+        return self._dist_to(self._array(p), self.point(q))
 
     def _dist_to(self, x, y):
         """d(x, y) of an array ``x`` and a point ``y``; equals
@@ -350,7 +360,7 @@ class Manifold:
         v = self.check_tangent(q.x, ray.direction)
         p = self.point(p)
         if np.linalg.norm(v) == 0.0:
-            return self._dist(p.x, q.x)
+            return self._dist_to(p.x, q)
         return self._horofunction(q, v).value(p)
 
     def busemann_grad(self, ray: BusemannRay, p):

@@ -7,48 +7,55 @@ congruences are re-symmetrized to suppress rounding drift, once each:
 the raw product, and ``sym`` of an exactly symmetric matrix returns it
 bit for bit (float addition commutes), so results stay the same.
 
-Metric and maps at a base point Y:
+The congruence Z -> A Z A^T by an invertible A is an isometry of the
+metric, so every formula below holds for any factor A of the base point,
+A A^T = Y, not only for Y^1/2: with Q = Y^-1/2 A orthogonal, A^-1 Z A^-T
+is Y^-1/2 Z Y^-1/2 turned by Q, and a matrix function commutes with the
+turn.  Metric and maps at a base point Y = A A^T:
 
     <U, V>_Y   = tr(Y^-1 U Y^-1 V)
-    d(X, Y)    = |Log(Y^-1/2 X Y^-1/2)|_F
-    exp_Y(V)   = Y^1/2 Exp(Y^-1/2 V Y^-1/2) Y^1/2 = G diag(e^lam) G^T
-    log_X(Y)   = X^1/2 Log(X^-1/2 Y X^-1/2) X^1/2
+    d(X, Y)    = |Log(A^-1 X A^-T)|_F
+    exp_Y(V)   = A Exp(A^-1 V A^-T) A^T = G diag(e^lam) G^T
+    log_Y(X)   = A Log(A^-1 X A^-T) A^T
     grad f(X)  = X f'(X) X
 
-with Y^-1/2 V Y^-1/2 = U diag(lam) U^T and G = Y^1/2 U.  A line search
-along exp_Y(t V) keeps lam and G (:class:`SPDRay`), so that each trial
-costs one product and no eigendecomposition.
+with A^-1 V A^-T = U diag(lam) U^T and G = A U.  The factor a point
+keeps is its lower Cholesky factor L (:class:`SPDPoint`), which the
+Cholesky test of ``check_point`` or of a line-search trial computes
+anyway.  A line search along exp_Y(t V) keeps lam and G
+(:class:`SPDRay`), so that each trial costs one product and no
+eigendecomposition.
 
-Busemann function of a ray (Y, V), V != 0: split Y^-1/2 V Y^-1/2 into
+Busemann function of a ray (Y, V), V != 0: split A^-1 V A^-T into
 eigenvalue groups (ascending representatives lam_i, multiplicities n_i,
-orthogonal factor U), Cholesky-factor U^T Y^-1/2 X Y^-1/2 U = L L^T, and
+orthogonal factor U), Cholesky-factor U^T A^-1 X A^-T U = l l^T, and
 
-    B_{Y,V}(X)      = -2 (sum n_i lam_i^2)^-1/2  sum_j lam_(j) ln L_jj
-    grad B_{Y,V}(X) = -(sum n_i lam_i^2)^-1/2  Y^1/2 U L D L^T U^T Y^1/2
+    B_{Y,V}(X)      = -2 (sum n_i lam_i^2)^-1/2  sum_j lam_(j) ln l_jj
+    grad B_{Y,V}(X) = -(sum n_i lam_i^2)^-1/2  (A U l) D (A U l)^T
 
 with lam_(j) the group representative at index j and D = diag(lam_(j)).
 The value is insensitive to how near-equal eigenvalues are grouped.
 
-Weighted sums of squared distances to fixed references R_i, and their
-gradients, come from the spectrum of M_i = R_i^-1/2 X R_i^-1/2 =
+Weighted sums of squared distances to fixed references R_i = A_i A_i^T,
+and their gradients, come from the spectrum of M_i = A_i^-1 X A_i^-T =
 V_i diag(mu_i) V_i^T alone, because the log is equivariant under the
-congruence by R_i^1/2:
+congruence by A_i:
 
     d^2(X, R_i)  = sum_j (ln mu_ij)^2
-    log_X(R_i)   = -R_i^1/2 V_i diag(mu_i ln mu_i) V_i^T R_i^1/2
+    log_X(R_i)   = -A_i V_i diag(mu_i ln mu_i) V_i^T A_i^T
 
-A kernel's base point is an :class:`SPDPoint`, whose X^1/2 and X^-1/2
-are computed once, on first use, and shared by every kernel at X.
+A kernel's base point is an :class:`SPDPoint`, whose factor (L, L^-1)
+is computed once, on first use, and shared by every kernel at X.
 Everything in these formulas that depends on the ray alone (the
-split, U and their products with the roots) is computed once per ray by
-:class:`SPDHorofunction`, the fixed part of the classic linear model
-once per (X_k, S) by :class:`SPDLinearModel`, the roots R_i^+-1/2 once
-per stack of references by :class:`SPDDistanceSum`, and the congruence
-reduction of the limit oracle once per ray and point by
+split, U and their products with the factor) is computed once per ray
+by :class:`SPDHorofunction`, the fixed part of the classic linear model
+once per (X_k, S) by :class:`SPDLinearModel`, the factors L_i and
+L_i^-1 once per stack of references by :class:`SPDDistanceSum`, and the
+congruence reduction of the limit oracle once per ray and point by
 :class:`SPDRayProbe`.  At a point the horofunction keeps its Cholesky
-factor, the linear model the spectrum of X_k^-1/2 X X_k^-1/2 and the
+factor, the linear model the spectrum of L_k^-1 X L_k^-T and the
 distance sum the stacked spectrum of the M_i, which its value and
-gradient share.  ``sym``, ``sym_eig``, ``spd_fun`` and ``spd_roots`` act
+gradient share.  ``sym``, ``sym_eig``, ``chol`` and ``spd_fun`` act
 on a matrix or on each matrix of a stack of shape (k, n, n), so that
 the k references of a sum cost one stacked eigendecomposition.
 
@@ -111,17 +118,6 @@ def spd_fun(a, kind):
     return sym((u * _SPD_FUNCS[kind](w)[..., None, :]) @ u.swapaxes(-1, -2))
 
 
-def spd_roots(a):
-    """(A^1/2, A^-1/2) of a matrix, or of each matrix of a stack, from one
-    eigendecomposition; each equals what ``spd_fun`` returns for "sqrt"
-    and "invsqrt"."""
-    w, u = sym_eig(a)
-    _require_positive(w, "matrix square root")
-    r = np.sqrt(w)[..., None, :]
-    ut = u.swapaxes(-1, -2)
-    return sym((u * r) @ ut), sym((u * (1.0 / r)) @ ut)
-
-
 def _require_positive(w, what):
     # np.any, not w.min(), so that an empty stack passes
     if np.any(w <= 0.0):
@@ -173,7 +169,7 @@ def _frechet_log_spectral(w, u, e):
 
 @dataclass(frozen=True)
 class SpectralSplit:
-    """Grouped spectrum of Y^-1/2 V Y^-1/2.
+    """Grouped spectrum of A^-1 V A^-T, A the factor of Y.
 
     eigenvalues:     distinct group representatives, strictly ascending
     multiplicities:  group sizes, summing to n
@@ -243,22 +239,29 @@ class SPDManifold(Manifold):
     # ------------------------------------------------------------------
 
     def check_point(self, x):
+        return self._check(x)[0]
+
+    def _checked_point(self, x):
+        # the point keeps the Cholesky factor its test computed
+        return SPDPoint(self, *self._check(x))
+
+    def _check(self, x):
+        """(x, L): the checked array and the lower Cholesky factor of its
+        symmetric part."""
         x = self._as_array(x, "point", (self.n, self.n))
         scale = 1.0 + float(np.linalg.norm(x))
         if np.linalg.norm(x - x.T) > 1e-10 * scale:
             raise ValidationError(f"{self.name}: point is not symmetric")
-        self._definite(sym(x))
-        return x
+        return x, self._definite(sym(x))
 
     def _definite(self, x):
-        """``x``, a finite and exactly symmetric matrix, after the Cholesky
-        test of ``check_point``."""
+        """The lower Cholesky factor of ``x``, a finite and exactly
+        symmetric matrix: the definiteness test of ``check_point``."""
         try:
-            np.linalg.cholesky(x)
+            return np.linalg.cholesky(x)
         except np.linalg.LinAlgError as exc:
             raise DefinitenessError(
                 f"{self.name}: point is not positive definite") from exc
-        return x
 
     def check_tangent(self, x, v):
         v = self._as_array(v, "tangent", (self.n, self.n))
@@ -290,19 +293,18 @@ class SPDManifold(Manifold):
         return SPDRay(self, y, d)
 
     def _log(self, x, y):
-        """log_X(Y) from the point X."""
-        xh, xih = x.roots
-        return sym(xh @ spd_fun(xih @ y @ xih, "log") @ xh)
+        """log_X(Y) = L Log(L^-1 Y L^-T) L^T from the factor of the point X."""
+        lower, c = x.factor
+        return sym(lower @ spd_fun(c @ y @ c.T, "log") @ lower.T)
 
     def _dist(self, x, y):
-        return self._dist_invsqrt(x, spd_fun(y, "invsqrt"))
+        return self._dist_to(x, self._point(y))
 
     def _dist_to(self, x, y):
-        return self._dist_invsqrt(x, y.roots[1])
-
-    def _dist_invsqrt(self, x, yih):
-        """d(X, Y) from Y^-1/2, through the eigvalsh of Y^-1/2 X Y^-1/2."""
-        w = np.linalg.eigvalsh(sym(yih @ x @ yih))
+        """d(X, Y) through the eigvalsh of L^-1 X L^-T, L the factor of
+        the point Y."""
+        c = y.factor[1]
+        w = np.linalg.eigvalsh(sym(c @ x @ c.T))
         if np.any(w <= 0.0):
             raise DefinitenessError(
                 f"{self.name}: congruence lost definiteness in dist")
@@ -328,13 +330,14 @@ class SPDManifold(Manifold):
     # ------------------------------------------------------------------
 
     def spectral_split(self, y, v):
-        """Group the spectrum of Y^-1/2 V Y^-1/2 by near-equality."""
+        """Group the spectrum of L^-1 V L^-T, L the factor of Y, by
+        near-equality."""
         y = self.point(y)
-        return self._spectral_split(y.roots[1], self.check_tangent(y.x, v))
+        return self._spectral_split(y.factor[1], self.check_tangent(y.x, v))
 
-    def _spectral_split(self, yih, v):
-        """``spectral_split`` from Y^-1/2 and a validated direction V."""
-        lam, u = sym_eig(yih @ v @ yih)
+    def _spectral_split(self, c, v):
+        """``spectral_split`` from C = L^-1 and a validated direction V."""
+        lam, u = sym_eig(c @ v @ c.T)
         lmax = float(np.max(np.abs(lam))) if lam.size else 0.0
         if lmax == 0.0:
             raise ZeroDirectionError(
@@ -365,7 +368,7 @@ class SPDManifold(Manifold):
         return sym((q * np.exp(u)) @ q.T)
 
     def random_tangent(self, x, rng):
-        xh = self.point(x).roots[0]
+        xh = self.point(x).root
         g = sym(rng.standard_normal((self.n, self.n)))
         return sym(xh @ g @ xh)
 
@@ -389,7 +392,7 @@ class SPDManifold(Manifold):
         Equivalent to Gram-Schmidt on the projected coordinate directions
         but exact, since the units are orthonormal under the metric at I.
         """
-        xh = self.point(x).roots[0]
+        xh = self.point(x).root
         return [sym(xh @ e @ xh) for e in self.coordinate_directions()]
 
     # ------------------------------------------------------------------
@@ -403,21 +406,21 @@ class SPDManifold(Manifold):
 class SPDRayProbe(RayProbe):
     """d(X, exp_Y(t V)) through an exactly congruence-reduced form.
 
-    With lam, U the spectrum of Y^-1/2 V Y^-1/2 and L the Cholesky factor
-    of U^T Y^-1/2 X Y^-1/2 U, affine invariance gives d = |Log(S L L^T S)|_F
-    with S = Exp(-t lam / 2); the eigenvalues of S L L^T S are the squared
-    singular values of S L, computed to high relative accuracy by the
-    Jacobi SVD even when the row scaling spans hundreds of orders of
-    magnitude.  lam, U, L and the guard 1200 / max |lam| depend on the ray
-    and X alone and are computed here, once, with Y^-1/2 taken from the
-    point Y; a probe costs the row scaling and the SVD.
+    With lam, U the spectrum of C V C^T, C = L^-1 from the factor of the
+    point Y, and l the Cholesky factor of U^T C X C^T U, affine invariance
+    gives d = |Log(S l l^T S)|_F with S = Exp(-t lam / 2); the eigenvalues
+    of S l l^T S are the squared singular values of S l, computed to high
+    relative accuracy by the Jacobi SVD even when the row scaling spans
+    hundreds of orders of magnitude.  lam, U, l and the guard
+    1200 / max |lam| depend on the ray and X alone and are computed here,
+    once; a probe costs the row scaling and the SVD.
     """
 
     def __init__(self, manifold, y, unit_dir, x):
-        yih = y.roots[1]
-        c = yih @ unit_dir @ yih
-        self.lam, u = sym_eig(c)
-        self.ell = chol(u.T @ yih @ x @ yih @ u)
+        c = y.factor[1]
+        self.lam, u = sym_eig(c @ unit_dir @ c.T)
+        uc = u.T @ c
+        self.ell = chol(uc @ x @ uc.T)
         lmax = float(np.max(np.abs(self.lam)))
         self.t_guard = 1e12 if lmax == 0.0 else 1200.0 / lmax
 
@@ -427,31 +430,47 @@ class SPDRayProbe(RayProbe):
 
 
 class SPDRay:
-    """t -> exp_X(t D) with W = X^-1/2 D X^-1/2 = U diag(lam) U^T
-    diagonalized once: exp_X(t D) = G diag(e^{t lam}) G^T with G = X^1/2 U,
-    a factor of X (G G^T = X) that reduces the congruence of D to
-    diag(lam).  ``speed`` = |D|_X = |lam|_2.  ``exp(t)`` is the array, with
-    the overflow guard t max|lam| <= 700; ``step(t)`` is its checked
-    point, tested for finite entries and by ``_definite``: the array is
-    exactly symmetric and of the right shape by construction, so the
-    other tests of ``check_point`` could not fail.
+    """t -> exp_X(t D) with W = L^-1 D L^-T = U diag(lam) U^T, L the factor
+    of the point X: exp_X(t D) = G diag(e^{t lam}) G^T with G = L U, a
+    factor of X (G G^T = X) that reduces the congruence of D to diag(lam).
+    ``speed`` = |D|_X = |W|_F, taken when the ray is built; W is
+    diagonalized on the first ``exp`` or ``step``, so a ray whose speed
+    alone is read (the last one of an inner solve) costs no
+    eigendecomposition.  ``exp(t)`` is the array, with the overflow guard
+    t max|lam| <= 700 (``top`` = max|lam|); ``step(t)`` is its checked
+    point, tested for finite entries and by ``_definite``, whose Cholesky
+    factor the point keeps: the array is exactly symmetric and of the
+    right shape by construction, so the other tests of ``check_point``
+    could not fail.
     """
 
-    __slots__ = ("manifold", "lam", "g", "top", "speed")
+    __slots__ = ("manifold", "lower", "w", "speed", "lam", "g", "_top")
 
     def __init__(self, manifold, x, d):
-        xh, xih = x.roots
+        self.lower, c = x.factor
         self.manifold = manifold
+        self.w = sym(c @ d @ c.T)
+        speed = float(np.linalg.norm(self.w))
+        # a direction whose congruence is not finite has speed NaN, so no
+        # line search runs along it
+        self.speed = speed if speed < math.inf else math.nan
+        self.lam = None
+
+    def _diagonalize(self):
         try:
-            self.lam, u = sym_eig(xih @ d @ xih)
+            self.lam, u = np.linalg.eigh(self.w)
         except np.linalg.LinAlgError:
-            # eigh fails only where X^-1/2 D X^-1/2 is not finite: the ray
-            # then has speed NaN, as |D|_X had, so no line search runs
-            # along it
-            self.lam, u = np.full(manifold.n, math.nan), np.asarray(d)
-        self.g = xh @ u
-        self.top = float(np.max(np.abs(self.lam)))
-        self.speed = float(np.linalg.norm(self.lam))
+            # eigh fails only where W is not finite; the trials are then
+            # not finite either
+            self.lam, u = np.full(self.manifold.n, math.nan), self.w
+        self.g = self.lower @ u
+        self._top = float(np.max(np.abs(self.lam)))
+
+    @property
+    def top(self):
+        if self.lam is None:
+            self._diagonalize()
+        return self._top
 
     def exp(self, t):
         arg = t * self.top
@@ -467,44 +486,75 @@ class SPDRay:
         x = self.exp(t)
         if not np.isfinite(x).all():
             raise ValidationError(f"{m.name}: point has non-finite entries")
-        return m._point(m._definite(x))
+        return SPDPoint(m, x, m._definite(x))
 
 
-def _point_roots(x):
-    return spd_roots(x.x)
+def _point_lower(x):
+    return chol(x.x)
+
+
+def _point_factor(x):
+    return _with_inverse(x.lower)
+
+
+def _with_inverse(lower):
+    # (L, L^-1) of a point; a function of its own, and not the key under
+    # which the point keeps it, so that a counter can wrap it
+    return lower, np.linalg.inv(lower)
+
+
+def _point_root(x):
+    return spd_fun(x.x, "sqrt")
 
 
 class SPDPoint(Point):
-    """A point X of P(n) with ``roots`` = (X^1/2, X^-1/2), from one
-    eigendecomposition on first use."""
+    """A point X of P(n) with ``lower`` = L, the lower Cholesky factor of X,
+    and ``factor`` = (L, L^-1), which every kernel at X shares.  L is the
+    factor that the check which made the point computed (``check_point``
+    or a ray's ``step``), handed to the constructor; a point made without
+    it factors X on first use.  L^-1 is computed on first use.  ``root`` =
+    X^1/2, from one eigendecomposition on first use, serves the samplers
+    ``random_tangent`` and ``tangent_basis``, whose draws the benchmark
+    instances are made of.
+    """
 
     __slots__ = ()
 
+    def __init__(self, manifold, x, lower=None):
+        super().__init__(manifold, x)
+        if lower is not None:
+            self._derived[_point_lower] = lower
+
     @property
-    def roots(self):
-        return self.derived(_point_roots)
+    def lower(self):
+        return self.derived(_point_lower)
+
+    @property
+    def factor(self):
+        return self.derived(_point_factor)
+
+    @property
+    def root(self):
+        return self.derived(_point_root)
 
 
 class SPDHorofunction:
-    """B_{Y,V}, V != 0, with the ray's fixed data computed once: Y^+-1/2
-    (from the point Y), the spectral split of Y^-1/2 V Y^-1/2 (one
-    eigendecomposition) and the products of U with the roots.  An
-    evaluation then costs one Cholesky factorization, which the point
-    keeps for the gradient there, and a few products.
+    """B_{Y,V}, V != 0, with the ray's fixed data computed once: the factor
+    (L, C = L^-1) of the point Y, the spectral split of C V C^T (one
+    eigendecomposition) and the products U^T C and L U.  An evaluation
+    then costs one Cholesky factorization, l l^T = (U^T C) X (U^T C)^T,
+    which the point keeps for the gradient there, and a few products.
     """
 
     def __init__(self, manifold, y, v):
-        self.yh, self.yih = y.roots
-        self.split = manifold._spectral_split(self.yih, v)
-        self.u = self.split.basis
-        self.ut_yih = self.u.T @ self.yih
-        self.yh_u = self.yh @ self.u
-        self.d = np.diag(self.split.per_index)
+        lower, c = y.factor
+        self.split = manifold._spectral_split(c, v)
+        u = self.split.basis
+        self.ut_c = u.T @ c
+        self.lu = lower @ u
 
     def _cholesky(self, x):
-        # the leading products of u.T @ yih @ x @ yih @ u, evaluated left
-        # to right, are the cached ut_yih
-        return chol(self.ut_yih @ x.x @ self.yih @ self.u)
+        return chol(self.ut_c @ x.x @ self.ut_c.T)
 
     def value(self, x):
         ell = x.derived(self._cholesky)
@@ -512,29 +562,30 @@ class SPDHorofunction:
                      np.sum(self.split.per_index * np.log(np.diag(ell))))
 
     def grad(self, x):
-        ell = x.derived(self._cholesky)
-        grad = self.yh_u @ (ell @ self.d @ ell.T) @ self.u.T @ self.yh
+        a = self.lu @ x.derived(self._cholesky)
+        grad = (a * self.split.per_index) @ a.T
         return sym(-grad / self.split.norm_const)
 
 
 class SPDLinearModel:
     """p -> <S, log_{X_k} p> with the fixed data of (X_k, S) computed once:
-    C = X_k^-1/2 (from the point X_k) and C S C.  Value and gradient at X
-    both start from the eigendecomposition C X C = U diag(w) U^T, which
-    the point keeps; the value is
+    C = L_k^-1 (from the factor of the point X_k) and C S C^T.  Value and
+    gradient at X both start from the eigendecomposition C X C^T =
+    U diag(w) U^T, which the point keeps; the value is
 
-        tr(C S C Log(C X C)) = sum_j ln w_j u_j^T (C S C) u_j.
+        tr(C S C^T Log(C X C^T)) = sum_j ln w_j u_j^T (C S C^T) u_j,
 
-    Holds arrays only, since each point it evaluates keeps it alive.
+    and the Euclidean gradient C^T D Log(C X C^T)[C S C^T] C.  Holds
+    arrays only, since each point it evaluates keeps it alive.
     """
 
     def __init__(self, manifold, xk, s):
-        self.c = xk.roots[1]
-        self.csc = sym(self.c @ s @ self.c)
+        self.c = xk.factor[1]
+        self.csc = sym(self.c @ s @ self.c.T)
 
     def _reduced(self, x):
-        # spectrum of C X C, the argument of Log in log_{X_k} X
-        return sym_eig(self.c @ x.x @ self.c)
+        # spectrum of C X C^T, the argument of Log in log_{X_k} X
+        return sym_eig(self.c @ x.x @ self.c.T)
 
     def value(self, x):
         w, u = x.derived(self._reduced)
@@ -542,8 +593,8 @@ class SPDLinearModel:
         return float(np.sum(u * (self.csc @ u), axis=0) @ np.log(w))
 
     def grad(self, x):
-        egrad = sym(self.c @ _frechet_log_spectral(*x.derived(self._reduced),
-                                                   self.csc) @ self.c)
+        egrad = sym(self.c.T @ _frechet_log_spectral(
+            *x.derived(self._reduced), self.csc) @ self.c)
         return sym(x.x @ egrad @ x.x)
 
 
@@ -551,27 +602,31 @@ class SPDDistanceSum:
     """X -> sum_i w_i d^2(X, R_i) over fixed references R_i, and its
     gradient -2 sum_i w_i log_X(R_i), from one spectrum per point.
 
-    With M_i = R_i^-1/2 X R_i^-1/2 = V_i diag(mu_i) V_i^T,
+    With R_i = L_i L_i^T (Cholesky) and M_i = L_i^-1 X L_i^-T =
+    V_i diag(mu_i) V_i^T,
 
         d^2(X, R_i)  = sum_j (ln mu_ij)^2
-        log_X(R_i)   = -R_i^1/2 V_i diag(mu_i ln mu_i) V_i^T R_i^1/2
+        log_X(R_i)   = -L_i V_i diag(mu_i ln mu_i) V_i^T L_i^T
 
-    (the log is equivariant under the congruence by R_i^1/2, and
-    log_M(I) = -M^1/2 Log(M) M^1/2).  R_i^+-1/2 come from one stacked
-    eigendecomposition, here; at a point X the stacked eigendecomposition
-    of the M_i, which the point keeps, serves the value and the gradient,
-    so neither needs X^+-1/2.  A nonpositive mu raises DefinitenessError,
-    which the line search takes as a trial outside the domain.  An empty
-    stack of references gives 0 and the zero gradient.  Holds arrays only.
+    (the log is equivariant under the congruence by L_i, and
+    log_M(I) = -M^1/2 Log(M) M^1/2).  The sum is built from the stacked
+    factors L_i, of shape (k, n, n), which the checks of the references
+    computed, and takes the L_i^-1 from one stacked inverse, here; at a
+    point X the stacked eigendecomposition of the M_i, which the point
+    keeps, serves the value and the gradient, so neither needs the factor
+    of X.  A nonpositive mu raises DefinitenessError, which the line
+    search takes as a trial outside the domain.  An empty stack of
+    references gives 0 and the zero gradient.  Holds arrays only.
     """
 
-    def __init__(self, refs, weights):
+    def __init__(self, lower, weights):
         self.weights = np.asarray(weights, dtype=float)
-        self.rh, self.rih = spd_roots(refs)
+        self.lower = np.asarray(lower, dtype=float)
+        self.c = np.linalg.inv(self.lower)
 
     def _spectrum(self, x):
         # (ln mu, mu, V) of the stack of M_i
-        mu, v = sym_eig(self.rih @ x.x @ self.rih)
+        mu, v = sym_eig(self.c @ x.x @ self.c.swapaxes(-1, -2))
         if np.any(mu <= 0.0):
             raise DefinitenessError(
                 "spd: congruence lost definiteness in a distance sum")
@@ -583,7 +638,7 @@ class SPDDistanceSum:
 
     def grad(self, x):
         log_mu, mu, v = x.derived(self._spectrum)
-        a = self.rh @ v
+        a = self.lower @ v
         c = self.weights[:, None] * (mu * log_mu)
         return sym(2.0 * np.sum((a * c[:, None, :]) @ a.swapaxes(-1, -2),
                                 axis=0))

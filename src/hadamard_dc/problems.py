@@ -19,7 +19,7 @@ import numpy as np
 
 from .dc import DCProblem
 from .errors import ValidationError
-from .geometry import Hyperboloid, SPDDistanceSum, SPDManifold, logdet
+from .geometry import Hyperboloid, SPDDistanceSum, SPDManifold
 from .geometry.base import check_count
 
 logger = logging.getLogger(__name__)
@@ -221,7 +221,8 @@ def academic_problem(params: AcademicParams = AcademicParams()) -> DCProblem:
     manifold.check_point(x0)        # positive definite for n >= 3
 
     def _logdet(x):
-        return logdet(x.x)
+        # ln det X from the Cholesky factor that the point's check computed
+        return 2.0 * float(np.sum(np.log(np.diag(x.lower))))
 
     def g(x):
         return x.derived(_logdet) ** 4
@@ -297,18 +298,19 @@ def contrastive_problem(params: ContrastiveParams, rng,
         if negatives is None:
             negatives = [manifold.random_point_near(center, 1.0, rng)
                          for _ in range(params.r)]
-    positives = [manifold.check_point(p) for p in positives]
-    negatives = [manifold.check_point(q) for q in negatives]
+    positives = [manifold.point(p) for p in positives]
+    negatives = [manifold.point(q) for q in negatives]
     if len(positives) != params.m or len(negatives) != params.r:
         raise ValidationError("contrastive: reference counts do not match "
                               "the declared m, r")
 
     def sq_dist_sum(weights, refs):
         # sum_i w_i d^2(X, R_i) and its gradient -2 sum_i w_i log_X(R_i),
-        # both from the one stacked spectrum that each point keeps
+        # both from the one stacked spectrum that each point keeps; the
+        # Cholesky factors are those the checks of the references computed
         dist_sum = SPDDistanceSum(
-            np.array(refs, dtype=float).reshape(-1, params.n, params.n),
-            weights)
+            np.array([r.lower for r in refs], dtype=float)
+            .reshape(-1, params.n, params.n), weights)
         return dist_sum.value, dist_sum.grad
 
     g, g_rgrad = sq_dist_sum(wp, positives)
@@ -317,13 +319,13 @@ def contrastive_problem(params: ContrastiveParams, rng,
     sigma = 2.0 * min(float(np.sum(wp)), float(np.sum(wn))) if params.r \
         else 0.0
     metadata = {
-        "positives": positives,
-        "negatives": negatives,
+        "positives": [p.x for p in positives],
+        "negatives": [q.x for q in negatives],
         "pos_weights": wp,
         "neg_weights": wn,
     }
     if params.m == 1 and params.r == 0:
-        metadata["minimizer"] = positives[0]
+        metadata["minimizer"] = positives[0].x
         metadata["f_star"] = 0.0
     return DCProblem(
         manifold=manifold, g=g, h=h, h_subgrad=h_subgrad, g_rgrad=g_rgrad,

@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean, Hyperboloid,
                          SPDManifold, ValidationError)
+from hadamard_dc.geometry import spd_fun, sym
 
 
 def rel_err(got, want):
@@ -77,3 +78,39 @@ def bytes_or_error(fn, *args):
     except (OverflowError, ValidationError) as exc:
         return type(exc), str(exc)
     return np.asarray(getattr(out, "x", out)).tobytes()
+
+
+def conditioned_spd(n, rng, log10_cond):
+    """Q diag(10^e) Q^T with exponents spanning [0, log10_cond]."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    e = np.sort(rng.uniform(0.0, log10_cond, n))
+    e[0], e[-1] = 0.0, log10_cond
+    return sym((q * 10.0 ** (e - 0.5 * log10_cond)) @ q.T)
+
+
+def direction(y, rng, kind):
+    """Y^1/2 W Y^1/2 with W generic, with a repeated eigenvalue, or 0."""
+    n = y.shape[0]
+    if kind == "zero":
+        return np.zeros((n, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.standard_normal(n)
+    if kind == "repeated":
+        lam = np.array([1.5, -0.5])[rng.integers(0, 2, n)]
+        lam[:2] = 1.5                # at least one repeated eigenvalue
+    yh = spd_fun(y, "sqrt")
+    return sym(yh @ sym((q * lam) @ q.T) @ yh)
+
+
+def near_center_sampler(n, rng, log10_cond):
+    """A function that draws geodesic perturbations (spread e^+-1) of one
+    center with eigenvalues 10^(+-c/2), c = ``log10_cond``, as the iterates
+    and references of one contrastive run are of theirs."""
+    zh = spd_fun(conditioned_spd(n, rng, log10_cond), "sqrt")
+
+    def near_center():
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        e = sym((q * np.exp(rng.uniform(-1.0, 1.0, n))) @ q.T)
+        return sym(zh @ e @ zh)
+
+    return near_center

@@ -470,44 +470,54 @@ def test_run_dca_evaluates_each_point_once(instance, alg):
     assert counts["h"] == len(trace.records)
 
 
-def test_spd_trial_steps_take_the_iterates_roots(monkeypatch):
-    """On SPD the trial steps from one iterate share its X^+-1/2 through
-    the ray that the iterate prepares: the first ray from an inner iterate
-    computes them (no gradient of the contrastive sums needs them), no
-    later ray from it computes them again, and no trial step computes
-    any.  An outer iterate has them before its first ray, from the
-    subproblem build or the step distance."""
+def test_spd_trial_steps_take_the_iterates_factor(monkeypatch):
+    """On SPD each point is Cholesky-factored once, by the check that made
+    it (check_point for p0, the definiteness test of the trial step that
+    reached an iterate), and the trial steps from one iterate share its
+    factor through the ray that the iterate prepares: the first ray from
+    an inner iterate inverts L (no gradient of the contrastive sums needs
+    it), no later ray from it does, and no trial step inverts L or
+    factors a point twice.  An outer iterate has L^-1 before its first
+    ray, from the subproblem build or the step distance."""
     from hadamard_dc.geometry import SPDManifold, spd
-    counts = {"roots": 0}
-    made = {}               # base point bytes -> roots made per ray
-    stepped = []            # roots made per trial step
-    spd_roots, ray, step = spd.spd_roots, SPDManifold._ray, spd.SPDRay.step
+    counts = {"inv": 0, "cholesky": 0}
+    made = {}               # base point bytes -> inversions per ray
+    stepped = []            # (inversions, Cholesky factorizations) per step
+    inv, cholesky = np.linalg.inv, np.linalg.cholesky
+    ray, step = SPDManifold._ray, spd.SPDRay.step
 
-    def counted_roots(a):
-        counts["roots"] += 1
-        return spd_roots(a)
+    def counted(name, fn):
+        def wrapper(a):
+            counts[name] += 1
+            return fn(a)
+        return wrapper
 
     def counted_ray(self, y, d):
-        before = counts["roots"]
+        before = counts["inv"]
         out = ray(self, y, d)
-        made.setdefault(y.x.tobytes(), []).append(counts["roots"] - before)
+        made.setdefault(y.x.tobytes(), []).append(counts["inv"] - before)
         return out
 
     def counted_step(self, t):
-        before = counts["roots"]
+        before = dict(counts)
         out = step(self, t)
-        stepped.append(counts["roots"] - before)
+        stepped.append((counts["inv"] - before["inv"],
+                        counts["cholesky"] - before["cholesky"]))
         return out
 
     instances = [_contrastive_start() for _ in range(2)]
-    monkeypatch.setattr(spd, "spd_roots", counted_roots)
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        counted("cholesky", cholesky))
     monkeypatch.setattr(SPDManifold, "_ray", counted_ray)
     monkeypatch.setattr(spd.SPDRay, "step", counted_step)
     for alg, (prob, start) in zip(("cr_dca", "b_dca"), instances):
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
         assert trace.inner_total > 0
     assert made and stepped
-    assert not any(stepped)
+    # a step's one Cholesky factorization is its definiteness test, whose
+    # factor the trial point keeps
+    assert all(step == (0, 1) for step in stepped)
     assert all(rays[0] in (0, 1) and not any(rays[1:])
                for rays in made.values())
     assert any(rays[0] for rays in made.values())

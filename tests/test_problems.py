@@ -14,8 +14,8 @@ from hadamard_dc import (AcademicParams, ContrastiveParams, DikinOrthant,
                          make_b_subproblem, make_cr_subproblem,
                          random_start, rosenbrock_problem, run_dca)
 from hadamard_dc import dc
-from hadamard_dc.geometry import (Hyperboloid, SPDManifold, logdet, spd,
-                                  spd_fun, sym)
+from hadamard_dc.geometry import (Hyperboloid, SPDManifold, chol, logdet,
+                                  spd, sym)
 from hadamard_dc.rng import run_seed
 from helpers import examples, on_arrays, primitive_counter, rel_err
 
@@ -240,19 +240,20 @@ def test_contrastive_gradients_match_fd():
 
 def reference_sq_dist_sum(x, weights, refs):
     """sum_i w_i d^2(X, R_i) and -2 sum_i w_i log_X(R_i), one reference at
-    a time with every matrix root rebuilt, from the spectrum mu, V of
-    M = R^-1/2 X R^-1/2: d^2 = sum_j (ln mu_j)^2 and log_X(R) =
-    -R^1/2 V diag(mu ln mu) V^T R^1/2.  The terms are added in reference
-    order, and the weighted sum of the d^2 is taken by the dot product
-    that the implementation uses."""
+    a time with every factor rebuilt, from the Cholesky factor L of R and
+    the spectrum mu, V of M = L^-1 X L^-T: d^2 = sum_j (ln mu_j)^2 and
+    log_X(R) = -L V diag(mu ln mu) V^T L^T.  The terms are added in
+    reference order, and the weighted sum of the d^2 is taken by the dot
+    product that the implementation uses."""
     sq = []
     out = np.zeros_like(x)
     for w, r in zip(weights, refs):
-        rh, rih = spd_fun(r, "sqrt"), spd_fun(r, "invsqrt")
-        mu, v = np.linalg.eigh(sym(rih @ x @ rih))
+        lower = chol(r)
+        c = np.linalg.inv(lower)
+        mu, v = np.linalg.eigh(sym(c @ x @ c.T))
         log_mu = np.log(mu)
         sq.append(np.sum(log_mu * log_mu))
-        a = rh @ v
+        a = lower @ v
         out = out + (a * (w * (mu * log_mu))) @ a.T
     value = float(np.asarray(weights, dtype=float) @ np.array(sq))
     return value, sym(2.0 * out)
@@ -288,17 +289,22 @@ def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
     """One spectral split per outer step with s_k != 0, and eigh calls
     (a stacked call counting as one): one per trial step (the stacked
     spectrum of g's references, which serves g there and, at an accepted
-    point, grad g), two per inner iteration (the roots of the accepted
-    point and the ray of its line search), three per outer step (the
-    split, the stacked spectrum of h's references, which serves h and
-    s_k, and the ray of the inner solve's first line search; the step
-    distance takes X^-1/2 from the roots of the accepted point) and three
-    at p0 (the two spectra and its roots).
-    When each trial step took its own exponential map, this read two per
-    trial, one per inner iteration, two per outer step and three at p0;
-    when the value of each sum took an eigvalsh and its gradient a
-    stacked eigh of X^-1/2 R_i X^-1/2, one per trial, two per inner
-    iteration, two per outer step and three at p0."""
+    point, grad g), one per inner iteration (the ray of the line search
+    that made it; a ray diagonalizes its direction on its first step, so
+    the last ray of an inner solve, whose speed ends the solve, makes
+    none), two per outer step (the split and the stacked spectrum of h's
+    references, which serves h and s_k) and two at p0 (the two spectra).
+    Every point is Cholesky-factored once, by the check that made it, and
+    its kernels (the rays, the split, the step distance) take that factor
+    and its inverse, one inv per iterate, so no point needs X^+-1/2.
+    When each point took X^+-1/2 from an eigh and each ray diagonalized
+    when it was built, this read one per trial, two per inner iteration,
+    three per outer step and three at p0; when each trial step took its
+    own exponential map, two per trial, one per inner iteration, two per
+    outer step and three at p0; when the value of each sum took an
+    eigvalsh and its gradient a stacked eigh of X^-1/2 R_i X^-1/2, one
+    per trial, two per inner iteration, two per outer step and three at
+    p0."""
     params = ContrastiveParams(n=4, m=3, r=2)
     rng = make_rng(5)
     prob = contrastive_problem(params, rng)
@@ -322,8 +328,10 @@ def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
     assert counts["ray"] == trace.k > 0
     assert counts["split"] == counts["ray"]
     assert counter.counts["eigh"] == (counter.counts["step"]
-                                      + 2 * trace.inner_total
-                                      + 3 * trace.k + 3)
+                                      + trace.inner_total + 2 * trace.k + 2)
+    assert counter.counts["_definite"] == counter.counts["step"] + 1
+    assert counter.counts["inv"] == counter.counts["factor"] \
+        == trace.inner_total + 1
 
 
 def test_valley_b_dca_prepares_each_step_once(monkeypatch):
@@ -363,16 +371,20 @@ def test_contrastive_construction_primitive_counts():
     around one checked center, so the center is checked and factored once
     (20 check_point, 20 Cholesky, 17 eigh and 5 spd_roots when each sample
     checked and factored it again), and each sample's norm takes one
-    solve (10 solves when the SPD norm solved Y^-1 V twice); each
-    check_point makes its Cholesky test in _definite.  The roots
-    R^+-1/2 of each stack of references, for g and for h, are one stacked
-    spd_roots each (eigh 8 and spd_roots 1 when a stacked spd_fun made
-    R^-1/2 alone)."""
+    solve (10 solves when the SPD norm solved Y^-1 V twice).  Each of the
+    six points (the center and five references) is Cholesky-factored
+    once, by the _definite test of its check: the sums take the
+    references' factors from their checks, and each stack, for g and for
+    h, is inverted by one stacked inv.  The center's X^1/2, which
+    random_tangent draws with, is one eigh, its factor one inv, and each
+    sample's exponential map one eigh.  Before the point factor (eigh 8,
+    cholesky 6, no inv): the center's X^+-1/2 and the R^+-1/2 of each
+    stack were one spd_roots each."""
     with primitive_counter() as counter:
         contrastive_problem(ContrastiveParams(n=4, m=3, r=2), make_rng(5))
-    assert counter.counts == {"eigh": 8, "eigvalsh": 0, "cholesky": 6,
-                              "solve": 5, "check_point": 6, "step": 0,
-                              "_definite": 6, "spd_roots": 3,
+    assert counter.counts == {"eigh": 6, "eigvalsh": 0, "cholesky": 6,
+                              "solve": 5, "inv": 3, "check_point": 6,
+                              "step": 0, "_definite": 6, "factor": 1,
                               "hyperboloid._dist": 0,
                               "hyperboloid._log": 0}
 
@@ -529,8 +541,8 @@ def _cli_contrastive_start():
 
 
 @pytest.mark.parametrize("alg, k, inn, eigh, eigvalsh, cholesky, solve", [
-    ("cr_dca", 59, 215, 1394, 59, 393, 61),
-    ("b_dca", 94, 424, 1912, 94, 1653, 190),
+    ("cr_dca", 59, 215, 1119, 59, 393, 61),
+    ("b_dca", 94, 424, 1393, 94, 1653, 190),
 ], ids=["cr_dca", "b_dca"])
 def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
                                       solve):
@@ -544,10 +556,15 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
     1,512 eigh and 845 solves for cr_dca, 2,173 and 708 for b_dca when
     each trial step took its own exponential map, each line search the
     gradient norm by a solve, each classic value a solve and each
-    classic model one more), one
+    classic model one more; 1,394 and 1,912 eigh when each point took
+    X^+-1/2 from an eigh and each ray diagonalized when built), one
     eigvalsh per outer step (the step distance), one check_point, for
     p0, and one Cholesky test (_definite) per trial step and for p0: an
-    iterate is validated once, as the trial that reached it."""
+    iterate is validated once, as the trial that reached it.  Each point
+    is Cholesky-factored once, by that test: the only other Cholesky
+    calls are the horofunction's, one per trial and per outer iterate
+    (b_dca).  No trial inverts L: one inv per accepted point and p0,
+    when its factor is first used."""
     prob, start = _cli_contrastive_start()
     with primitive_counter() as counter:
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
@@ -558,28 +575,40 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
     assert counter.counts["solve"] == solve
     assert counter.counts["check_point"] == 1
     assert counter.counts["_definite"] == counter.counts["step"] + 1
+    horofunction = counter.counts["step"] + k if alg == "b_dca" else 0
+    assert counter.counts["cholesky"] \
+        == counter.counts["_definite"] + horofunction
+    assert counter.counts["inv"] == counter.counts["factor"] == inn + 1
 
 
-def test_spd_roots_once_per_distinct_point(monkeypatch):
-    """X^+-1/2 of each iterate comes from one spd_roots call, shared by the
-    subproblem, the step distance and the exponential map (the gradients
-    of g and h need none): one call per accepted point and p0, none on the
-    same matrix twice."""
+def test_spd_factor_once_per_distinct_point(monkeypatch):
+    """The factor (L, L^-1) of each iterate is made once, shared by the
+    subproblem, the step distance and the search ray (the gradients of g
+    and h need none): one per accepted point and p0, none on the same
+    matrix twice, and each takes the L that the check of its point
+    computed, so no point is Cholesky-factored twice."""
     factored = []
-    spd_roots = spd.spd_roots
+    refactored = []
+    point_factor, point_lower = spd._point_factor, spd._point_lower
 
-    def counted_roots(a):
-        factored.append(a.tobytes())
-        return spd_roots(a)
+    def counted_factor(x):
+        factored.append(x.x.tobytes())
+        return point_factor(x)
+
+    def counted_lower(x):
+        refactored.append(x.x.tobytes())
+        return point_lower(x)
 
     instances = {alg: _cli_contrastive_start()
                  for alg in ("cr_dca", "b_dca")}
-    monkeypatch.setattr(spd, "spd_roots", counted_roots)
+    monkeypatch.setattr(spd, "_point_factor", counted_factor)
+    monkeypatch.setattr(spd, "_point_lower", counted_lower)
     for alg, (prob, start) in instances.items():
         factored.clear()
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
         assert len(factored) == trace.inner_total + 1
         assert len(set(factored)) == len(factored)
+        assert not refactored
 
 
 def test_valley_b_dca_primitive_counts():

@@ -14,7 +14,8 @@ from hadamard_dc import (BusemannRay, DefinitenessError, SPDManifold,
                          ZeroDirectionError, fd_riemannian_grad, make_rng)
 from hadamard_dc.geometry import (SPDDistanceSum, chol, frechet_log, logdet,
                                   spd_fun, sym)
-from helpers import examples, primitive_counter, rel_err, same
+from helpers import (conditioned_spd, direction, examples,
+                     near_center_sampler, primitive_counter, rel_err, same)
 
 E = math.e
 
@@ -356,15 +357,17 @@ def test_point_validation_errors():
         m.dist(x, np.eye(2))
 
 
-def test_kernels_at_a_point_take_its_roots():
-    """Given a point whose X^+-1/2 are already computed, the public
-    spectral_split, random_tangent, tangent_basis, exp and log and the
-    limit oracle's ray probe compute no roots again: one eigh each for
-    the split, exp, log and the probe, none for the samplers."""
+def test_kernels_at_a_point_take_its_factor():
+    """Given a point whose factor (L, L^-1) and X^1/2 are already
+    computed, the public spectral_split, random_tangent, tangent_basis,
+    exp and log and the limit oracle's ray probe compute neither again:
+    one eigh each for the split, exp, log and the probe, none for the
+    samplers, no inverse, and two Cholesky factorizations, the check of
+    log's array argument and the probe's reduced point."""
     m = SPDManifold(3)
     rng = make_rng(41)
     y = m.point(m.random_point(rng))
-    y.roots
+    y.factor, y.root
     v = m.random_tangent(y, rng)
     x = m.random_point(rng)
     with primitive_counter() as counter:
@@ -374,8 +377,38 @@ def test_kernels_at_a_point_take_its_roots():
         m.exp(y, v)
         m.log(y, x)
         m._ray_probe(y, v / m.norm(y, v), x)
-    assert counter.counts["spd_roots"] == 0
+    assert counter.counts["factor"] == counter.counts["inv"] == 0
     assert counter.counts["eigh"] == 4
+    assert counter.counts["cholesky"] == 2
+
+
+def test_point_keeps_the_factor_of_its_check():
+    """A point made by ``point`` or by a ray's ``step`` keeps the Cholesky
+    factor that its definiteness test computed: taking its factor costs
+    one inv and no Cholesky factorization.  A point made from an array
+    without a check factors itself on first use, to the same bytes.  The
+    public dist factors neither of its checked arrays again: two Cholesky
+    tests, one inv, one eigvalsh and no eigh."""
+    m = SPDManifold(4)
+    rng = make_rng(43)
+    x = m.random_point(rng)
+    y = m.point(x)
+    ray = m._ray(y, m.random_tangent(y, rng))
+    checked, stepped = m.point(x), ray.step(0.5)
+    for p in (checked, stepped):
+        with primitive_counter() as counter:
+            lower, inverse = p.factor
+        assert counter.counts["cholesky"] == 0
+        assert counter.counts["inv"] == 1
+        assert np.array_equal(lower, np.linalg.cholesky(sym(p.x)))
+        assert np.array_equal(inverse, np.linalg.inv(lower))
+    unchecked = m._point(x.copy())
+    assert np.array_equal(unchecked.factor[0], checked.factor[0])
+    with primitive_counter() as counter:
+        m.dist(x, stepped.x)
+    assert {op: counter.counts[op] for op in
+            ("cholesky", "inv", "eigvalsh", "eigh")} \
+        == {"cholesky": 2, "inv": 1, "eigvalsh": 1, "eigh": 0}
 
 
 def test_fd_gradient_zero_at_distance_minimizer():
@@ -388,66 +421,51 @@ def test_fd_gradient_zero_at_distance_minimizer():
 # prepared horofunction and linear model against the per-call formulas
 # ----------------------------------------------------------------------
 
-def conditioned_spd(n, rng, log10_cond):
-    """Q diag(10^e) Q^T with exponents spanning [0, log10_cond]."""
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    e = np.sort(rng.uniform(0.0, log10_cond, n))
-    e[0], e[-1] = 0.0, log10_cond
-    return sym((q * 10.0 ** (e - 0.5 * log10_cond)) @ q.T)
-
-
-def direction(y, rng, kind):
-    """Y^1/2 W Y^1/2 with W generic, with a repeated eigenvalue, or 0."""
-    n = y.shape[0]
-    if kind == "zero":
-        return np.zeros((n, n))
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = rng.standard_normal(n)
-    if kind == "repeated":
-        lam = np.array([1.5, -0.5])[rng.integers(0, 2, n)]
-        lam[:2] = 1.5                # at least one repeated eigenvalue
-    yh = spd_fun(y, "sqrt")
-    return sym(yh @ sym((q * lam) @ q.T) @ yh)
+def reference_factor(y):
+    """(L, L^-1), L the lower Cholesky factor of Y, rebuilt per call."""
+    lower = chol(y)
+    return lower, np.linalg.inv(lower)
 
 
 def reference_busemann(m, y, v, x):
-    """The per-call formula: every root and the split rebuilt."""
+    """The per-call formula: the factor L of Y and the split rebuilt, and
+    the Cholesky factor of U^T L^-1 X L^-T U."""
     if np.linalg.norm(v) == 0.0:
         return m.dist(x, y)
     split = m.spectral_split(y, v)
-    yih = spd_fun(y, "invsqrt")
-    u = split.basis
-    ell = chol(sym(u.T @ yih @ x @ yih @ u))
+    uc = split.basis.T @ reference_factor(y)[1]
+    ell = chol(sym(uc @ x @ uc.T))
     return float(-2.0 / split.norm_const *
                  np.sum(split.per_index * np.log(np.diag(ell))))
 
 
 def reference_busemann_grad(m, y, v, x):
+    """-(L U l) D (L U l)^T / |lam| with every factor rebuilt."""
     if np.linalg.norm(v) == 0.0:
         return m._distance_gradient(y, m.point(x))
     split = m.spectral_split(y, v)
-    yh = spd_fun(y, "sqrt")
-    yih = spd_fun(y, "invsqrt")
+    lower, c = reference_factor(y)
     u = split.basis
-    ell = chol(sym(u.T @ yih @ x @ yih @ u))
-    core = ell @ np.diag(split.per_index) @ ell.T
-    return sym(-(yh @ u @ core @ u.T @ yh) / split.norm_const)
+    uc = u.T @ c
+    a = lower @ u @ chol(sym(uc @ x @ uc.T))
+    return sym(-((a * split.per_index) @ a.T) / split.norm_const)
 
 
 def reference_linear_model(y, s, x):
-    """<S, log_Y X>_Y = tr(C S C Log(C X C)), C = Y^-1/2, with every root
-    rebuilt: sum_j ln w_j u_j^T (C S C) u_j over the spectrum (w, u) of
-    C X C."""
-    c = spd_fun(y, "invsqrt")
-    w, u = np.linalg.eigh(sym(c @ x @ c))
+    """<S, log_Y X>_Y = tr(C S C^T Log(C X C^T)), C = L^-1 with L the
+    Cholesky factor of Y, with every factor rebuilt: sum_j ln w_j
+    u_j^T (C S C^T) u_j over the spectrum (w, u) of C X C^T."""
+    c = reference_factor(y)[1]
+    w, u = np.linalg.eigh(sym(c @ x @ c.T))
     if np.any(w <= 0.0):
-        raise DefinitenessError("C X C is not positive definite")
-    return float(np.sum(u * (sym(c @ s @ c) @ u), axis=0) @ np.log(w))
+        raise DefinitenessError("C X C^T is not positive definite")
+    return float(np.sum(u * (sym(c @ s @ c.T) @ u), axis=0) @ np.log(w))
 
 
 def reference_linear_model_grad(y, s, x):
-    c = spd_fun(y, "invsqrt")
-    egrad = sym(c @ frechet_log(sym(c @ x @ c), sym(c @ s @ c)) @ c)
+    """X C^T D Log(C X C^T)[C S C^T] C X with every factor rebuilt."""
+    c = reference_factor(y)[1]
+    egrad = sym(c.T @ frechet_log(sym(c @ x @ c.T), sym(c @ s @ c.T)) @ c)
     return sym(x @ egrad @ x)
 
 
@@ -552,17 +570,12 @@ def test_distance_sum_against_mpmath(log10_cond, seed):
     both at c = 0 (``notes/decisions.md``)."""
     n = 4
     rng = np.random.default_rng(seed)
-    zh = spd_fun(conditioned_spd(n, rng, log10_cond), "sqrt")
-
-    def near_center():
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        e = sym((q * np.exp(rng.uniform(-1.0, 1.0, n))) @ q.T)
-        return sym(zh @ e @ zh)
+    near_center = near_center_sampler(n, rng, log10_cond)
 
     x = near_center()
     refs = np.array([near_center() for _ in range(2)])
     weights = rng.uniform(0.5, 2.0, 2)
-    dist_sum = SPDDistanceSum(refs, weights)
+    dist_sum = SPDDistanceSum(chol(refs), weights)
     pt = SPDManifold(n).point(x)
     with mp.workdps(50):
         want_value, want_grad = mp_sq_dist_sum(x, weights, refs)
@@ -607,12 +620,7 @@ def test_linear_model_against_mpmath(log10_cond, seed):
     (``notes/decisions.md``)."""
     n = 4
     rng = np.random.default_rng(seed)
-    zh = spd_fun(conditioned_spd(n, rng, log10_cond), "sqrt")
-
-    def near_center():
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        e = sym((q * np.exp(rng.uniform(-1.0, 1.0, n))) @ q.T)
-        return sym(zh @ e @ zh)
+    near_center = near_center_sampler(n, rng, log10_cond)
 
     xk, x = near_center(), near_center()
     s = direction(xk, rng, "generic")
