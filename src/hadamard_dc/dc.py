@@ -20,9 +20,9 @@ once in ``run_dca``, and each line-search trial in ``inner_solve`` is one
 prepared at its iterate, which checks exp_p(-alpha grad) and makes it
 one.  It is the argument of the problem closures and of the subproblem
 term and the base point of every geometry kernel; each keeps on it what
-it derives from it, so the SPD factor (the Cholesky factor L of the
-point's check, and L^-1), g and grad g, the subgradient of
-h and the term's factorizations are computed once per point.  The point
+it derives from it, so the SPD factor (the Cholesky factor L, which a
+trial point has from its test, and L^-1), g and grad g, the subgradient
+of h and the term's factorizations are computed once per point.  The point
 a trial reaches carries them out of the inner solve to the outer tests
 and into the next subproblem.  A point is trusted because of its type:
 ``make_cr_subproblem``, ``make_b_subproblem`` and ``inner_solve`` check

@@ -5,7 +5,8 @@ from .dikin import DikinOrthant
 from .euclidean import Euclidean
 from .hyperboloid import Hyperboloid, arcosh
 from .spd import (SpectralSplit, SPDDistanceSum, SPDManifold, chol,
-                  frechet_log, logdet, spd_fun, sym, sym_eig)
+                  cholesky_logdet, frechet_log, logdet, spd_fun, sym,
+                  sym_eig)
 
 __all__ = [
     "BusemannRay",
@@ -23,5 +24,6 @@ __all__ = [
     "chol",
     "spd_fun",
     "logdet",
+    "cholesky_logdet",
     "frechet_log",
 ]

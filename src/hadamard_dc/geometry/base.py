@@ -21,9 +21,9 @@ check's distance to its base point, and the public ``dist``.  A point
 is a checked array together with what derives from it, each computed on
 first use and kept with the point:
 
-* ``Manifold._point(x)`` wraps an array right after ``check_point``
-  (``Manifold._checked_point(x)`` does both); the solver builds one for
-  p0, and the public methods one per base point.
+* ``Manifold._point(x)`` wraps an array right after ``check_point``;
+  the solver builds one for p0, and the public methods one per base
+  point.
   A line search runs along ``Manifold._ray(p, d)``, the geodesic
   t -> exp_p(t d) prepared once: its ``speed`` is |d|_p, and a trial is
   its ``step(t)``, the checked point of exp_p(t d).  By default that is
@@ -38,8 +38,8 @@ first use and kept with the point:
 * A geometry keeps there what its kernels take from a base point: SPD
   keeps a factor A of X = A A^T and its inverse (``SPDPoint.factor``),
   which all its kernels at X share; every SPD formula holds for any such
-  factor, and the one kept is the lower Cholesky factor L that the
-  point's check computed, so that L^-1 is its only extra cost.
+  factor, and the one kept is the lower Cholesky factor L, which a
+  line-search trial's Cholesky test hands to its point.
 * ``Point.derived(make)`` keeps ``make(point)`` under ``make``: the
   solver keeps g, grad g and the subgradient of h there, the problem
   closures their shared work (Rosenbrock's distances and logs, ln det X,
@@ -274,12 +274,6 @@ class Manifold:
             if x.manifold is self:
                 return x
             x = x.x
-        return self._checked_point(x)
-
-    def _checked_point(self, x):
-        """The :class:`Point` of an array after ``check_point``; a geometry
-        whose check computes what its kernels take from a point (SPD: the
-        Cholesky factor) hands it to the point here."""
         return self._point(self.check_point(x))
 
     def _array(self, x):

@@ -21,10 +21,9 @@ turn.  Metric and maps at a base point Y = A A^T:
 
 with A^-1 V A^-T = U diag(lam) U^T and G = A U.  The factor a point
 keeps is its lower Cholesky factor L (:class:`SPDPoint`), which the
-Cholesky test of ``check_point`` or of a line-search trial computes
-anyway.  A line search along exp_Y(t V) keeps lam and G
-(:class:`SPDRay`), so that each trial costs one product and no
-eigendecomposition.
+Cholesky test of a line-search trial computes anyway.  A line search
+along exp_Y(t V) keeps lam and G (:class:`SPDRay`), so that each trial
+costs one product and no eigendecomposition.
 
 Busemann function of a ray (Y, V), V != 0: split A^-1 V A^-T into
 eigenvalue groups (ascending representatives lam_i, multiplicities n_i,
@@ -133,7 +132,12 @@ def _trace_product(a, b):
 
 def logdet(x):
     """ln det X through the Cholesky factor."""
-    return 2.0 * float(np.sum(np.log(np.diag(chol(x)))))
+    return cholesky_logdet(chol(x))
+
+
+def cholesky_logdet(lower):
+    """ln det X = 2 sum_j ln L_jj from the lower Cholesky factor L of X."""
+    return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
 def frechet_log(a, e):
@@ -239,24 +243,17 @@ class SPDManifold(Manifold):
     # ------------------------------------------------------------------
 
     def check_point(self, x):
-        return self._check(x)[0]
-
-    def _checked_point(self, x):
-        # the point keeps the Cholesky factor its test computed
-        return SPDPoint(self, *self._check(x))
-
-    def _check(self, x):
-        """(x, L): the checked array and the lower Cholesky factor of its
-        symmetric part."""
         x = self._as_array(x, "point", (self.n, self.n))
         scale = 1.0 + float(np.linalg.norm(x))
         if np.linalg.norm(x - x.T) > 1e-10 * scale:
             raise ValidationError(f"{self.name}: point is not symmetric")
-        return x, self._definite(sym(x))
+        self._definite(sym(x))
+        return x
 
     def _definite(self, x):
         """The lower Cholesky factor of ``x``, a finite and exactly
-        symmetric matrix: the definiteness test of ``check_point``."""
+        symmetric matrix: the definiteness test of ``check_point`` and of
+        a line-search trial."""
         try:
             return np.linalg.cholesky(x)
         except np.linalg.LinAlgError as exc:
@@ -450,10 +447,11 @@ class SPDRay:
         self.lower, c = x.factor
         self.manifold = manifold
         self.w = sym(c @ d @ c.T)
-        speed = float(np.linalg.norm(self.w))
         # a direction whose congruence is not finite has speed NaN, so no
-        # line search runs along it
-        self.speed = speed if speed < math.inf else math.nan
+        # line search runs along it; a finite one whose norm overflows
+        # has speed inf
+        self.speed = float(np.linalg.norm(self.w)) \
+            if np.isfinite(self.w).all() else math.nan
         self.lam = None
 
     def _diagonalize(self):
@@ -509,13 +507,13 @@ def _point_root(x):
 
 class SPDPoint(Point):
     """A point X of P(n) with ``lower`` = L, the lower Cholesky factor of X,
-    and ``factor`` = (L, L^-1), which every kernel at X shares.  L is the
-    factor that the check which made the point computed (``check_point``
-    or a ray's ``step``), handed to the constructor; a point made without
-    it factors X on first use.  L^-1 is computed on first use.  ``root`` =
-    X^1/2, from one eigendecomposition on first use, serves the samplers
-    ``random_tangent`` and ``tangent_basis``, whose draws the benchmark
-    instances are made of.
+    and ``factor`` = (L, L^-1), which every kernel at X shares.  A ray's
+    ``step`` hands the constructor the L that its trial's Cholesky test
+    computed; a point made without it, as ``Manifold.point`` makes one
+    after ``check_point``, factors X on first use.  L^-1 is computed on
+    first use.  ``root`` = X^1/2, from one eigendecomposition on first
+    use, serves the samplers ``random_tangent`` and ``tangent_basis``,
+    whose draws the benchmark instances are made of.
     """
 
     __slots__ = ()
@@ -610,13 +608,13 @@ class SPDDistanceSum:
 
     (the log is equivariant under the congruence by L_i, and
     log_M(I) = -M^1/2 Log(M) M^1/2).  The sum is built from the stacked
-    factors L_i, of shape (k, n, n), which the checks of the references
-    computed, and takes the L_i^-1 from one stacked inverse, here; at a
-    point X the stacked eigendecomposition of the M_i, which the point
-    keeps, serves the value and the gradient, so neither needs the factor
-    of X.  A nonpositive mu raises DefinitenessError, which the line
-    search takes as a trial outside the domain.  An empty stack of
-    references gives 0 and the zero gradient.  Holds arrays only.
+    factors L_i, of shape (k, n, n), and takes the L_i^-1 from one
+    stacked inverse, here; at a point X the stacked eigendecomposition of
+    the M_i, which the point keeps, serves the value and the gradient, so
+    neither needs the factor of X.  A nonpositive mu raises
+    DefinitenessError, which the line search takes as a trial outside the
+    domain.  An empty stack of references gives 0 and the zero gradient.
+    Holds arrays only.
     """
 
     def __init__(self, lower, weights):

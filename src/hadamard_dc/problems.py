@@ -19,7 +19,8 @@ import numpy as np
 
 from .dc import DCProblem
 from .errors import ValidationError
-from .geometry import Hyperboloid, SPDDistanceSum, SPDManifold
+from .geometry import (Hyperboloid, SPDDistanceSum, SPDManifold,
+                       cholesky_logdet)
 from .geometry.base import check_count
 
 logger = logging.getLogger(__name__)
@@ -221,8 +222,9 @@ def academic_problem(params: AcademicParams = AcademicParams()) -> DCProblem:
     manifold.check_point(x0)        # positive definite for n >= 3
 
     def _logdet(x):
-        # ln det X from the Cholesky factor that the point's check computed
-        return 2.0 * float(np.sum(np.log(np.diag(x.lower))))
+        # ln det X from the point's Cholesky factor, which a trial point
+        # has from its test
+        return cholesky_logdet(x.lower)
 
     def g(x):
         return x.derived(_logdet) ** 4
@@ -306,8 +308,8 @@ def contrastive_problem(params: ContrastiveParams, rng,
 
     def sq_dist_sum(weights, refs):
         # sum_i w_i d^2(X, R_i) and its gradient -2 sum_i w_i log_X(R_i),
-        # both from the one stacked spectrum that each point keeps; the
-        # Cholesky factors are those the checks of the references computed
+        # both from the one stacked spectrum that each point keeps and the
+        # Cholesky factors of the references
         dist_sum = SPDDistanceSum(
             np.array([r.lower for r in refs], dtype=float)
             .reshape(-1, params.n, params.n), weights)

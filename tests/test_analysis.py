@@ -108,18 +108,15 @@ def test_lipschitz_subgrad_bound():
 def test_lipschitz_subgrad_bound_checks_once(monkeypatch):
     """One check_point, one check_tangent and (on SPD) one Cholesky factor
     per call, with the result of the public norm (two of each when the
-    check called the public norm after checking q and s itself).  A point
-    made from an array is checked by ``_checked_point``, the check_point
-    that hands the point the Cholesky factor its test computed, so both
-    count as check_point."""
+    check called the public norm after checking q and s itself)."""
     m = SPDManifold(3)
     rng = make_rng(8)
     q = m.random_point(rng)
     s = m.random_tangent(q, rng)
     bound = m.norm(q, s)
     counts = {"check_point": 0, "check_tangent": 0, "cholesky": 0}
-    check_point, checked_point, check_tangent = SPDManifold.check_point, \
-        SPDManifold._checked_point, SPDManifold.check_tangent
+    check_point, check_tangent = SPDManifold.check_point, \
+        SPDManifold.check_tangent
     cholesky = np.linalg.cholesky
 
     def counted(name, fn):
@@ -130,8 +127,6 @@ def test_lipschitz_subgrad_bound_checks_once(monkeypatch):
 
     monkeypatch.setattr(SPDManifold, "check_point",
                         counted("check_point", check_point))
-    monkeypatch.setattr(SPDManifold, "_checked_point",
-                        counted("check_point", checked_point))
     monkeypatch.setattr(SPDManifold, "check_tangent",
                         counted("check_tangent", check_tangent))
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))

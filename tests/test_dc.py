@@ -471,19 +471,19 @@ def test_run_dca_evaluates_each_point_once(instance, alg):
 
 
 def test_spd_trial_steps_take_the_iterates_factor(monkeypatch):
-    """On SPD each point is Cholesky-factored once, by the check that made
-    it (check_point for p0, the definiteness test of the trial step that
-    reached an iterate), and the trial steps from one iterate share its
-    factor through the ray that the iterate prepares: the first ray from
-    an inner iterate inverts L (no gradient of the contrastive sums needs
-    it), no later ray from it does, and no trial step inverts L or
-    factors a point twice.  An outer iterate has L^-1 before its first
-    ray, from the subproblem build or the step distance."""
+    """On SPD a trial point is Cholesky-factored once, by the definiteness
+    test of the trial step that reached it, and the trial steps from one
+    iterate share its factor through the ray that the iterate prepares:
+    the first ray from an inner iterate inverts L (no gradient of the
+    contrastive sums needs it), no later ray from it does, and no trial
+    step inverts L or factors a point twice.  An outer iterate has L^-1
+    before its first ray, from the subproblem build or the step
+    distance."""
     from hadamard_dc.geometry import SPDManifold, spd
-    counts = {"inv": 0, "cholesky": 0}
+    counts = {"factor": 0, "cholesky": 0}
     made = {}               # base point bytes -> inversions per ray
     stepped = []            # (inversions, Cholesky factorizations) per step
-    inv, cholesky = np.linalg.inv, np.linalg.cholesky
+    with_inverse, cholesky = spd._with_inverse, np.linalg.cholesky
     ray, step = SPDManifold._ray, spd.SPDRay.step
 
     def counted(name, fn):
@@ -493,20 +493,21 @@ def test_spd_trial_steps_take_the_iterates_factor(monkeypatch):
         return wrapper
 
     def counted_ray(self, y, d):
-        before = counts["inv"]
+        before = counts["factor"]
         out = ray(self, y, d)
-        made.setdefault(y.x.tobytes(), []).append(counts["inv"] - before)
+        made.setdefault(y.x.tobytes(), []).append(counts["factor"] - before)
         return out
 
     def counted_step(self, t):
         before = dict(counts)
         out = step(self, t)
-        stepped.append((counts["inv"] - before["inv"],
+        stepped.append((counts["factor"] - before["factor"],
                         counts["cholesky"] - before["cholesky"]))
         return out
 
     instances = [_contrastive_start() for _ in range(2)]
-    monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+    monkeypatch.setattr(spd, "_with_inverse",
+                        counted("factor", with_inverse))
     monkeypatch.setattr(np.linalg, "cholesky",
                         counted("cholesky", cholesky))
     monkeypatch.setattr(SPDManifold, "_ray", counted_ray)

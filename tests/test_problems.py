@@ -294,9 +294,10 @@ def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
     the last ray of an inner solve, whose speed ends the solve, makes
     none), two per outer step (the split and the stacked spectrum of h's
     references, which serves h and s_k) and two at p0 (the two spectra).
-    Every point is Cholesky-factored once, by the check that made it, and
-    its kernels (the rays, the split, the step distance) take that factor
-    and its inverse, one inv per iterate, so no point needs X^+-1/2.
+    Every trial point is Cholesky-factored once, by the test of the step
+    that made it, and its kernels (the rays, the split, the step distance)
+    take that factor and its inverse, one inv per iterate and p0, so no
+    point needs X^+-1/2.
     When each point took X^+-1/2 from an eigh and each ray diagonalized
     when it was built, this read one per trial, two per inner iteration,
     three per outer step and three at p0; when each trial step took its
@@ -372,17 +373,17 @@ def test_contrastive_construction_primitive_counts():
     (20 check_point, 20 Cholesky, 17 eigh and 5 spd_roots when each sample
     checked and factored it again), and each sample's norm takes one
     solve (10 solves when the SPD norm solved Y^-1 V twice).  Each of the
-    six points (the center and five references) is Cholesky-factored
-    once, by the _definite test of its check: the sums take the
-    references' factors from their checks, and each stack, for g and for
-    h, is inverted by one stacked inv.  The center's X^1/2, which
-    random_tangent draws with, is one eigh, its factor one inv, and each
-    sample's exponential map one eigh.  Before the point factor (eigh 8,
-    cholesky 6, no inv): the center's X^+-1/2 and the R^+-1/2 of each
-    stack were one spd_roots each."""
+    six points (the center and five references) is Cholesky-tested by
+    its check and Cholesky-factored once more for its factor, which the
+    sampler (the center) or a distance sum (the references) takes; each
+    stack of references, for g and for h, is inverted by one stacked
+    inv.  The center's X^1/2, which random_tangent draws with, is one
+    eigh, its factor one inv, and each sample's exponential map one eigh.
+    Before the point factor (eigh 8, cholesky 6, no inv): the center's
+    X^+-1/2 and the R^+-1/2 of each stack were one spd_roots each."""
     with primitive_counter() as counter:
         contrastive_problem(ContrastiveParams(n=4, m=3, r=2), make_rng(5))
-    assert counter.counts == {"eigh": 6, "eigvalsh": 0, "cholesky": 6,
+    assert counter.counts == {"eigh": 6, "eigvalsh": 0, "cholesky": 12,
                               "solve": 5, "inv": 3, "check_point": 6,
                               "step": 0, "_definite": 6, "factor": 1,
                               "hyperboloid._dist": 0,
@@ -541,8 +542,8 @@ def _cli_contrastive_start():
 
 
 @pytest.mark.parametrize("alg, k, inn, eigh, eigvalsh, cholesky, solve", [
-    ("cr_dca", 59, 215, 1119, 59, 393, 61),
-    ("b_dca", 94, 424, 1393, 94, 1653, 190),
+    ("cr_dca", 59, 215, 1119, 59, 394, 61),
+    ("b_dca", 94, 424, 1393, 94, 1654, 190),
 ], ids=["cr_dca", "b_dca"])
 def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
                                       solve):
@@ -560,11 +561,11 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
     X^+-1/2 from an eigh and each ray diagonalized when built), one
     eigvalsh per outer step (the step distance), one check_point, for
     p0, and one Cholesky test (_definite) per trial step and for p0: an
-    iterate is validated once, as the trial that reached it.  Each point
-    is Cholesky-factored once, by that test: the only other Cholesky
-    calls are the horofunction's, one per trial and per outer iterate
-    (b_dca).  No trial inverts L: one inv per accepted point and p0,
-    when its factor is first used."""
+    iterate is validated once, as the trial that reached it.  Each trial
+    point is Cholesky-factored once, by that test, and p0 once more for
+    its factor: the only other Cholesky calls are the horofunction's,
+    one per trial and per outer iterate (b_dca).  No trial inverts L:
+    one inv per accepted point and p0, when its factor is first used."""
     prob, start = _cli_contrastive_start()
     with primitive_counter() as counter:
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
@@ -577,7 +578,7 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
     assert counter.counts["_definite"] == counter.counts["step"] + 1
     horofunction = counter.counts["step"] + k if alg == "b_dca" else 0
     assert counter.counts["cholesky"] \
-        == counter.counts["_definite"] + horofunction
+        == counter.counts["_definite"] + 1 + horofunction
     assert counter.counts["inv"] == counter.counts["factor"] == inn + 1
 
 
@@ -585,8 +586,10 @@ def test_spd_factor_once_per_distinct_point(monkeypatch):
     """The factor (L, L^-1) of each iterate is made once, shared by the
     subproblem, the step distance and the search ray (the gradients of g
     and h need none): one per accepted point and p0, none on the same
-    matrix twice, and each takes the L that the check of its point
-    computed, so no point is Cholesky-factored twice."""
+    matrix twice, and each iterate takes the L that the test of the trial
+    step which reached it computed, so no trial point is Cholesky-factored
+    twice.  Only p0, which ``Manifold.point`` made after check_point,
+    factors itself on first use."""
     factored = []
     refactored = []
     point_factor, point_lower = spd._point_factor, spd._point_lower
@@ -605,10 +608,11 @@ def test_spd_factor_once_per_distinct_point(monkeypatch):
     monkeypatch.setattr(spd, "_point_lower", counted_lower)
     for alg, (prob, start) in instances.items():
         factored.clear()
+        refactored.clear()
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
         assert len(factored) == trace.inner_total + 1
         assert len(set(factored)) == len(factored)
-        assert not refactored
+        assert refactored == [np.asarray(start, dtype=float).tobytes()]
 
 
 def test_valley_b_dca_primitive_counts():

@@ -382,33 +382,34 @@ def test_kernels_at_a_point_take_its_factor():
     assert counter.counts["cholesky"] == 2
 
 
-def test_point_keeps_the_factor_of_its_check():
-    """A point made by ``point`` or by a ray's ``step`` keeps the Cholesky
-    factor that its definiteness test computed: taking its factor costs
-    one inv and no Cholesky factorization.  A point made from an array
-    without a check factors itself on first use, to the same bytes.  The
-    public dist factors neither of its checked arrays again: two Cholesky
-    tests, one inv, one eigvalsh and no eigh."""
+def test_stepped_point_keeps_the_factor_of_its_test():
+    """A point made by a ray's ``step`` keeps the Cholesky factor that its
+    definiteness test computed: taking its factor costs one inv and no
+    Cholesky factorization.  A point made by ``point`` after
+    check_point factors itself on first use, to the bytes of the test's
+    factor, and so does one made from an array without a check.  The
+    public dist makes the two Cholesky tests of its checks, one Cholesky
+    factorization and one inv for the factor of q, one eigvalsh and no
+    eigh."""
     m = SPDManifold(4)
     rng = make_rng(43)
     x = m.random_point(rng)
     y = m.point(x)
     ray = m._ray(y, m.random_tangent(y, rng))
-    checked, stepped = m.point(x), ray.step(0.5)
-    for p in (checked, stepped):
+    stepped = ray.step(0.5)
+    for p, cholesky in ((stepped, 0), (m.point(x), 1), (m._point(x), 1)):
         with primitive_counter() as counter:
             lower, inverse = p.factor
-        assert counter.counts["cholesky"] == 0
-        assert counter.counts["inv"] == 1
+        assert (counter.counts["cholesky"], counter.counts["inv"]) \
+            == (cholesky, 1)
         assert np.array_equal(lower, np.linalg.cholesky(sym(p.x)))
         assert np.array_equal(inverse, np.linalg.inv(lower))
-    unchecked = m._point(x.copy())
-    assert np.array_equal(unchecked.factor[0], checked.factor[0])
     with primitive_counter() as counter:
         m.dist(x, stepped.x)
     assert {op: counter.counts[op] for op in
-            ("cholesky", "inv", "eigvalsh", "eigh")} \
-        == {"cholesky": 2, "inv": 1, "eigvalsh": 1, "eigh": 0}
+            ("check_point", "cholesky", "inv", "eigvalsh", "eigh")} \
+        == {"check_point": 2, "cholesky": 3, "inv": 1, "eigvalsh": 1,
+            "eigh": 0}
 
 
 def test_fd_gradient_zero_at_distance_minimizer():
@@ -706,3 +707,16 @@ def test_ray_matches_former_checked_exp(seed, n, log10_cond, reach, nan):
     diff = np.linalg.norm(x / scale - want / scale) \
         / np.linalg.norm(want / scale)
     assert diff <= (64 if reach == "definite" else 1024) * unit
+
+
+def test_ray_speed_is_inf_where_a_finite_congruence_overflows():
+    """A finite W = L^-1 D L^-T whose Frobenius norm overflows has speed
+    inf, as |lam|_2 from its eigendecomposition did; only a W that is not
+    finite has speed NaN."""
+    m = SPDManifold(2)
+    y = m.point(np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ray = m._ray(y, np.diag([1e300, -1e300]))
+        assert math.isnan(m._ray(y, np.diag([math.inf, 1.0])).speed)
+    assert np.isfinite(ray.w).all()
+    assert ray.speed == math.inf

@@ -5,15 +5,14 @@ For each invocation of ``GOLDEN`` in ``tools/cli_rows.py`` and each
 algorithm, this runs ``hadamard_dc.cli.main`` in-process and prints one
 line: the algorithm, k and inn summed over the invocation's runs, and the
 calls of ``numpy.linalg.eigh``, ``eigvalsh``, ``cholesky``, ``solve`` and
-``inv``, of every geometry's ``check_point`` (on SPD also
-``_checked_point``, the check that hands the point its Cholesky factor),
-of ``step`` of every ray class (one line-search trial, which validates
-its point without ``check_point`` on the hyperboloid and SPD), of
-``SPDManifold._definite`` (the Cholesky test of an SPD trial and of
-``check_point``), of ``factor`` (the factor L and L^-1 of one SPD point,
-L^-1 by one ``inv``) and of ``Hyperboloid._dist`` and ``_log``, problem
-construction included.  The counts are a deterministic function
-of the flags, so running this file against two source trees
+``inv``, of every geometry's ``check_point``, of ``step`` of every ray
+class (one line-search trial, which validates its point without
+``check_point`` on the hyperboloid and SPD), of ``SPDManifold._definite``
+(the Cholesky test of an SPD trial and of ``check_point``), of ``factor``
+(the factor L and L^-1 of one SPD point, L^-1 by one ``inv``) and of
+``Hyperboloid._dist`` and ``_log``, problem construction included.  The
+counts are a deterministic function of the flags, so running this file
+against two source trees
 
     PYTHONPATH=<parent checkout>/src python tools/count_primitives.py > parent.txt
     PYTHONPATH=src python tools/count_primitives.py > change.txt
@@ -49,11 +48,11 @@ NAMES = LAPACK + ("check_point", "step", "_definite", "factor") + tuple(
 class PrimitiveCounter:
     """Counts, in ``counts``, the calls made while it is entered: the
     numpy LAPACK routines of ``LAPACK``, ``check_point`` of each geometry
-    of ``GEOMETRIES`` and ``SPDManifold._checked_point`` (all under one
-    name), ``step`` of each ray class of ``RAYS`` (all under one name),
-    ``SPDManifold._definite``, the factor of an SPD point
-    (``spd._with_inverse``, under ``factor``) and the hyperboloid kernels
-    of ``HYPERBOLOID``.  Leaving it restores the originals."""
+    of ``GEOMETRIES`` (all under one name), ``step`` of each ray class of
+    ``RAYS`` (all under one name), ``SPDManifold._definite``, the factor
+    of an SPD point (``spd._with_inverse``, under ``factor``) and the
+    hyperboloid kernels of ``HYPERBOLOID``.  Leaving it restores the
+    originals."""
 
     def __init__(self):
         self.counts = dict.fromkeys(NAMES, 0)
@@ -77,7 +76,6 @@ class PrimitiveCounter:
             self._patch(cls, "check_point", "check_point")
         for cls in RAYS:
             self._patch(cls, "step", "step")
-        self._patch(geometry.SPDManifold, "_checked_point", "check_point")
         self._patch(geometry.SPDManifold, "_definite", "_definite")
         self._patch(geometry.spd, "_with_inverse", "factor")
         for op in HYPERBOLOID:
