@@ -11,7 +11,14 @@ On flat geometries the two subproblems coincide.  Each is g + scale *
 term with the model (term, scale) of h at p_k: the linear model and -1,
 or ``Manifold._support_term(p_k, s_k)``.  Subproblems are solved by
 Riemannian steepest descent with Armijo backtracking; the inner
-tolerance is tied to the outer stopping tolerance.
+tolerance is tied to the outer stopping tolerance.  The horofunction
+subproblem is geodesically convex (g is convex and so is every
+Busemann function), so along a search ray its Armijo test passes on an
+interval of steps: there the first line search of an inner solve starts
+at the grid index that the previous outer step's first search accepted,
+which ``run_dca`` carries, and returns the step a search from index 0
+would, bit for bit.  The classic subproblem's term need not be convex,
+and its first search starts at index 0.
 
 Every iterate and trial point is a prepared point
 (:class:`~hadamard_dc.geometry.base.Point`): p0 is checked and made one
@@ -245,20 +252,57 @@ def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
                                *problem.manifold._support_term(p_k, s_k))
 
 
-def inner_solve(objective: SubproblemObjective, start, tol: float):
+def _trial(ray, objective, alpha):
+    """(point, value) of the trial ``ray.step(alpha)``; (None, nan) where
+    the trial left the numerical domain, which no test accepts."""
+    try:
+        cand = ray.step(alpha)
+        return cand, objective.value(cand)
+    except (OverflowError, FloatingPointError, NumericalDomainError,
+            ValidationError):
+        return None, math.nan
+
+
+def _sufficient(fp, fc, required, decrease_floor):
+    """Whether the trial value ``fc`` is finite and its decrease from
+    ``fp`` is at least the Armijo ``required`` and ``decrease_floor``:
+    sufficient AND representable progress."""
+    return math.isfinite(fc) and fp - fc >= max(required, decrease_floor)
+
+
+def inner_solve(objective: SubproblemObjective, start, tol: float,
+                first_index: int = 0):
     """Riemannian steepest descent with Armijo backtracking on g + scale *
     term, (term, scale) the linear model and -1 or ``_support_term``, on
     the manifold of ``objective.problem``.
 
-    Returns (point, iteration count), the point a
+    Returns (point, iteration count, first index), the point a
     :class:`~hadamard_dc.geometry.base.Point` that carries g and grad g
-    (when g has an analytic gradient).  The outer loop passes the point
-    the previous inner solve returned as ``start``, so g is evaluated
-    once at each trial point and its gradient once at each accepted one.
+    (when g has an analytic gradient), the first index the grid index
+    that the first line search accepted (``first_index`` if it accepted
+    none).  The outer loop passes the point the previous inner solve
+    returned as ``start`` and its first index as ``first_index``, so g
+    is evaluated once at each trial point and its gradient once at each
+    accepted one.
 
-    The first trial step is 1, later ones a secant estimate along the
-    previous ray; a trial is shrunk by ``_BACKTRACK`` until the Armijo
-    test with ``_ARMIJO_C1`` holds.  Each accepted iterate p, the start
+    The first line search tries the grid steps alpha_i = alpha_s 2^-i,
+    made by repeated halving from alpha_s = min(1, ``_STEP_NORM_CAP`` /
+    |grad|), and accepts the one of least index i that passes the Armijo
+    test with ``_ARMIJO_C1``; later searches start at a secant estimate
+    along the previous ray and shrink it by ``_BACKTRACK`` until the test
+    holds.  On a geodesically convex subproblem (``scale`` >= 0: the
+    horofunction subproblem or g alone) the trial values along a ray are
+    a convex function of the step, so the passing grid steps are
+    contiguous, and the first search starts at index ``first_index``
+    (an integer in [0, ``_MAX_HALVINGS``)): it halves on from there
+    while trials fail, within the same ``_MAX_HALVINGS`` indices, or, if
+    its first trial passes, climbs to i - 1, i - 2, ... while trials
+    pass, and accepts the cold search's step bit for bit.  It starts at
+    index 0 (cold) on the classic subproblem, whose term need not be
+    convex, and wherever ``_ARMIJO_C1`` alpha_i |grad|^2 at
+    ``first_index`` is below the representable decrease 8 eps (1 + |f|),
+    where a skipped trial could have met the floored test
+    (``notes/decisions.md``).  Each accepted iterate p, the start
     included, prepares one ray ``manifold._ray(p, -grad)``, whose
     ``speed`` is the gradient norm, and every trial from p is one
     ``ray.step(alpha)``, the checked point of exp_p(-alpha grad), so the
@@ -277,6 +321,9 @@ def inner_solve(objective: SubproblemObjective, start, tol: float):
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"inner tolerance must be finite and > 0: {tol}")
+    if check_count(first_index, "first_index", least=0) >= _MAX_HALVINGS:
+        raise ValidationError(
+            f"first_index must be < {_MAX_HALVINGS}: {first_index!r}")
     manifold = objective.problem.manifold
     p = manifold.point(start)
     fp = objective.value(p)
@@ -287,8 +334,10 @@ def inner_solve(objective: SubproblemObjective, start, tol: float):
     fp_prev = None
     gn_prev = None
     eps_mach = float(np.finfo(float).eps)
+    convex = objective.scale >= 0.0
 
     while gn > tol and iters < _MAX_INNER_ITERS:
+        decrease_floor = 8.0 * eps_mach * (1.0 + abs(fp))
         if alpha_prev is None:
             alpha = 1.0
         else:
@@ -305,25 +354,22 @@ def inner_solve(objective: SubproblemObjective, start, tol: float):
         # halving budget on overflowing exponentials
         alpha = min(alpha, _STEP_NORM_CAP / gn)
 
+        start_index = 0
+        if alpha_prev is None and convex and first_index > 0:
+            grid = [alpha]          # alpha_s 2^-i, by a cold search's halvings
+            for _ in range(first_index):
+                grid.append(grid[-1] * _BACKTRACK)
+            if _ARMIJO_C1 * grid[-1] * gn * gn >= decrease_floor:
+                start_index, alpha = first_index, grid[-1]
         accepted = False
         floored = False
-        decrease_floor = 8.0 * eps_mach * (1.0 + abs(fp))
-        for _ in range(_MAX_HALVINGS):
+        for index in range(start_index, _MAX_HALVINGS):
             required = _ARMIJO_C1 * alpha * gn * gn
-            try:
-                cand = ray.step(alpha)
-                fc = objective.value(cand)
-            except (OverflowError, FloatingPointError, NumericalDomainError,
-                    ValidationError):
-                # trial point left the numerical domain; shorten the step
-                alpha *= _BACKTRACK
-                continue
-            decrease = fp - fc
-            if math.isfinite(fc) and decrease >= required \
-                    and decrease >= decrease_floor:
-                # sufficient AND representable progress
+            cand, fc = _trial(ray, objective, alpha)
+            if _sufficient(fp, fc, required, decrease_floor):
                 accepted = True
                 break
+            decrease = fp - fc
             if required < decrease_floor and gn <= 1e3 * tol \
                     and math.isfinite(fc) and abs(decrease) <= decrease_floor:
                 # the required decrease is no longer representable in the
@@ -332,6 +378,16 @@ def inner_solve(objective: SubproblemObjective, start, tol: float):
                 floored = True
                 break
             alpha *= _BACKTRACK
+        if accepted and 0 < index == start_index:
+            # a warm start that passed climbs while the trials pass, to
+            # the passing step of least index: the cold search's step
+            while index:
+                up = grid[index - 1]
+                cand_up, fc_up = _trial(ray, objective, up)
+                if not _sufficient(fp, fc_up, _ARMIJO_C1 * up * gn * gn,
+                                   decrease_floor):
+                    break
+                cand, fc, alpha, index = cand_up, fc_up, up, index - 1
         if floored:
             break
         if not accepted:
@@ -344,20 +400,25 @@ def inner_solve(objective: SubproblemObjective, start, tol: float):
             logger.debug("inner solve stalled after %d iterations", iters)
             break
 
+        if alpha_prev is None:
+            first_index = index
         fp_prev, gn_prev, alpha_prev = fp, gn, alpha
         p, fp = cand, fc
         ray = manifold._ray(p, -objective.grad(p))
         gn = ray.speed
         iters += 1
 
-    return p, iters
+    return p, iters, first_index
 
 
 def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     """Outer loop shared by both linearizations.
 
     Per iteration: take s_k in the subdifferential of h at p_k, build the
-    subproblem selected by ``cfg.algorithm``, and inner-solve it from p_k.
+    subproblem selected by ``cfg.algorithm``, and inner-solve it from p_k,
+    passing the grid index that the previous inner solve's first line
+    search accepted (0 at p0), where ``inner_solve`` starts its first
+    search on a convex subproblem.
 
     The run is scaled by gamma = 1/(|grad phi(p0)| + 1): the solver
     behaves as if it minimized gamma * phi with tolerance
@@ -404,6 +465,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
             elapsed_s=time.perf_counter() - t0))
 
     stall = None
+    first_index = 0                 # of the last inner solve's first search
     while True:
         if gn <= eps:
             trace.exit_reason = "grad"
@@ -415,7 +477,8 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
             s_k = p.derived(problem.h_subgrad)
         objective = make(problem, p, s_k)
         try:
-            p_next, n_inner = inner_solve(objective, p, inner_tol)
+            p_next, n_inner, first_index = inner_solve(
+                objective, p, inner_tol, first_index)
         except StalledInnerSolveError as exc:
             trace.exit_reason = "stalled"
             stall = exc

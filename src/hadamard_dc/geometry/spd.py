@@ -125,6 +125,25 @@ def _require_positive(w, what):
             f"(min eigenvalue {w.min():.3g})")
 
 
+def _asymmetric(a):
+    """Whether |A - A^T|_F > 1e-10 (1 + |A|_F): the symmetry test of a
+    finite n x n point or tangent.  An exactly symmetric A passes at any
+    scale, by a comparison that cannot overflow.  Where the squares in
+    the norms could overflow (n max|A| > 2^498), and an infinite right
+    side would pass any matrix, both sides are first scaled by the power
+    of two that brings max|A| into [0.5, 1), which is exact, so the
+    decision is the unscaled one wherever the unscaled norms are
+    finite."""
+    if (a == a.T).all():
+        return False
+    top = float(np.abs(a).max())
+    one = 1.0
+    if top * a.shape[0] > 2.0 ** 498:
+        one = math.ldexp(1.0, -math.frexp(top)[1])
+        a = a * one
+    return np.linalg.norm(a - a.T) > 1e-10 * (one + float(np.linalg.norm(a)))
+
+
 def _trace_product(a, b):
     """tr(A B) of two square matrices."""
     return float(np.einsum("ij,ji->", a, b))
@@ -244,8 +263,7 @@ class SPDManifold(Manifold):
 
     def check_point(self, x):
         x = self._as_array(x, "point", (self.n, self.n))
-        scale = 1.0 + float(np.linalg.norm(x))
-        if np.linalg.norm(x - x.T) > 1e-10 * scale:
+        if _asymmetric(x):
             raise ValidationError(f"{self.name}: point is not symmetric")
         self._definite(sym(x))
         return x
@@ -262,8 +280,7 @@ class SPDManifold(Manifold):
 
     def check_tangent(self, x, v):
         v = self._as_array(v, "tangent", (self.n, self.n))
-        scale = 1.0 + float(np.linalg.norm(v))
-        if np.linalg.norm(v - v.T) > 1e-10 * scale:
+        if _asymmetric(v):
             raise ValidationError(f"{self.name}: tangent is not symmetric")
         return v
 

@@ -141,7 +141,7 @@ def test_inner_solve_quadratic():
     prob = euclid_quadratic(2, c)
     p0 = np.array([5.0, 5.0])
     obj = make_cr_subproblem(prob, p0, c)
-    p, iters = inner_solve(obj, p0, 1e-8)
+    p, iters, _ = inner_solve(obj, p0, 1e-8)
     np.testing.assert_allclose(p.x, c / 2, atol=1e-7)
     assert iters > 0
     # the returned point carries the values of g there
@@ -151,7 +151,7 @@ def test_inner_solve_quadratic():
                                   prob.g_rgrad(fresh))
     assert obj.value(p) <= obj.value(p0) + 1e-12
     # starting at the minimizer costs zero iterations
-    p2, iters2 = inner_solve(obj, c / 2, 1e-8)
+    p2, iters2, _ = inner_solve(obj, c / 2, 1e-8)
     assert iters2 == 0
     np.testing.assert_array_equal(p2.x, c / 2)
 
@@ -161,7 +161,7 @@ def test_inner_solve_monotone_on_spd_subproblem():
     x0 = prob.metadata["fixed_start"]
     s = prob.h_subgrad(prob.manifold.point(x0))
     obj = make_b_subproblem(prob, x0, s)
-    p, iters = inner_solve(obj, x0, 1e-6)
+    p, iters, _ = inner_solve(obj, x0, 1e-6)
     assert obj.value(p) <= obj.value(x0) + 1e-12
     assert iters > 0
 
@@ -178,7 +178,7 @@ def test_inner_solve_checks_start_and_each_trial_once(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(m, name, counted)
     with primitive_counter() as counter:
-        _, iters = inner_solve(obj, p0, 1e-6)
+        _, iters, _ = inner_solve(obj, p0, 1e-6)
     # one ray step per trial; the start is checked by check_point, each
     # trial inside its step, and both run the sheet tests once
     trials = counter.counts["step"]
@@ -208,7 +208,7 @@ def test_inner_solve_stall_after_progress_returns():
     obj = SubproblemObjective(g_only(
         lambda p: 2.0 * p.x if np.array_equal(p.x, start)
         else -2.0 * p.x - e1))
-    p, iters = inner_solve(obj, start, 1e-10)
+    p, iters, _ = inner_solve(obj, start, 1e-10)
     np.testing.assert_array_equal(p.x, [0.0, 0.0])
     assert iters == 1
 
@@ -522,3 +522,141 @@ def test_spd_trial_steps_take_the_iterates_factor(monkeypatch):
     assert all(rays[0] in (0, 1) and not any(rays[1:])
                for rays in made.values())
     assert any(rays[0] for rays in made.values())
+
+
+def _trace_bytes(trace):
+    """Every number of a trace but its times, the points as bytes."""
+    return [(r.k, np.asarray(r.point).tobytes(), r.fval, r.grad_norm,
+             r.inner_iters, r.step_dist) for r in trace.records] \
+        + [trace.exit_reason]
+
+
+@pytest.mark.parametrize("instance", [_valley_start, _contrastive_start],
+                         ids=["valley", "contrastive"])
+def test_warm_first_search_matches_cold(instance, monkeypatch):
+    """On the horofunction subproblem the first line search of an inner
+    solve starts at the grid index the previous one accepted, and it
+    returns the cold search's point bit for bit with the same iteration
+    count: per outer step, and over a whole b-DCA run against one whose
+    every inner solve starts cold, with fewer trial steps."""
+    from hadamard_dc import dc
+    prob, start = instance()
+    manifold = prob.manifold
+    tol = dc._INNER_TOL_FACTOR * SolverConfig().eps_base
+    p, index = manifold.point(start), 0
+    warm_trials = cold_trials = 0
+    for _ in range(25):
+        objective = make_b_subproblem(prob, p, p.derived(prob.h_subgrad))
+        with primitive_counter() as counter:
+            cold = inner_solve(objective, p, tol)
+        cold_trials += counter.counts["step"]
+        with primitive_counter() as counter:
+            warm = inner_solve(objective, p, tol, index)
+        warm_trials += counter.counts["step"]
+        assert warm[0].x.tobytes() == cold[0].x.tobytes()
+        assert warm[1:] == cold[1:]
+        p, index = cold[0], cold[2]
+        if cold[1] == 0:
+            break
+    assert index > 0 and warm_trials < cold_trials
+
+    with primitive_counter() as counter:
+        warm_run = run_dca(prob, start, SolverConfig(algorithm="b_dca"))
+    warm_trials = counter.counts["step"]
+    solve = dc.inner_solve
+    monkeypatch.setattr(dc, "inner_solve",
+                        lambda objective, start, tol, first_index:
+                        solve(objective, start, tol))
+    with primitive_counter() as counter:
+        cold_run = run_dca(prob, start, SolverConfig(algorithm="b_dca"))
+    assert _trace_bytes(warm_run) == _trace_bytes(cold_run)
+    assert warm_trials < counter.counts["step"]
+
+
+def _recorded_steps(monkeypatch):
+    """The step lengths t of the ``step`` calls of flat rays, in order."""
+    from hadamard_dc.geometry.base import Ray
+    steps, step = [], Ray.step
+
+    def recorded(self, t):
+        steps.append(t)
+        return step(self, t)
+
+    monkeypatch.setattr(Ray, "step", recorded)
+    return steps
+
+
+def _bowl(offset=0.0):
+    """g = 10 |p|^2 + offset and h = 0 on R^2: from (0.3, 0) the gradient
+    norm is 6, so the grid is 2^-i, and the Armijo test holds for steps
+    up to (1 - 1e-4)/10, first at 1/16 (index 4)."""
+    return DCProblem(manifold=Euclidean(2),
+                     g=lambda p: 10.0 * float(p.x @ p.x) + offset,
+                     h=lambda p: 0.0, h_subgrad=lambda p: np.zeros(2),
+                     g_rgrad=lambda p: 20.0 * p.x, name="bowl")
+
+
+@pytest.mark.parametrize("first_index, trials", [
+    (0, [1.0, 0.5, 0.25, 0.125, 0.0625]),
+    (2, [0.25, 0.125, 0.0625]),
+    (4, [0.0625, 0.125]),
+    (7, [2.0 ** -7, 2.0 ** -6, 2.0 ** -5, 0.0625, 0.125]),
+])
+def test_warm_first_search_halves_or_climbs_to_the_cold_step(
+        first_index, trials, monkeypatch):
+    """A warm start below the cold acceptance index halves on from it; one
+    above it climbs while its trials pass and keeps the passing step of
+    least index; the cold start (index 0) is the same loop with no climb.
+    Every start accepts 1/16, and the solves agree bit for bit."""
+    prob = _bowl()
+    start = np.array([0.3, 0.0])
+    objective = make_b_subproblem(prob, start, np.zeros(2))
+    cold = inner_solve(objective, start, 1e-8)
+    steps = _recorded_steps(monkeypatch)
+    warm = inner_solve(objective, start, 1e-8, first_index)
+    assert steps[:len(trials)] == trials
+    assert warm[0].x.tobytes() == cold[0].x.tobytes()
+    assert warm[1:] == cold[1:] and warm[2] == 4
+
+
+def test_classic_first_search_starts_cold(monkeypatch):
+    """The classic subproblem (scale -1) need not be geodesically convex,
+    so its first line search starts at index 0 whatever index it is
+    given, and makes the cold search's trials."""
+    prob = _bowl()
+    start = np.array([0.3, 0.0])
+    objective = make_cr_subproblem(prob, start, np.zeros(2))
+    steps = _recorded_steps(monkeypatch)
+    cold = inner_solve(objective, start, 1e-8)
+    cold_steps = list(steps)
+    steps.clear()
+    warm = inner_solve(objective, start, 1e-8, 7)
+    assert steps == cold_steps and steps[:5] == [1.0, 0.5, 0.25, 0.125,
+                                                 0.0625]
+    assert warm[0].x.tobytes() == cold[0].x.tobytes()
+    assert warm[1:] == cold[1:]
+
+
+def test_warm_first_search_below_the_decrease_floor_starts_cold(
+        monkeypatch):
+    """Where 1e-4 alpha_i |grad|^2 at the given index is below the
+    representable decrease 8 eps (1 + |f|) (here 1.8e-3, from an offset
+    of 1e12 in g), a skipped trial could have met the floored test, so
+    the search starts cold; without the offset the same index is warm."""
+    start = np.array([0.3, 0.0])
+    steps = _recorded_steps(monkeypatch)
+    for offset, first in ((1e12, 1.0), (0.0, 2.0 ** -12)):
+        objective = make_b_subproblem(_bowl(offset), start, np.zeros(2))
+        steps.clear()
+        inner_solve(objective, start, 1e-8, 12)
+        assert steps[0] == first
+    objective = make_b_subproblem(_bowl(1e12), start, np.zeros(2))
+    assert inner_solve(objective, start, 1e-8, 12)[2] == 4
+
+
+@pytest.mark.parametrize("first_index", [-1, 60, 2.5])
+def test_inner_solve_rejects_first_index_off_the_grid(first_index):
+    objective = make_b_subproblem(_bowl(), np.array([0.3, 0.0]),
+                                  np.zeros(2))
+    with pytest.raises(ValidationError):
+        inner_solve(objective, np.array([0.3, 0.0]), 1e-8, first_index)

@@ -357,6 +357,59 @@ def test_point_validation_errors():
         m.dist(x, np.eye(2))
 
 
+def test_symmetry_test_rejects_huge_non_symmetric_matrices():
+    """A non-symmetric matrix whose Frobenius norm overflows is rejected,
+    with no RuntimeWarning (1 + |X|_F was inf, so the test passed it)."""
+    m = SPDManifold(2)
+    bad = np.array([[1e300, 1e300], [0.0, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="point is not symmetric"):
+            m.check_point(bad)
+        with pytest.raises(ValidationError,
+                           match="tangent is not symmetric"):
+            m.check_tangent(np.eye(2), bad)
+        huge = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        assert m.check_tangent(np.eye(2), huge) is not None
+        m.check_point(np.diag([1e300, 1e300]))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       log10_scale=st.floats(-300.0, 300.0),
+       log10_skew=st.one_of(st.floats(-20.0, -14.0), st.floats(-6.0, 0.0)))
+@example(seed=0, n=2, log10_scale=300.0, log10_skew=0.0)
+@example(seed=1, n=5, log10_scale=153.0, log10_skew=-6.0)
+@example(seed=2, n=3, log10_scale=-300.0, log10_skew=0.0)
+def test_symmetry_test_is_scale_free(seed, n, log10_scale, log10_skew):
+    """X = scale (S + skew K), S symmetric with |S|_F >= 1 and K
+    antisymmetric with entries +-1: the symmetry test of points and
+    tangents is the former unscaled test wherever that test's norms are
+    finite, and from scale 1e11 on (where the "1 +" of 1 + |X|_F is
+    negligible) it rejects X exactly when the skew is large, also where
+    |X|_F overflows, with no RuntimeWarning."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    k = np.triu(np.ones((n, n)), 1)
+    x = 10.0 ** log10_scale * (np.eye(n) + (a + a.T) / (4 * n)
+                               + 10.0 ** log10_skew * (k - k.T))
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x)
+        former = np.linalg.norm(x - x.T) > 1e-10 * (1.0 + norm)
+    m = SPDManifold(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            m.check_tangent(np.eye(n), x)
+            rejected = False
+        except ValidationError:
+            rejected = True
+    if np.isfinite(norm):
+        assert rejected == former
+    if log10_scale >= 11.0:
+        assert rejected == (n > 1 and log10_skew > -10.0)
+
+
 def test_kernels_at_a_point_take_its_factor():
     """Given a point whose factor (L, L^-1) and X^1/2 are already
     computed, the public spectral_split, random_tangent, tangent_basis,

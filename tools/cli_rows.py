@@ -22,7 +22,12 @@ purpose rewrites the file with
 
     PYTHONPATH=src python tools/cli_rows.py --golden > tests/data/golden_rows.txt
 
-and says which rows moved and why.
+and says which rows moved and why.  With ``--valley`` it prints the
+valley rows of the starts s = 0..399 (``rosenbrock --seed s``, default
+flags), the start set on which the valley's exit mix and line-search
+trials are judged, in three blocks that step over the b-DCA stall at
+s = 203 (exit 3, after the cr-DCA row of that start); it takes about
+20 s on a 2-vCPU AMD EPYC.
 """
 
 import contextlib
@@ -52,6 +57,15 @@ GOLDEN = (
     ["spd-contrastive", "--n", "5", "--m", "5", "--r", "4", "--runs", "1"],
     ["spd-academic", "--n", "4"],
 )
+
+
+VALLEY = (
+    ["rosenbrock", "--seed", "0", "--runs", "203"],
+    ["rosenbrock", "--seed", "203", "--runs", "1"],
+    ["rosenbrock", "--seed", "204", "--runs", "196"],
+)
+
+MODES = {"": INVOCATIONS, "--golden": GOLDEN, "--valley": VALLEY}
 
 
 def build():
@@ -93,8 +107,9 @@ def run(invocations):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--golden"]):
-        sys.exit("usage: python tools/cli_rows.py [--golden]")
-    if sys.argv[1:]:
+    mode = " ".join(sys.argv[1:])
+    if mode not in MODES:
+        sys.exit("usage: python tools/cli_rows.py [--golden | --valley]")
+    if mode == "--golden":
         print(f"# build {build()}")
-    run(GOLDEN if sys.argv[1:] else INVOCATIONS)
+    run(MODES[mode])
