@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDomainError, ZeroDirectionError
-from .geometry.base import BusemannRay
+from .geometry.base import BusemannRay, check_count
 
 DEFAULT_T_VALUES = (5.0, 10.0, 20.0, 30.0)
 
@@ -90,7 +90,13 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
     refinement probe that leaves the numerical domain (a singular value
     underflowing far out on the ray); a probe of the base schedule that
     does so raises :class:`~hadamard_dc.errors.NumericalDomainError`.
+    Raises ValueError unless 0 <= ``refine_tol`` < inf and ``max_refine``
+    is an integer >= 0.
     """
+    if not 0.0 <= refine_tol < math.inf:
+        raise ValueError(
+            f"refine_tol must be finite and >= 0: {refine_tol!r}")
+    max_refine = check_count(max_refine, "max_refine", least=0)
     q = manifold.point(ray.base)
     v = manifold.check_tangent(q.x, ray.direction)
     p = manifold._array(p)

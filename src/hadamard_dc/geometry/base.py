@@ -341,7 +341,11 @@ class Manifold:
         return np.zeros_like(np.asarray(p, dtype=float))
 
     def geodesic(self, p, q, t):
-        """Point at parameter ``t`` on the geodesic from ``p`` to ``q``."""
+        """Point at parameter ``t`` on the geodesic from ``p`` to ``q``;
+        ValidationError unless ``t`` is finite."""
+        if not math.isfinite(t):
+            raise ValidationError(
+                f"{self.name}: geodesic parameter t must be finite: {t!r}")
         p = self.point(p)
         return self._exp(p, t * self._log(p, self._array(q)))
 
@@ -426,7 +430,11 @@ class Manifold:
     def random_point_near(self, center, radius, rng):
         """exp_c((r/|w|_c) w) for a random tangent w at ``center`` and r
         drawn from ``rng.uniform(0, radius)`` after w: a random point
-        within distance ``radius``, ``center`` itself if w = 0."""
+        within distance ``radius``, ``center`` itself if w = 0.
+        ValidationError unless 0 <= radius < inf, before any draw."""
+        if not 0.0 <= radius < math.inf:
+            raise ValidationError(
+                f"{self.name}: radius must be finite and >= 0: {radius!r}")
         c = self.point(center)
         w = self.random_tangent(c, rng)
         r = rng.uniform(0.0, radius)

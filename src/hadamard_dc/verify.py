@@ -4,6 +4,12 @@ Each suite samples seeded random inputs, evaluates a family of exact
 identities or inequalities, and reports its worst normalized violation
 (observed error divided by the check's tolerance; below 1 passes).  The
 CLI prints one line per suite and exits nonzero when any suite fails.
+
+The suites are the single implementation of these sampled invariants:
+acceptance criteria 5, 7 and 8 (``tests/test_acceptance.py``) call
+``busemann_oracle_suite``, ``busemann_invariants_suite`` and
+``support_suite`` with their own seeds and sample counts, and check
+inline only what no suite covers.
 """
 
 from __future__ import annotations

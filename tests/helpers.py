@@ -6,8 +6,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import settings
 
-from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean, Hyperboloid,
-                         SPDManifold, ValidationError)
+from hadamard_dc import BusemannRay, ValidationError, verify
 from hadamard_dc.geometry import spd_fun, sym
 
 
@@ -37,6 +36,26 @@ def load_tool(name):
     return module
 
 
+def assert_golden(path, got, lines, results):
+    """Raise, naming the first differing line and both builds, unless ``got``
+    equals the lines of the golden file ``path`` after its ``# build`` line;
+    ``lines`` names them and ``results`` what moves them on one build."""
+    recorded, *want = Path(path).read_text().splitlines()
+    assert recorded.startswith("# build ")
+    if got == want:
+        return
+    i = next((i for i, (w, g) in enumerate(zip(want, got)) if w != g),
+             min(len(want), len(got)))
+    raise AssertionError(
+        f"{lines} differ first at data line {i + 1}:\n"
+        f"  want {want[i] if i < len(want) else '<end of file>'}\n"
+        f"  got  {got[i] if i < len(got) else '<end of output>'}\n"
+        f"file written by: {recorded[len('# build '):]}\n"
+        f"this build:      {load_tool('cli_rows').build()}\n"
+        f"same build: {results} moved; another build: the "
+        "platform may move the last bits")
+
+
 def primitive_counter():
     """A ``PrimitiveCounter`` of ``tools/count_primitives.py``, which the
     counting tests share."""
@@ -50,8 +69,8 @@ def on_arrays(manifold, fn):
 
 
 def all_geometries():
-    return [Euclidean(5), DikinOrthant(3), Hyperboloid(2), Hyperboloid(5),
-            SPDManifold(3)]
+    """The five geometries the ``verify`` suites sample."""
+    return verify._geometries()
 
 
 def random_ray(manifold, rng, max_dir_norm=None):

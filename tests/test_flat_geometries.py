@@ -313,3 +313,23 @@ def test_tangent_basis_orthonormal_everywhere():
             for j, ej in enumerate(basis):
                 want = 1.0 if i == j else 0.0
                 assert abs(manifold.inner(p, ei, ej) - want) <= 1e-10
+
+
+@pytest.mark.parametrize("manifold", all_geometries(), ids=lambda m: m.name)
+def test_geodesic_and_random_point_near_reject_bad_parameters(manifold):
+    """A non-finite geodesic parameter t, or a radius outside [0, inf), is a
+    ValidationError naming it; a bad radius is rejected before any draw."""
+    rng = make_rng(23)
+    p = manifold.random_point(rng)
+    q = manifold.random_point(rng)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="parameter t"):
+            manifold.geodesic(p, q, bad)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValidationError, match="radius"):
+            manifold.random_point_near(p, bad, rng)
+    fresh = make_rng(23)                # the stream of p and q, replayed
+    manifold.random_point(fresh)
+    manifold.random_point(fresh)
+    assert same(manifold.random_point_near(p, 2.0, rng),
+                manifold.random_point_near(p, 2.0, fresh))

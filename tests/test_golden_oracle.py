@@ -21,16 +21,12 @@ from pathlib import Path
 from hadamard_dc import (BusemannRay, DikinOrthant, Hyperboloid,
                          OracleSchedule, SPDManifold, busemann_numeric,
                          make_rng)
-from helpers import load_tool
+from helpers import assert_golden, load_tool
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden_oracle.txt"
 FIELDS = ("value", "t_values", "raw_values", "estimates", "refined",
           "converged")
-
-
-def _build():
-    return load_tool("cli_rows").build()
 
 
 def _seeded(m, seed):
@@ -81,23 +77,10 @@ def render():
 
 
 def test_golden_oracle_unchanged():
-    recorded, *want = GOLDEN.read_text().splitlines()
-    assert recorded.startswith("# build ")
-    got = render()
-    if got == want:
-        return
-    i = next((i for i, (w, g) in enumerate(zip(want, got)) if w != g),
-             min(len(want), len(got)))
-    raise AssertionError(
-        f"golden oracle lines differ first at data line {i + 1}:\n"
-        f"  want {want[i] if i < len(want) else '<end of file>'}\n"
-        f"  got  {got[i] if i < len(got) else '<end of output>'}\n"
-        f"file written by: {recorded[len('# build '):]}\n"
-        f"this build:      {_build()}\n"
-        "same build: the oracle's results moved; another build: the "
-        "platform may move the last bits")
+    assert_golden(GOLDEN, render(), "golden oracle lines",
+                  "the oracle's results")
 
 
 if __name__ == "__main__":
-    print(f"# build {_build()}")
+    print(f"# build {load_tool('cli_rows').build()}")
     print("\n".join(render()))

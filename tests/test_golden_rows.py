@@ -13,26 +13,14 @@ no solver change, so a failure names both builds.
 
 from pathlib import Path
 
-from helpers import load_tool
+from helpers import assert_golden, load_tool
 
 ROOT = Path(__file__).resolve().parent.parent
 cli_rows = load_tool("cli_rows")
 
 
 def test_golden_rows_unchanged():
-    recorded, *want = (ROOT / "tests" / "data" / "golden_rows.txt") \
-        .read_text().splitlines()
-    assert recorded.startswith("# build ")
-    got = [line for argv in cli_rows.GOLDEN for line in cli_rows.render(argv)]
-    if got == want:
-        return
-    i = next((i for i, (w, g) in enumerate(zip(want, got)) if w != g),
-             min(len(want), len(got)))
-    raise AssertionError(
-        f"golden rows differ first at data line {i + 1}:\n"
-        f"  want {want[i] if i < len(want) else '<end of file>'}\n"
-        f"  got  {got[i] if i < len(got) else '<end of output>'}\n"
-        f"file written by: {recorded[len('# build '):]}\n"
-        f"this build:      {cli_rows.build()}\n"
-        "same build: the solver's results moved; another build: the "
-        "platform may move the last bits")
+    assert_golden(ROOT / "tests" / "data" / "golden_rows.txt",
+                  [line for argv in cli_rows.GOLDEN
+                   for line in cli_rows.render(argv)],
+                  "golden rows", "the solver's results")

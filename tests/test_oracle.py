@@ -125,6 +125,20 @@ def test_schedule_validation():
         OracleSchedule(mode="secant")
 
 
+@pytest.mark.parametrize("name,value", [
+    ("refine_tol", float("nan")), ("refine_tol", -1.0),
+    ("refine_tol", float("inf")), ("max_refine", -3), ("max_refine", 2.5),
+])
+def test_oracle_rejects_meaningless_refinement_arguments(name, value):
+    """A refinement tolerance outside [0, inf) or a refinement count that is
+    not an integer >= 0 is a ValueError naming it."""
+    m = Hyperboloid(2)
+    rng = make_rng(0)
+    ray = random_ray(m, rng)
+    with pytest.raises(ValueError, match=name):
+        busemann_numeric(m, ray, m.random_point(rng), **{name: value})
+
+
 def test_overflow_reports_offending_parameter():
     m = Hyperboloid(2)
     rng = make_rng(5)

@@ -1,9 +1,11 @@
 """Print the non-time CSV columns and exit codes of nine fixed benchmark
-invocations.
+invocations, and the lines of ``verify --seed 0 --seed 1 --seed 2``.
 
 Each invocation runs in-process through ``hadamard_dc.cli.main`` and is
 printed as a ``# hadamard-dc <flags>`` line, its CSV rows without the
-``time_s`` column, and a ``# exit <code>`` line.  A nonzero code does
+``time_s`` column, and a ``# exit <code>`` line.  A benchmark runs with
+``--algorithm both``; ``verify`` takes no ``--algorithm`` and has no
+time column, so its lines are printed as they are.  A nonzero code does
 not stop the tool: ``rosenbrock --runs 20 --seed 460`` stalls (exit 3)
 and prints the partial rows written before the stall.  Every printed
 column is a deterministic function of the flags, so two source trees
@@ -49,6 +51,7 @@ INVOCATIONS = (
     ["spd-contrastive", "--n", "4", "--m", "3", "--r", "0"],
     ["spd-academic", "--n", "4"],
     ["spd-academic", "--n", "6"],
+    ["verify", "--seed", "0", "--seed", "1", "--seed", "2"],
 )
 
 # about 1.6 s together
@@ -84,10 +87,14 @@ def build():
 
 
 def rows_without_time(argv):
-    """(CSV lines without the time_s column, exit code) of one run."""
+    """(CSV lines without the time_s column, exit code) of one run; the
+    printed lines of a ``verify`` run."""
     out = io.StringIO()
+    verify = argv[0] == "verify"
     with contextlib.redirect_stdout(out):
-        code = main(argv + ["--algorithm", "both"])
+        code = main(argv if verify else argv + ["--algorithm", "both"])
+    if verify:
+        return out.getvalue().splitlines(), code
     rows = [line.split(",") for line in out.getvalue().splitlines()]
     drop = rows[0].index("time_s") if rows else None
     return [",".join(c for i, c in enumerate(r) if i != drop)
