@@ -183,7 +183,8 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
     ``subgrad`` maps a point to an element of the subdifferential there.
     Sample points are drawn within geodesic distance ``radius`` of ``q``
     by ``manifold.random_point_near``.  A sample violates when the
-    right-hand side exceeds f(p) by more than ``slack``.  ``f`` and
+    right-hand side exceeds f(p) by more than ``slack``, or when their
+    gap is not finite (then reported as inf).  ``f`` and
     ``subgrad`` take arrays.  |s| B_{q,s} is ``Manifold._support_term``.
     """
     if not (samples >= 1 and 0.0 <= radius < math.inf
@@ -204,6 +205,8 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
         support = 0.0 if term is None else scale * term.value(p)
         rhs = fq - support + 0.5 * sigma * manifold._dist_to(x, q) ** 2
         gap = rhs - f(x)
+        if not math.isfinite(gap):      # f or the support is not finite
+            gap = math.inf
         if gap > worst:
             worst = gap
             witness = x

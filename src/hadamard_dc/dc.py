@@ -506,7 +506,8 @@ def complexity_bound_check(trace: SolverTrace, sigma, phi_inf):
     """Check min_{k<=N} d(p_k, p_{k+1}) <= sqrt(2(phi(p0)-phi_inf)/(sigma(N+1)))
     for every prefix N of the trace.
 
-    Returns (ok, witness) where witness is the first violating N.
+    Returns (ok, witness) where witness is the first violating N.  A step
+    or a bound that is not finite is a violation.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"complexity bound needs a finite sigma > 0: {sigma}")
@@ -521,6 +522,7 @@ def complexity_bound_check(trace: SolverTrace, sigma, phi_inf):
         running_min = min(running_min, d)
         bound = math.sqrt(max(2.0 * (phi0 - phi_inf), 0.0)
                           / (sigma * (n + 1)))
-        if running_min > bound + 1e-12:
+        if not (math.isfinite(d) and math.isfinite(bound)
+                and running_min <= bound + 1e-12):
             return False, n
     return True, None

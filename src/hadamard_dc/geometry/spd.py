@@ -13,7 +13,7 @@ A A^T = Y, not only for Y^1/2: with Q = Y^-1/2 A orthogonal, A^-1 Z A^-T
 is Y^-1/2 Z Y^-1/2 turned by Q, and a matrix function commutes with the
 turn.  Metric and maps at a base point Y = A A^T:
 
-    <U, V>_Y   = tr(Y^-1 U Y^-1 V)
+    <U, V>_Y   = tr(Y^-1 U Y^-1 V) = tr(W_U W_V),  W_V = A^-1 V A^-T
     d(X, Y)    = |Log(A^-1 X A^-T)|_F
     exp_Y(V)   = A Exp(A^-1 V A^-T) A^T = G diag(e^lam) G^T
     log_Y(X)   = A Log(A^-1 X A^-T) A^T
@@ -21,9 +21,10 @@ turn.  Metric and maps at a base point Y = A A^T:
 
 with A^-1 V A^-T = U diag(lam) U^T and G = A U.  The factor a point
 keeps is its lower Cholesky factor L (:class:`SPDPoint`), which the
-Cholesky test of a line-search trial computes anyway.  A line search
-along exp_Y(t V) keeps lam and G (:class:`SPDRay`), so that each trial
-costs one product and no eigendecomposition.
+Cholesky test of a line-search trial computes anyway; the metric, the
+maps and the samplers all run on it.  A line search along exp_Y(t V)
+keeps lam and G (:class:`SPDRay`), so that each trial costs one product
+and no eigendecomposition.
 
 Busemann function of a ray (Y, V), V != 0: split A^-1 V A^-T into
 eigenvalue groups (ascending representatives lam_i, multiplicities n_i,
@@ -142,11 +143,6 @@ def _asymmetric(a):
         one = math.ldexp(1.0, -math.frexp(top)[1])
         a = a * one
     return np.linalg.norm(a - a.T) > 1e-10 * (one + float(np.linalg.norm(a)))
-
-
-def _trace_product(a, b):
-    """tr(A B) of two square matrices."""
-    return float(np.einsum("ij,ji->", a, b))
 
 
 def logdet(x):
@@ -289,13 +285,14 @@ class SPDManifold(Manifold):
     # ------------------------------------------------------------------
 
     def _inner(self, y, u, v):
-        y = y.x
-        return _trace_product(np.linalg.solve(y, u), np.linalg.solve(y, v))
+        """tr(W_U W_V), W = L^-1 V L^-T with L the factor of the point Y."""
+        c = y.factor[1]
+        return float(np.sum(sym(c @ u @ c.T) * sym(c @ v @ c.T)))
 
     def _norm(self, y, v):
-        # the generic form's _inner(y, v, v) solves Y^-1 V twice
-        z = np.linalg.solve(y.x, v)
-        return math.sqrt(max(_trace_product(z, z), 0.0))
+        """|W|_F, W = L^-1 V L^-T, as ``SPDRay.speed``."""
+        c = y.factor[1]
+        return float(np.linalg.norm(sym(c @ v @ c.T)))
 
     def _point(self, x):
         return SPDPoint(self, x)
@@ -382,9 +379,11 @@ class SPDManifold(Manifold):
         return sym((q * np.exp(u)) @ q.T)
 
     def random_tangent(self, x, rng):
-        xh = self.point(x).root
+        """L G L^T with G a symmetric Gaussian: the law of X^1/2 G X^1/2,
+        since G's law is orthogonally invariant and X^-1/2 L orthogonal."""
+        lower = self.point(x).lower
         g = sym(rng.standard_normal((self.n, self.n)))
-        return sym(xh @ g @ xh)
+        return sym(lower @ g @ lower.T)
 
     def coordinate_directions(self):
         n = self.n
@@ -401,13 +400,13 @@ class SPDManifold(Manifold):
                 yield e
 
     def tangent_basis(self, x):
-        """Metric-orthonormal basis X^1/2 S_k X^1/2 over the symmetric units.
+        """Metric-orthonormal basis L E_k L^T over the symmetric units E_k.
 
-        Equivalent to Gram-Schmidt on the projected coordinate directions
-        but exact, since the units are orthonormal under the metric at I.
+        Exact, since <L E L^T, L F L^T>_X = tr(E F) and the units are
+        orthonormal under the metric at I.
         """
-        xh = self.point(x).root
-        return [sym(xh @ e @ xh) for e in self.coordinate_directions()]
+        lower = self.point(x).lower
+        return [sym(lower @ e @ lower.T) for e in self.coordinate_directions()]
 
     # ------------------------------------------------------------------
     # oracle support
@@ -518,19 +517,14 @@ def _with_inverse(lower):
     return lower, np.linalg.inv(lower)
 
 
-def _point_root(x):
-    return spd_fun(x.x, "sqrt")
-
-
 class SPDPoint(Point):
     """A point X of P(n) with ``lower`` = L, the lower Cholesky factor of X,
     and ``factor`` = (L, L^-1), which every kernel at X shares.  A ray's
     ``step`` hands the constructor the L that its trial's Cholesky test
     computed; a point made without it, as ``Manifold.point`` makes one
     after ``check_point``, factors X on first use.  L^-1 is computed on
-    first use.  ``root`` = X^1/2, from one eigendecomposition on first
-    use, serves the samplers ``random_tangent`` and ``tangent_basis``,
-    whose draws the benchmark instances are made of.
+    first use.  (L, L^-1) is the only factorization a point holds: the
+    metric, the maps and the samplers all run on it.
     """
 
     __slots__ = ()
@@ -547,10 +541,6 @@ class SPDPoint(Point):
     @property
     def factor(self):
         return self.derived(_point_factor)
-
-    @property
-    def root(self):
-        return self.derived(_point_root)
 
 
 class SPDHorofunction:

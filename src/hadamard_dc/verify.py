@@ -47,7 +47,8 @@ class _Collector:
 
     def add(self, label, error, tol):
         tol = tol * self.tol_scale
-        ratio = math.inf if tol <= 0.0 else abs(error) / tol
+        ratio = abs(error) / tol if tol > 0.0 and not math.isnan(error) \
+            else math.inf
         if ratio > self.worst:
             self.worst = ratio
             self.witness = f"{label} (error {error:.3g}, tol {tol:.3g})"

@@ -64,6 +64,21 @@ def test_support_check_detects_violations():
     assert not report.passed
 
 
+def test_support_check_counts_a_nan_gap_as_a_violation():
+    """f = NaN makes every gap NaN: each sample violates, and the report
+    gives the worst violation as inf (no violation, max_violation -inf
+    and passed when NaN failed every comparison)."""
+    m = Euclidean(3)
+    rng = make_rng(3)
+    q = m.random_point(rng)
+    report = support_check(m, lambda p: float("nan"), lambda p: np.zeros(3),
+                           0.0, q, 20, rng)
+    assert report.violations == 20
+    assert report.max_violation == np.inf
+    assert report.witness is not None
+    assert not report.passed
+
+
 def test_argmin_support_characterization():
     for manifold in (Hyperboloid(2), SPDManifold(3)):
         rng = make_rng(4)
@@ -106,9 +121,11 @@ def test_lipschitz_subgrad_bound():
 
 
 def test_lipschitz_subgrad_bound_checks_once(monkeypatch):
-    """One check_point, one check_tangent and (on SPD) one Cholesky factor
-    per call, with the result of the public norm (two of each when the
-    check called the public norm after checking q and s itself)."""
+    """One check_point, one check_tangent and (on SPD) two Cholesky
+    factorizations per call, the check's and the point's factor, which
+    the norm takes, with the result of the public norm (two check_point
+    and two check_tangent when the check called the public norm after
+    checking q and s itself; one Cholesky when the norm solved with X)."""
     m = SPDManifold(3)
     rng = make_rng(8)
     q = m.random_point(rng)
@@ -137,7 +154,7 @@ def test_lipschitz_subgrad_bound_checks_once(monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         assert lipschitz_subgrad_bound_check(m, None, limit, q, s) is want
         assert counts == {"check_point": 1, "check_tangent": 1,
-                          "cholesky": 1}
+                          "cholesky": 2}
 
 
 def test_bregman_basics():

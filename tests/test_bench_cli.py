@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -241,6 +242,20 @@ def test_verify_passes_and_negative_control(capsys):
     assert code_bad == 1
     assert "[FAIL]" in out_bad
     assert "worst:" in out_bad
+
+
+def test_verify_suite_fails_a_nan_error():
+    """A NaN error, which no comparison with the worst ratio picked up,
+    makes the suite's worst violation inf, and a later finite error does
+    not lower it."""
+    col = hadamard_dc.verify._Collector(1.0)
+    col.add("x", 0.5e-9, 1e-9)
+    col.add("nan", math.nan, 1e-9)
+    col.add("y", 0.0, 1e-9)
+    result = hadamard_dc.verify.SuiteResult("suite", col.worst, col.witness)
+    assert result.max_violation == math.inf
+    assert result.witness.startswith("nan ")
+    assert not result.passed
 
 
 def test_verify_seeds_share_pass_fail(capsys):

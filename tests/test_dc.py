@@ -1,5 +1,7 @@
 """DC problem abstraction, subproblems, inner solver, and the outer loops."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,26 @@ def test_complexity_bound_check():
             complexity_bound_check(trace, sigma, prob.phi_inf)
     with pytest.raises(ValueError):
         complexity_bound_check(trace, 2.0, None)
+
+
+def test_complexity_bound_check_fails_a_nan_step_or_bound():
+    """A NaN step distance after the first, which min() skipped, and a
+    NaN phi(p0), whose NaN bound no comparison exceeded, are violations
+    at their first N."""
+    rng = make_rng(6)
+    prob = euclid_strongly_convex(rng.standard_normal(3),
+                                  rng.standard_normal(3))
+    trace = run_dca(prob, 4.0 * rng.standard_normal(3),
+                    SolverConfig(algorithm="b_dca"))
+    assert len(trace.step_dists()) > 2
+    trace.records[2].step_dist = math.nan
+    assert complexity_bound_check(trace, 2.0, prob.phi_inf) == (False, 2)
+    trace.records[2].step_dist = math.inf
+    assert complexity_bound_check(trace, 2.0, prob.phi_inf) == (False, 2)
+    trace.records[2].step_dist = 0.0
+    assert complexity_bound_check(trace, 2.0, prob.phi_inf) == (True, None)
+    trace.records[0].fval = math.nan
+    assert complexity_bound_check(trace, 2.0, prob.phi_inf) == (False, 0)
 
 
 def test_stationarity_surrogate_at_step_exit():

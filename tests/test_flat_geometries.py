@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean,
+from hadamard_dc import (BusemannRay, DikinOrthant, Euclidean, SPDManifold,
                          UndefinedGradientError, ValidationError,
                          ZeroDirectionError, fd_riemannian_grad, make_rng)
-from helpers import all_geometries, bytes_or_error, examples, same
+from helpers import (all_geometries, bytes_or_error, conditioned_spd,
+                     examples, same)
 
 E = math.e
 EPS = float(np.finfo(float).eps)
@@ -304,15 +305,22 @@ def test_egrad_to_rgrad_validates_the_gradient():
 
 
 def test_tangent_basis_orthonormal_everywhere():
+    """At a random point of each geometry within 1e-10, and at an SPD
+    point of condition 1e8 within eps 1e8: there the basis L E_k L^T
+    reached 0.29 eps 1e8 at worst over 200 draws, where X^1/2 E_k X^1/2
+    with the metric solving with X reached 2.4."""
     for manifold in all_geometries():
         rng = make_rng(21)
-        p = manifold.random_point(rng)
-        basis = manifold.tangent_basis(p)
-        assert len(basis) == manifold.dim
-        for i, ei in enumerate(basis):
-            for j, ej in enumerate(basis):
-                want = 1.0 if i == j else 0.0
-                assert abs(manifold.inner(p, ei, ej) - want) <= 1e-10
+        points = [(manifold.random_point(rng), 1e-10)]
+        if isinstance(manifold, SPDManifold):
+            points.append((conditioned_spd(manifold.n, rng, 8.0), EPS * 1e8))
+        for p, tol in points:
+            basis = manifold.tangent_basis(p)
+            assert len(basis) == manifold.dim
+            for i, ei in enumerate(basis):
+                for j, ej in enumerate(basis):
+                    want = 1.0 if i == j else 0.0
+                    assert abs(manifold.inner(p, ei, ej) - want) <= tol
 
 
 @pytest.mark.parametrize("manifold", all_geometries(), ids=lambda m: m.name)

@@ -371,20 +371,22 @@ def test_contrastive_construction_primitive_counts():
     """The references of an instance are sampled by random_point_near
     around one checked center, so the center is checked and factored once
     (20 check_point, 20 Cholesky, 17 eigh and 5 spd_roots when each sample
-    checked and factored it again), and each sample's norm takes one
-    solve (10 solves when the SPD norm solved Y^-1 V twice).  Each of the
-    six points (the center and five references) is Cholesky-tested by
-    its check and Cholesky-factored once more for its factor, which the
-    sampler (the center) or a distance sum (the references) takes; each
+    checked and factored it again).  Each of the six points (the center
+    and five references) is Cholesky-tested by its check and
+    Cholesky-factored once more for its factor, which the sampler and
+    the norm (the center) or a distance sum (the references) takes; each
     stack of references, for g and for h, is inverted by one stacked
-    inv.  The center's X^1/2, which random_tangent draws with, is one
-    eigh, its factor one inv, and each sample's exponential map one eigh.
-    Before the point factor (eigh 8, cholesky 6, no inv): the center's
-    X^+-1/2 and the R^+-1/2 of each stack were one spd_roots each."""
+    inv.  The center's factor is one inv, and each sample's exponential
+    map one eigh; random_tangent draws with the center's L and the norm
+    takes L^-1, so neither makes an eigh or a solve (eigh 6 and solve 5
+    when random_tangent drew with X^1/2, one eigh, and each sample's
+    norm solved with X).  Before the point factor (eigh 8, cholesky 6,
+    no inv): the center's X^+-1/2 and the R^+-1/2 of each stack were one
+    spd_roots each."""
     with primitive_counter() as counter:
         contrastive_problem(ContrastiveParams(n=4, m=3, r=2), make_rng(5))
-    assert counter.counts == {"eigh": 6, "eigvalsh": 0, "cholesky": 12,
-                              "solve": 5, "inv": 3, "check_point": 6,
+    assert counter.counts == {"eigh": 5, "eigvalsh": 0, "cholesky": 12,
+                              "solve": 0, "inv": 3, "check_point": 6,
                               "step": 0, "_definite": 6, "factor": 1,
                               "hyperboloid._dist": 0,
                               "hyperboloid._log": 0}
@@ -543,8 +545,8 @@ def _cli_contrastive_start():
 
 @pytest.mark.parametrize(
     "alg, k, inn, eigh, eigvalsh, cholesky, solve, steps", [
-        ("cr_dca", 59, 215, 1119, 59, 394, 61, 392),
-        ("b_dca", 94, 424, 1134, 94, 1136, 190, 520),
+        ("cr_dca", 61, 222, 1156, 61, 407, 0, 405),
+        ("b_dca", 96, 409, 1110, 96, 1112, 0, 507),
     ], ids=["cr_dca", "b_dca"])
 def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
                                       solve, steps):
@@ -563,7 +565,11 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
     eigh, 1,654 Cholesky and 779 trial steps for b_dca when the first
     line search of each inner solve started at grid index 0: it starts
     at the index the previous one accepted, since the horofunction
-    subproblem is convex, and cr_dca's stays cold), one
+    subproblem is convex, and cr_dca's stays cold; 61 and 190 solves
+    when the SPD norm solved with X, on the instance that random_tangent
+    drew with X^1/2, where k was 59 and 94 and inn 215 and 424: the
+    draws with L are those moved by an isometry that fixes the center,
+    so only the random start sees another landscape), one
     eigvalsh per outer step (the step distance), one check_point, for
     p0, and one Cholesky test (_definite) per trial step and for p0: an
     iterate is validated once, as the trial that reached it.  Each trial

@@ -411,26 +411,29 @@ def test_symmetry_test_is_scale_free(seed, n, log10_scale, log10_skew):
 
 
 def test_kernels_at_a_point_take_its_factor():
-    """Given a point whose factor (L, L^-1) and X^1/2 are already
-    computed, the public spectral_split, random_tangent, tangent_basis,
-    exp and log and the limit oracle's ray probe compute neither again:
+    """Given a point whose factor (L, L^-1) is already computed, the
+    public spectral_split, random_tangent, tangent_basis, inner, norm,
+    exp and log and the limit oracle's ray probe do not compute it again:
     one eigh each for the split, exp, log and the probe, none for the
-    samplers, no inverse, and two Cholesky factorizations, the check of
-    log's array argument and the probe's reduced point."""
+    samplers and the metric, which run on L, no inverse and no solve,
+    and two Cholesky factorizations, the check of log's array argument
+    and the probe's reduced point."""
     m = SPDManifold(3)
     rng = make_rng(41)
     y = m.point(m.random_point(rng))
-    y.factor, y.root
+    y.factor
     v = m.random_tangent(y, rng)
     x = m.random_point(rng)
     with primitive_counter() as counter:
         m.spectral_split(y, v)
         m.random_tangent(y, rng)
         m.tangent_basis(y)
+        m.inner(y, v, v)
         m.exp(y, v)
         m.log(y, x)
         m._ray_probe(y, v / m.norm(y, v), x)
     assert counter.counts["factor"] == counter.counts["inv"] == 0
+    assert counter.counts["solve"] == 0
     assert counter.counts["eigh"] == 4
     assert counter.counts["cholesky"] == 2
 
