@@ -10,8 +10,13 @@ the current iterate p_k:
 On flat geometries the two subproblems coincide.  Each is g + scale *
 term with the model (term, scale) of h at p_k: the linear model and -1,
 or ``Manifold._support_term(p_k, s_k)``.  Subproblems are solved by
-Riemannian steepest descent with Armijo backtracking; the inner
-tolerance is tied to the outer stopping tolerance.  The horofunction
+Riemannian steepest descent with Armijo backtracking, stopped once the
+subproblem gradient is at most max(tol, ``_INNER_TOL_FACTOR`` |grad
+phi(p_k)|): by the support inequality h(p) >= h(p_k) - |s_k|
+B_{p_k,s_k}(p) (convexity of h for the classic model) each subproblem
+majorizes phi up to a constant and touches it at p_k with the gradient
+grad phi(p_k), so any accepted step lowers phi and the subproblem need
+not be solved exactly; the outer tests certify eps.  The horofunction
 subproblem is geodesically convex (g is convex and so is every
 Busemann function), so along a search ray its Armijo test passes on an
 interval of steps: there the first line search of an inner solve starts
@@ -56,7 +61,7 @@ _MAX_INNER_ITERS = 500      # steepest-descent steps per inner solve
 _ARMIJO_C1 = 1e-4           # sufficient-decrease constant
 _BACKTRACK = 0.5            # step shrink factor per halving
 _MAX_HALVINGS = 60          # halvings before a line search stalls
-_INNER_TOL_FACTOR = 0.1     # inner gradient tolerance / outer eps_base
+_INNER_TOL_FACTOR = 0.1     # inner tolerance / eps_base and / |grad phi(p_k)|
 
 
 @dataclass
@@ -129,8 +134,9 @@ class SolverTrace:
     record).  Gradient norms are scaled by the run's gamma, matching the
     reporting convention of the benchmark tables.  ``exit_reason`` is one
     of "grad", "step", "fixed_point", "max_outer", "stalled" (the first
-    line search of an inner solve ran out of halvings; ``run_dca`` then
-    raises StalledInnerSolveError with this trace).
+    line search of an inner solve ran out of halvings above the noise
+    floor; ``run_dca`` then raises StalledInnerSolveError with this
+    trace).
     """
 
     records: list = field(default_factory=list)
@@ -308,12 +314,17 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     ``ray.step(alpha)``, the checked point of exp_p(-alpha grad), so the
     trials from one iterate share what the ray prepared (on SPD, one
     eigendecomposition).  Stops when the subproblem gradient norm
-    drops to ``tol``, after ``_MAX_INNER_ITERS`` steps, when the
-    sufficient-decrease test falls below double-precision resolution of
-    the objective (the point is then as converged as evaluations allow),
-    or when a line search after an accepted step runs out of
-    ``_MAX_HALVINGS`` halvings.  Raises
-    StalledInnerSolveError if the first line search runs out of them.
+    drops to max(``tol``, ``_INNER_TOL_FACTOR`` |grad| at ``start``) (at
+    p_k the subproblem's gradient is grad phi(p_k), and its decrease
+    bounds phi's, so a rough solve far from stationarity is enough),
+    after ``_MAX_INNER_ITERS`` steps, when the sufficient-decrease test
+    falls below double-precision resolution of the objective while the
+    gradient is at most 1e3 ``tol`` (the point is then as converged as
+    evaluations allow), or when a line search runs out of
+    ``_MAX_HALVINGS`` halvings after an accepted step or, the first one,
+    within that same guard (no trial beat the evaluation noise: it
+    returns ``start`` with no step).  Raises StalledInnerSolveError if
+    the first line search runs out of them with a larger gradient.
     ``start``, unless it is a point already, and every trial point (in
     ``step``) are validated and made points, so the objective only sees
     checked points; the accepted iterate is not checked again when a
@@ -329,6 +340,7 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     fp = objective.value(p)
     ray = manifold._ray(p, -objective.grad(p))
     gn = ray.speed
+    stop = max(tol, _INNER_TOL_FACTOR * gn)
     iters = 0
     alpha_prev = None
     fp_prev = None
@@ -336,7 +348,7 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     eps_mach = float(np.finfo(float).eps)
     convex = objective.scale >= 0.0
 
-    while gn > tol and iters < _MAX_INNER_ITERS:
+    while gn > stop and iters < _MAX_INNER_ITERS:
         decrease_floor = 8.0 * eps_mach * (1.0 + abs(fp))
         if alpha_prev is None:
             alpha = 1.0
@@ -391,13 +403,15 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
         if floored:
             break
         if not accepted:
-            if iters == 0:
+            if iters == 0 and gn > 1e3 * tol:
                 raise StalledInnerSolveError(
                     f"line search stalled after {_MAX_HALVINGS} halvings "
                     f"(grad norm {gn:.3g}, tol {tol:.3g})",
                     best_point=p.x, best_value=fp)
-            # as after a floored stop, the outer tests judge this point
-            logger.debug("inner solve stalled after %d iterations", iters)
+            # after progress, or on the noise floor near the target (the
+            # floored test's guard), the outer tests judge this point
+            logger.debug("inner solve stalled after %d iterations "
+                         "(grad norm %.3g)", iters, gn)
             break
 
         if alpha_prev is None:
@@ -433,8 +447,13 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     g, grad g and the one subgradient s_k of h taken there: phi = g - h,
     the gradient test grad g - s_k, the subproblem and the next inner
     solve share them.  A non-smooth problem takes s_k only where a
-    subproblem is built.  A stalled first line search raises
-    StalledInnerSolveError with the partial trace as ``exc.trace``.
+    subproblem is built.  Each inner solve runs with tolerance
+    ``_INNER_TOL_FACTOR`` eps_base, which it raises to
+    ``_INNER_TOL_FACTOR`` |grad phi(p_k)| far from stationarity.  An
+    inner solve that takes no step (a floored or noise-floor first
+    search) ends the run as "fixed_point"; any other stalled first line
+    search raises StalledInnerSolveError with the partial trace as
+    ``exc.trace``.
     """
     manifold = problem.manifold
     p = manifold.point(p0)

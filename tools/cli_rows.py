@@ -6,10 +6,10 @@ printed as a ``# hadamard-dc <flags>`` line, its CSV rows without the
 ``time_s`` column, and a ``# exit <code>`` line.  A benchmark runs with
 ``--algorithm both``; ``verify`` takes no ``--algorithm`` and has no
 time column, so its lines are printed as they are.  A nonzero code does
-not stop the tool: ``rosenbrock --runs 20 --seed 460`` stalls (exit 3)
-and prints the partial rows written before the stall.  Every printed
-column is a deterministic function of the flags, so two source trees
-agree line for line exactly when their results are byte-identical.
+not stop the tool: a run that stalls (exit 3) prints the partial rows
+written before the stall.  Every printed column is a deterministic
+function of the flags, so two source trees agree line for line exactly
+when their results are byte-identical.
 Run this file from one checkout against both trees, so that both run
 the same invocations:
 
@@ -25,11 +25,10 @@ purpose rewrites the file with
     PYTHONPATH=src python tools/cli_rows.py --golden > tests/data/golden_rows.txt
 
 and says which rows moved and why.  With ``--valley`` it prints the
-valley rows of the starts s = 0..399 (``rosenbrock --seed s``, default
-flags), the start set on which the valley's exit mix and line-search
-trials are judged, in three blocks that step over the b-DCA stall at
-s = 203 (exit 3, after the cr-DCA row of that start); it takes about
-20 s on a 2-vCPU AMD EPYC.
+valley rows of the starts s = 0..399 (``rosenbrock --seed 0 --runs
+400``, default flags), the start set on which the valley's exit mix and
+line-search trials are judged; it takes about 20 s on a 2-vCPU AMD
+EPYC.
 """
 
 import contextlib
@@ -62,11 +61,7 @@ GOLDEN = (
 )
 
 
-VALLEY = (
-    ["rosenbrock", "--seed", "0", "--runs", "203"],
-    ["rosenbrock", "--seed", "203", "--runs", "1"],
-    ["rosenbrock", "--seed", "204", "--runs", "196"],
-)
+VALLEY = (["rosenbrock", "--seed", "0", "--runs", "400"],)
 
 MODES = {"": INVOCATIONS, "--golden": GOLDEN, "--valley": VALLEY}
 
