@@ -186,12 +186,14 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
     right-hand side exceeds f(p) by more than ``slack``, or when their
     gap is not finite (then reported as inf).  ``f`` and
     ``subgrad`` take arrays.  |s| B_{q,s} is ``Manifold._support_term``.
+    Raises ValueError unless ``samples`` is an integer >= 1 and
+    ``sigma``, ``radius`` and ``slack`` are finite and >= 0.
     """
-    if not (samples >= 1 and 0.0 <= radius < math.inf
+    samples = check_count(samples, "samples")
+    if not (0.0 <= sigma < math.inf and 0.0 <= radius < math.inf
             and 0.0 <= slack < math.inf):
-        raise ValueError("support check needs samples >= 1 and a finite "
-                         f"radius and slack >= 0: {samples}, {radius}, "
-                         f"{slack}")
+        raise ValueError("support check needs a finite sigma, radius and "
+                         f"slack >= 0: {sigma}, {radius}, {slack}")
     q = manifold.point(q)
     term, scale = manifold._support_term(
         q, manifold.check_tangent(q.x, subgrad(q.x)))
@@ -203,7 +205,7 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
         x = manifold.random_point_near(q, radius, rng)
         p = manifold.point(x)
         support = 0.0 if term is None else scale * term.value(p)
-        rhs = fq - support + 0.5 * sigma * manifold._dist_to(x, q) ** 2
+        rhs = fq - support + 0.5 * sigma * manifold._dist(x, q) ** 2
         gap = rhs - f(x)
         if not math.isfinite(gap):      # f or the support is not finite
             gap = math.inf
@@ -220,7 +222,10 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
 def lipschitz_subgrad_bound_check(manifold, f, lipschitz_const, q, s):
     """Subgradients of an L-Lipschitz convex function have norm <= L.
 
-    Checks q and s once each."""
+    Checks q and s once each; ValueError unless 0 <= L < inf."""
+    if not 0.0 <= lipschitz_const < math.inf:
+        raise ValueError("Lipschitz bound needs a finite constant >= 0: "
+                         f"{lipschitz_const}")
     q = manifold.point(q)
     return manifold._norm(q, manifold.check_tangent(q.x, s)) \
         <= lipschitz_const + 1e-10

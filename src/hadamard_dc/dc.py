@@ -300,16 +300,17 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     horofunction subproblem or g alone) the trial values along a ray are
     a convex function of the step, so the passing grid steps are
     contiguous, and the first search starts at index ``first_index``
-    (an integer in [0, ``_MAX_HALVINGS``)): it halves on from there
-    while trials fail, within the same ``_MAX_HALVINGS`` indices, or, if
-    its first trial passes, climbs to i - 1, i - 2, ... while trials
-    pass, and accepts the cold search's step bit for bit.  It starts at
-    index 0 (cold) on the classic subproblem, whose term need not be
-    convex, and wherever ``_ARMIJO_C1`` alpha_i |grad|^2 at
-    ``first_index`` is below the representable decrease 8 eps (1 + |f|),
-    where a skipped trial could have met the floored test
-    (``notes/decisions.md``).  Each accepted iterate p, the start
-    included, prepares one ray ``manifold._ray(p, -grad)``, whose
+    (an integer in [0, ``_MAX_HALVINGS``)), at alpha_s 2^-i by
+    ``math.ldexp``: it halves on from there while trials fail, within
+    the same ``_MAX_HALVINGS`` indices, or, if its first trial passes,
+    doubles to i - 1, i - 2, ... while trials pass, and accepts the cold
+    search's step bit for bit.  It starts at index 0 (cold) on the
+    classic subproblem, whose term need not be convex, and wherever
+    ``_ARMIJO_C1`` alpha_i |grad|^2 at ``first_index`` is below the
+    representable decrease 8 eps (1 + |f|), where a skipped trial could
+    have met the floored test (``notes/decisions.md``).  Each accepted
+    iterate p, the start included, prepares one ray
+    ``manifold._ray(p, -grad)``, whose
     ``speed`` is the gradient norm, and every trial from p is one
     ``ray.step(alpha)``, the checked point of exp_p(-alpha grad), so the
     trials from one iterate share what the ray prepared (on SPD, one
@@ -317,14 +318,16 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     drops to max(``tol``, ``_INNER_TOL_FACTOR`` |grad| at ``start``) (at
     p_k the subproblem's gradient is grad phi(p_k), and its decrease
     bounds phi's, so a rough solve far from stationarity is enough),
-    after ``_MAX_INNER_ITERS`` steps, when the sufficient-decrease test
-    falls below double-precision resolution of the objective while the
-    gradient is at most 1e3 ``tol`` (the point is then as converged as
-    evaluations allow), or when a line search runs out of
-    ``_MAX_HALVINGS`` halvings after an accepted step or, the first one,
-    within that same guard (no trial beat the evaluation noise: it
-    returns ``start`` with no step).  Raises StalledInnerSolveError if
-    the first line search runs out of them with a larger gradient.
+    after ``_MAX_INNER_ITERS`` steps, or when a line search ends without
+    a step.  A search ends so in one of two ways, which share one exit:
+    a trial is floored (the sufficient-decrease test falls below
+    double-precision resolution of the objective while the gradient is
+    at most 1e3 ``tol``, so the point is as converged as evaluations
+    allow), or the search runs out of ``_MAX_HALVINGS`` halvings.  The
+    solve then returns its current iterate, ``start`` with no step if
+    it was the first search.  Raises StalledInnerSolveError instead if
+    the first line search runs out of halvings with a gradient above
+    1e3 ``tol``.
     ``start``, unless it is a point already, and every trial point (in
     ``step``) are validated and made points, so the objective only sees
     checked points; the accepted iterate is not checked again when a
@@ -343,8 +346,6 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     stop = max(tol, _INNER_TOL_FACTOR * gn)
     iters = 0
     alpha_prev = None
-    fp_prev = None
-    gn_prev = None
     eps_mach = float(np.finfo(float).eps)
     convex = objective.scale >= 0.0
 
@@ -368,41 +369,25 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
 
         start_index = 0
         if alpha_prev is None and convex and first_index > 0:
-            grid = [alpha]          # alpha_s 2^-i, by a cold search's halvings
-            for _ in range(first_index):
-                grid.append(grid[-1] * _BACKTRACK)
-            if _ARMIJO_C1 * grid[-1] * gn * gn >= decrease_floor:
-                start_index, alpha = first_index, grid[-1]
-        accepted = False
-        floored = False
+            # alpha_s 2^-i, the step that i halvings by _BACKTRACK = 1/2
+            # reach: scaling by a power of two is exact
+            warm = math.ldexp(alpha, -first_index)
+            if _ARMIJO_C1 * warm * gn * gn >= decrease_floor:
+                start_index, alpha = first_index, warm
         for index in range(start_index, _MAX_HALVINGS):
             required = _ARMIJO_C1 * alpha * gn * gn
             cand, fc = _trial(ray, objective, alpha)
             if _sufficient(fp, fc, required, decrease_floor):
-                accepted = True
                 break
-            decrease = fp - fc
             if required < decrease_floor and gn <= 1e3 * tol \
-                    and math.isfinite(fc) and abs(decrease) <= decrease_floor:
+                    and math.isfinite(fc) and abs(fp - fc) <= decrease_floor:
                 # the required decrease is no longer representable in the
                 # objective values and the gradient is already near the
                 # target: converged to evaluation precision
-                floored = True
+                cand = None
                 break
             alpha *= _BACKTRACK
-        if accepted and 0 < index == start_index:
-            # a warm start that passed climbs while the trials pass, to
-            # the passing step of least index: the cold search's step
-            while index:
-                up = grid[index - 1]
-                cand_up, fc_up = _trial(ray, objective, up)
-                if not _sufficient(fp, fc_up, _ARMIJO_C1 * up * gn * gn,
-                                   decrease_floor):
-                    break
-                cand, fc, alpha, index = cand_up, fc_up, up, index - 1
-        if floored:
-            break
-        if not accepted:
+        else:
             if iters == 0 and gn > 1e3 * tol:
                 raise StalledInnerSolveError(
                     f"line search stalled after {_MAX_HALVINGS} halvings "
@@ -412,7 +397,19 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
             # floored test's guard), the outer tests judge this point
             logger.debug("inner solve stalled after %d iterations "
                          "(grad norm %.3g)", iters, gn)
+            cand = None
+        if cand is None:            # no step: floored or out of halvings
             break
+        if 0 < index == start_index:
+            # a warm start that passed climbs while the trials pass, to
+            # the passing step of least index: the cold search's step
+            while index:
+                up = 2.0 * alpha
+                cand_up, fc_up = _trial(ray, objective, up)
+                if not _sufficient(fp, fc_up, _ARMIJO_C1 * up * gn * gn,
+                                   decrease_floor):
+                    break
+                cand, fc, alpha, index = cand_up, fc_up, up, index - 1
 
         if alpha_prev is None:
             first_index = index
@@ -464,18 +461,14 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     make = make_cr_subproblem if cfg.algorithm == "cr_dca" else make_b_subproblem
 
     def phi_and_tests(p):
-        # (phi(p), s_k, gamma |grad phi(p)|); s_k is left to the loop top
-        # when there is no gradient test
-        fp = problem.phi(p)
-        if not smooth:
-            return fp, None, math.inf
-        return fp, p.derived(problem.h_subgrad), \
-            gamma * _grad_norm(problem, p)
+        # (phi(p), gamma |grad phi(p)|), inf where there is no gradient test
+        return problem.phi(p), \
+            gamma * _grad_norm(problem, p) if smooth else math.inf
 
     trace = SolverTrace(gamma=gamma, eps=eps, algorithm=cfg.algorithm,
                         problem=problem.name)
     t0 = time.perf_counter()
-    fp, s_k, gn = phi_and_tests(p)
+    fp, gn = phi_and_tests(p)
 
     def record(inner_iters=0, step_dist=0.0):
         trace.records.append(IterationRecord(
@@ -492,9 +485,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
         if len(trace.records) >= cfg.max_outer:
             trace.exit_reason = "max_outer"
             break
-        if s_k is None:
-            s_k = p.derived(problem.h_subgrad)
-        objective = make(problem, p, s_k)
+        objective = make(problem, p, p.derived(problem.h_subgrad))
         try:
             p_next, n_inner, first_index = inner_solve(
                 objective, p, inner_tol, first_index)
@@ -502,10 +493,10 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
             trace.exit_reason = "stalled"
             stall = exc
             break
-        step = manifold._dist_to(p.x, p_next)
+        step = manifold._dist(p.x, p_next)
         record(n_inner, step)
         p = p_next
-        fp, s_k, gn = phi_and_tests(p)
+        fp, gn = phi_and_tests(p)
         if n_inner == 0:            # no step taken, so p_next is p
             trace.exit_reason = "fixed_point"
             break

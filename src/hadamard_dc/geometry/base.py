@@ -13,12 +13,10 @@ at the public boundary:
 * an array is never trusted for having been checked before, so an array
   mutated after a check is checked again on its next public call.
 
-A kernel's base point is a :class:`Point`; every other point argument
-is an array, except in ``_dist_to(x, y)``, d(x, y) with ``y`` a point
-whose derived values (SPD: the factor of Y) the caller already holds:
-the solver's step distance to the iterate it just accepted, the support
-check's distance to its base point, and the public ``dist``.  A point
-is a checked array together with what derives from it, each computed on
+A kernel's base point is a :class:`Point` and every other point
+argument is an array; the base point of the distance ``_dist(x, y)`` is
+``y``, whose derived values (SPD: the factor of Y) it uses.  A point is
+a checked array together with what derives from it, each computed on
 first use and kept with the point:
 
 * ``Manifold._point(x)`` wraps an array right after ``check_point``;
@@ -77,7 +75,7 @@ content of an array:
   schedule.  SPD computes the spectrum of L^-1 V L^-T, the Cholesky
   factor of the reduced point and the guard once in it; the hyperboloid
   and the Dikin orthant supply only their guards, and the generic form
-  calls ``_exp`` and ``_dist`` per probe.
+  calls ``_exp``, ``_point`` and ``_dist`` per probe.
 
 All operations are pure functions of their arguments, so parallel
 callers need no synchronization as long as they do not share a point.
@@ -138,7 +136,9 @@ class Point:
     ``derived(make)`` is ``make(self)``, computed on the first request and
     kept under ``make``: a problem closure, g or its gradient, or a bound
     method of a subproblem term.  The point keeps each ``make`` alive with
-    it, so a ``make`` must hold no point.  A geometry adds what every
+    it, so a ``make`` must hold no iterate, which it would keep alive with
+    all it derived; a fixed point, such as a problem's reference point,
+    costs nothing per step.  A geometry adds what every
     consumer takes from a point (SPD: ``factor``, L and L^-1 with
     L L^T = X).
     """
@@ -228,9 +228,10 @@ class RayProbe:
     d(p, exp_q(t u)), and ``t_guard``, the largest ray parameter the limit
     oracle may use before overflow.
 
-    This form calls ``_exp`` and ``_dist`` on every probe; a geometry with
-    fixed work per ray and point, or with a tighter guard, returns a
-    subclass or another guard from ``_ray_probe``.
+    This form calls ``_exp`` and ``_dist`` on every probe, with the ray's
+    point made a :class:`Point`; a geometry with fixed work per ray and
+    point, or with a tighter guard, returns a subclass or another guard
+    from ``_ray_probe``.
     """
 
     def __init__(self, manifold, q, unit_dir, p, t_guard=1e12):
@@ -242,7 +243,7 @@ class RayProbe:
 
     def distance(self, t):
         m = self.manifold
-        return m._dist(self.p, m._exp(self.q, t * self.unit_dir))
+        return m._dist(self.p, m._point(m._exp(self.q, t * self.unit_dir)))
 
 
 class Manifold:
@@ -289,7 +290,7 @@ class Manifold:
 
     def _as_array(self, x, what="array", shape=None):
         a = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValidationError(
                 f"{self.name}: {what} has non-finite entries")
         if shape is not None and a.shape != shape:
@@ -326,12 +327,7 @@ class Manifold:
         return self._log(self.point(p), self._array(q))
 
     def dist(self, p, q):
-        return self._dist_to(self._array(p), self.point(q))
-
-    def _dist_to(self, x, y):
-        """d(x, y) of an array ``x`` and a point ``y``; equals
-        ``_dist(x, y.x)``."""
-        return self._dist(x, y.x)
+        return self._dist(self._array(p), self.point(q))
 
     def project(self, p, x):
         """Project an ambient array onto the tangent space at ``p``."""
@@ -358,7 +354,7 @@ class Manifold:
         v = self.check_tangent(q.x, ray.direction)
         p = self.point(p)
         if np.linalg.norm(v) == 0.0:
-            return self._dist_to(p.x, q)
+            return self._dist(p.x, q)
         return self._horofunction(q, v).value(p)
 
     def busemann_grad(self, ray: BusemannRay, p):
@@ -366,7 +362,7 @@ class Manifold:
         v = self.check_tangent(q.x, ray.direction)
         p = self.point(p)
         if np.linalg.norm(v) == 0.0:
-            return self._distance_gradient(q.x, p)
+            return self._distance_gradient(q, p)
         return self._horofunction(q, v).grad(p)
 
     def _support_term(self, q, s):
@@ -385,13 +381,15 @@ class Manifold:
         raise NotImplementedError
 
     def _distance_gradient(self, q, p):
-        """Gradient of d(q, .) at the point ``p``; undefined at p = q."""
+        """Gradient of d(q, .) at the point ``p``, ``q`` a point; undefined
+        at p = q."""
         d = self._dist(p.x, q)
-        if d == 0.0 or np.array_equal(p.x, q):  # SPD's d(q, q) rounds above 0
+        # SPD's d(q, q) rounds above 0
+        if d == 0.0 or np.array_equal(p.x, q.x):
             raise UndefinedGradientError(
                 f"{self.name}: gradient of a zero-direction ray is undefined "
                 "at the base point")
-        return -self._log(p, q) / d
+        return -self._log(p, q.x) / d
 
     # ------------------------------------------------------------------
     # gradients and linear models
@@ -437,7 +435,7 @@ class Manifold:
                 f"{self.name}: radius must be finite and >= 0: {radius!r}")
         c = self.point(center)
         w = self.random_tangent(c, rng)
-        r = rng.uniform(0.0, radius)
+        r = rng.uniform(0.0, abs(radius))      # -0.0 draws as 0.0
         nw = self._norm(c, w)
         if nw == 0.0:
             return c.x.copy()

@@ -57,8 +57,8 @@ class DikinOrthant(Manifold):
         p = p.x
         return p * np.log(q / p)
 
-    def _dist(self, p, q):
-        return float(np.linalg.norm(np.log(q / p)))
+    def _dist(self, x, y):
+        return float(np.linalg.norm(np.log(y.x / x)))
 
     def project(self, p, x):
         return np.asarray(x, dtype=float)

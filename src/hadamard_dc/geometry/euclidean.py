@@ -34,8 +34,8 @@ class Euclidean(Manifold):
     def _log(self, p, q):
         return q - p.x
 
-    def _dist(self, p, q):
-        return float(np.linalg.norm(q - p))
+    def _dist(self, x, y):
+        return float(np.linalg.norm(y.x - x))
 
     def project(self, p, x):
         return np.asarray(x, dtype=float)

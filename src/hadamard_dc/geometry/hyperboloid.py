@@ -118,11 +118,7 @@ class Hyperboloid(Manifold):
     # ------------------------------------------------------------------
 
     def check_point(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.n + 1,):
-            raise ValidationError(
-                f"{self.name}: point has shape {p.shape}, "
-                f"expected ({self.n + 1},)")
+        p = self._as_array(p, "point", (self.n + 1,))
         return self._on_sheet(p, float(np.abs(p).max()))
 
     def _on_sheet(self, x, top):
@@ -146,17 +142,10 @@ class Hyperboloid(Manifold):
         return x
 
     def check_tangent(self, p, v):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n + 1,):
-            raise ValidationError(
-                f"{self.name}: tangent has shape {v.shape}, "
-                f"expected ({self.n + 1},)")
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.n + 1,):
-            raise ValidationError(
-                f"{self.name}: vectors must have length {self.n + 1}")
+        v = self._as_array(v, "tangent", (self.n + 1,))
+        p = self._as_array(p, "base point", (self.n + 1,))
         # hypot cannot overflow; near the double ceiling pair unit copies
-        hp, hv = math.hypot(*p), math.hypot(*v)
+        hp, hv = math.hypot(*p.tolist()), math.hypot(*v.tolist())
         if hp * hv > 1e300:
             pairing = _lorentz(p / hp, v / hv)
             scale = 1.0 / (hp * hv) + 1.0
@@ -220,6 +209,7 @@ class Hyperboloid(Manifold):
         return self._project(q, v)
 
     def _dist(self, p, q):
+        q = q.x
         arg = -self.kappa * _lorentz(p, q)
         if arg < 1.0 + 1e-4:
             # near-coincident points: the pairing cancels catastrophically,

@@ -309,9 +309,6 @@ class SPDManifold(Manifold):
         return sym(lower @ spd_fun(c @ y @ c.T, "log") @ lower.T)
 
     def _dist(self, x, y):
-        return self._dist_to(x, self._point(y))
-
-    def _dist_to(self, x, y):
         """d(X, Y) through the eigvalsh of L^-1 X L^-T, L the factor of
         the point Y."""
         c = y.factor[1]

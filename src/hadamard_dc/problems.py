@@ -114,10 +114,13 @@ def rosenbrock_problem(params: RosenbrockParams = RosenbrockParams()) -> DCProbl
     # every a = 1 internal instance has one reference point; d_q and
     # log_p(qbar) are then d_p and log_p(pbar) bit for bit
     one_ref = pbar.tobytes() == qbar.tobytes()
+    # the distance kernel takes its second point as a point; the axis
+    # points lie on the sheet by construction, the overrides were checked
+    pbar_pt, qbar_pt = manifold._point(pbar), manifold._point(qbar)
 
     def _dists(p):
-        dp = manifold._dist(p, pbar)
-        return dp, (dp if one_ref else manifold._dist(p, qbar))
+        dp = manifold._dist(p, pbar_pt)
+        return dp, (dp if one_ref else manifold._dist(p, qbar_pt))
 
     def _point_dists(p):
         return _dists(p.x)

@@ -100,7 +100,7 @@ def test_lipschitz_subgrad_bound():
     rng = make_rng(5)
     z = m.random_point(rng)
     q = m.random_point(rng)
-    s = m._distance_gradient(z, m.point(q))
+    s = m._distance_gradient(m.point(z), m.point(q))
     f = None
     assert lipschitz_subgrad_bound_check(m, f, 1.0, q, s)
     assert m.norm(q, s) == pytest.approx(1.0, abs=1e-10)
@@ -116,7 +116,7 @@ def test_lipschitz_subgrad_bound():
         active = z if m.dist(p, z) >= m.dist(p, z2) else z2
         if abs(m.dist(p, z) - m.dist(p, z2)) < 1e-9:
             continue
-        s = m._distance_gradient(active, m.point(p))
+        s = m._distance_gradient(m.point(active), m.point(p))
         assert lipschitz_subgrad_bound_check(m, f, 1.0, p, s)
 
 
@@ -252,16 +252,33 @@ def test_support_terms_subgradient_norm_underflow_raises():
 
 
 @pytest.mark.parametrize("samples, radius, slack", [
-    (0, 5.0, 1e-9), (-1, 5.0, 1e-9),
+    (0, 5.0, 1e-9), (-1, 5.0, 1e-9), (2.5, 5.0, 1e-9),
     (10, 5.0, float("nan")), (10, 5.0, float("inf")), (10, 5.0, -1e-9),
     (10, float("nan"), 1e-9), (10, float("inf"), 1e-9), (10, -1.0, 1e-9),
 ])
 def test_support_check_rejects_vacuous_arguments(samples, radius, slack):
-    """No samples, or a slack or radius no sample can be judged by, would
-    report a pass without a test; each raises before f is called."""
+    """No samples, a fractional count, or a slack or radius no sample can
+    be judged by would report a pass without a test; each raises before
+    f is called."""
     def f(x):
         raise AssertionError("f evaluated")
 
     with pytest.raises(ValueError):
         support_check(Euclidean(2), f, f, 0.0, np.zeros(2), samples,
                       make_rng(0), radius=radius, slack=slack)
+
+
+@pytest.mark.parametrize("const", [float("nan"), float("inf"), -1.0])
+def test_support_and_lipschitz_checks_reject_bad_constants(const):
+    """A sigma or Lipschitz constant outside [0, inf) raises ValueError:
+    sigma -1 would pass every sample and NaN fail every one, and a NaN
+    constant would fail every subgradient."""
+    def f(x):
+        raise AssertionError("f evaluated")
+
+    m = Euclidean(2)
+    with pytest.raises(ValueError):
+        support_check(m, f, f, const, np.zeros(2), 10, make_rng(0))
+    with pytest.raises(ValueError):
+        lipschitz_subgrad_bound_check(m, None, const, np.zeros(2),
+                                      np.zeros(2))

@@ -783,6 +783,38 @@ def test_warm_first_search_below_the_decrease_floor_starts_cold(
     assert inner_solve(objective, start, 1e-8, 12)[2] == 4
 
 
+def _plateau():
+    """g = |p|^2 / 4 + 1e6 and h = 0 on R^2: near 0 a decrease of g is
+    below the representable decrease 8 eps (1 + |g|) = 1.8e-9."""
+    return DCProblem(manifold=Euclidean(2),
+                     g=lambda p: 0.25 * float(p.x @ p.x) + 1e6,
+                     h=lambda p: 0.0, h_subgrad=lambda p: np.zeros(2),
+                     g_rgrad=lambda p: 0.5 * p.x, name="plateau")
+
+
+def test_floored_search_ends_the_inner_solve_without_a_step(monkeypatch):
+    """A floored trial ends its line search at once, where running out of
+    halvings would take ``_MAX_HALVINGS`` trials.  From (1e-5, 0) the first
+    trial decreases g by 2e-11, which rounds away (the first index 3 is
+    below the floor too, so the search is cold): the solve returns the
+    start with no step and the first index it was given.  From
+    (1.5e-4, 0) the first step decreases g by 4.2e-9 and is accepted, and
+    the second search's first trial, by 1.4e-9, is floored: the solve
+    returns the accepted point."""
+    from hadamard_dc.dc import _MAX_HALVINGS, SubproblemObjective
+    objective = SubproblemObjective(_plateau())
+    steps = _recorded_steps(monkeypatch)
+    start = objective.problem.manifold.point(np.array([1e-5, 0.0]))
+    p, iters, first = inner_solve(objective, start, 1e-8, 3)
+    assert p is start and (iters, first) == (0, 3)
+    assert steps == [1.0]
+    steps.clear()
+    p, iters, first = inner_solve(objective, np.array([1.5e-4, 0.0]), 1e-6)
+    np.testing.assert_array_equal(p.x, [7.5e-5, 0.0])
+    assert (iters, first) == (1, 0)
+    assert len(steps) == 2 < _MAX_HALVINGS
+
+
 @pytest.mark.parametrize("first_index", [-1, 60, 2.5])
 def test_inner_solve_rejects_first_index_off_the_grid(first_index):
     objective = make_b_subproblem(_bowl(), np.array([0.3, 0.0]),

@@ -89,12 +89,12 @@ def test_busemann_zero_direction_is_distance():
         q = m.random_point(rng)
         p = m.random_point(rng)
         ray = BusemannRay(q, m.zero_tangent(q))
-        assert same(m.busemann(ray, p), m._dist(p, q))
+        assert same(m.busemann(ray, p), m._dist(p, m.point(q)))
         assert m.busemann(ray, p) == pytest.approx(m.dist(q, p), rel=1e-12)
         with pytest.raises(UndefinedGradientError):
             m.busemann_grad(ray, q)
         g = m.busemann_grad(ray, p)
-        assert same(g, m._distance_gradient(q, m.point(p)))
+        assert same(g, m._distance_gradient(m.point(q), m.point(p)))
         assert m.norm(p, g) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -326,7 +326,8 @@ def test_tangent_basis_orthonormal_everywhere():
 @pytest.mark.parametrize("manifold", all_geometries(), ids=lambda m: m.name)
 def test_geodesic_and_random_point_near_reject_bad_parameters(manifold):
     """A non-finite geodesic parameter t, or a radius outside [0, inf), is a
-    ValidationError naming it; a bad radius is rejected before any draw."""
+    ValidationError naming it; a bad radius is rejected before any draw.
+    A radius of -0.0 is 0.0: the same draws and the same point."""
     rng = make_rng(23)
     p = manifold.random_point(rng)
     q = manifold.random_point(rng)
@@ -341,3 +342,6 @@ def test_geodesic_and_random_point_near_reject_bad_parameters(manifold):
     manifold.random_point(fresh)
     assert same(manifold.random_point_near(p, 2.0, rng),
                 manifold.random_point_near(p, 2.0, fresh))
+    assert same(manifold.random_point_near(p, -0.0, rng),
+                manifold.random_point_near(p, 0.0, fresh))
+    assert same(rng.random(), fresh.random())

@@ -262,6 +262,19 @@ def test_point_validation():
                                         math.cosh(r)]))
             for _ in range(20):
                 m.check_tangent(p, m._project(p, rng.standard_normal(3)))
+        # infinite entries are a ValidationError, not a warning raised
+        # from the quadric or tangency test
+        inf = np.array([math.inf, 0.0, math.inf])
+        with pytest.raises(ValidationError, match="non-finite"):
+            m.check_point(inf)
+        with pytest.raises(ValidationError, match="non-finite"):
+            m.check_tangent(m.apex(), inf)
+        with pytest.raises(ValidationError, match="non-finite"):
+            m.check_tangent(inf, np.zeros(3))
+        with pytest.raises(ValidationError, match="non-finite"):
+            m.dist(inf, m.apex())
+        with pytest.raises(ValidationError, match="non-finite"):
+            m.dist(m.apex(), inf)
     # a checked point mutated in place is checked again on its next use
     p = m.apex()
     m.check_point(p)
@@ -314,7 +327,7 @@ def reference_busemann(m, q, v, p):
     """The per-call closed form, with |v| and w rebuilt on every call."""
     nv = math.sqrt(max(reference_lorentz(v, v), 0.0))
     if nv == 0.0:
-        return m._dist(q, p)
+        return m._dist(q, m.point(p))
     w = m.kappa * q + (math.sqrt(m.kappa) / nv) * v
     arg = -reference_lorentz(p, w)
     if arg <= 0.0:
@@ -330,7 +343,7 @@ def reference_busemann(m, q, v, p):
 def reference_busemann_grad(m, q, v, p):
     nv = math.sqrt(max(reference_lorentz(v, v), 0.0))
     if nv == 0.0:
-        return m._distance_gradient(q, m.point(p))
+        return m._distance_gradient(m.point(q), m.point(p))
     w = m.kappa * q + (math.sqrt(m.kappa) / nv) * v
 
     def project(x):

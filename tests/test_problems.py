@@ -463,9 +463,10 @@ def former_rosenbrock_closures(prob, a, b, theta):
     point takes d_p and d_q, and log_p(pbar) and log_p(qbar), apart."""
     m = prob.manifold
     pbar, qbar = prob.metadata["pbar"], prob.metadata["qbar"]
+    pbar_pt, qbar_pt = m.point(pbar), m.point(qbar)
 
     def dists(p):
-        return m._dist(p.x, pbar), m._dist(p.x, qbar)
+        return m._dist(p.x, pbar_pt), m._dist(p.x, qbar_pt)
 
     def sq_dist_grads(p):
         return -2.0 * m._log(p, pbar), -2.0 * m._log(p, qbar)

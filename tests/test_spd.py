@@ -499,7 +499,7 @@ def reference_busemann(m, y, v, x):
 def reference_busemann_grad(m, y, v, x):
     """-(L U l) D (L U l)^T / |lam| with every factor rebuilt."""
     if np.linalg.norm(v) == 0.0:
-        return m._distance_gradient(y, m.point(x))
+        return m._distance_gradient(m.point(y), m.point(x))
     split = m.spectral_split(y, v)
     lower, c = reference_factor(y)
     u = split.basis
