@@ -98,8 +98,8 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
             f"refine_tol must be finite and >= 0: {refine_tol!r}")
     max_refine = check_count(max_refine, "max_refine", least=0)
     q = manifold.point(ray.base)
-    v = manifold.check_tangent(q.x, ray.direction)
-    p = manifold._array(p)
+    v = manifold.check_tangent(q, ray.direction)
+    p = manifold.point(p)
     nv = manifold._norm(q, v)
     if nv == 0.0:
         raise ZeroDirectionError(
@@ -196,7 +196,7 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
                          f"slack >= 0: {sigma}, {radius}, {slack}")
     q = manifold.point(q)
     term, scale = manifold._support_term(
-        q, manifold.check_tangent(q.x, subgrad(q.x)))
+        q, manifold.check_tangent(q, subgrad(q.x)))
     fq = f(q.x)
     worst = -np.inf
     witness = None
@@ -205,7 +205,7 @@ def support_check(manifold, f, subgrad, sigma, q, samples, rng,
         x = manifold.random_point_near(q, radius, rng)
         p = manifold.point(x)
         support = 0.0 if term is None else scale * term.value(p)
-        rhs = fq - support + 0.5 * sigma * manifold._dist(x, q) ** 2
+        rhs = fq - support + 0.5 * sigma * manifold._dist(p, q) ** 2
         gap = rhs - f(x)
         if not math.isfinite(gap):      # f or the support is not finite
             gap = math.inf
@@ -227,7 +227,7 @@ def lipschitz_subgrad_bound_check(manifold, f, lipschitz_const, q, s):
         raise ValueError("Lipschitz bound needs a finite constant >= 0: "
                          f"{lipschitz_const}")
     q = manifold.point(q)
-    return manifold._norm(q, manifold.check_tangent(q.x, s)) \
+    return manifold._norm(q, manifold.check_tangent(q, s)) \
         <= lipschitz_const + 1e-10
 
 
@@ -245,6 +245,6 @@ def bregman_busemann(manifold, psi, psi_grad, p, q):
     p = manifold.point(p)
     q = manifold.point(q)
     term, scale = manifold._support_term(
-        q, manifold.check_tangent(q.x, psi_grad(q.x)))
+        q, manifold.check_tangent(q, psi_grad(q.x)))
     support = 0.0 if term is None else scale * term.value(p)
     return float(psi(p.x) - psi(q.x) + support)

@@ -37,8 +37,9 @@ trial point has from its test, and L^-1), g and grad g, the subgradient
 of h and the term's factorizations are computed once per point.  The point
 a trial reaches carries them out of the inner solve to the outer tests
 and into the next subproblem.  A point is trusted because of its type:
-``make_cr_subproblem``, ``make_b_subproblem`` and ``inner_solve`` check
-an array once and skip ``check_point`` for a point.
+``make_cr_subproblem``, ``make_b_subproblem``, ``inner_solve`` and the
+subproblem's ``value`` and ``grad`` take their point through
+``Manifold.point``, which checks an array or another manifold's point.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 
 from .errors import (NumericalDomainError, StalledInnerSolveError,
                      ValidationError)
-from .geometry.base import Point, check_count, fd_riemannian_grad
+from .geometry.base import check_count, fd_riemannian_grad
 
 logger = logging.getLogger(__name__)
 
@@ -179,8 +180,9 @@ class SubproblemObjective:
     """Objective g(p) + scale * term(p) of one outer step, with the model
     (term, scale) of h at p_k prepared: ``term`` has ``value``, ``grad``.
 
-    ``value`` and ``grad`` evaluate at a point; an array is checked and
-    made one.  g(p) and grad g(p) are kept on the point, so a point the
+    ``value`` and ``grad`` evaluate at a point, taken through
+    ``manifold.point``, which checks an array or another manifold's
+    point.  g(p) and grad g(p) are kept on the point, so a point the
     inner solve accepts carries them to the outer tests and into the
     next inner solve, and g is evaluated once per point.  ``term`` None
     is the zero term (a horofunction subproblem with s_k = 0, or g
@@ -193,16 +195,14 @@ class SubproblemObjective:
     scale: float = 0.0
 
     def value(self, p):
-        if not isinstance(p, Point):
-            p = self.problem.manifold.point(p)
+        p = self.problem.manifold.point(p)
         g_p = p.derived(self.problem.g)
         return g_p if self.term is None \
             else g_p + self.scale * self.term.value(p)
 
     def grad(self, p):
         problem = self.problem
-        if not isinstance(p, Point):
-            p = problem.manifold.point(p)
+        p = problem.manifold.point(p)
         if problem.g_rgrad is None:
             return fd_riemannian_grad(problem.manifold, self.value, p)
         g_grad_p = p.derived(problem.g_rgrad)
@@ -218,14 +218,14 @@ def scale_factor(problem: DCProblem, p0):
 def _grad_norm(problem, p):
     """|grad phi(p)|_p at a point, with grad phi checked as a tangent."""
     m = problem.manifold
-    return m._norm(p, m.check_tangent(p.x, problem.phi_grad(p)))
+    return m._norm(p, m.check_tangent(p, problem.phi_grad(p)))
 
 
 def _model_point(problem: DCProblem, p_k, s_k, kind):
     """p_k as a point and s_k checked at it; warns where g has no analytic
     gradient."""
     p_k = problem.manifold.point(p_k)
-    s_k = problem.manifold.check_tangent(p_k.x, s_k)
+    s_k = problem.manifold.check_tangent(p_k, s_k)
     if problem.g_rgrad is None:
         logger.warning("%s: no analytic gradient for g, %s subproblem falls "
                        "back to finite differences", problem.name, kind)
@@ -493,7 +493,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
             trace.exit_reason = "stalled"
             stall = exc
             break
-        step = manifold._dist(p.x, p_next)
+        step = manifold._dist(p, p_next)
         record(n_inner, step)
         p = p_next
         fp, gn = phi_and_tests(p)

@@ -13,15 +13,14 @@ at the public boundary:
 * an array is never trusted for having been checked before, so an array
   mutated after a check is checked again on its next public call.
 
-A kernel's base point is a :class:`Point` and every other point
-argument is an array; the base point of the distance ``_dist(x, y)`` is
-``y``, whose derived values (SPD: the factor of Y) it uses.  A point is
-a checked array together with what derives from it, each computed on
-first use and kept with the point:
+Every point argument of a kernel is a :class:`Point`; the distance
+``_dist(p, q)`` takes what derives from a point (SPD: the factor of Q)
+from ``q``.  A point is a checked array together with what derives from
+it, each computed on first use and kept with the point:
 
 * ``Manifold._point(x)`` wraps an array right after ``check_point``;
-  the solver builds one for p0, and the public methods one per base
-  point.
+  the solver builds one for p0, and the public methods one per point
+  argument.
   A line search runs along ``Manifold._ray(p, d)``, the geodesic
   t -> exp_p(t d) prepared once: its ``speed`` is |d|_p, and a trial is
   its ``step(t)``, the checked point of exp_p(t d).  By default that is
@@ -29,10 +28,11 @@ first use and kept with the point:
   exponential and sheet tests with the largest |coordinate| taken once,
   and SPD diagonalizes L^-1 D L^-T once per ray, so that a step is one
   product and the Cholesky test of ``check_point``.
-  ``Manifold.point(x)`` checks an array and passes a point of the same
-  manifold through, so a point is trusted because of its type, never
-  because of its address or contents; every public method accepts a
-  point wherever it takes one.
+  ``Manifold.point(x)``, the one gate for points, checks an array (or
+  another manifold's point) and passes a point of the same manifold
+  through, so a point is trusted because of its type, never because of
+  its address or contents.  Every public method, ``check_tangent``
+  included, takes each of its point arguments through it.
 * A geometry keeps there what its kernels take from a base point: SPD
   keeps a factor A of X = A A^T and its inverse (``SPDPoint.factor``),
   which all its kernels at X share; every SPD formula holds for any such
@@ -130,9 +130,9 @@ class Point:
     derives from it, each computed on first use and kept with the point.
 
     ``Manifold._point`` builds one from an array that was just checked,
-    so a point is trusted because of its type: ``Manifold.point`` and the
-    solver's entry points check an array once and pass a point of their
-    manifold through.  ``x`` is the checked array and must not be mutated.
+    so a point is trusted because of its type: ``Manifold.point``, the
+    one gate for point arguments, checks an array once and passes a point
+    of its manifold through.  ``x`` is the checked array; do not mutate it.
     ``derived(make)`` is ``make(self)``, computed on the first request and
     kept under ``make``: a problem closure, g or its gradient, or a bound
     method of a subproblem term.  The point keeps each ``make`` alive with
@@ -192,10 +192,10 @@ class LinearModel:
 
     def value(self, p):
         m = self.manifold
-        return m._inner(self.q, self.s, m._log(self.q, p.x))
+        return m._inner(self.q, self.s, m._log(self.q, p))
 
     def grad(self, p):
-        return self.manifold._linear_model_grad(self.q, self.s, p.x)
+        return self.manifold._linear_model_grad(self.q, self.s, p)
 
 
 class Ray:
@@ -269,20 +269,14 @@ class Manifold:
         raise NotImplementedError
 
     def point(self, x):
-        """``x`` as a :class:`Point`: a point of this manifold as it is,
-        an array (or another manifold's point) after ``check_point``."""
+        """``x`` as a :class:`Point`, the one gate for point arguments: a
+        point of this manifold as it is, an array (or another manifold's
+        point) after ``check_point``."""
         if isinstance(x, Point):
             if x.manifold is self:
                 return x
             x = x.x
         return self._point(self.check_point(x))
-
-    def _array(self, x):
-        """The checked array of ``x``, a point or an array, for a point
-        argument that is not a base point."""
-        if isinstance(x, Point):
-            return self.point(x).x
-        return self.check_point(x)
 
     def _point(self, x):
         """The :class:`Point` of an array that passed ``check_point``."""
@@ -304,19 +298,19 @@ class Manifold:
 
     def inner(self, p, u, v):
         p = self.point(p)
-        return self._inner(p, self.check_tangent(p.x, u),
-                           self.check_tangent(p.x, v))
+        return self._inner(p, self.check_tangent(p, u),
+                           self.check_tangent(p, v))
 
     def norm(self, p, v):
         p = self.point(p)
-        return self._norm(p, self.check_tangent(p.x, v))
+        return self._norm(p, self.check_tangent(p, v))
 
     def _norm(self, p, v):
         return math.sqrt(max(self._inner(p, v, v), 0.0))
 
     def exp(self, p, v):
         p = self.point(p)
-        return self._exp(p, self.check_tangent(p.x, v))
+        return self._exp(p, self.check_tangent(p, v))
 
     def _ray(self, p, d):
         """The geodesic t -> exp_p(t d) of a point ``p`` and a validated
@@ -324,17 +318,17 @@ class Manifold:
         return Ray(self, p, d)
 
     def log(self, p, q):
-        return self._log(self.point(p), self._array(q))
+        return self._log(self.point(p), self.point(q))
 
     def dist(self, p, q):
-        return self._dist(self._array(p), self.point(q))
+        return self._dist(self.point(p), self.point(q))
 
     def project(self, p, x):
-        """Project an ambient array onto the tangent space at ``p``."""
+        """Project a finite ambient array onto the tangent space at ``p``."""
         raise NotImplementedError
 
     def zero_tangent(self, p):
-        return np.zeros_like(np.asarray(p, dtype=float))
+        return np.zeros_like(self.point(p).x)
 
     def geodesic(self, p, q, t):
         """Point at parameter ``t`` on the geodesic from ``p`` to ``q``;
@@ -343,7 +337,7 @@ class Manifold:
             raise ValidationError(
                 f"{self.name}: geodesic parameter t must be finite: {t!r}")
         p = self.point(p)
-        return self._exp(p, t * self._log(p, self._array(q)))
+        return self._exp(p, t * self._log(p, self.point(q)))
 
     # ------------------------------------------------------------------
     # Busemann functions
@@ -351,15 +345,15 @@ class Manifold:
 
     def busemann(self, ray: BusemannRay, p):
         q = self.point(ray.base)
-        v = self.check_tangent(q.x, ray.direction)
+        v = self.check_tangent(q, ray.direction)
         p = self.point(p)
         if np.linalg.norm(v) == 0.0:
-            return self._dist(p.x, q)
+            return self._dist(p, q)
         return self._horofunction(q, v).value(p)
 
     def busemann_grad(self, ray: BusemannRay, p):
         q = self.point(ray.base)
-        v = self.check_tangent(q.x, ray.direction)
+        v = self.check_tangent(q, ray.direction)
         p = self.point(p)
         if np.linalg.norm(v) == 0.0:
             return self._distance_gradient(q, p)
@@ -383,13 +377,13 @@ class Manifold:
     def _distance_gradient(self, q, p):
         """Gradient of d(q, .) at the point ``p``, ``q`` a point; undefined
         at p = q."""
-        d = self._dist(p.x, q)
+        d = self._dist(p, q)
         # SPD's d(q, q) rounds above 0
         if d == 0.0 or np.array_equal(p.x, q.x):
             raise UndefinedGradientError(
                 f"{self.name}: gradient of a zero-direction ray is undefined "
                 "at the base point")
-        return -self._log(p, q.x) / d
+        return -self._log(p, q) / d
 
     # ------------------------------------------------------------------
     # gradients and linear models
@@ -407,7 +401,7 @@ class Manifold:
         the metric at ``q``.  Used by the classic DC subproblem.
         """
         q = self.point(q)
-        return self._linear_model(q, self.check_tangent(q.x, s)) \
+        return self._linear_model(q, self.check_tangent(q, s)) \
             .grad(self.point(p))
 
     def _linear_model(self, q, s):
@@ -452,7 +446,7 @@ class Manifold:
     def rep_scale(self, p):
         """Representation scale of ``p``, used to pick finite-difference
         step sizes."""
-        return float(np.linalg.norm(np.asarray(p, dtype=float)))
+        return float(np.linalg.norm(self.point(p).x))
 
     def tangent_basis(self, p):
         """Orthonormal tangent basis at ``p`` under the manifold metric.
@@ -463,7 +457,7 @@ class Manifold:
         p = self.point(p)
         basis = []
         for cand in self.coordinate_directions():
-            v = self.project(p.x, cand)
+            v = self.project(p, cand)
             for b in basis:
                 v = v - self._inner(p, v, b) * b
             nv = self._norm(p, v)
@@ -496,10 +490,10 @@ def fd_riemannian_grad(manifold, f, p, h=None):
     """
     p = manifold.point(p)
     if h is None:
-        h = 1e-6 * (1.0 + manifold.rep_scale(p.x))
+        h = 1e-6 * (1.0 + manifold.rep_scale(p))
     if not 0.0 < h < math.inf:
         raise ValueError(f"finite-difference step must be finite and > 0: {h}")
-    grad = manifold.zero_tangent(p.x)
+    grad = manifold.zero_tangent(p)
     for e in manifold.tangent_basis(p):
         fp = f(manifold._exp(p, h * e))
         fm = f(manifold._exp(p, -h * e))

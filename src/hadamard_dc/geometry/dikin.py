@@ -37,6 +37,7 @@ class DikinOrthant(Manifold):
         return p
 
     def check_tangent(self, p, v):
+        self.point(p)
         return self._as_array(v, "tangent", (self.n,))
 
     def _inner(self, p, u, v):
@@ -55,29 +56,29 @@ class DikinOrthant(Manifold):
 
     def _log(self, p, q):
         p = p.x
-        return p * np.log(q / p)
+        return p * np.log(q.x / p)
 
-    def _dist(self, x, y):
-        return float(np.linalg.norm(np.log(y.x / x)))
+    def _dist(self, p, q):
+        return float(np.linalg.norm(np.log(q.x / p.x)))
 
     def project(self, p, x):
-        return np.asarray(x, dtype=float)
+        return self.check_tangent(p, x)
 
     def _horofunction(self, q, v):
         return FlatHorofunction(self, q, v)
 
     def egrad_to_rgrad(self, p, egrad):
-        p = self._array(p)
-        return self.check_tangent(p, egrad) * p**2
+        p = self.point(p)
+        return self.check_tangent(p, egrad) * p.x**2
 
     def _linear_model_grad(self, q, s, p):
-        return (s / q.x) * p
+        return (s / q.x) * p.x
 
     def random_point(self, rng):
         return np.exp(rng.standard_normal(self.n))
 
     def random_tangent(self, p, rng):
-        p = self._array(p)
+        p = self.point(p).x
         return p * rng.standard_normal(self.n)
 
     def coordinate_directions(self):

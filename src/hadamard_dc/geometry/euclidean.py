@@ -23,6 +23,7 @@ class Euclidean(Manifold):
         return self._as_array(p, "point", (self.n,))
 
     def check_tangent(self, p, v):
+        self.point(p)
         return self._as_array(v, "tangent", (self.n,))
 
     def _inner(self, p, u, v):
@@ -32,19 +33,19 @@ class Euclidean(Manifold):
         return p.x + v
 
     def _log(self, p, q):
-        return q - p.x
+        return q.x - p.x
 
-    def _dist(self, x, y):
-        return float(np.linalg.norm(y.x - x))
+    def _dist(self, p, q):
+        return float(np.linalg.norm(q.x - p.x))
 
     def project(self, p, x):
-        return np.asarray(x, dtype=float)
+        return self.check_tangent(p, x)
 
     def _horofunction(self, q, v):
         return FlatHorofunction(self, q, v)
 
     def egrad_to_rgrad(self, p, egrad):
-        return self.check_tangent(self._array(p), egrad)
+        return self.check_tangent(p, egrad)
 
     def _linear_model_grad(self, q, s, p):
         return s.copy()
@@ -53,7 +54,7 @@ class Euclidean(Manifold):
         return rng.standard_normal(self.n)
 
     def random_tangent(self, p, rng):
-        self._array(p)
+        self.point(p)
         return rng.standard_normal(self.n)
 
     def coordinate_directions(self):

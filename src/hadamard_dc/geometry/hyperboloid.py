@@ -92,18 +92,15 @@ class Hyperboloid(Manifold):
     # ------------------------------------------------------------------
 
     def lorentz(self, x, y):
-        """Lorentzian inner product x^T J y."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (self.n + 1,) or y.shape != (self.n + 1,):
-            raise ValidationError(
-                f"{self.name}: vectors must have length {self.n + 1}")
-        return _lorentz(x, y)
+        """Lorentzian inner product x^T J y of two finite vectors."""
+        shape = (self.n + 1,)
+        return _lorentz(self._as_array(x, "vector", shape),
+                        self._as_array(y, "vector", shape))
 
     def project(self, p, x):
         """Lorentzian projection x + kappa <p,x> p onto the tangent space."""
-        x = np.asarray(x, dtype=float)
-        return x + self.kappa * self.lorentz(p, x) * p
+        x = self._as_array(x, "ambient array", (self.n + 1,))
+        return self._project(self.point(p).x, x)
 
     def _project(self, p, x):
         return x + self.kappa * _lorentz(p, x) * p
@@ -142,8 +139,8 @@ class Hyperboloid(Manifold):
         return x
 
     def check_tangent(self, p, v):
+        p = self.point(p).x
         v = self._as_array(v, "tangent", (self.n + 1,))
-        p = self._as_array(p, "base point", (self.n + 1,))
         # hypot cannot overflow; near the double ceiling pair unit copies
         hp, hv = math.hypot(*p.tolist()), math.hypot(*v.tolist())
         if hp * hv > 1e300:
@@ -201,7 +198,7 @@ class Hyperboloid(Manifold):
     def _log(self, q, p):
         # log_q p = d * P/|P| with P the projection of p; the ratio d/|P|
         # equals _ucoef(-kappa<q,p>), which stays finite as p -> q
-        q = q.x
+        q, p = q.x, p.x
         qp = _lorentz(q, p)
         beta = max(-self.kappa * qp, 1.0)
         v = _ucoef(beta) * (p + self.kappa * qp * q)
@@ -209,7 +206,7 @@ class Hyperboloid(Manifold):
         return self._project(q, v)
 
     def _dist(self, p, q):
-        q = q.x
+        p, q = p.x, q.x
         arg = -self.kappa * _lorentz(p, q)
         if arg < 1.0 + 1e-4:
             # near-coincident points: the pairing cancels catastrophically,
@@ -238,14 +235,14 @@ class Hyperboloid(Manifold):
 
     def egrad_to_rgrad(self, p, egrad):
         """Riemannian gradient Proj_p(J g) from the Euclidean derivative g."""
-        p = self._array(p)
+        p = self.point(p).x
         g = self._as_array(egrad, "euclidean gradient", (self.n + 1,))
         jg = g.copy()
         jg[-1] = -jg[-1]
         return self._project(p, jg)
 
     def _linear_model_grad(self, q, s, p):
-        q = q.x
+        q, p = q.x, p.x
         beta = max(-self.kappa * _lorentz(q, p), 1.0)
         c = _ucoef(beta)
         dc = _ucoef_deriv(beta)
@@ -279,7 +276,7 @@ class Hyperboloid(Manifold):
         return self._exp(self._point(apex), (radius / ng) * g)
 
     def random_tangent(self, p, rng):
-        p = self._array(p)
+        p = self.point(p).x
         v = self._project(p, rng.standard_normal(self.n + 1))
         return self._project(p, v)
 

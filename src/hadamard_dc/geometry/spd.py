@@ -275,6 +275,7 @@ class SPDManifold(Manifold):
                 f"{self.name}: point is not positive definite") from exc
 
     def check_tangent(self, x, v):
+        self.point(x)
         v = self._as_array(v, "tangent", (self.n, self.n))
         if _asymmetric(v):
             raise ValidationError(f"{self.name}: tangent is not symmetric")
@@ -306,27 +307,28 @@ class SPDManifold(Manifold):
     def _log(self, x, y):
         """log_X(Y) = L Log(L^-1 Y L^-T) L^T from the factor of the point X."""
         lower, c = x.factor
-        return sym(lower @ spd_fun(c @ y @ c.T, "log") @ lower.T)
+        return sym(lower @ spd_fun(c @ y.x @ c.T, "log") @ lower.T)
 
     def _dist(self, x, y):
-        """d(X, Y) through the eigvalsh of L^-1 X L^-T, L the factor of
-        the point Y."""
+        """d(X, Y) of the points X and Y through the eigvalsh of
+        L^-1 X L^-T, L the factor of Y."""
         c = y.factor[1]
-        w = np.linalg.eigvalsh(sym(c @ x @ c.T))
+        w = np.linalg.eigvalsh(sym(c @ x.x @ c.T))
         if np.any(w <= 0.0):
             raise DefinitenessError(
                 f"{self.name}: congruence lost definiteness in dist")
         return float(np.linalg.norm(np.log(w)))
 
     def project(self, x, a):
-        return sym(np.asarray(a, dtype=float))
+        self.point(x)
+        return sym(self._as_array(a, "ambient array", (self.n, self.n)))
 
     # ------------------------------------------------------------------
     # gradients and linear models
     # ------------------------------------------------------------------
 
     def egrad_to_rgrad(self, x, egrad):
-        x = self._array(x)
+        x = self.point(x).x
         g = sym(self._as_array(egrad, "euclidean gradient", (self.n, self.n)))
         return sym(x @ g @ x)
 
@@ -341,7 +343,7 @@ class SPDManifold(Manifold):
         """Group the spectrum of L^-1 V L^-T, L the factor of Y, by
         near-equality."""
         y = self.point(y)
-        return self._spectral_split(y.factor[1], self.check_tangent(y.x, v))
+        return self._spectral_split(y.factor[1], self.check_tangent(y, v))
 
     def _spectral_split(self, c, v):
         """``spectral_split`` from C = L^-1 and a validated direction V."""
@@ -430,7 +432,7 @@ class SPDRayProbe(RayProbe):
         c = y.factor[1]
         self.lam, u = sym_eig(c @ unit_dir @ c.T)
         uc = u.T @ c
-        self.ell = chol(uc @ x @ uc.T)
+        self.ell = chol(uc @ x.x @ uc.T)
         lmax = float(np.max(np.abs(self.lam)))
         self.t_guard = 1e12 if lmax == 0.0 else 1200.0 / lmax
 

@@ -3,10 +3,11 @@
 Each constructor returns a ready-made :class:`~hadamard_dc.dc.DCProblem`
 with analytic gradients and known-optimum metadata.  The problem closures
 take a :class:`~hadamard_dc.geometry.base.Point`, which the solver has
-validated, and call the unchecked geometry kernels; what several closures
+validated, and pass points to the unchecked geometry kernels (the
+Rosenbrock reference points are made points once); what several closures
 need at one point (Rosenbrock's two distances and logs, ln det X, the
 contrastive sums' spectra) they take from the point, which computes it
-once.
+once.  Rosenbrock's metadata ``f`` takes an array, through ``point``.
 """
 
 from __future__ import annotations
@@ -114,34 +115,32 @@ def rosenbrock_problem(params: RosenbrockParams = RosenbrockParams()) -> DCProbl
     # every a = 1 internal instance has one reference point; d_q and
     # log_p(qbar) are then d_p and log_p(pbar) bit for bit
     one_ref = pbar.tobytes() == qbar.tobytes()
-    # the distance kernel takes its second point as a point; the axis
-    # points lie on the sheet by construction, the overrides were checked
+    # the kernels take points; the axis points lie on the sheet by
+    # construction, the overrides were checked
     pbar_pt, qbar_pt = manifold._point(pbar), manifold._point(qbar)
 
     def _dists(p):
         dp = manifold._dist(p, pbar_pt)
         return dp, (dp if one_ref else manifold._dist(p, qbar_pt))
 
-    def _point_dists(p):
-        return _dists(p.x)
-
     def _sq_dist_grads(p):
         # gradients -2 log_p(ref) of d_p^2 and d_q^2
-        gsq_p = -2.0 * manifold._log(p, pbar)
-        return gsq_p, (gsq_p if one_ref else -2.0 * manifold._log(p, qbar))
+        gsq_p = -2.0 * manifold._log(p, pbar_pt)
+        return gsq_p, (gsq_p if one_ref
+                       else -2.0 * manifold._log(p, qbar_pt))
 
     def f(p):
-        dp, dq = _dists(p)
+        dp, dq = _dists(manifold.point(p))
         return (a - dp ** theta) ** 2 + b * (dq ** theta
                                              - dp ** (2 * theta)) ** 2
 
     def g(p):
-        dp, dq = p.derived(_point_dists)
+        dp, dq = p.derived(_dists)
         return (a * a + dp ** (2 * theta) + 2 * b * dq ** (2 * theta)
                 + 2 * b * dp ** (4 * theta))
 
     def h(p):
-        dp, dq = p.derived(_point_dists)
+        dp, dq = p.derived(_dists)
         return (2 * a * dp ** theta
                 + b * (dp ** (2 * theta) + dq ** theta) ** 2)
 
@@ -158,14 +157,14 @@ def rosenbrock_problem(params: RosenbrockParams = RosenbrockParams()) -> DCProbl
         return (0.5 * alpha) * d ** (alpha - 2.0) * gsq
 
     def g_rgrad(p):
-        dp, dq = p.derived(_point_dists)
+        dp, dq = p.derived(_dists)
         gsq_p, gsq_q = p.derived(_sq_dist_grads)
         return (_pow_grad(dp, gsq_p, 2 * theta)
                 + 2 * b * _pow_grad(dq, gsq_q, 2 * theta)
                 + 2 * b * _pow_grad(dp, gsq_p, 4 * theta))
 
     def h_subgrad(p):
-        dp, dq = p.derived(_point_dists)
+        dp, dq = p.derived(_dists)
         gsq_p, gsq_q = p.derived(_sq_dist_grads)
         u = dp ** (2 * theta) + dq ** theta
         return (2 * a * _pow_grad(dp, gsq_p, theta)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hadamard_dc import (DCProblem, DikinOrthant, Euclidean, Hyperboloid,
-                         SolverConfig, StalledInnerSolveError,
+                         NumericalDomainError, SolverConfig,
+                         StalledInnerSolveError,
                          ValidationError, ZeroDirectionError, complexity_bound_check,
                          inner_solve, make_b_subproblem, make_cr_subproblem,
                          make_rng, run_dca, scale_factor)
@@ -380,6 +381,50 @@ def test_run_dca_critical_start():
     assert len(trace.records) == 1
 
 
+@pytest.mark.parametrize("alg", ["cr_dca", "b_dca"])
+def test_run_dca_stops_at_max_outer(alg):
+    """A run that has not converged after max_outer steps exits
+    "max_outer" with k == max_outer; max_outer = 0 leaves one record, at
+    p0."""
+    rng = make_rng(6)
+    prob = euclid_strongly_convex(rng.standard_normal(3),
+                                  rng.standard_normal(3))
+    p0 = 4.0 * rng.standard_normal(3)
+    trace = run_dca(prob, p0, SolverConfig(algorithm=alg, max_outer=3))
+    assert trace.exit_reason == "max_outer"
+    assert trace.k == 3 and len(trace.records) == 4
+    assert trace.grad_norm > trace.eps
+    none = run_dca(prob, p0, SolverConfig(algorithm=alg, max_outer=0))
+    assert none.exit_reason == "max_outer"
+    assert none.k == 0 and len(none.records) == 1
+    assert np.array_equal(none.final.point, p0)
+    assert none.final.inner_iters == 0 and none.final.step_dist == 0.0
+
+
+def test_trial_outside_the_domain_is_rejected_and_the_search_halves():
+    """g = (p - 2)^2 on R raises NumericalDomainError above 3.  From p0 = 0
+    the first trial, alpha = 1, lands at 4: it is rejected, the search
+    halves, and the trial at 2 is accepted, inside the domain with a
+    lower phi."""
+    def g(p):
+        x = float(p.x[0])
+        trials.append(x)
+        if x > 3.0:
+            raise NumericalDomainError("outside the domain of g")
+        return (x - 2.0) ** 2
+
+    trials = []
+    prob = DCProblem(manifold=Euclidean(1), g=g, h=lambda p: 0.0,
+                     h_subgrad=lambda p: np.zeros(1),
+                     g_rgrad=lambda p: 2.0 * (p.x - 2.0), name="domain")
+    trace = run_dca(prob, np.zeros(1), SolverConfig(algorithm="b_dca"))
+    assert trials == [0.0, 4.0, 2.0]
+    assert trace.records[0].inner_iters == 1
+    assert trace.final.point[0] == 2.0
+    assert trace.fval < trace.records[0].fval
+    assert trace.exit_reason == "grad"
+
+
 def test_flat_equivalence_of_algorithms():
     rng = make_rng(4)
     z1 = rng.standard_normal(3)
@@ -429,6 +474,11 @@ def test_complexity_bound_check():
             complexity_bound_check(trace, sigma, prob.phi_inf)
     with pytest.raises(ValueError):
         complexity_bound_check(trace, 2.0, None)
+    # a trace without a step (here max_outer = 0) has no prefix to violate
+    still = run_dca(prob, 4.0 * rng.standard_normal(3),
+                    SolverConfig(algorithm="b_dca", max_outer=0))
+    assert still.step_dists() == []
+    assert complexity_bound_check(still, 2.0, prob.phi_inf) == (True, None)
 
 
 def test_complexity_bound_check_fails_a_nan_step_or_bound():

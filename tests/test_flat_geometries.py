@@ -89,7 +89,7 @@ def test_busemann_zero_direction_is_distance():
         q = m.random_point(rng)
         p = m.random_point(rng)
         ray = BusemannRay(q, m.zero_tangent(q))
-        assert same(m.busemann(ray, p), m._dist(p, m.point(q)))
+        assert same(m.busemann(ray, p), m._dist(m.point(p), m.point(q)))
         assert m.busemann(ray, p) == pytest.approx(m.dist(q, p), rel=1e-12)
         with pytest.raises(UndefinedGradientError):
             m.busemann_grad(ray, q)

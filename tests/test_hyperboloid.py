@@ -327,7 +327,7 @@ def reference_busemann(m, q, v, p):
     """The per-call closed form, with |v| and w rebuilt on every call."""
     nv = math.sqrt(max(reference_lorentz(v, v), 0.0))
     if nv == 0.0:
-        return m._dist(q, m.point(p))
+        return m._dist(m.point(q), m.point(p))
     w = m.kappa * q + (math.sqrt(m.kappa) / nv) * v
     arg = -reference_lorentz(p, w)
     if arg <= 0.0:
@@ -616,4 +616,4 @@ def test_log_matches_former_double_pairing(seed, n, kappa, radius):
     q = random_point_within(m, radius, rng)
     nan_p = np.full(n + 1, math.nan)
     for p in (q, q.copy(), random_point_within(m, radius, rng), nan_p):
-        assert same(m._log(m._point(q), p), former_log(m, q, p))
+        assert same(m._log(m._point(q), m._point(p)), former_log(m, q, p))

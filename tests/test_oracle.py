@@ -90,7 +90,7 @@ def test_spd_reduced_distance_matches_plain_path():
         v = m.random_tangent(y, rng)
         vhat = v / m.norm(y, v)
         x = m.random_point(rng)
-        probe = m._ray_probe(m.point(y), vhat, x)
+        probe = m._ray_probe(m.point(y), vhat, m.point(x))
         for t in (0.5, 2.0, 8.0):
             reduced = probe.distance(t)
             plain = m.dist(x, m.exp(y, t * vhat))

@@ -466,10 +466,10 @@ def former_rosenbrock_closures(prob, a, b, theta):
     pbar_pt, qbar_pt = m.point(pbar), m.point(qbar)
 
     def dists(p):
-        return m._dist(p.x, pbar_pt), m._dist(p.x, qbar_pt)
+        return m._dist(p, pbar_pt), m._dist(p, qbar_pt)
 
     def sq_dist_grads(p):
-        return -2.0 * m._log(p, pbar), -2.0 * m._log(p, qbar)
+        return -2.0 * m._log(p, pbar_pt), -2.0 * m._log(p, qbar_pt)
 
     def pow_grad(d, gsq, alpha):
         if d == 0.0:

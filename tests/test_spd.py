@@ -424,6 +424,7 @@ def test_kernels_at_a_point_take_its_factor():
     y.factor
     v = m.random_tangent(y, rng)
     x = m.random_point(rng)
+    x_pt = m.point(x)
     with primitive_counter() as counter:
         m.spectral_split(y, v)
         m.random_tangent(y, rng)
@@ -431,7 +432,7 @@ def test_kernels_at_a_point_take_its_factor():
         m.inner(y, v, v)
         m.exp(y, v)
         m.log(y, x)
-        m._ray_probe(y, v / m.norm(y, v), x)
+        m._ray_probe(y, v / m.norm(y, v), x_pt)
     assert counter.counts["factor"] == counter.counts["inv"] == 0
     assert counter.counts["solve"] == 0
     assert counter.counts["eigh"] == 4
@@ -776,3 +777,27 @@ def test_ray_speed_is_inf_where_a_finite_congruence_overflows():
         assert math.isnan(m._ray(y, np.diag([math.inf, 1.0])).speed)
     assert np.isfinite(ray.w).all()
     assert ray.speed == math.inf
+
+
+def test_log_singular_values_falls_back_to_the_standard_svd(monkeypatch):
+    """A Jacobi SVD that reports info != 0 warns once and takes the
+    standard SVD, whose logs match the converged ones on a
+    well-conditioned triangular factor."""
+    from hadamard_dc.geometry import spd
+
+    a = chol(rand_spd(4, make_rng(17)))
+    want = spd._log_singular_values(a)
+    jacobi = spd.dgejsv
+
+    def unconverged(a, **options):
+        *out, _ = jacobi(a, **options)
+        return (*out, 1)
+
+    monkeypatch.setattr(spd, "dgejsv", unconverged)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = spd._log_singular_values(a)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning,
+         "dgejsv did not converge, falling back to standard SVD")]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
