@@ -7,7 +7,10 @@ the current iterate p_k:
     classic:   minimize  g(p) - <s_k, log_{p_k} p>
     horofunction: minimize  g(p) + |s_k| B_{p_k, s_k}(p)
 
-On flat geometries the two subproblems coincide.  Each is g + scale *
+On flat geometries the two subproblems coincide.  Every problem
+supplies grad g: the inner solve is steepest descent on the subproblem
+and the outer gradient test gamma |grad phi| <= eps certifies a run, so
+both need it, and there is one solver path.  Each is g + scale *
 term with the model (term, scale) of h at p_k: the linear model and -1,
 or ``Manifold._support_term(p_k, s_k)``.  Subproblems are solved by
 Riemannian steepest descent with Armijo backtracking, stopped once the
@@ -53,7 +56,7 @@ import numpy as np
 
 from .errors import (NumericalDomainError, StalledInnerSolveError,
                      ValidationError)
-from .geometry.base import check_count, fd_riemannian_grad
+from .geometry.base import check_count
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +72,9 @@ _INNER_TOL_FACTOR = 0.1     # inner tolerance / eps_base and / |grad phi(p_k)|
 class DCProblem:
     """The pair (g, h) with evaluators and first-order providers.
 
-    ``g``, ``h``, ``h_subgrad`` and ``g_rgrad`` take a
+    Every field but the last four is required, the Riemannian gradient
+    ``g_rgrad`` of g included: a problem without it is a ``TypeError``
+    at construction.  ``g``, ``h``, ``h_subgrad`` and ``g_rgrad`` take a
     :class:`~hadamard_dc.geometry.base.Point` of ``manifold``, and
     ``h_subgrad`` must return a tangent vector at it.  ``phi`` and
     ``phi_grad`` take a point or an array, which they check.  ``sigma`` is
@@ -82,7 +87,7 @@ class DCProblem:
     g: callable
     h: callable
     h_subgrad: callable
-    g_rgrad: callable = None
+    g_rgrad: callable
     sigma: float = 0.0
     phi_inf: float = None
     name: str = "dc-problem"
@@ -95,8 +100,6 @@ class DCProblem:
     def phi_grad(self, p):
         """grad g - s at ``p``, with g's gradient and the subgradient s of
         h kept on the point for the caller's next use."""
-        if self.g_rgrad is None:
-            raise ValueError(f"{self.name}: no gradient provider registered for g")
         p = self.manifold.point(p)
         return p.derived(self.g_rgrad) - p.derived(self.h_subgrad)
 
@@ -134,10 +137,9 @@ class SolverTrace:
     ``step_dist`` belong to the move p_i -> p_{i+1} (zero on the final
     record).  Gradient norms are scaled by the run's gamma, matching the
     reporting convention of the benchmark tables.  ``exit_reason`` is one
-    of "grad", "step", "fixed_point", "max_outer", "stalled" (the first
-    line search of an inner solve ran out of halvings above the noise
-    floor; ``run_dca`` then raises StalledInnerSolveError with this
-    trace).
+    of "grad", "fixed_point", "max_outer", "stalled" (the first line
+    search of an inner solve ran out of halvings above the noise floor;
+    ``run_dca`` then raises StalledInnerSolveError with this trace).
     """
 
     records: list = field(default_factory=list)
@@ -186,8 +188,8 @@ class SubproblemObjective:
     inner solve accepts carries them to the outer tests and into the
     next inner solve, and g is evaluated once per point.  ``term`` None
     is the zero term (a horofunction subproblem with s_k = 0, or g
-    alone).  When g has no analytic gradient, ``grad`` takes central
-    finite differences of ``value``, which checks each difference point.
+    alone).  ``grad`` is the problem's grad g plus scale times the
+    term's gradient.
     """
 
     problem: DCProblem
@@ -203,8 +205,6 @@ class SubproblemObjective:
     def grad(self, p):
         problem = self.problem
         p = problem.manifold.point(p)
-        if problem.g_rgrad is None:
-            return fd_riemannian_grad(problem.manifold, self.value, p)
         g_grad_p = p.derived(problem.g_rgrad)
         return g_grad_p if self.term is None \
             else g_grad_p + self.scale * self.term.grad(p)
@@ -221,15 +221,10 @@ def _grad_norm(problem, p):
     return m._norm(p, m.check_tangent(p, problem.phi_grad(p)))
 
 
-def _model_point(problem: DCProblem, p_k, s_k, kind):
-    """p_k as a point and s_k checked at it; warns where g has no analytic
-    gradient."""
+def _model_point(problem: DCProblem, p_k, s_k):
+    """p_k as a point and s_k checked at it."""
     p_k = problem.manifold.point(p_k)
-    s_k = problem.manifold.check_tangent(p_k, s_k)
-    if problem.g_rgrad is None:
-        logger.warning("%s: no analytic gradient for g, %s subproblem falls "
-                       "back to finite differences", problem.name, kind)
-    return p_k, s_k
+    return p_k, problem.manifold.check_tangent(p_k, s_k)
 
 
 def make_cr_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
@@ -239,7 +234,7 @@ def make_cr_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     prepares the linear model once.  Its scale is -1, since a - b and
     a + (-1.0 * b) are equal bit for bit.
     """
-    p_k, s_k = _model_point(problem, p_k, s_k, "classic")
+    p_k, s_k = _model_point(problem, p_k, s_k)
     return SubproblemObjective(problem,
                                problem.manifold._linear_model(p_k, s_k), -1.0)
 
@@ -253,7 +248,7 @@ def make_b_subproblem(problem: DCProblem, p_k, s_k) -> SubproblemObjective:
     subproblem to minimizing g.  Validates ``s_k``, and ``p_k`` unless it
     is a point already.
     """
-    p_k, s_k = _model_point(problem, p_k, s_k, "horofunction")
+    p_k, s_k = _model_point(problem, p_k, s_k)
     return SubproblemObjective(problem,
                                *problem.manifold._support_term(p_k, s_k))
 
@@ -283,13 +278,12 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     the manifold of ``objective.problem``.
 
     Returns (point, iteration count, first index), the point a
-    :class:`~hadamard_dc.geometry.base.Point` that carries g and grad g
-    (when g has an analytic gradient), the first index the grid index
-    that the first line search accepted (``first_index`` if it accepted
-    none).  The outer loop passes the point the previous inner solve
-    returned as ``start`` and its first index as ``first_index``, so g
-    is evaluated once at each trial point and its gradient once at each
-    accepted one.
+    :class:`~hadamard_dc.geometry.base.Point` that carries g and grad g,
+    the first index the grid index that the first line search accepted
+    (``first_index`` if it accepted none).  The outer loop passes the
+    point the previous inner solve returned as ``start`` and its first
+    index as ``first_index``, so g is evaluated once at each trial point
+    and its gradient once at each accepted one.
 
     The first line search tries the grid steps alpha_i = alpha_s 2^-i,
     made by repeated halving from alpha_s = min(1, ``_STEP_NORM_CAP`` /
@@ -436,17 +430,14 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     eps = gamma * eps_base.  Gradient norms in the trace are therefore
     the scaled gamma * |grad phi(p_k)| (so the gradient stop
     gamma * |grad phi| <= eps is |grad phi| <= eps_base), while step
-    distances are manifold distances compared against eps directly.
-    A short step alone does not certify criticality on smooth problems,
-    so the step exit additionally requires the gradient test at the new
-    iterate.  Each iterate is one point, checked once (p0 here, every
-    later one as a trial of the inner solve that reached it), which keeps
-    g, grad g and the one subgradient s_k of h taken there: phi = g - h,
-    the gradient test grad g - s_k, the subproblem and the next inner
-    solve share them.  A non-smooth problem takes s_k only where a
-    subproblem is built.  Each inner solve runs with tolerance
-    ``_INNER_TOL_FACTOR`` eps_base, which it raises to
-    ``_INNER_TOL_FACTOR`` |grad phi(p_k)| far from stationarity.  An
+    distances are only recorded: the run stops on the gradient test, so
+    a short step certifies nothing by itself.  Each iterate is one point,
+    checked once (p0 here, every later one as a trial of the inner solve
+    that reached it), which keeps g, grad g and the one subgradient s_k
+    of h taken there: phi = g - h, the gradient test grad g - s_k, the
+    subproblem and the next inner solve share them.  Each inner solve
+    runs with tolerance ``_INNER_TOL_FACTOR`` eps_base, which it raises
+    to ``_INNER_TOL_FACTOR`` |grad phi(p_k)| far from stationarity.  An
     inner solve that takes no step (a floored or noise-floor first
     search) ends the run as "fixed_point"; any other stalled first line
     search raises StalledInnerSolveError with the partial trace as
@@ -454,16 +445,14 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     """
     manifold = problem.manifold
     p = manifold.point(p0)
-    smooth = problem.g_rgrad is not None
-    gamma = scale_factor(problem, p) if smooth else 1.0
+    gamma = scale_factor(problem, p)
     eps = gamma * cfg.eps_base
     inner_tol = _INNER_TOL_FACTOR * cfg.eps_base
     make = make_cr_subproblem if cfg.algorithm == "cr_dca" else make_b_subproblem
 
     def phi_and_tests(p):
-        # (phi(p), gamma |grad phi(p)|), inf where there is no gradient test
-        return problem.phi(p), \
-            gamma * _grad_norm(problem, p) if smooth else math.inf
+        # (phi(p), gamma |grad phi(p)|)
+        return problem.phi(p), gamma * _grad_norm(problem, p)
 
     trace = SolverTrace(gamma=gamma, eps=eps, algorithm=cfg.algorithm,
                         problem=problem.name)
@@ -499,9 +488,6 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
         fp, gn = phi_and_tests(p)
         if n_inner == 0:            # no step taken, so p_next is p
             trace.exit_reason = "fixed_point"
-            break
-        if step <= eps and (not smooth or gn <= eps):
-            trace.exit_reason = "step"
             break
 
     record()

@@ -48,10 +48,11 @@ class DikinOrthant(Manifold):
     def _exp(self, p, v):
         p = p.x
         expo = v / p
-        if np.max(np.abs(expo)) > _EXPONENT_GUARD:
+        top = np.max(np.abs(expo))
+        if not top <= _EXPONENT_GUARD:      # NaN too, before np.exp sees it
             raise OverflowError(
                 f"{self.name}: exponential map overflows, max |v_i/q_i| = "
-                f"{np.max(np.abs(expo)):.3g}")
+                f"{top:.3g}")
         return p * np.exp(expo)
 
     def _log(self, p, q):

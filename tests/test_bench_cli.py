@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import hadamard_dc
-from hadamard_dc.bench import CSV_COLUMNS, records_to_csv, records_to_json
+from hadamard_dc.bench import (CSV_COLUMNS, family_params, records_to_csv,
+                               records_to_json)
 from hadamard_dc.cli import build_parser, main
 
 
@@ -26,6 +27,14 @@ def strip_time(csv_text):
     rows = [line.split(",") for line in csv_text.strip().splitlines()]
     idx = rows[0].index("time_s")
     return [[c for i, c in enumerate(r) if i != idx] for r in rows]
+
+
+def test_family_params_rejects_an_unknown_benchmark():
+    """A subcommand that names no benchmark family is a ValueError naming
+    it, whatever the flags."""
+    args = build_parser().parse_args(["spd-academic"])
+    with pytest.raises(ValueError, match="unknown benchmark 'verify'"):
+        family_params("verify", args)
 
 
 def test_csv_schema_and_values(capsys):

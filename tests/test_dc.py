@@ -212,7 +212,7 @@ def test_inexact_inner_solves_descend_and_certify_eps(alg):
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
         fvals = trace.fvals()
         assert all(b <= a for a, b in zip(fvals, fvals[1:]))
-        assert trace.exit_reason in ("grad", "step", "fixed_point")
+        assert trace.exit_reason in ("grad", "fixed_point")
         if trace.exit_reason != "fixed_point":
             assert trace.grad_norm <= trace.eps
 
@@ -451,7 +451,7 @@ def test_descent_and_fval_monotone():
     steps = trace.step_dists()
     for i, d in enumerate(steps):
         assert fvals[i + 1] <= fvals[i] - 0.5 * sigma * d * d + 1e-9
-    assert trace.exit_reason in ("grad", "step")
+    assert trace.exit_reason == "grad"
     assert trace.grad_norm <= trace.eps
 
 
@@ -508,7 +508,7 @@ def test_stationarity_surrogate_at_step_exit():
     x0 = prob.metadata["fixed_start"]
     for alg in ("cr_dca", "b_dca"):
         tr = run_dca(prob, x0, SolverConfig(algorithm=alg))
-        assert tr.exit_reason in ("grad", "step")
+        assert tr.exit_reason == "grad"
         m = prob.manifold
         p = m.point(tr.final.point)
         resid = m.norm(p.x, prob.g_rgrad(p) - prob.h_subgrad(p)) * tr.gamma
@@ -529,77 +529,12 @@ def test_config_validation():
             inner_solve(None, None, tol)
 
 
-def test_phi_grad_requires_provider():
-    prob = DCProblem(manifold=Euclidean(2), g=lambda p: 0.0,
-                     h=lambda p: 0.0, h_subgrad=lambda p: np.zeros(2))
-    with pytest.raises(ValueError):
-        prob.phi_grad(np.zeros(2))
-
-
-def test_fd_fallback_and_gradient_free_outer_loop(caplog):
-    import logging
-    c = np.array([1.0, -2.0])
-    m = Euclidean(2)
-    prob = DCProblem(
-        manifold=m,
-        g=lambda p: float(p.x @ p.x),
-        h=lambda p: float(c @ p.x),
-        h_subgrad=lambda p: c.copy(),
-        name="gradient-free")
-    p = np.array([0.7, -0.4])
-    # every build site: classic, horofunction with s_k != 0, and with s_k = 0
-    for make, s_k, want in ((make_cr_subproblem, c, 2 * p - c),
-                            (make_b_subproblem, c, 2 * p - c),
-                            (make_b_subproblem, np.zeros(2), 2 * p)):
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="hadamard_dc.dc"):
-            obj = make(prob, np.zeros(2), s_k)
-        assert obj.problem is prob
-        assert obj.value(p) == prob.g(m.point(p)) + (
-            0.0 if obj.term is None
-            else obj.scale * obj.term.value(m.point(p)))
-        assert sum("finite differences" in r.message
-                   for r in caplog.records) == 1
-        np.testing.assert_allclose(obj.grad(p), want, atol=1e-5)
-    # the outer loop runs without a gradient provider: gamma = 1 and the
-    # step criterion alone stops the run
-    trace = run_dca(prob, np.array([4.0, 4.0]),
-                    SolverConfig(algorithm="b_dca"))
-    assert trace.gamma == 1.0
-    assert trace.exit_reason in ("step", "fixed_point")
-    np.testing.assert_allclose(trace.final.point, c / 2, atol=1e-3)
-
-
-@pytest.mark.parametrize("make", [make_cr_subproblem, make_b_subproblem])
-def test_fd_fallback_checks_each_difference_point(make, monkeypatch):
-    """Without an analytic gradient, ``grad`` differences ``value`` at the
-    points exp_p(+-h e_i) as arrays, which it checks: an exponential map
-    that leaves the manifold raises instead of reaching g."""
-    m = DikinOrthant(2)
-    prob = DCProblem(manifold=m, g=lambda p: float(np.sum(np.log(p.x) ** 2)),
-                     h=lambda p: 0.0, h_subgrad=lambda p: np.ones(2),
-                     name="gradient-free")
-    obj = make(prob, np.ones(2), np.ones(2))
-    monkeypatch.setattr(m, "_exp", lambda p, v: -np.ones(2))
-    with pytest.raises(ValidationError):
-        obj.grad(np.ones(2))
-
-
-def test_gradient_free_outer_loop_takes_one_subgradient_per_step():
-    """Without a gradient test, s_k is taken only where a subproblem is
-    built: once per outer step and not at the final iterate."""
-    c = np.array([1.0, -2.0])
-    calls = []
-    prob = DCProblem(
-        manifold=Euclidean(2),
-        g=lambda p: float(p.x @ p.x),
-        h=lambda p: float(c @ p.x),
-        h_subgrad=lambda p: calls.append(p) or c.copy(),
-        name="gradient-free")
-    trace = run_dca(prob, np.array([4.0, 4.0]),
-                    SolverConfig(algorithm="cr_dca"))
-    assert trace.k > 0
-    assert len(calls) == trace.k
+def test_problem_requires_g_rgrad():
+    """grad g is a required field: the solver has one, gradient-based,
+    path."""
+    with pytest.raises(TypeError, match="g_rgrad"):
+        DCProblem(manifold=Euclidean(2), g=lambda p: 0.0,
+                  h=lambda p: 0.0, h_subgrad=lambda p: np.zeros(2))
 
 
 def _counting_run(prob, start, alg):
@@ -642,7 +577,7 @@ def test_run_dca_evaluates_each_point_once(instance, alg):
     and the gradient test share."""
     prob, start = instance()
     trace, counts = _counting_run(prob, start, alg)
-    assert trace.exit_reason in ("grad", "step", "fixed_point")
+    assert trace.exit_reason in ("grad", "fixed_point")
     assert trace.k > 0 and counts["trials"] >= trace.inner_total
     assert counts["g_rgrad"] == trace.inner_total + 1
     assert counts["g"] == counts["trials"] + 1

@@ -271,11 +271,16 @@ def test_dikin_exp_overflow_guard():
        nan=st.booleans())
 @example(seed=0, dikin=True, n=3, log10_t=3.5, nan=False)   # above the guard
 @example(seed=1, dikin=False, n=2, log10_t=0.0, nan=True)   # NaN direction
+# FOUND on the Dikin exponent guard: a NaN entry made max |v_i/q_i| NaN,
+# which passed the guard, so another entry's v_i/q_i of about 2,084
+# overflowed in np.exp before the NaN point was rejected
+@example(seed=4, dikin=True, n=2, log10_t=3.5, nan=True)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ray_step_matches_checked_exp(seed, dikin, n, log10_t, nan):
     """On the flat geometries ``_ray(p, d).step(t)`` is the point of
     ``check_point(_exp(p, t d))``: the same bytes, or the same error type
-    and message, at t and at a halving; the ray's speed is the bytes of
-    ``_norm(p, d)``."""
+    and message, at t and at a halving, with no RuntimeWarning; the ray's
+    speed is the bytes of ``_norm(p, d)``."""
     m = DikinOrthant(n) if dikin else Euclidean(n)
     rng = np.random.default_rng(seed)
     p = m.random_point(rng)
@@ -321,6 +326,30 @@ def test_tangent_basis_orthonormal_everywhere():
                 for j, ej in enumerate(basis):
                     want = 1.0 if i == j else 0.0
                     assert abs(manifold.inner(p, ei, ej) - want) <= tol
+
+
+def test_tangent_basis_raises_when_the_directions_span_too_little(
+        monkeypatch):
+    """Candidate directions that span less than the tangent space are a
+    ValidationError naming how many directions were found."""
+    m = Euclidean(2)
+    monkeypatch.setattr(m, "coordinate_directions",
+                        lambda: [np.array([1.0, 0.0]), np.array([2.0, 0.0])])
+    with pytest.raises(ValidationError, match="found 1 of 2"):
+        m.tangent_basis(np.zeros(2))
+
+
+def test_random_point_near_a_zero_tangent_is_the_center(monkeypatch):
+    """A zero tangent draw gives a copy of the center, after the radius
+    draw, so the stream moves on as for any other draw."""
+    m = DikinOrthant(2)
+    center = np.array([1.0, 2.0])
+    monkeypatch.setattr(m, "random_tangent", lambda c, rng: np.zeros(2))
+    rng, fresh = make_rng(24), make_rng(24)
+    got = m.random_point_near(center, 1.0, rng)
+    assert same(got, center) and got is not center
+    fresh.uniform(0.0, 1.0)
+    assert same(rng.random(), fresh.random())
 
 
 @pytest.mark.parametrize("manifold", all_geometries(), ids=lambda m: m.name)

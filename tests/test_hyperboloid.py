@@ -13,7 +13,7 @@ from hadamard_dc import (BusemannRay, Hyperboloid, NumericalDomainError,
                          ZeroDirectionError, busemann_numeric,
                          fd_riemannian_grad, make_rng)
 from hadamard_dc.geometry.hyperboloid import (_EXP_ARG_GUARD, _TINY,
-                                              _lorentz, _ucoef)
+                                              _lorentz, _ucoef, arcosh)
 from helpers import bytes_or_error, examples, rel_err, same
 
 EPS = float(np.finfo(float).eps)
@@ -291,6 +291,28 @@ def test_random_point_determinism_and_validity():
     rng = make_rng(12)
     for _ in range(1000):
         m.check_point(m.random_point(rng))
+
+
+class ZeroDraws:
+    """An rng whose Gaussian draws are all zero and that has no uniform."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_random_point_of_a_zero_draw_is_the_apex():
+    """A zero Gaussian draw has no direction: the apex, with no radius
+    drawn."""
+    m = Hyperboloid(3)
+    assert same(m.random_point(ZeroDraws()), m.apex())
+
+
+def test_arcosh_is_zero_at_and_below_one():
+    """Rounding can put a pairing -<x, y>_L of two close points at or
+    below 1; the distance there is 0."""
+    for x in (1.0, 1.0 - 1e-16, 0.5, -3.0):
+        assert arcosh(x) == 0.0
+    assert arcosh(1.0 + 2e-16) > 0.0
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """``tools/line_coverage.py`` on in-memory source."""
 
+import sys
+
 from helpers import load_tool
 
 line_coverage = load_tool("line_coverage")
@@ -68,11 +70,27 @@ def test_tracer_records_lines_under_its_root_only(tmp_path):
     exec(compile(code, str(inside), "exec"), scope)
     other = {}
     exec(compile(code, str(tmp_path / "other.py"), "exec"), other)
-    tracer = line_coverage.LineTracer(inside.parent)
-    tracer.start()
-    try:
-        scope["h"](1)
-        other["h"](1)
-    finally:
-        tracer.stop()
-    assert tracer.lines == {str(inside): {2, 3}}
+    lines = line_coverage.traced(inside.parent,
+                                 lambda: (scope["h"](1), other["h"](1)))
+    assert lines == {str(inside): {2, 3}}
+
+
+def test_traced_records_the_lines_of_every_run(tmp_path):
+    """The lines that the runs execute, over all runs; the tracer in
+    place before is back afterwards."""
+    path = tmp_path / "pkg" / "mod.py"
+    path.parent.mkdir()
+    code = "def f(a):\n    if a > 0:\n        return 1\n    return 2\n"
+    path.write_text(code)
+    scope = {}
+    exec(compile(code, str(path), "exec"), scope)
+    before = sys.gettrace()
+    lines = line_coverage.traced(path.parent, lambda: scope["f"](1),
+                                 lambda: scope["f"](-1))
+    assert sys.gettrace() is before
+    assert lines == {str(path): {2, 3, 4}}
+    assert line_coverage.missed(code, lines[str(path)]) == []
+
+
+def test_traced_runs_nothing_when_given_nothing(tmp_path):
+    assert line_coverage.traced(tmp_path) == {}

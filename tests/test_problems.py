@@ -195,6 +195,12 @@ def test_contrastive_validation():
             contrastive_problem(ContrastiveParams(n=3, m=2, r=1,
                                                   neg_weights=(weight,)),
                                 make_rng(0))
+    # references given, fewer than the declared m or r
+    for refs in ({"positives": [np.eye(3)], "negatives": [np.eye(3)]},
+                 {"positives": [np.eye(3)] * 2, "negatives": []}):
+        with pytest.raises(ValidationError, match="reference counts"):
+            contrastive_problem(ContrastiveParams(n=3, m=2, r=1),
+                                make_rng(0), **refs)
 
 
 def test_contrastive_single_positive_minimizer():
@@ -325,7 +331,7 @@ def test_contrastive_b_dca_prepares_each_step_once(monkeypatch):
     monkeypatch.setattr(SPDManifold, "_spectral_split", counted_split)
     with primitive_counter() as counter:
         trace = run_dca(prob, start, SolverConfig(algorithm="b_dca"))
-    assert trace.exit_reason in ("grad", "step")
+    assert trace.exit_reason == "grad"
     assert counts["ray"] == trace.k > 0
     assert counts["split"] == counts["ray"]
     assert counter.counts["eigh"] == (counter.counts["step"]
@@ -361,7 +367,7 @@ def test_valley_b_dca_prepares_each_step_once(monkeypatch):
     monkeypatch.setattr(Hyperboloid, "_horo_center", counted_center)
     prob.h_subgrad = counted_subgrad
     trace = run_dca(prob, start, SolverConfig(algorithm="b_dca"))
-    assert trace.exit_reason in ("grad", "step")
+    assert trace.exit_reason == "grad"
     assert counts["center"] == counts["ray"] > 0
     assert counts["ray"] <= trace.k
     assert counts["subgrad"] == len(trace.records)

@@ -52,3 +52,18 @@ def test_a_difference_outside_the_rows_is_still_reported():
         "  parent: b",
         "  change: <end of output>",
     ]
+
+
+def test_src_statements_counts_the_statements_of_every_module(tmp_path):
+    """Each tree's count is the sum over its ``.py`` files, nested ones
+    included, of the statements ``line_coverage`` lists: a docstring or
+    a comment is not one."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    (parent / "pkg").mkdir(parents=True)
+    change.mkdir()
+    (parent / "a.py").write_text('"""Doc."""\nimport math\nX = 1\n')
+    (parent / "pkg" / "b.py").write_text("def f():\n    return 2\n")
+    (parent / "notes.txt").write_text("x = 1\n")
+    (change / "a.py").write_text('"""Doc."""\n# X = 1\nimport math\n')
+    assert same_results.src_statements(parent) == 3
+    assert same_results.src_statements(change) == 1

@@ -615,6 +615,21 @@ def mp_sq_dist_sum(x, weights, refs):
     return value, grad
 
 
+def test_distance_sum_raises_where_the_congruence_loses_definiteness():
+    """A point and two references drawn independently with eigenvalues
+    10^(+-5) on SPD(4), the family of the FOUND on SPDDistanceSum: the
+    stacked spectrum of L_i^-1 X L_i^-T has a nonpositive mu, which is a
+    DefinitenessError of the value and of the gradient, not a NaN."""
+    rng = np.random.default_rng(0)
+    x = conditioned_spd(4, rng, 10.0)
+    refs = np.array([conditioned_spd(4, rng, 10.0) for _ in range(2)])
+    dist_sum = SPDDistanceSum(chol(refs), np.ones(2))
+    pt = SPDManifold(4).point(x)
+    for evaluate in (dist_sum.value, dist_sum.grad):
+        with pytest.raises(DefinitenessError, match="distance sum"):
+            evaluate(pt)
+
+
 @pytest.mark.parametrize("log10_cond", [0, 2, 6, 10])
 @settings(max_examples=examples(4), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))

@@ -96,6 +96,19 @@ class LineTracer:
         threading.settrace(self._saved[1])
 
 
+def traced(root, *runs):
+    """{absolute path: set of lines} that the callables ``runs``, called in
+    order under one ``LineTracer``, execute in files under ``root``."""
+    tracer = LineTracer(root)
+    tracer.start()
+    try:
+        for run in runs:
+            run()
+    finally:
+        tracer.stop()
+    return tracer.lines
+
+
 def report(lines_by_file, root=SRC):
     """The report lines for every ``.py`` file under ``root``, given the
     traced lines per absolute path."""
@@ -119,14 +132,10 @@ def main(argv):
 
     os.chdir(ROOT)
     sys.path.insert(0, str(SRC))
-    tracer = LineTracer(SRC)
-    tracer.start()
-    try:
-        code = pytest.main(argv or ["-q"])
-    finally:
-        tracer.stop()
-    print("\n".join(report(tracer.lines)))
-    return int(code)
+    codes = []
+    lines = traced(SRC, lambda: codes.append(pytest.main(argv or ["-q"])))
+    print("\n".join(report(lines)))
+    return int(codes[0])
 
 
 if __name__ == "__main__":

@@ -12,7 +12,11 @@ render of ``tests/test_golden_oracle.py``.  For each it prints
 ``identical``, or how the two outputs differ: for the rows of
 ``cli_rows.py`` the lines of the ``tools/row_moves.py`` report that name
 a move, and for every output the first line that differs.  Exits 1 if
-any output differs.  Standard library only.
+any output differs.  First it prints one line for information, ``src
+statements: parent N, change M``, the statements of the two ``src``
+trees as ``tools/line_coverage.py`` counts them (docstrings and
+comments are not statements); it is not a difference.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
+import line_coverage  # noqa: E402
 import row_moves  # noqa: E402
 
 # (name, script and arguments, whether its output is cli_rows rows)
@@ -61,6 +66,13 @@ def compare(parent, change, rows=False):
     return out
 
 
+def src_statements(src):
+    """The number of statements of the ``.py`` files under ``src``, as
+    ``line_coverage.statements`` counts them."""
+    return sum(len(line_coverage.statements(path.read_text()))
+               for path in Path(src).rglob("*.py"))
+
+
 def run(argv, src):
     """The stdout lines of this tree's script ``argv`` with ``src`` on
     PYTHONPATH, and the last stderr line when it exits nonzero."""
@@ -84,6 +96,8 @@ def main(argv=None):
     if not (args.parent / "src").is_dir():
         parser.error(f"{args.parent} has no src directory")
     checks = CHECKS + ((VALLEY,) if args.valley else ())
+    print(f"src statements: parent {src_statements(args.parent / 'src')}, "
+          f"change {src_statements(ROOT / 'src')}")
     differ = False
     for name, script, rows in checks:
         report = compare(run(script, args.parent.resolve() / "src"),
