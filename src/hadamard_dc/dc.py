@@ -14,18 +14,22 @@ both need it, and there is one solver path.  Each is g + scale *
 term with the model (term, scale) of h at p_k: the linear model and -1,
 or ``Manifold._support_term(p_k, s_k)``.  Subproblems are solved by
 Riemannian steepest descent with Armijo backtracking, stopped once the
-subproblem gradient is at most max(tol, ``_INNER_TOL_FACTOR`` |grad
-phi(p_k)|): by the support inequality h(p) >= h(p_k) - |s_k|
-B_{p_k,s_k}(p) (convexity of h for the classic model) each subproblem
-majorizes phi up to a constant and touches it at p_k with the gradient
-grad phi(p_k), so any accepted step lowers phi and the subproblem need
-not be solved exactly; the outer tests certify eps.  The horofunction
-subproblem is geodesically convex (g is convex and so is every
-Busemann function), so along a search ray its Armijo test passes on an
-interval of steps: there the first line search of an inner solve starts
-at the grid index that the previous outer step's first search accepted,
-which ``run_dca`` carries, and returns the step a search from index 0
-would, bit for bit.  The classic subproblem's term need not be convex,
+subproblem gradient is at most the fixed tol, or at most
+``_INNER_REL_FACTOR`` |grad phi(p_k)| where phi has also fallen by
+(sigma/2) d(p_k, p)^2 (at once where the problem's sigma is 0): by the
+support inequality h(p) >= h(p_k) - |s_k| B_{p_k,s_k}(p) (convexity of h
+for the classic model) each subproblem majorizes phi up to a constant
+and touches it at p_k with the gradient grad phi(p_k), so any accepted
+step lowers phi and the subproblem need not be solved exactly.  The
+exact minimizer lowers phi by (sigma/2) d^2, the decrease that
+``complexity_bound_check`` sums, and a solve stopped short of it holds
+that decrease as its certificate; the outer tests certify eps.  The
+horofunction subproblem is geodesically convex (g is convex and so is
+every Busemann function), so along a search ray its Armijo test passes
+on an interval of steps: there the first line search of an inner solve
+starts at the grid index that the previous outer step's first search
+accepted, which ``run_dca`` carries, and returns the step a search from
+index 0 would, bit for bit.  The classic subproblem's term need not be convex,
 and its first search starts at index 0.
 
 Every iterate and trial point is a prepared point
@@ -65,7 +69,8 @@ _MAX_INNER_ITERS = 500      # steepest-descent steps per inner solve
 _ARMIJO_C1 = 1e-4           # sufficient-decrease constant
 _BACKTRACK = 0.5            # step shrink factor per halving
 _MAX_HALVINGS = 60          # halvings before a line search stalls
-_INNER_TOL_FACTOR = 0.1     # inner tolerance / eps_base and / |grad phi(p_k)|
+_INNER_TOL_FACTOR = 0.1     # fixed inner tolerance / eps_base
+_INNER_REL_FACTOR = 0.7     # relative inner stop / |grad phi(p_k)|
 
 
 @dataclass
@@ -272,7 +277,7 @@ def _sufficient(fp, fc, required, decrease_floor):
 
 
 def inner_solve(objective: SubproblemObjective, start, tol: float,
-                first_index: int = 0):
+                first_index: int = 0, certify=None):
     """Riemannian steepest descent with Armijo backtracking on g + scale *
     term, (term, scale) the linear model and -1 or ``_support_term``, on
     the manifold of ``objective.problem``.
@@ -308,20 +313,23 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     ``speed`` is the gradient norm, and every trial from p is one
     ``ray.step(alpha)``, the checked point of exp_p(-alpha grad), so the
     trials from one iterate share what the ray prepared (on SPD, one
-    eigendecomposition).  Stops when the subproblem gradient norm
-    drops to max(``tol``, ``_INNER_TOL_FACTOR`` |grad| at ``start``) (at
-    p_k the subproblem's gradient is grad phi(p_k), and its decrease
-    bounds phi's, so a rough solve far from stationarity is enough),
-    after ``_MAX_INNER_ITERS`` steps, or when a line search ends without
-    a step.  A search ends so in one of two ways, which share one exit:
-    a trial is floored (the sufficient-decrease test falls below
-    double-precision resolution of the objective while the gradient is
-    at most 1e3 ``tol``, so the point is as converged as evaluations
-    allow), or the search runs out of ``_MAX_HALVINGS`` halvings.  The
-    solve then returns its current iterate, ``start`` with no step if
-    it was the first search.  Raises StalledInnerSolveError instead if
-    the first line search runs out of halvings with a gradient above
-    1e3 ``tol``.
+    eigendecomposition).  Stops when the subproblem gradient norm drops
+    to ``tol``; when it drops to ``_INNER_REL_FACTOR`` |grad| at
+    ``start`` at an iterate p where ``certify`` is None or
+    ``certify(p)`` holds (at p_k the subproblem's gradient is grad
+    phi(p_k), and its decrease bounds phi's, so a rough solve far from
+    stationarity is enough; ``run_dca`` certifies the decrease the
+    complexity bound needs, and the solve goes on where ``certify(p)``
+    is false); after ``_MAX_INNER_ITERS`` steps; or when a line search
+    ends without a step.  A search ends so in one of two ways, which
+    share one exit: a trial is floored (the sufficient-decrease test
+    falls below double-precision resolution of the objective while the
+    gradient is at most 1e3 ``tol``, so the point is as converged as
+    evaluations allow), or the search runs out of ``_MAX_HALVINGS``
+    halvings.  The solve then returns its current iterate, ``start``
+    with no step if it was the first search.  Raises
+    StalledInnerSolveError instead if the first line search runs out of
+    halvings with a gradient above 1e3 ``tol``.
     ``start``, unless it is a point already, and every trial point (in
     ``step``) are validated and made points, so the objective only sees
     checked points; the accepted iterate is not checked again when a
@@ -337,13 +345,15 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     fp = objective.value(p)
     ray = manifold._ray(p, -objective.grad(p))
     gn = ray.speed
-    stop = max(tol, _INNER_TOL_FACTOR * gn)
+    rel_stop = _INNER_REL_FACTOR * gn
     iters = 0
     alpha_prev = None
     eps_mach = float(np.finfo(float).eps)
     convex = objective.scale >= 0.0
 
-    while gn > stop and iters < _MAX_INNER_ITERS:
+    while gn > tol and iters < _MAX_INNER_ITERS:
+        if gn <= rel_stop and (certify is None or certify(p)):
+            break
         decrease_floor = 8.0 * eps_mach * (1.0 + abs(fp))
         if alpha_prev is None:
             alpha = 1.0
@@ -436,12 +446,17 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     that reached it), which keeps g, grad g and the one subgradient s_k
     of h taken there: phi = g - h, the gradient test grad g - s_k, the
     subproblem and the next inner solve share them.  Each inner solve
-    runs with tolerance ``_INNER_TOL_FACTOR`` eps_base, which it raises
-    to ``_INNER_TOL_FACTOR`` |grad phi(p_k)| far from stationarity.  An
-    inner solve that takes no step (a floored or noise-floor first
-    search) ends the run as "fixed_point"; any other stalled first line
-    search raises StalledInnerSolveError with the partial trace as
-    ``exc.trace``.
+    runs with tolerance ``_INNER_TOL_FACTOR`` eps_base, and stops at
+    ``_INNER_REL_FACTOR`` |grad phi(p_k)| far from stationarity.  Where
+    ``problem.sigma`` > 0 that stop holds at p only where phi(p_k) -
+    phi(p) >= (sigma/2) d(p_k, p)^2, so every step it ends meets the
+    decrease the exact subproblem minimizer meets and
+    ``complexity_bound_check`` holds at any stop factor: the certificate
+    computes d(p_k, p) and phi(p) once per point and the outer step
+    takes them from it.  An inner solve that takes no step (a floored or
+    noise-floor first search) ends the run as "fixed_point"; any other
+    stalled first line search raises StalledInnerSolveError with the
+    partial trace as ``exc.trace``.
     """
     manifold = problem.manifold
     p = manifold.point(p0)
@@ -450,14 +465,28 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     inner_tol = _INNER_TOL_FACTOR * cfg.eps_base
     make = make_cr_subproblem if cfg.algorithm == "cr_dca" else make_b_subproblem
 
-    def phi_and_tests(p):
-        # (phi(p), gamma |grad phi(p)|)
-        return problem.phi(p), gamma * _grad_norm(problem, p)
+    sigma = problem.sigma
+
+    def move(q):
+        # d(p_k, q) and phi(q) of a candidate p_{k+1}, computed once: the
+        # certificate and the outer step share them
+        nonlocal moved
+        if moved[0] is not q:
+            moved = q, manifold._dist(p, q), problem.phi(q)
+        return moved[1:]
+
+    def certified(q):
+        # the decrease (sigma/2) d^2 that the exact subproblem minimizer
+        # meets, and that complexity_bound_check sums over the steps
+        d, fq = move(q)
+        return fp - fq >= 0.5 * sigma * d * d
+
+    certify = certified if sigma > 0.0 else None
 
     trace = SolverTrace(gamma=gamma, eps=eps, algorithm=cfg.algorithm,
                         problem=problem.name)
     t0 = time.perf_counter()
-    fp, gn = phi_and_tests(p)
+    fp, gn = problem.phi(p), gamma * _grad_norm(problem, p)
 
     def record(inner_iters=0, step_dist=0.0):
         trace.records.append(IterationRecord(
@@ -475,17 +504,18 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
             trace.exit_reason = "max_outer"
             break
         objective = make(problem, p, p.derived(problem.h_subgrad))
+        moved = (None,)     # (q, d(p_k, q), phi(q)) of the last candidate
         try:
             p_next, n_inner, first_index = inner_solve(
-                objective, p, inner_tol, first_index)
+                objective, p, inner_tol, first_index, certify)
         except StalledInnerSolveError as exc:
             trace.exit_reason = "stalled"
             stall = exc
             break
-        step = manifold._dist(p, p_next)
+        step, f_next = move(p_next)
         record(n_inner, step)
-        p = p_next
-        fp, gn = phi_and_tests(p)
+        p, fp = p_next, f_next
+        gn = gamma * _grad_norm(problem, p)
         if n_inner == 0:            # no step taken, so p_next is p
             trace.exit_reason = "fixed_point"
             break

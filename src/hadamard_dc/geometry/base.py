@@ -60,7 +60,7 @@ content of an array:
   they and the solver run one code path; the generic linear model calls
   the per-call kernel ``_linear_model_grad``.
 * Callers decide a zero direction with the array test
-  ``np.linalg.norm(v) == 0.0``: ``busemann``/``busemann_grad`` return
+  ``zero_direction(v)``, |v|_F == 0: ``busemann``/``busemann_grad`` return
   B_{q,0} = d(q, .) and its gradient, and ``_support_term(q, s)``, the
   model (term, scale) = (B_{q,s}, |s|_q) of h that the horofunction
   subproblem and the support checks share, returns (None, 0.0), the
@@ -112,6 +112,13 @@ def check_count(value, what, least=1):
         raise ValidationError(f"{what} must be an integer >= {least}: "
                               f"{value!r}")
     return int(value)
+
+
+def zero_direction(v):
+    """Whether ``np.linalg.norm(v) == 0.0`` for a validated direction:
+    an entry of at least 1e-150 squares above the underflow, so the norm
+    is formed only below that, where it cannot overflow."""
+    return np.abs(v).max() < 1e-150 and np.linalg.norm(v) == 0.0
 
 
 def direction_norm(manifold, q, v):
@@ -347,7 +354,7 @@ class Manifold:
         q = self.point(ray.base)
         v = self.check_tangent(q, ray.direction)
         p = self.point(p)
-        if np.linalg.norm(v) == 0.0:
+        if zero_direction(v):
             return self._dist(p, q)
         return self._horofunction(q, v).value(p)
 
@@ -355,7 +362,7 @@ class Manifold:
         q = self.point(ray.base)
         v = self.check_tangent(q, ray.direction)
         p = self.point(p)
-        if np.linalg.norm(v) == 0.0:
+        if zero_direction(v):
             return self._distance_gradient(q, p)
         return self._horofunction(q, v).grad(p)
 
@@ -363,13 +370,13 @@ class Manifold:
         """(term, scale) = (B_{q,s}, |s|_q) of the point ``q`` and a
         validated ``s``, the horofunction prepared once; (None, 0.0), the
         zero term, where s = 0 by the array test."""
-        if np.linalg.norm(s) == 0.0:
+        if zero_direction(s):
             return None, 0.0
         return self._horofunction(q, s), self._norm(q, s)
 
     def _horofunction(self, q, v):
         """B_{q,v} of a ray from the point ``q`` with a validated direction,
-        ``np.linalg.norm(v) != 0``, as an object with ``value(p)`` and
+        not ``zero_direction(v)``, as an object with ``value(p)`` and
         ``grad(p)`` of points; raises ZeroDirectionError where |v|_q rounds
         to 0."""
         raise NotImplementedError

@@ -34,6 +34,7 @@ from .base import Manifold, Ray, RayProbe, check_count, direction_norm
 
 _EXP_ARG_GUARD = 350.0      # cosh overflows doubles near 710; stay well below
 _LARGE_ARCOSH = 1e8
+_PAIRING_LIMIT = 0.5 * float(np.finfo(float).max)
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -207,18 +208,25 @@ class Hyperboloid(Manifold):
 
     def _dist(self, p, q):
         p, q = p.x, q.x
-        arg = -self.kappa * _lorentz(p, q)
-        if arg < 1.0 + 1e-4:
-            # near-coincident points: the pairing cancels catastrophically,
-            # but <p-q, p-q> = 2(arg-1)/kappa is exact in the difference
-            diff = p - q
-            x = max(0.5 * self.kappa * _lorentz(diff, diff), 0.0)
-            return math.log1p(x + math.sqrt(x * (2.0 + x))) \
-                / self.sqrt_kappa
-        if arg <= _LARGE_ARCOSH:
-            return arcosh(arg) / self.sqrt_kappa
-        if math.isfinite(2.0 * arg):
-            return math.log(2.0 * arg) / self.sqrt_kappa
+        # on the upper sheet no coordinate exceeds the last, so each term
+        # of the pairing <p, q> = p.q - 2 p_n q_n is at most p_n q_n (a
+        # product of Python floats, which saturates to inf without a
+        # warning): form it only where its sum of n + 1 terms stays finite
+        top = float(p[-1]) * float(q[-1])
+        if p.size * top < _PAIRING_LIMIT:
+            arg = -self.kappa * (float(p.dot(q)) - 2.0 * top)
+            if arg < 1.0 + 1e-4:
+                # near-coincident points: the pairing cancels
+                # catastrophically, but <p-q, p-q> = 2(arg-1)/kappa is
+                # exact in the difference
+                diff = p - q
+                x = max(0.5 * self.kappa * _lorentz(diff, diff), 0.0)
+                return math.log1p(x + math.sqrt(x * (2.0 + x))) \
+                    / self.sqrt_kappa
+            if arg <= _LARGE_ARCOSH:
+                return arcosh(arg) / self.sqrt_kappa
+            if math.isfinite(2.0 * arg):
+                return math.log(2.0 * arg) / self.sqrt_kappa
         # far points overflow the raw pairing (or its double): rescale
         # coordinates and recover the arcosh in the log domain; the two
         # scale logs are summed first, so that dist(p, q) == dist(q, p)

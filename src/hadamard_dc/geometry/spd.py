@@ -76,7 +76,7 @@ import numpy as np
 
 from ..errors import (DefinitenessError, NumericalDomainError,
                       ValidationError, ZeroDirectionError)
-from .base import Manifold, Point, RayProbe, check_count
+from .base import Manifold, Point, RayProbe, check_count, zero_direction
 
 
 def sym(a):
@@ -96,6 +96,24 @@ def chol(a):
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError(f"matrix is not positive definite: {exc}") from exc
 
+
+_CONGRUENCE_ROOM = 2.0 ** 500
+
+
+def _congruence_shift(c, v):
+    """An e >= 0 for which neither C (2^-e V) C^T nor the norm of its
+    spectrum can overflow: the entries of the congruence are at most
+    n^2 max|C|^2 2^-e max|V|, which e keeps below 2^500, so the squares
+    of its eigenvalues sum below n^2 2^1000 (the bound is a product of
+    Python floats, which saturates to inf without a warning).  e = 0
+    wherever the bound holds unscaled, so such a direction is split as
+    it is."""
+    big = float(np.abs(c).max())
+    room = _CONGRUENCE_ROOM / (c.shape[0] ** 2 * (big * big))
+    top = float(np.abs(v).max())
+    if top <= room:
+        return 0
+    return math.frexp(top)[1] - math.frexp(room)[1] + 1
 
 _SPD_FUNCS = {
     "exp": np.exp,
@@ -367,6 +385,22 @@ class SPDManifold(Manifold):
     def _horofunction(self, y, v):
         return SPDHorofunction(self, y, v)
 
+    def _support_term(self, y, s):
+        """``Manifold._support_term``, with the scale |s|_Y of a direction
+        that the horofunction scaled by 2^-e taken as 2^e |2^-e s|_Y;
+        NumericalDomainError where that overflows."""
+        if zero_direction(s):
+            return None, 0.0
+        term = self._horofunction(y, s)
+        if not term.shift:
+            return term, self._norm(y, s)
+        try:
+            return term, math.ldexp(
+                self._norm(y, np.ldexp(s, -term.shift)), term.shift)
+        except OverflowError:
+            raise NumericalDomainError(
+                f"{self.name}: the norm of the direction overflows") from None
+
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
@@ -552,7 +586,11 @@ class SPDHorofunction:
 
     def __init__(self, manifold, y, v):
         lower, c = y.factor
-        self.split = manifold._spectral_split(c, v)
+        # B_{Y,V} = B_{Y,tV} for t > 0: a direction whose congruence
+        # C V C^T could overflow is split after a scaling by 2^-shift
+        self.shift = _congruence_shift(c, v)
+        self.split = manifold._spectral_split(
+            c, np.ldexp(v, -self.shift) if self.shift else v)
         u = self.split.basis
         self.ut_c = u.T @ c
         self.lu = lower @ u

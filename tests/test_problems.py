@@ -552,8 +552,8 @@ def _cli_contrastive_start():
 
 @pytest.mark.parametrize(
     "alg, k, inn, eigh, eigvalsh, cholesky, solve, steps", [
-        ("cr_dca", 61, 122, 856, 61, 307, 0, 305),
-        ("b_dca", 96, 210, 712, 96, 714, 0, 308),
+        ("cr_dca", 42, 42, 464, 42, 170, 0, 168),
+        ("b_dca", 79, 86, 413, 79, 415, 0, 167),
     ], ids=["cr_dca", "b_dca"])
 def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
                                       solve, steps):
@@ -581,7 +581,12 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
     steps when every inner solve ran to the fixed tolerance 1e-5: it
     stops once the subproblem gradient is at most a tenth of |grad
     phi(p_k)|, which the support inequality makes enough for descent,
-    with k unchanged), one eigvalsh per outer step (the step distance),
+    with k unchanged; k 61 and 96, inn 122 and 210, 856 and 712 eigh,
+    307 and 714 Cholesky and 305 and 308 trial steps at that tenth: it
+    stops at seven tenths, where the one long first step it keeps also
+    saves outer steps, and the certificate of the stop never refuses
+    here), one eigvalsh per outer step (the step distance, which the
+    certificate shares),
     one check_point, for p0, and one Cholesky test (_definite) per trial
     step and for p0: an iterate is validated once, as the trial that
     reached it.  Each trial point is Cholesky-factored once, by that
@@ -650,9 +655,12 @@ def test_valley_b_dca_primitive_counts():
     starts at the grid index the previous one accepted (47,322 steps and
     50,861 _dist when it started at index 0, with the same 3,519 outer
     steps).  Each inner solve stops once the subproblem gradient is at
-    most a tenth of |grad phi(p_k)| (3,519 outer steps, 22,699 steps,
-    26,238 _dist and 8,793 _log when every solve ran to the fixed
-    tolerance 1e-5), which leaves the outer steps almost unchanged."""
+    most seven tenths of |grad phi(p_k)| (3,519 outer steps, 22,699
+    steps, 26,238 _dist and 8,793 _log when every solve ran to the fixed
+    tolerance 1e-5; 3,512, 20,050, 23,582 and 6,886 at a tenth): keeping
+    the long first step of a solve also saves outer steps.  The valley's
+    sigma is 0, so no stop asks for the certificate and it computes no
+    distance."""
     totals = {"hyperboloid._dist": 0, "hyperboloid._log": 0, "step": 0,
               "check_point": 0}
     outer = 0
@@ -664,9 +672,9 @@ def test_valley_b_dca_primitive_counts():
         outer += trace.k
         for name in totals:
             totals[name] += counter.counts[name]
-    assert outer == 3512
-    assert totals == {"hyperboloid._dist": 23582, "hyperboloid._log": 6886,
-                      "step": 20050, "check_point": 20}
+    assert outer == 2599
+    assert totals == {"hyperboloid._dist": 14970, "hyperboloid._log": 2704,
+                      "step": 12351, "check_point": 20}
 
 
 @pytest.mark.parametrize("build, error", [

@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from hadamard_dc import (BusemannRay, DefinitenessError, SPDManifold,
-                         UndefinedGradientError, ValidationError,
+from hadamard_dc import (BusemannRay, DefinitenessError, NumericalDomainError,
+                         SPDManifold, UndefinedGradientError, ValidationError,
                          ZeroDirectionError, fd_riemannian_grad, make_rng)
 from hadamard_dc.geometry import (SPDDistanceSum, chol, frechet_log, logdet,
                                   spd_fun, sym)
@@ -355,6 +355,29 @@ def test_point_validation_errors():
     x[0, 1] = 0.5
     with pytest.raises(ValidationError):
         m.dist(x, np.eye(2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_busemann_of_a_direction_whose_congruence_overflows():
+    """With Y = diag(1e-200, 1) and V = diag(1e200, 1) the congruence
+    L^-1 V L^-T = diag(1e400, 1) overflows (busemann gave nan and
+    busemann_grad a NaN matrix, each after an overflow warning).  B does
+    not depend on the direction's scale, so the ray is split after a
+    scaling by a power of two, and B and its gradient are the closed form
+    of the commuting case, -ln(1e200 x_11) and -e_1 e_1^T at X = I.  The
+    subproblem's scale |V|_Y = 1e400 overflows, so ``_support_term``
+    raises (it returned an inf scale)."""
+    m = SPDManifold(2)
+    y, v = np.diag([1e-200, 1.0]), np.diag([1e200, 1.0])
+    ray = BusemannRay(y, v)
+    assert m.busemann(ray, np.eye(2)) == pytest.approx(-math.log(1e200),
+                                                      rel=1e-14)
+    assert m.busemann(ray, np.diag([2.0, 3.0])) == pytest.approx(
+        -math.log(2e200), rel=1e-14)
+    np.testing.assert_allclose(m.busemann_grad(ray, np.eye(2)),
+                               [[-1.0, 0.0], [0.0, 0.0]], atol=1e-14)
+    with pytest.raises(NumericalDomainError, match="overflows"):
+        m._support_term(m.point(y), v)
 
 
 def test_symmetry_test_rejects_huge_non_symmetric_matrices():

@@ -15,6 +15,13 @@ medians, the pairs the change won (ties count for neither side), and
 whether a gain may be claimed: at least nine tenths of the pairs won,
 the medians apart by more than the distance between the parent's
 quartiles, and no larger share of failed operations than the parent's.
+Then, from the ``#`` lines ``run.py`` prints (``N passes in T s, S
+steps`` and, on the solver workloads, ``per pass: outer_iters ...,
+inner_iters ...``), the median passes per run and outer and inner
+iterations per pass per side, and ``s_per_pass`` (T / N, wall seconds,
+not scaled to the reference speed) in the same form as a metric, not
+gated: a change that moves the number of outer steps is judged per
+solve as well as per step.
 Standard library only.
 """
 
@@ -22,12 +29,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PASSES = re.compile(r"# (\d+) passes in ([0-9.]+) s, ")
+PER_PASS = re.compile(r"# per pass: outer_iters (\d+), inner_iters (\d+)")
 
 
 def quartiles(xs):
@@ -39,15 +49,33 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def pass_figures(lines):
+    """{"passes", "s_per_pass"} from the ``N passes in T s`` line of a
+    run's output, and {"outer_per_pass", "inner_per_pass"} from its ``per
+    pass`` line where it prints one."""
+    out = {}
+    for line in lines:
+        if m := PASSES.match(line):
+            out["passes"] = int(m[1])
+            out["s_per_pass"] = float(m[2]) / int(m[1])
+        elif m := PER_PASS.match(line):
+            out["outer_per_pass"], out["inner_per_pass"] = int(m[1]), int(m[2])
+    return out
+
+
 def run_once(checkout, spec, workload, seed):
-    """The result object ``run.py`` prints last, run in ``checkout``."""
+    """The result object ``run.py`` prints last, run in ``checkout``, with
+    its ``pass_figures`` under "per_pass"."""
     cmd = [sys.executable if part in ("python", "python3") else part
            for part in spec["command"]]
     cmd += ["--workload", workload, "--seed", str(seed),
             "--seconds", str(spec["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=30 * spec["run_seconds"] + 600, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    result["per_pass"] = pass_figures(lines)
+    return result
 
 
 def summary(metric, parent, change, fails_fewer):
@@ -62,10 +90,11 @@ def summary(metric, parent, change, fails_fewer):
     claim = 10 * wins >= 9 * len(parent) and gained \
         and abs(cm - pm) > p3 - p1 and fails_fewer
     rel = (cm - pm) / pm if pm else float("nan")
+    bound = metric.get("bound", "none, not gated")
     return (f"{metric['name']:<16} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
             f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  {100 * rel:+.1f}%  "
             f"won {wins}/{len(parent)}  gain {'yes' if claim else 'no'}  "
-            f"(bound {metric['bound']})")
+            f"(bound {bound})")
 
 
 def main(argv=None):
@@ -90,6 +119,8 @@ def main(argv=None):
                 ops[side][key] += result[key]
             for name, m in result["metrics"].items():
                 values[side].setdefault(name, []).append(m["value"])
+            for name, value in result["per_pass"].items():
+                values[side].setdefault(name, []).append(value)
             shown = ", ".join(
                 f"{m['name']} {result['metrics'][m['name']]['value']:.4g}"
                 for m in spec["end_to_end"])
@@ -105,6 +136,15 @@ def main(argv=None):
         name = metric["name"]
         print(summary(metric, values["parent"][name], values["change"][name],
                       fails_fewer))
+    for name in ("passes", "outer_per_pass", "inner_per_pass"):
+        if name in values["parent"] and name in values["change"]:
+            print(f"{name:<16} median parent "
+                  f"{statistics.median(values['parent'][name]):.6g}  change "
+                  f"{statistics.median(values['change'][name]):.6g}")
+    if "s_per_pass" in values["parent"] and "s_per_pass" in values["change"]:
+        print(summary({"name": "s_per_pass", "better": "lower"},
+                      values["parent"]["s_per_pass"],
+                      values["change"]["s_per_pass"], fails_fewer))
     return 0
 
 
