@@ -56,8 +56,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (NumericalDomainError, StalledInnerSolveError,
                      ValidationError)
 from .geometry.base import check_count
@@ -71,6 +69,7 @@ _BACKTRACK = 0.5            # step shrink factor per halving
 _MAX_HALVINGS = 60          # halvings before a line search stalls
 _INNER_TOL_FACTOR = 0.1     # fixed inner tolerance / eps_base
 _INNER_REL_FACTOR = 0.7     # relative inner stop / |grad phi(p_k)|
+_EPS_MACH = math.ulp(1.0)   # machine epsilon, the spacing of doubles at 1
 
 
 @dataclass
@@ -348,13 +347,12 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     rel_stop = _INNER_REL_FACTOR * gn
     iters = 0
     alpha_prev = None
-    eps_mach = float(np.finfo(float).eps)
     convex = objective.scale >= 0.0
 
     while gn > tol and iters < _MAX_INNER_ITERS:
         if gn <= rel_stop and (certify is None or certify(p)):
             break
-        decrease_floor = 8.0 * eps_mach * (1.0 + abs(fp))
+        decrease_floor = 8.0 * _EPS_MACH * (1.0 + abs(fp))
         if alpha_prev is None:
             alpha = 1.0
         else:

@@ -115,6 +115,27 @@ def _congruence_shift(c, v):
         return 0
     return math.frexp(top)[1] - math.frexp(room)[1] + 1
 
+
+def _unshifted(norm, shift, name):
+    """2^shift ``norm``, the norm of a direction whose congruence was
+    formed after a scaling by 2^-shift; NumericalDomainError where it
+    overflows."""
+    try:
+        return math.ldexp(norm, shift)
+    except OverflowError:
+        raise NumericalDomainError(
+            f"{name}: the norm of the direction overflows") from None
+
+
+def _frobenius(w):
+    """|W|_F of a real array as ``np.linalg.norm(w)`` computes it, without
+    its Python-level dispatch: the dot of the entries in memory order
+    (``ravel(order="K")``) and a correctly rounded square root, so the
+    result has the same bits."""
+    w = w.ravel(order="K")
+    return math.sqrt(w.dot(w))
+
+
 _SPD_FUNCS = {
     "exp": np.exp,
     "log": np.log,
@@ -137,8 +158,8 @@ def spd_fun(a, kind):
 
 
 def _require_positive(w, what):
-    # np.any, not w.min(), so that an empty stack passes
-    if np.any(w <= 0.0):
+    # any(), not w.min(), so that an empty stack passes
+    if (w <= 0.0).any():
         raise DefinitenessError(
             f"{what} needs a positive definite argument "
             f"(min eigenvalue {w.min():.3g})")
@@ -170,7 +191,7 @@ def logdet(x):
 
 def cholesky_logdet(lower):
     """ln det X = 2 sum_j ln L_jj from the lower Cholesky factor L of X."""
-    return 2.0 * float(np.sum(np.log(np.diag(lower))))
+    return 2.0 * float(np.log(lower.diagonal()).sum())
 
 
 def frechet_log(a, e):
@@ -258,7 +279,7 @@ def _log_singular_values(a):
                       RuntimeWarning)
         # the standard SVD returns unscaled values: a unit scale factor
         sva, work = np.linalg.svd(a, compute_uv=False), (1.0, 1.0)
-    if np.any(sva <= 0.0):
+    if (sva <= 0.0).any():
         raise NumericalDomainError("singular value underflow in limit probe")
     return np.log(sva) + (math.log(work[0]) - math.log(work[1]))
 
@@ -306,12 +327,24 @@ class SPDManifold(Manifold):
     def _inner(self, y, u, v):
         """tr(W_U W_V), W = L^-1 V L^-T with L the factor of the point Y."""
         c = y.factor[1]
-        return float(np.sum(sym(c @ u @ c.T) * sym(c @ v @ c.T)))
+        return float((sym(c @ u @ c.T) * sym(c @ v @ c.T)).sum())
+
+    def norm(self, y, v):
+        """``Manifold.norm``, with |V|_Y taken as 2^e |2^-e V|_Y where the
+        congruence L^-1 V L^-T could overflow (e from
+        ``_congruence_shift``, 0 elsewhere); NumericalDomainError where
+        |V|_Y itself overflows."""
+        y = self.point(y)
+        v = self.check_tangent(y, v)
+        shift = _congruence_shift(y.factor[1], v)
+        return _unshifted(
+            self._norm(y, np.ldexp(v, -shift) if shift else v), shift,
+            self.name)
 
     def _norm(self, y, v):
         """|W|_F, W = L^-1 V L^-T, as ``SPDRay.speed``."""
         c = y.factor[1]
-        return float(np.linalg.norm(sym(c @ v @ c.T)))
+        return _frobenius(sym(c @ v @ c.T))
 
     def _point(self, x):
         return SPDPoint(self, x)
@@ -332,10 +365,10 @@ class SPDManifold(Manifold):
         L^-1 X L^-T, L the factor of Y."""
         c = y.factor[1]
         w = np.linalg.eigvalsh(sym(c @ x.x @ c.T))
-        if np.any(w <= 0.0):
+        if (w <= 0.0).any():
             raise DefinitenessError(
                 f"{self.name}: congruence lost definiteness in dist")
-        return float(np.linalg.norm(np.log(w)))
+        return _frobenius(np.log(w))
 
     def project(self, x, a):
         self.point(x)
@@ -359,28 +392,48 @@ class SPDManifold(Manifold):
 
     def spectral_split(self, y, v):
         """Group the spectrum of L^-1 V L^-T, L the factor of Y, by
-        near-equality."""
+        near-equality; NumericalDomainError where that congruence, or
+        the norm of its grouped spectrum, overflows.  The congruence is
+        tested as formed, not by the bound of ``_congruence_shift``,
+        which fires on directions whose split is finite."""
         y = self.point(y)
-        return self._spectral_split(y.factor[1], self.check_tangent(y, v))
+        v = self.check_tangent(y, v)
+        c = y.factor[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = sym(c @ v @ c.T)
+            split = self._spectral_split(w) if np.isfinite(w).all() else None
+        if split is None or not math.isfinite(split.norm_const):
+            raise NumericalDomainError(
+                f"{self.name}: the congruence of the direction overflows")
+        return split
 
-    def _spectral_split(self, c, v):
-        """``spectral_split`` from C = L^-1 and a validated direction V."""
-        lam, u = sym_eig(c @ v @ c.T)
-        lmax = float(np.max(np.abs(lam))) if lam.size else 0.0
+    def _spectral_split(self, w):
+        """``spectral_split`` of W = sym(C V C^T), C = L^-1, a finite
+        congruence.  The groups are found on the eigenvalues as Python
+        floats, whose differences and comparisons are those of the
+        float64 array; a group of more than one eigenvalue is represented
+        by its ``np.mean``."""
+        lam, u = np.linalg.eigh(w)
+        lmax = float(abs(lam).max())
         if lmax == 0.0:
             raise ZeroDirectionError(
                 f"{self.name}: spectral split needs a nonzero direction")
         gap_tol = 1e-10 * max(1.0, lmax)    # relative gap between groups
-        cuts = np.flatnonzero(np.diff(lam) > gap_tol) + 1
-        bounds = np.concatenate(([0], cuts, [self.n]))
-        mults = np.diff(bounds)
-        # a singleton group is its eigenvalue; only larger groups average
-        reps = lam[bounds[:-1]]
-        for i in np.flatnonzero(mults > 1):
-            reps[i] = np.mean(lam[bounds[i]:bounds[i + 1]])
-        per_index = np.repeat(reps, mults)
-        norm_const = float(np.linalg.norm(per_index))
-        return SpectralSplit(reps, mults, u, bounds, norm_const, per_index)
+        vals = lam.tolist()
+        bounds = [0, *(i for i in range(1, self.n)
+                       if vals[i] - vals[i - 1] > gap_tol), self.n]
+        reps, mults, per_index = [], [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            # a singleton group is its eigenvalue; only larger groups
+            # average
+            rep = vals[lo] if hi - lo == 1 else float(np.mean(lam[lo:hi]))
+            reps.append(rep)
+            mults.append(hi - lo)
+            per_index += [rep] * (hi - lo)
+        per_index = np.array(per_index)
+        return SpectralSplit(np.array(reps), np.array(mults), u,
+                             np.array(bounds), _frobenius(per_index),
+                             per_index)
 
     def _horofunction(self, y, v):
         return SPDHorofunction(self, y, v)
@@ -392,14 +445,7 @@ class SPDManifold(Manifold):
         if zero_direction(s):
             return None, 0.0
         term = self._horofunction(y, s)
-        if not term.shift:
-            return term, self._norm(y, s)
-        try:
-            return term, math.ldexp(
-                self._norm(y, np.ldexp(s, -term.shift)), term.shift)
-        except OverflowError:
-            raise NumericalDomainError(
-                f"{self.name}: the norm of the direction overflows") from None
+        return term, _unshifted(_frobenius(term.w), term.shift, self.name)
 
     # ------------------------------------------------------------------
     # sampling
@@ -467,12 +513,12 @@ class SPDRayProbe(RayProbe):
         self.lam, u = sym_eig(c @ unit_dir @ c.T)
         uc = u.T @ c
         self.ell = chol(uc @ x.x @ uc.T)
-        lmax = float(np.max(np.abs(self.lam)))
+        lmax = float(abs(self.lam).max())
         self.t_guard = 1e12 if lmax == 0.0 else 1200.0 / lmax
 
     def distance(self, t):
         a = np.exp(-0.5 * t * self.lam)[:, None] * self.ell
-        return float(np.linalg.norm(2.0 * _log_singular_values(a)))
+        return _frobenius(2.0 * _log_singular_values(a))
 
 
 class SPDRay:
@@ -499,7 +545,7 @@ class SPDRay:
         # a direction whose congruence is not finite has speed NaN, so no
         # line search runs along it; a finite one whose norm overflows
         # has speed inf
-        self.speed = float(np.linalg.norm(self.w)) \
+        self.speed = _frobenius(self.w) \
             if np.isfinite(self.w).all() else math.nan
         self.lam = None
 
@@ -511,7 +557,7 @@ class SPDRay:
             # not finite either
             self.lam, u = np.full(self.manifold.n, math.nan), self.w
         self.g = self.lower @ u
-        self._top = float(np.max(np.abs(self.lam)))
+        self._top = float(abs(self.lam).max())
 
     @property
     def top(self):
@@ -578,19 +624,22 @@ class SPDPoint(Point):
 
 class SPDHorofunction:
     """B_{Y,V}, V != 0, with the ray's fixed data computed once: the factor
-    (L, C = L^-1) of the point Y, the spectral split of C V C^T (one
-    eigendecomposition) and the products U^T C and L U.  An evaluation
-    then costs one Cholesky factorization, l l^T = (U^T C) X (U^T C)^T,
-    which the point keeps for the gradient there, and a few products.
+    (L, C = L^-1) of the point Y, the congruence W = C V C^T (``w``), its
+    spectral split (one eigendecomposition) and the products U^T C and
+    L U.  An evaluation then costs one Cholesky factorization, l l^T =
+    (U^T C) X (U^T C)^T, which the point keeps for the gradient there,
+    and a few products.
     """
 
     def __init__(self, manifold, y, v):
         lower, c = y.factor
         # B_{Y,V} = B_{Y,tV} for t > 0: a direction whose congruence
-        # C V C^T could overflow is split after a scaling by 2^-shift
+        # C V C^T could overflow is split after a scaling by 2^-shift;
+        # |W|_F = 2^-shift |V|_Y is the scale of the support term
         self.shift = _congruence_shift(c, v)
-        self.split = manifold._spectral_split(
-            c, np.ldexp(v, -self.shift) if self.shift else v)
+        self.w = sym(c @ (np.ldexp(v, -self.shift) if self.shift else v)
+                     @ c.T)
+        self.split = manifold._spectral_split(self.w)
         u = self.split.basis
         self.ut_c = u.T @ c
         self.lu = lower @ u
@@ -601,7 +650,7 @@ class SPDHorofunction:
     def value(self, x):
         ell = x.derived(self._cholesky)
         return float(-2.0 / self.split.norm_const *
-                     np.sum(self.split.per_index * np.log(np.diag(ell))))
+                     (self.split.per_index * np.log(ell.diagonal())).sum())
 
     def grad(self, x):
         a = self.lu @ x.derived(self._cholesky)
@@ -632,7 +681,7 @@ class SPDLinearModel:
     def value(self, x):
         w, u = x.derived(self._reduced)
         _require_positive(w, "matrix function 'log'")
-        return float(np.sum(u * (self.csc @ u), axis=0) @ np.log(w))
+        return float((u * (self.csc @ u)).sum(axis=0) @ np.log(w))
 
     def grad(self, x):
         egrad = sym(self.c.T @ _frechet_log_spectral(
@@ -669,18 +718,18 @@ class SPDDistanceSum:
     def _spectrum(self, x):
         # (ln mu, mu, V) of the stack of M_i
         mu, v = sym_eig(self.c @ x.x @ self.c.swapaxes(-1, -2))
-        if np.any(mu <= 0.0):
+        if (mu <= 0.0).any():
             raise DefinitenessError(
                 "spd: congruence lost definiteness in a distance sum")
         return np.log(mu), mu, v
 
     def value(self, x):
         log_mu = x.derived(self._spectrum)[0]
-        return float(self.weights @ np.sum(log_mu * log_mu, axis=-1))
+        return float(self.weights @ (log_mu * log_mu).sum(axis=-1))
 
     def grad(self, x):
         log_mu, mu, v = x.derived(self._spectrum)
         a = self.lower @ v
         c = self.weights[:, None] * (mu * log_mu)
-        return sym(2.0 * np.sum((a * c[:, None, :]) @ a.swapaxes(-1, -2),
-                                axis=0))
+        return sym(2.0 * ((a * c[:, None, :]) @ a.swapaxes(-1, -2))
+                   .sum(axis=0))

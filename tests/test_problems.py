@@ -1,6 +1,7 @@
 """Benchmark problem families: construction, gradients, optima metadata."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -609,6 +610,54 @@ def test_contrastive_primitive_counts(alg, k, inn, eigh, eigvalsh, cholesky,
     assert counter.counts["cholesky"] \
         == counter.counts["_definite"] + 1 + horofunction
     assert counter.counts["inv"] == counter.counts["factor"] == inn + 1
+
+
+# numpy functions whose Python-level wrappers cost about a microsecond of
+# dispatch before they reach the ndarray method or dot that does the work
+_NUMPY_WRAPPERS = ((np, "sum"), (np, "any"), (np, "max"), (np, "diag"),
+                   (np, "diff"), (np.linalg, "norm"))
+
+
+@pytest.mark.parametrize("alg, eigh, eigvalsh, cholesky, inv", [
+    ("cr_dca", 464, 42, 170, 43),
+    ("b_dca", 413, 79, 415, 87),
+], ids=["cr_dca", "b_dca"])
+def test_contrastive_solve_calls_no_numpy_wrapper(monkeypatch, alg, eigh,
+                                                  eigvalsh, cholesky, inv):
+    """The SPD kernels of a solve call the ndarray methods and dots that
+    np.sum, np.any, np.max, np.diag, np.diff and np.linalg.norm reach,
+    not the wrappers: no call comes from inside ``inner_solve``, nor
+    from anywhere else in the solve, so their count does not grow with
+    the outer steps (kernels that called the wrappers made 1,184 calls
+    on this cr_dca run and 2,040 on the b_dca one, 1,092 and 1,479 of
+    them inside ``inner_solve``).  The decompositions are untouched:
+    the eigh, eigvalsh, cholesky and inv counts are the ones those
+    kernels made."""
+    prob, start = _cli_contrastive_start()
+    inner = dc.inner_solve.__code__
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not inner:
+                frame = frame.f_back
+            where = (name, "inner_solve" if frame else "elsewhere")
+            calls[where] = calls.get(where, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch, primitive_counter() as counter:
+        for owner, name in _NUMPY_WRAPPERS:
+            patch.setattr(owner, name, counted(name, getattr(owner, name)))
+        np.sum(np.ones(2))              # the counters see a call
+        assert calls.pop(("sum", "elsewhere")) == 1
+        trace = run_dca(prob, start, SolverConfig(algorithm=alg))
+    assert trace.k > 0
+    assert calls == {}
+    assert [counter.counts[op] for op in
+            ("eigh", "eigvalsh", "cholesky", "inv")] \
+        == [eigh, eigvalsh, cholesky, inv]
 
 
 def test_spd_factor_once_per_distinct_point(monkeypatch):

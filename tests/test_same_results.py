@@ -67,3 +67,17 @@ def test_src_statements_counts_the_statements_of_every_module(tmp_path):
     (change / "a.py").write_text('"""Doc."""\n# X = 1\nimport math\n')
     assert same_results.src_statements(parent) == 3
     assert same_results.src_statements(change) == 1
+
+
+def test_spd_rows_are_a_mode_of_both_tools():
+    """``--spd`` compares the rows of ``cli_rows.py --spd``: 100 runs of
+    the benchmark's SPD(5) instance and 10 at n = 20, both algorithms."""
+    cli_rows = load_tool("cli_rows")
+    assert same_results.SPD == ("cli_rows --spd",
+                                ["tools/cli_rows.py", "--spd"], True)
+    flags = ["--m", "5", "--r", "4"]
+    assert cli_rows.MODES["--spd"] == (
+        ["spd-contrastive", "--n", "5", *flags, "--runs", "100",
+         "--seed", "0"],
+        ["spd-contrastive", "--n", "20", *flags, "--runs", "10",
+         "--seed", "0"])

@@ -167,9 +167,8 @@ def test_spectral_split_matches_loop_bitwise(start, scale, steps, seed,
         q, _ = np.linalg.qr(np.random.default_rng(seed)
                             .standard_normal((n, n)))
         v = sym((q * lam) @ q.T)
-    yih = np.eye(n)
-    got = m._spectral_split(yih, v)
-    eigenvalues, _ = np.linalg.eigh(sym(yih @ v @ yih))
+    got = m._spectral_split(v)
+    eigenvalues, _ = np.linalg.eigh(v)
     reps, mults, bounds = _loop_split(eigenvalues)
     for want, have in ((reps, got.eigenvalues), (mults, got.multiplicities),
                        (bounds, got.boundaries),
@@ -177,6 +176,134 @@ def test_spectral_split_matches_loop_bitwise(start, scale, steps, seed,
         assert have.dtype == want.dtype
         assert np.array_equal(have, want)
     assert got.norm_const == float(np.linalg.norm(np.repeat(reps, mults)))
+
+
+def _numpy_split(w):
+    """The split of a congruence W as ``_spectral_split`` formed it with
+    numpy's array functions before it found its groups on a list: the
+    fields of :class:`SpectralSplit`, in order."""
+    lam, u = np.linalg.eigh(w)
+    gap_tol = 1e-10 * max(1.0, float(np.max(np.abs(lam))))
+    cuts = np.flatnonzero(np.diff(lam) > gap_tol) + 1
+    bounds = np.concatenate(([0], cuts, [lam.size]))
+    mults = np.diff(bounds)
+    reps = lam[bounds[:-1]]
+    for i in np.flatnonzero(mults > 1):
+        reps[i] = np.mean(lam[bounds[i]:bounds[i + 1]])
+    per_index = np.repeat(reps, mults)
+    return (reps, mults, u, bounds, float(np.linalg.norm(per_index)),
+            per_index)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(start=st.floats(-5.0, 5.0), log2_scale=st.integers(-60, 60),
+       steps=st.lists(st.sampled_from(_GAP_STEPS), min_size=0, max_size=39),
+       seed=st.integers(0, 2**32 - 1), rotate=st.booleans())
+@example(start=1.0, log2_scale=0, steps=[0.0] * 39, seed=0, rotate=False)
+@example(start=-3.0, log2_scale=-40, steps=[0.0] * 39, seed=1, rotate=True)
+@example(start=0.5, log2_scale=0, steps=[], seed=0, rotate=False)
+@example(start=-2.0, log2_scale=30, steps=[1.0, 1.01, 0.99, 0.0, 0.3],
+         seed=2, rotate=True)
+def test_spectral_split_matches_the_numpy_grouping(start, log2_scale, steps,
+                                                   seed, rotate):
+    """The split's groups, found on ``lam.tolist()``, are the bytes of the
+    numpy grouping (``np.diff``, ``np.repeat``, ``np.linalg.norm``) on
+    spectra of n = 1..40 with distinct, repeated and near-repeated
+    eigenvalues on both sides of the gap tolerance, all equal, and
+    scaled by 2^-60..2^60."""
+    lam = start + np.concatenate(([0.0], np.cumsum(steps))) * 1e-10 \
+        * max(1.0, abs(start) + 1.0)
+    lam = np.ldexp(lam, log2_scale)
+    assume(np.any(lam != 0.0))
+    n = lam.size
+    w = np.diag(lam)
+    if rotate:
+        q, _ = np.linalg.qr(np.random.default_rng(seed)
+                            .standard_normal((n, n)))
+        w = sym((q * lam) @ q.T)
+    got = SPDManifold(n)._spectral_split(w)
+    fields = (got.eigenvalues, got.multiplicities, got.basis, got.boundaries,
+              got.norm_const, got.per_index)
+    for have, want in zip(fields, _numpy_split(w)):
+        assert type(have) is type(want)
+        assert np.asarray(have).dtype == np.asarray(want).dtype
+        assert np.asarray(have).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+       log10_cond=st.floats(0.0, 8.0), refs=st.integers(0, 3),
+       transposed=st.booleans())
+@example(seed=0, n=5, log10_cond=0.0, refs=3, transposed=True)
+@example(seed=1, n=1, log10_cond=8.0, refs=0, transposed=False)
+def test_kernels_match_their_numpy_wrapper_forms(seed, n, log10_cond, refs,
+                                                 transposed):
+    """Each per-step SPD kernel that takes an ndarray method or a dot
+    where it called np.sum, np.any, np.max, np.diag or np.linalg.norm
+    returns the bits of the numpy form: the metric, the distance, the
+    search ray's speed and largest |eigenvalue|, the horofunction's value
+    and its support scale, the linear model's value, and the distance
+    sum's value and gradient.  With ``transposed`` the tangents are
+    F-ordered, and every |W|_F takes its entries in memory order, as
+    ``np.linalg.norm`` does."""
+    rng = make_rng(seed)
+    m = SPDManifold(n)
+    near_center = near_center_sampler(n, rng, log10_cond)
+    y, x = m.point(near_center()), m.point(near_center())
+    u, v = m.random_tangent(y.x, rng), m.random_tangent(y.x, rng)
+    if transposed:
+        u, v = u.T, v.T
+    c = y.factor[1]
+
+    def cong(a):
+        return sym(c @ a @ c.T)
+
+    assert m._inner(y, u, v) == float(np.sum(cong(u) * cong(v)))
+    assert m._norm(y, v) == float(np.linalg.norm(cong(v)))
+    assert m._dist(x, y) == float(np.linalg.norm(np.log(
+        np.linalg.eigvalsh(cong(x.x)))))
+    ray = m._ray(y, v)
+    assert ray.speed == float(np.linalg.norm(cong(v)))
+    assert ray.top == float(np.max(np.abs(np.linalg.eigh(cong(v))[0])))
+    term, scale = m._support_term(y, v)
+    assert scale == float(np.linalg.norm(cong(v)))
+    ell = chol(term.ut_c @ x.x @ term.ut_c.T)
+    assert term.value(x) == float(-2.0 / term.split.norm_const * np.sum(
+        term.split.per_index * np.log(np.diag(ell))))
+    model = m._linear_model(y, v)
+    w, basis = np.linalg.eigh(sym(model.c @ x.x @ model.c.T))
+    assert model.value(x) == float(
+        np.sum(basis * (model.csc @ basis), axis=0) @ np.log(w))
+
+    stack = np.array([near_center() for _ in range(refs)]).reshape(
+        refs, n, n)
+    weights = rng.uniform(-1.0, 2.0, refs)
+    dist_sum = SPDDistanceSum(chol(stack), weights)
+    mu, vecs = np.linalg.eigh(sym(dist_sum.c @ x.x
+                                  @ dist_sum.c.swapaxes(-1, -2)))
+    log_mu = np.log(mu)
+    assert dist_sum.value(x) == float(weights @ np.sum(log_mu * log_mu,
+                                                       axis=-1))
+    a = dist_sum.lower @ vecs
+    scaled = weights[:, None] * (mu * log_mu)
+    want = sym(2.0 * np.sum((a * scaled[:, None, :]) @ a.swapaxes(-1, -2),
+                            axis=0))
+    assert dist_sum.grad(x).tobytes() == want.tobytes()
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
+       cols=st.integers(1, 40), layout=st.sampled_from(["C", "T", "slice"]))
+@example(seed=0, rows=40, cols=37, layout="T")
+def test_frobenius_is_the_bits_of_numpy_norm(seed, rows, cols, layout):
+    """``_frobenius`` takes the entries in memory order, as
+    ``np.linalg.norm`` does, on C-ordered, transposed and strided
+    arrays."""
+    from hadamard_dc.geometry import spd
+
+    a = np.random.default_rng(seed).standard_normal((rows, cols))
+    a = {"C": a, "T": a.T, "slice": a[:, ::2]}[layout]
+    assert spd._frobenius(a) == float(np.linalg.norm(a))
 
 
 def test_grouping_insensitivity():
@@ -378,6 +505,32 @@ def test_busemann_of_a_direction_whose_congruence_overflows():
                                [[-1.0, 0.0], [0.0, 0.0]], atol=1e-14)
     with pytest.raises(NumericalDomainError, match="overflows"):
         m._support_term(m.point(y), v)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_public_norm_and_split_of_an_overflowing_congruence():
+    """On the ray of the test above, |V|_Y = 1e400 and the congruence
+    diag(1e400, 1) overflow: ``norm`` returned inf and ``spectral_split``
+    NaN eigenvalues, each after an overflow warning; both raise.  Where
+    the shift's bound fires but the results are finite, the norm is
+    2^e |2^-e V|_Y (it was inf, since the squares of np.linalg.norm
+    overflowed) and the split is that of the unscaled congruence."""
+    m = SPDManifold(2)
+    y, v = np.diag([1e-200, 1.0]), np.diag([1e200, 1.0])
+    with pytest.raises(NumericalDomainError, match="overflows"):
+        m.norm(y, v)
+    with pytest.raises(NumericalDomainError, match="overflows"):
+        m.spectral_split(y, v)
+    assert m.norm(np.eye(2), v) == 1e200
+    with pytest.raises(NumericalDomainError, match="overflows"):
+        m.spectral_split(np.eye(2), v)      # norm_const would be inf
+    loose = np.diag([1e-260, 1e100])        # congruence diag(1e-60, 1e100)
+    assert m.norm(y, loose) == pytest.approx(1e100, rel=1e-15)
+    split = m.spectral_split(y, loose)
+    np.testing.assert_allclose(split.eigenvalues, [1e-60, 1e100],
+                               rtol=1e-15)
+    np.testing.assert_array_equal(split.multiplicities, [1, 1])
+    assert split.norm_const == pytest.approx(1e100, rel=1e-15)
 
 
 def test_symmetry_test_rejects_huge_non_symmetric_matrices():

@@ -28,7 +28,10 @@ and says which rows moved and why.  With ``--valley`` it prints the
 valley rows of the starts s = 0..399 (``rosenbrock --seed 0 --runs
 400``, default flags), the start set on which the valley's exit mix and
 line-search trials are judged; it takes about 20 s on a 2-vCPU AMD
-EPYC.
+EPYC.  With ``--spd`` it prints the SPD rows of ``spd-contrastive --n 5
+--m 5 --r 4 --runs 100 --seed 0`` and of the same flags with ``--n 20
+--runs 10``, 220 runs with both algorithms, on which a change to the
+SPD kernels is checked; about 8 s on the same machine.
 """
 
 import contextlib
@@ -63,7 +66,15 @@ GOLDEN = (
 
 VALLEY = (["rosenbrock", "--seed", "0", "--runs", "400"],)
 
-MODES = {"": INVOCATIONS, "--golden": GOLDEN, "--valley": VALLEY}
+SPD = (
+    ["spd-contrastive", "--n", "5", "--m", "5", "--r", "4", "--runs", "100",
+     "--seed", "0"],
+    ["spd-contrastive", "--n", "20", "--m", "5", "--r", "4", "--runs", "10",
+     "--seed", "0"],
+)
+
+MODES = {"": INVOCATIONS, "--golden": GOLDEN, "--valley": VALLEY,
+         "--spd": SPD}
 
 
 def build():
@@ -111,7 +122,8 @@ def run(invocations):
 if __name__ == "__main__":
     mode = " ".join(sys.argv[1:])
     if mode not in MODES:
-        sys.exit("usage: python tools/cli_rows.py [--golden | --valley]")
+        sys.exit("usage: python tools/cli_rows.py "
+                 "[--golden | --valley | --spd]")
     if mode == "--golden":
         print(f"# build {build()}")
     run(MODES[mode])

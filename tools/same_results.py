@@ -1,12 +1,12 @@
 """Check that this tree's results are byte-identical to a parent checkout's.
 
     mkdir /tmp/parent && git archive <parent commit> | tar -x -C /tmp/parent
-    python3 tools/same_results.py /tmp/parent [--valley]
+    python3 tools/same_results.py /tmp/parent [--valley] [--spd]
 
 Runs each output tool of this tree once with the parent's ``src`` on
 ``PYTHONPATH`` and once with this tree's, so that both sides make the
 same calls: ``tools/cli_rows.py`` with and without ``--golden`` (and
-with ``--valley`` when asked, about 20 s a side),
+with ``--valley`` or ``--spd`` when asked, about 20 s and 8 s a side),
 ``tools/count_primitives.py``, ``tools/kernel_rows.py --seed 1`` and the
 render of ``tests/test_golden_oracle.py``.  For each it prints
 ``identical``, or how the two outputs differ: for the rows of
@@ -44,6 +44,7 @@ CHECKS = (
     ("golden oracle", ["tests/test_golden_oracle.py"], False),
 )
 VALLEY = ("cli_rows --valley", ["tools/cli_rows.py", "--valley"], True)
+SPD = ("cli_rows --spd", ["tools/cli_rows.py", "--spd"], True)
 UNMOVED = re.compile(r": 0 of \d+ (rows|lines) moved$")
 
 
@@ -92,10 +93,14 @@ def main(argv=None):
                         help="root of the parent checkout")
     parser.add_argument("--valley", action="store_true",
                         help="also compare the valley rows of 400 starts")
+    parser.add_argument("--spd", action="store_true",
+                        help="also compare the spd-contrastive rows of 220 "
+                             "runs")
     args = parser.parse_args(argv)
     if not (args.parent / "src").is_dir():
         parser.error(f"{args.parent} has no src directory")
-    checks = CHECKS + ((VALLEY,) if args.valley else ())
+    checks = CHECKS + ((VALLEY,) if args.valley else ()) \
+        + ((SPD,) if args.spd else ())
     print(f"src statements: parent {src_statements(args.parent / 'src')}, "
           f"change {src_statements(ROOT / 'src')}")
     differ = False
