@@ -65,9 +65,11 @@ content of an array:
   model (term, scale) = (B_{q,s}, |s|_q) of h that the horofunction
   subproblem and the support checks share, returns (None, 0.0), the
   zero term.  ``_horofunction(q, v)`` raises ZeroDirectionError where
-  |v|_q rounds to 0.
-  On flat geometries B_{q,v}(p) = -<v, log_q p>_q / |v|_q, the scaled
-  linear model, evaluated by :class:`FlatHorofunction`.
+  |v|_q rounds to 0; the horofunction keeps that |v|_q as its ``norm``,
+  which is the scale of ``_support_term``, so |s|_q is computed once.
+  On flat geometries (:class:`FlatManifold`) B_{q,v}(p) =
+  -<v, log_q p>_q / |v|_q, the scaled linear model, evaluated by
+  :class:`FlatHorofunction`.
 * ``_ray_probe(q, u, p)`` returns a :class:`RayProbe` of a validated
   ray (q, unit direction u) and point p: ``distance(t)`` = d(p,
   exp_q(t u)) and the overflow guard ``t_guard``.  The limit oracle
@@ -166,7 +168,8 @@ class Point:
 
 class FlatHorofunction:
     """Busemann function B_{q,v} of one validated ray with v != 0 on a flat
-    geometry, as ``value(p)`` and ``grad(p)`` of points.
+    geometry, as ``value(p)`` and ``grad(p)`` of points, and ``norm`` =
+    |v|_q.
 
     With zero curvature B_{q,v}(p) = -<v, log_q p>_q / |v|_q, so this is the
     geometry's linear model of (q, v) divided by -|v|_q.
@@ -174,13 +177,13 @@ class FlatHorofunction:
 
     def __init__(self, manifold, q, v):
         self.model = manifold._linear_model(q, v)
-        self.nv = direction_norm(manifold, q, v)
+        self.norm = direction_norm(manifold, q, v)
 
     def value(self, p):
-        return -self.model.value(p) / self.nv
+        return -self.model.value(p) / self.norm
 
     def grad(self, p):
-        return -self.model.grad(p) / self.nv
+        return -self.model.grad(p) / self.norm
 
 
 class LinearModel:
@@ -368,17 +371,19 @@ class Manifold:
 
     def _support_term(self, q, s):
         """(term, scale) = (B_{q,s}, |s|_q) of the point ``q`` and a
-        validated ``s``, the horofunction prepared once; (None, 0.0), the
-        zero term, where s = 0 by the array test."""
+        validated ``s``, the horofunction prepared once and the scale the
+        |s|_q it computed; (None, 0.0), the zero term, where s = 0 by the
+        array test."""
         if zero_direction(s):
             return None, 0.0
-        return self._horofunction(q, s), self._norm(q, s)
+        term = self._horofunction(q, s)
+        return term, term.norm
 
     def _horofunction(self, q, v):
         """B_{q,v} of a ray from the point ``q`` with a validated direction,
         not ``zero_direction(v)``, as an object with ``value(p)`` and
-        ``grad(p)`` of points; raises ZeroDirectionError where |v|_q rounds
-        to 0."""
+        ``grad(p)`` of points and ``norm``, the |v|_q of ``_norm(q, v)``;
+        raises ZeroDirectionError where |v|_q rounds to 0."""
         raise NotImplementedError
 
     def _distance_gradient(self, q, p):
@@ -486,6 +491,34 @@ class Manifold:
         """d(p, exp_q(t * unit_dir)) and the overflow guard of one ray and
         point, prepared for the limit oracle's probes."""
         return RayProbe(self, q, unit_dir, p)
+
+
+class FlatManifold(Manifold):
+    """A flat geometry on an open subset of R^n, named ``kind(n)``, whose
+    tangent space at every point is all of R^n: a tangent is any finite
+    n-vector, the projection onto it the same test, and the Busemann
+    function of a ray the scaled linear model, a
+    :class:`FlatHorofunction`.  Subclasses set the class attribute
+    ``kind`` and supply the metric kernels, ``check_point``,
+    ``egrad_to_rgrad``, ``_linear_model_grad`` and the samplers."""
+
+    def __init__(self, n):
+        self.n = check_count(n, f"{self.kind}: dimension")
+        self.dim = self.n
+        self.name = f"{self.kind}({n})"
+
+    def check_tangent(self, p, v):
+        self.point(p)
+        return self._as_array(v, "tangent", (self.n,))
+
+    def project(self, p, x):
+        return self.check_tangent(p, x)
+
+    def _horofunction(self, q, v):
+        return FlatHorofunction(self, q, v)
+
+    def coordinate_directions(self):
+        return iter(np.eye(self.n))
 
 
 def fd_riemannian_grad(manifold, f, p, h=None):

@@ -17,17 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .base import FlatHorofunction, Manifold, RayProbe, check_count
+from .base import FlatManifold, RayProbe
 
 _EXPONENT_GUARD = 690.0     # e^690 is near the double-precision ceiling
 
 
-class DikinOrthant(Manifold):
+class DikinOrthant(FlatManifold):
 
-    def __init__(self, n):
-        self.n = check_count(n, "dikin: dimension")
-        self.dim = self.n
-        self.name = f"dikin({n})"
+    kind = "dikin"
 
     def check_point(self, p):
         p = self._as_array(p, "point", (self.n,))
@@ -35,10 +32,6 @@ class DikinOrthant(Manifold):
             raise ValidationError(
                 f"{self.name}: point must have strictly positive coordinates")
         return p
-
-    def check_tangent(self, p, v):
-        self.point(p)
-        return self._as_array(v, "tangent", (self.n,))
 
     def _inner(self, p, u, v):
         p = p.x
@@ -62,12 +55,6 @@ class DikinOrthant(Manifold):
     def _dist(self, p, q):
         return float(np.linalg.norm(np.log(q.x / p.x)))
 
-    def project(self, p, x):
-        return self.check_tangent(p, x)
-
-    def _horofunction(self, q, v):
-        return FlatHorofunction(self, q, v)
-
     def egrad_to_rgrad(self, p, egrad):
         p = self.point(p)
         return self.check_tangent(p, egrad) * p.x**2
@@ -81,9 +68,6 @@ class DikinOrthant(Manifold):
     def random_tangent(self, p, rng):
         p = self.point(p).x
         return p * rng.standard_normal(self.n)
-
-    def coordinate_directions(self):
-        return iter(np.eye(self.n))
 
     def _ray_probe(self, q, unit_dir, p):
         rate = np.max(np.abs(unit_dir / q.x))

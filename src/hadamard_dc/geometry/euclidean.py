@@ -4,27 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FlatHorofunction, Manifold, check_count
+from .base import FlatManifold
 
 
-class Euclidean(Manifold):
+class Euclidean(FlatManifold):
     """R^n with the standard inner product.
 
     The Busemann function of a ray (q, v), v != 0, is the affine map
     -<v/|v|, p - q>, the scaled linear model.
     """
 
-    def __init__(self, n):
-        self.n = check_count(n, "euclidean: dimension")
-        self.dim = self.n
-        self.name = f"euclidean({n})"
+    kind = "euclidean"
 
     def check_point(self, p):
         return self._as_array(p, "point", (self.n,))
-
-    def check_tangent(self, p, v):
-        self.point(p)
-        return self._as_array(v, "tangent", (self.n,))
 
     def _inner(self, p, u, v):
         return float(u @ v)
@@ -38,12 +31,6 @@ class Euclidean(Manifold):
     def _dist(self, p, q):
         return float(np.linalg.norm(q.x - p.x))
 
-    def project(self, p, x):
-        return self.check_tangent(p, x)
-
-    def _horofunction(self, q, v):
-        return FlatHorofunction(self, q, v)
-
     def egrad_to_rgrad(self, p, egrad):
         return self.check_tangent(p, egrad)
 
@@ -56,6 +43,3 @@ class Euclidean(Manifold):
     def random_tangent(self, p, rng):
         self.point(p)
         return rng.standard_normal(self.n)
-
-    def coordinate_directions(self):
-        return iter(np.eye(self.n))

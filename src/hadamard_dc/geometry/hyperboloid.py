@@ -309,7 +309,7 @@ class HyperboloidRay(Ray):
 
 
 class HyperboloidHorofunction:
-    """B_{q,v}, v != 0, with |v| and the horocenter w = kappa q +
+    """B_{q,v}, v != 0, with ``norm`` = |v| and the horocenter w = kappa q +
     sqrt(kappa) v/|v| computed once.  An evaluation then costs one
     Lorentz pairing (and a projection for the gradient).
     """
@@ -317,7 +317,8 @@ class HyperboloidHorofunction:
     def __init__(self, manifold, q, v):
         self.manifold = manifold
         self.sqrt_kappa = manifold.sqrt_kappa
-        self.w = manifold._horo_center(q.x, v, direction_norm(manifold, q, v))
+        self.norm = direction_norm(manifold, q, v)
+        self.w = manifold._horo_center(q.x, v, self.norm)
 
     def value(self, p):
         p = p.x

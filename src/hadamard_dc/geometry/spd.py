@@ -76,7 +76,7 @@ import numpy as np
 
 from ..errors import (DefinitenessError, NumericalDomainError,
                       ValidationError, ZeroDirectionError)
-from .base import Manifold, Point, RayProbe, check_count, zero_direction
+from .base import Manifold, Point, RayProbe, check_count
 
 
 def sym(a):
@@ -325,32 +325,40 @@ class SPDManifold(Manifold):
     # ------------------------------------------------------------------
 
     def _inner(self, y, u, v):
-        """tr(W_U W_V), W = L^-1 V L^-T with L the factor of the point Y."""
+        """tr(W_U W_V), W = L^-1 V L^-T with L the factor of the point Y;
+        NumericalDomainError where a congruence or the product is not
+        finite."""
         c = y.factor[1]
-        return float((sym(c @ u @ c.T) * sym(c @ v @ c.T)).sum())
-
-    def norm(self, y, v):
-        """``Manifold.norm``, with |V|_Y taken as 2^e |2^-e V|_Y where the
-        congruence L^-1 V L^-T could overflow (e from
-        ``_congruence_shift``, 0 elsewhere); NumericalDomainError where
-        |V|_Y itself overflows."""
-        y = self.point(y)
-        v = self.check_tangent(y, v)
-        shift = _congruence_shift(y.factor[1], v)
-        return _unshifted(
-            self._norm(y, np.ldexp(v, -shift) if shift else v), shift,
-            self.name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float((sym(c @ u @ c.T) * sym(c @ v @ c.T)).sum())
+        if not math.isfinite(value):
+            raise NumericalDomainError(
+                f"{self.name}: the inner product overflows")
+        return value
 
     def _norm(self, y, v):
-        """|W|_F, W = L^-1 V L^-T, as ``SPDRay.speed``."""
+        """|V|_Y = |W|_F, W = L^-1 V L^-T, taken as 2^e |2^-e V|_Y where
+        the congruence could overflow (e from ``_congruence_shift``, 0
+        elsewhere, where it is ``SPDRay.speed``); NumericalDomainError
+        where |V|_Y itself overflows."""
         c = y.factor[1]
-        return _frobenius(sym(c @ v @ c.T))
+        shift = _congruence_shift(c, v)
+        if shift:
+            v = np.ldexp(v, -shift)
+        return _unshifted(_frobenius(sym(c @ v @ c.T)), shift, self.name)
 
     def _point(self, x):
         return SPDPoint(self, x)
 
     def _exp(self, y, v):
-        return SPDRay(self, y, v).exp(1.0)
+        """exp_Y(V) along ``SPDRay``; NumericalDomainError where the
+        congruence of V is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            ray = SPDRay(self, y, v)
+        if math.isnan(ray.speed):
+            raise NumericalDomainError(
+                f"{self.name}: the congruence of the direction overflows")
+        return ray.exp(1.0)
 
     def _ray(self, y, d):
         return SPDRay(self, y, d)
@@ -437,15 +445,6 @@ class SPDManifold(Manifold):
 
     def _horofunction(self, y, v):
         return SPDHorofunction(self, y, v)
-
-    def _support_term(self, y, s):
-        """``Manifold._support_term``, with the scale |s|_Y of a direction
-        that the horofunction scaled by 2^-e taken as 2^e |2^-e s|_Y;
-        NumericalDomainError where that overflows."""
-        if zero_direction(s):
-            return None, 0.0
-        term = self._horofunction(y, s)
-        return term, _unshifted(_frobenius(term.w), term.shift, self.name)
 
     # ------------------------------------------------------------------
     # sampling
@@ -628,14 +627,15 @@ class SPDHorofunction:
     spectral split (one eigendecomposition) and the products U^T C and
     L U.  An evaluation then costs one Cholesky factorization, l l^T =
     (U^T C) X (U^T C)^T, which the point keeps for the gradient there,
-    and a few products.
+    and a few products.  ``norm`` = |V|_Y is taken from W when read.
     """
 
     def __init__(self, manifold, y, v):
+        self.name = manifold.name
         lower, c = y.factor
         # B_{Y,V} = B_{Y,tV} for t > 0: a direction whose congruence
-        # C V C^T could overflow is split after a scaling by 2^-shift;
-        # |W|_F = 2^-shift |V|_Y is the scale of the support term
+        # C V C^T could overflow is split after a scaling by 2^-shift,
+        # and |W|_F = 2^-shift |V|_Y
         self.shift = _congruence_shift(c, v)
         self.w = sym(c @ (np.ldexp(v, -self.shift) if self.shift else v)
                      @ c.T)
@@ -643,6 +643,13 @@ class SPDHorofunction:
         u = self.split.basis
         self.ut_c = u.T @ c
         self.lu = lower @ u
+
+    @property
+    def norm(self):
+        """|V|_Y = 2^shift |W|_F, the bits of ``_norm(Y, V)``;
+        NumericalDomainError where it overflows.  Computed when read, so
+        that a horofunction whose |V|_Y overflows still evaluates."""
+        return _unshifted(_frobenius(self.w), self.shift, self.name)
 
     def _cholesky(self, x):
         return chol(self.ut_c @ x.x @ self.ut_c.T)

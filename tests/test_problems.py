@@ -387,16 +387,16 @@ def test_contrastive_construction_primitive_counts():
     map one eigh; random_tangent draws with the center's L and the norm
     takes L^-1, so neither makes an eigh or a solve (eigh 6 and solve 5
     when random_tangent drew with X^1/2, one eigh, and each sample's
-    norm solved with X).  Before the point factor (eigh 8, cholesky 6,
-    no inv): the center's X^+-1/2 and the R^+-1/2 of each stack were one
-    spd_roots each."""
+    norm solved with X).  Each sample takes one |w|_c (norm 5).  Before
+    the point factor (eigh 8, cholesky 6, no inv): the center's X^+-1/2
+    and the R^+-1/2 of each stack were one spd_roots each."""
     with primitive_counter() as counter:
         contrastive_problem(ContrastiveParams(n=4, m=3, r=2), make_rng(5))
     assert counter.counts == {"eigh": 5, "eigvalsh": 0, "cholesky": 12,
                               "solve": 0, "inv": 3, "check_point": 6,
                               "step": 0, "_definite": 6, "factor": 1,
                               "hyperboloid._dist": 0,
-                              "hyperboloid._log": 0}
+                              "hyperboloid._log": 0, "norm": 5}
 
 
 def test_contrastive_convexity_of_components():
@@ -709,9 +709,11 @@ def test_valley_b_dca_primitive_counts():
     tolerance 1e-5; 3,512, 20,050, 23,582 and 6,886 at a tenth): keeping
     the long first step of a solve also saves outer steps.  The valley's
     sigma is 0, so no stop asks for the certificate and it computes no
-    distance."""
+    distance.  The support scale |s_k| of an outer step is the |s_k| its
+    horofunction computed (25,471 norms when ``_support_term`` computed
+    it again, one more per outer step)."""
     totals = {"hyperboloid._dist": 0, "hyperboloid._log": 0, "step": 0,
-              "check_point": 0}
+              "check_point": 0, "norm": 0}
     outer = 0
     for seed in range(20):
         prob = rosenbrock_problem(RosenbrockParams())
@@ -723,7 +725,7 @@ def test_valley_b_dca_primitive_counts():
             totals[name] += counter.counts[name]
     assert outer == 2599
     assert totals == {"hyperboloid._dist": 14970, "hyperboloid._log": 2704,
-                      "step": 12351, "check_point": 20}
+                      "step": 12351, "check_point": 20, "norm": 22872}
 
 
 @pytest.mark.parametrize("build, error", [

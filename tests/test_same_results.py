@@ -81,3 +81,61 @@ def test_spd_rows_are_a_mode_of_both_tools():
          "--seed", "0"],
         ["spd-contrastive", "--n", "20", *flags, "--runs", "10",
          "--seed", "0"])
+
+
+BENCH_OUTPUT = """\
+.....F..E                                                        [100%]
+==================================== ERRORS ====================================
+_________________________ ERROR at setup of test_setup _________________________
+{root}/perfbench/tests/test_b.py:12: ValueError: no fixture
+=================================== FAILURES ===================================
+E   AssertionError: assert 'norm' not in mappingproxy({{'f': <function at {addr}>}})
+     +  where mappingproxy({{'f': <function at {addr}>}}) = vars(<class 'M'>)
+{root}/perfbench/tests/test_a.py:91: AssertionError: assert 'norm' not in ...
+==================================== PASSES ====================================
+=========================== short test summary info ============================
+PASSED perfbench/tests/test_a.py::test_one
+PASSED perfbench/tests/test_a.py::test_two[10]
+FAILED perfbench/tests/test_a.py::test_three - AssertionError: assert...
+ERROR perfbench/tests/test_b.py::test_setup - ValueError: no fixture
+SKIPPED [1] perfbench/tests/test_b.py:30: no scipy
+1 failed, 2 passed, 1 skipped, 1 error in {seconds}s
+"""
+
+
+def test_bench_test_outcomes_keep_outcomes_and_locations_only():
+    """Each test's outcome, and a failure's or an error's ``file:line``
+    relative to its tree, sorted by test: the reprs (with their
+    addresses) and the timing are dropped, so two runs of the same tree
+    in two directories give the same lines."""
+    want = [
+        "perfbench/tests/test_a.py::test_one passed",
+        "perfbench/tests/test_a.py::test_three failed at "
+        "perfbench/tests/test_a.py:91",
+        "perfbench/tests/test_a.py::test_two[10] passed",
+        "perfbench/tests/test_b.py:30 skipped",
+        "perfbench/tests/test_b.py::test_setup error at "
+        "perfbench/tests/test_b.py:12",
+    ]
+    for root, addr, seconds in (("/x/parent", "0x7f39a6ff4860", "3.20"),
+                                ("/y/change", "0x7f65467d4720", "4.39")):
+        output = BENCH_OUTPUT.format(root=root, addr=addr, seconds=seconds)
+        assert same_results.pytest_outcomes(output, root) == want
+
+
+def test_a_moved_failure_is_the_one_difference():
+    """The benchmark tests' report names a failure that moved to another
+    line of its test, and nothing else."""
+    parent = BENCH_OUTPUT.format(root="/p", addr="0x1", seconds="1")
+    change = parent.replace("/p/", "/c/").replace("test_a.py:91:",
+                                                  "test_a.py:107:")
+    assert same_results.compare(same_results.pytest_outcomes(parent, "/p"),
+                                same_results.pytest_outcomes(change, "/c")) \
+        == ["first difference, line 2:",
+            "  parent: perfbench/tests/test_a.py::test_three failed at "
+            "perfbench/tests/test_a.py:91",
+            "  change: perfbench/tests/test_a.py::test_three failed at "
+            "perfbench/tests/test_a.py:107"]
+    assert same_results.BENCH_TESTS == (
+        "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=line", "-rA",
+        "perfbench/tests")

@@ -533,6 +533,28 @@ def test_public_norm_and_split_of_an_overflowing_congruence():
     assert split.norm_const == pytest.approx(1e100, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_public_exp_and_inner_of_an_overflowing_congruence():
+    """On the same ray ``exp`` returned a NaN matrix and ``inner`` inf,
+    each after an overflow warning; both raise.  Where the congruence is
+    finite but the inner product overflows, ``inner`` raises too, and a
+    finite congruence whose exponential overflows keeps the guard's
+    OverflowError."""
+    m = SPDManifold(2)
+    y, v = np.diag([1e-200, 1.0]), np.diag([1e200, 1.0])
+    with pytest.raises(NumericalDomainError, match="congruence"):
+        m.exp(y, v)
+    with pytest.raises(NumericalDomainError, match="inner product"):
+        m.inner(y, v, v)
+    big = np.diag([1e100, 1.0])                 # congruence diag(1e300, 1)
+    with pytest.raises(NumericalDomainError, match="inner product"):
+        m.inner(y, big, big)
+    assert m.inner(y, big, 1e-300 * np.eye(2)) == pytest.approx(
+        1e200, rel=1e-15)
+    with pytest.raises(OverflowError, match="overflow guard"):
+        m.exp(y, big)
+
+
 def test_symmetry_test_rejects_huge_non_symmetric_matrices():
     """A non-symmetric matrix whose Frobenius norm overflows is rejected,
     with no RuntimeWarning (1 + |X|_F was inf, so the test passed it)."""

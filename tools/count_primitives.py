@@ -10,7 +10,8 @@ class (one line-search trial, which validates its point without
 ``check_point`` on the hyperboloid and SPD), of ``SPDManifold._definite``
 (the Cholesky test of an SPD trial and of ``check_point``), of ``factor``
 (the factor L and L^-1 of one SPD point, L^-1 by one ``inv``) and of
-``Hyperboloid._dist`` and ``_log``, problem construction included.  The
+``Hyperboloid._dist`` and ``_log``, and of ``_norm`` (|v|_q, under
+``norm``) of every geometry, problem construction included.  The
 counts are a deterministic function of the flags, so running this file
 against two source trees
 
@@ -41,8 +42,10 @@ GEOMETRIES = (geometry.Euclidean, geometry.DikinOrthant, geometry.Hyperboloid,
 HYPERBOLOID = ("_dist", "_log")
 RAYS = (geometry.base.Ray, geometry.hyperboloid.HyperboloidRay,
         geometry.spd.SPDRay)                        # every step
+NORMS = (geometry.Manifold, geometry.Hyperboloid,
+         geometry.SPDManifold)                      # the classes with a _norm
 NAMES = LAPACK + ("check_point", "step", "_definite", "factor") + tuple(
-    f"hyperboloid.{op}" for op in HYPERBOLOID)
+    f"hyperboloid.{op}" for op in HYPERBOLOID) + ("norm",)
 
 
 class PrimitiveCounter:
@@ -50,9 +53,10 @@ class PrimitiveCounter:
     numpy LAPACK routines of ``LAPACK``, ``check_point`` of each geometry
     of ``GEOMETRIES`` (all under one name), ``step`` of each ray class of
     ``RAYS`` (all under one name), ``SPDManifold._definite``, the factor
-    of an SPD point (``spd._with_inverse``, under ``factor``) and the
-    hyperboloid kernels of ``HYPERBOLOID``.  Leaving it restores the
-    originals."""
+    of an SPD point (``spd._with_inverse``, under ``factor``), the
+    hyperboloid kernels of ``HYPERBOLOID`` and ``_norm`` of each class
+    of ``NORMS`` (all under ``norm``; the flat geometries inherit
+    ``Manifold._norm``).  Leaving it restores the originals."""
 
     def __init__(self):
         self.counts = dict.fromkeys(NAMES, 0)
@@ -80,6 +84,8 @@ class PrimitiveCounter:
         self._patch(geometry.spd, "_with_inverse", "factor")
         for op in HYPERBOLOID:
             self._patch(geometry.Hyperboloid, op, f"hyperboloid.{op}")
+        for cls in NORMS:
+            self._patch(cls, "_norm", "norm")
         return self
 
     def __exit__(self, *exc):

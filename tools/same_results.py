@@ -8,15 +8,21 @@ Runs each output tool of this tree once with the parent's ``src`` on
 same calls: ``tools/cli_rows.py`` with and without ``--golden`` (and
 with ``--valley`` or ``--spd`` when asked, about 20 s and 8 s a side),
 ``tools/count_primitives.py``, ``tools/kernel_rows.py --seed 1`` and the
-render of ``tests/test_golden_oracle.py``.  For each it prints
-``identical``, or how the two outputs differ: for the rows of
-``cli_rows.py`` the lines of the ``tools/row_moves.py`` report that name
-a move, and for every output the first line that differs.  Exits 1 if
-any output differs.  First it prints one line for information, ``src
-statements: parent N, change M``, the statements of the two ``src``
-trees as ``tools/line_coverage.py`` counts them (docstrings and
-comments are not statements); it is not a difference.  Standard library
-only.
+render of ``tests/test_golden_oracle.py``.  Then it runs each tree's
+own ``perfbench/tests`` (``python -m pytest -q -p no:cacheprovider
+--tb=line -rA perfbench/tests``, ``-rA`` naming every test's outcome)
+with that tree's root as the working directory, since the benchmark's
+``conftest.py`` puts its own tree's ``src`` first on ``sys.path``; the
+output compared is one line per test, its outcome and, for a failure,
+the tree-relative ``file:line`` of the failing assertion, with no reprs
+or timings.  For each output it prints ``identical``, or how the two
+outputs differ: for the rows of ``cli_rows.py`` the lines of the
+``tools/row_moves.py`` report that name a move, and for every output the
+first line that differs.  Exits 1 if any output differs.  First it
+prints one line for information, ``src statements: parent N, change
+M``, the statements of the two ``src`` trees as
+``tools/line_coverage.py`` counts them (docstrings and comments are not
+statements); it is not a difference.  Standard library only.
 """
 
 from __future__ import annotations
@@ -46,6 +52,12 @@ CHECKS = (
 VALLEY = ("cli_rows --valley", ["tools/cli_rows.py", "--valley"], True)
 SPD = ("cli_rows --spd", ["tools/cli_rows.py", "--spd"], True)
 UNMOVED = re.compile(r": 0 of \d+ (rows|lines) moved$")
+BENCH_TESTS = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=line",
+               "-rA", "perfbench/tests")
+SECTION = re.compile(r"^=+ (.+?) =+$")
+OUTCOME = re.compile(
+    r"^(PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS) (?:\[\d+\] )?(\S+)")
+LOCATION = re.compile(r"^(\S+\.py:\d+): ")
 
 
 def compare(parent, change, rows=False):
@@ -87,6 +99,60 @@ def run(argv, src):
     return lines
 
 
+def pytest_outcomes(output, root):
+    """One line per test of a pytest run's ``output`` (run with
+    ``--tb=line -rA``), sorted: the test's id and outcome, and for a
+    failure or an error ``at`` the ``file:line`` of its ``--tb=line``
+    location with the tree's ``root`` taken off, in the order pytest
+    prints them in its FAILURES and ERRORS sections and its summary."""
+    prefix = f"{root}{os.sep}"
+    section, located = None, {"FAILURES": [], "ERRORS": []}
+    outcomes = []
+    for line in output.splitlines():
+        head = SECTION.match(line)
+        if head:
+            section = head[1]
+            continue
+        line = line.replace(prefix, "")
+        where = LOCATION.match(line)
+        if where and section in located:
+            located[section].append(where[1])
+        found = OUTCOME.match(line)
+        if found and section == "short test summary info":
+            outcomes.append((found[2].rstrip(":"), found[1].lower()))
+    places = {"failed": iter(located["FAILURES"]),
+              "error": iter(located["ERRORS"])}
+    lines = []
+    for test, outcome in outcomes:
+        at = next(places[outcome], None) if outcome in places else None
+        lines.append(f"{test} {outcome}" + (f" at {at}" if at else ""))
+    return sorted(lines)
+
+
+def bench_tests(root):
+    """``pytest_outcomes`` of the tree ``root``'s own ``perfbench/tests``,
+    run from ``root``, and its last output line when pytest exits with
+    more than test failures."""
+    root = Path(root).resolve()
+    proc = subprocess.run([sys.executable, *BENCH_TESTS], cwd=root,
+                          capture_output=True, text=True)
+    lines = pytest_outcomes(proc.stdout, root)
+    if proc.returncode > 1:
+        err = (proc.stdout + proc.stderr).strip().splitlines() or [""]
+        lines.append(f"# exited {proc.returncode}: {err[-1]}")
+    return lines
+
+
+def show(name, report):
+    """Print ``identical`` or ``differs`` and the report for one output;
+    whether it differs."""
+    print(f"{name}: {'differs' if report else 'identical'}")
+    for line in report:
+        print(f"  {line}")
+    sys.stdout.flush()
+    return bool(report)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path,
@@ -105,13 +171,11 @@ def main(argv=None):
           f"change {src_statements(ROOT / 'src')}")
     differ = False
     for name, script, rows in checks:
-        report = compare(run(script, args.parent.resolve() / "src"),
-                         run(script, ROOT / "src"), rows)
-        print(f"{name}: {'differs' if report else 'identical'}")
-        for line in report:
-            print(f"  {line}")
-        differ = differ or bool(report)
-        sys.stdout.flush()
+        differ |= show(name, compare(
+            run(script, args.parent.resolve() / "src"),
+            run(script, ROOT / "src"), rows))
+    differ |= show("perfbench tests", compare(bench_tests(args.parent),
+                                              bench_tests(ROOT)))
     return 1 if differ else 0
 
 
