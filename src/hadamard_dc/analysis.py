@@ -12,14 +12,16 @@ anchors through Richardson extrapolation in 1/t, which is exact on flat
 geometries and leaves only the exponentially small curvature terms
 elsewhere.  When those terms have not yet died out at the last anchor
 (nearly degenerate direction spectra on the SPD side), the schedule is
-extended adaptively by doubling, within the geometry's overflow guard.
+extended adaptively by doubling, until the estimates settle or a probe
+leaves its numerical domain.
 
 Each call prepares its ray once: the geometry's ``_ray_probe`` returns
-the distance along the ray from p as a function of t, together with
-the guard, and every probe of the schedule and its refinement evaluates
-that one object (on SPD the eigendecompositions and the Cholesky factor
-are done when it is built, and a probe costs one Jacobi SVD).  Nothing
-is kept between calls.
+the distance along the ray from p as a function of t, and every probe
+of the schedule and its refinement evaluates that one object (on SPD
+the eigendecompositions and the Cholesky factor are done when it is
+built, and a probe costs one Jacobi SVD).  A probe that leaves its
+numerical domain raises NumericalDomainError or OverflowError: that is
+the one signal that stops refinement.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalDomainError, ZeroDirectionError
-from .geometry.base import BusemannRay, check_count
+from .errors import NumericalDomainError
+from .geometry.base import BusemannRay, check_count, direction_norm
 
 DEFAULT_T_VALUES = (5.0, 10.0, 20.0, 30.0)
 
@@ -83,13 +85,18 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
     invariant under positive scaling), so schedule entries are arc
     lengths along the ray.
 
-    On the SPD side the curvature terms decay like exp(-t * gap / 2)
-    with ``gap`` the smallest relative spectral gap of the direction;
-    directions with gap below ~5e-3 cannot settle within the overflow
-    guard, and the result reports ``converged=False``.  So does a
-    refinement probe that leaves the numerical domain (a singular value
-    underflowing far out on the ray); a probe of the base schedule that
-    does so raises :class:`~hadamard_dc.errors.NumericalDomainError`.
+    Refinement doubles the last ray parameter until two consecutive
+    estimates agree within ``refine_tol``, after ``max_refine``
+    doublings, or at the first probe that leaves its numerical domain
+    by raising :class:`~hadamard_dc.errors.NumericalDomainError` or
+    OverflowError (an exponential past its overflow guard, an SPD probe
+    past t max|lam| = 1200 or with an underflowing singular value).
+    That probe is dropped and the result reports ``converged=False``; a
+    probe of the base schedule that leaves its domain raises.  On the
+    SPD side the curvature terms decay like exp(-t * gap / 2) with
+    ``gap`` the smallest relative spectral gap of the direction;
+    directions with gap below ~5e-3 cannot settle before the probes
+    leave their domain.
     Raises ValueError unless 0 <= ``refine_tol`` < inf and ``max_refine``
     is an integer >= 0.
     """
@@ -100,11 +107,7 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
     q = manifold.point(ray.base)
     v = manifold.check_tangent(q, ray.direction)
     p = manifold.point(p)
-    nv = manifold._norm(q, v)
-    if nv == 0.0:
-        raise ZeroDirectionError(
-            "limit oracle needs a nonzero ray direction")
-    vhat = v / nv
+    vhat = v / direction_norm(manifold, q, v)
     schedule = schedule or OracleSchedule()
     mode = schedule.mode or manifold.oracle_mode_default
     probe = manifold._ray_probe(q, vhat, p)
@@ -135,11 +138,9 @@ def busemann_numeric(manifold, ray: BusemannRay, p, schedule=None,
                 abs(estimates[-1] - estimates[-2]) <= refine_tol:
             break
         t_next = 2.0 * ts[-1]
-        if t_next > probe.t_guard:
-            break
         try:
             raw_next = raw(t_next)
-        except NumericalDomainError:
+        except (NumericalDomainError, OverflowError):
             # the estimates have not settled, so the result is unconverged
             break
         ts.append(t_next)
@@ -226,9 +227,7 @@ def lipschitz_subgrad_bound_check(manifold, f, lipschitz_const, q, s):
     if not 0.0 <= lipschitz_const < math.inf:
         raise ValueError("Lipschitz bound needs a finite constant >= 0: "
                          f"{lipschitz_const}")
-    q = manifold.point(q)
-    return manifold._norm(q, manifold.check_tangent(q, s)) \
-        <= lipschitz_const + 1e-10
+    return manifold.norm(q, s) <= lipschitz_const + 1e-10
 
 
 # ----------------------------------------------------------------------

@@ -72,12 +72,14 @@ content of an array:
   :class:`FlatHorofunction`.
 * ``_ray_probe(q, u, p)`` returns a :class:`RayProbe` of a validated
   ray (q, unit direction u) and point p: ``distance(t)`` = d(p,
-  exp_q(t u)) and the overflow guard ``t_guard``.  The limit oracle
-  builds one per call and probes it at every ray parameter of its
-  schedule.  SPD computes the spectrum of L^-1 V L^-T, the Cholesky
-  factor of the reduced point and the guard once in it; the hyperboloid
-  and the Dikin orthant supply only their guards, and the generic form
-  calls ``_exp``, ``_point`` and ``_dist`` per probe.
+  exp_q(t u)), which raises NumericalDomainError or OverflowError where
+  the probe leaves its numerical domain.  The limit oracle builds one
+  per call and probes it at every ray parameter of its schedule, and
+  stops refining at the first probe that raises.  SPD computes the
+  spectrum of L^-1 V L^-T and the Cholesky factor of the reduced point
+  once in it; every other geometry uses the generic form, which calls
+  ``_exp``, ``_point`` and ``_dist`` per probe, so that a probe raises
+  where the exponential does.
 
 All operations are pure functions of their arguments, so parallel
 callers need no synchronization as long as they do not share a point.
@@ -91,8 +93,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (UndefinedGradientError, ValidationError,
-                      ZeroDirectionError)
+from ..errors import (NumericalDomainError, UndefinedGradientError,
+                      ValidationError, ZeroDirectionError)
 
 
 @dataclass(frozen=True)
@@ -235,21 +237,20 @@ class Ray:
 class RayProbe:
     """Distance from a validated point p to the points of one validated
     ray (the point q, unit direction u), as ``distance(t)`` =
-    d(p, exp_q(t u)), and ``t_guard``, the largest ray parameter the limit
-    oracle may use before overflow.
+    d(p, exp_q(t u)), which raises NumericalDomainError or OverflowError
+    where the probe leaves its numerical domain.
 
     This form calls ``_exp`` and ``_dist`` on every probe, with the ray's
-    point made a :class:`Point`; a geometry with fixed work per ray and
-    point, or with a tighter guard, returns a subclass or another guard
-    from ``_ray_probe``.
+    point made a :class:`Point`, so it raises where ``_exp`` does; a
+    geometry with fixed work per ray and point returns a subclass from
+    ``_ray_probe``.
     """
 
-    def __init__(self, manifold, q, unit_dir, p, t_guard=1e12):
+    def __init__(self, manifold, q, unit_dir, p):
         self.manifold = manifold
         self.q = q
         self.unit_dir = unit_dir
         self.p = p
-        self.t_guard = t_guard
 
     def distance(self, t):
         m = self.manifold
@@ -410,11 +411,19 @@ class Manifold:
         """Gradient at ``p`` of the linearization term  p -> <s, log_q p>.
 
         ``s`` is a tangent vector at ``q``; the inner product is taken in
-        the metric at ``q``.  Used by the classic DC subproblem.
+        the metric at ``q``.  The classic DC subproblem evaluates the same
+        model, built by ``_linear_model``.  NumericalDomainError where the
+        gradient is not finite.
         """
         q = self.point(q)
-        return self._linear_model(q, self.check_tangent(q, s)) \
-            .grad(self.point(p))
+        s = self.check_tangent(q, s)
+        p = self.point(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = self._linear_model(q, s).grad(p)
+        if not np.isfinite(grad).all():
+            raise NumericalDomainError(
+                f"{self.name}: the linear model gradient is not finite")
+        return grad
 
     def _linear_model(self, q, s):
         """p -> <s, log_q p> for a point ``q`` and a validated ``s``,
@@ -488,8 +497,8 @@ class Manifold:
     # ------------------------------------------------------------------
 
     def _ray_probe(self, q, unit_dir, p):
-        """d(p, exp_q(t * unit_dir)) and the overflow guard of one ray and
-        point, prepared for the limit oracle's probes."""
+        """d(p, exp_q(t * unit_dir)) of one ray and point, prepared for
+        the limit oracle's probes."""
         return RayProbe(self, q, unit_dir, p)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from .base import FlatManifold, RayProbe
+from .base import FlatManifold
 
 _EXPONENT_GUARD = 690.0     # e^690 is near the double-precision ceiling
 
@@ -68,8 +68,3 @@ class DikinOrthant(FlatManifold):
     def random_tangent(self, p, rng):
         p = self.point(p).x
         return p * rng.standard_normal(self.n)
-
-    def _ray_probe(self, q, unit_dir, p):
-        rate = np.max(np.abs(unit_dir / q.x))
-        guard = 1e12 if rate == 0.0 else _EXPONENT_GUARD / rate
-        return RayProbe(self, q, unit_dir, p, t_guard=guard)

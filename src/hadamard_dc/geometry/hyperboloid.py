@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 
 from ..errors import NumericalDomainError, ValidationError
-from .base import Manifold, Ray, RayProbe, check_count, direction_norm
+from .base import Manifold, Ray, check_count, direction_norm
 
 _EXP_ARG_GUARD = 350.0      # cosh overflows doubles near 710; stay well below
 _LARGE_ARCOSH = 1e8
@@ -163,9 +163,6 @@ class Hyperboloid(Manifold):
     def _inner(self, p, u, v):
         return _lorentz(u, v)
 
-    def _norm(self, p, v):
-        return math.sqrt(max(_lorentz(v, v), 0.0))
-
     def _exp(self, p, v):
         return self._exp_top(p, v)[0]
 
@@ -223,10 +220,8 @@ class Hyperboloid(Manifold):
                 x = max(0.5 * self.kappa * _lorentz(diff, diff), 0.0)
                 return math.log1p(x + math.sqrt(x * (2.0 + x))) \
                     / self.sqrt_kappa
-            if arg <= _LARGE_ARCOSH:
-                return arcosh(arg) / self.sqrt_kappa
             if math.isfinite(2.0 * arg):
-                return math.log(2.0 * arg) / self.sqrt_kappa
+                return arcosh(arg) / self.sqrt_kappa
         # far points overflow the raw pairing (or its double): rescale
         # coordinates and recover the arcosh in the log domain; the two
         # scale logs are summed first, so that dist(p, q) == dist(q, p)
@@ -290,10 +285,6 @@ class Hyperboloid(Manifold):
 
     def coordinate_directions(self):
         return iter(np.eye(self.n + 1))
-
-    def _ray_probe(self, q, unit_dir, p):
-        return RayProbe(self, q, unit_dir, p,
-                        t_guard=_EXP_ARG_GUARD / self.sqrt_kappa)
 
 
 class HyperboloidRay(Ray):

@@ -502,9 +502,11 @@ class SPDRayProbe(RayProbe):
     gives d = |Log(S l l^T S)|_F with S = Exp(-t lam / 2); the eigenvalues
     of S l l^T S are the squared singular values of S l, computed to high
     relative accuracy by the Jacobi SVD even when the row scaling spans
-    hundreds of orders of magnitude.  lam, U, l and the guard
-    1200 / max |lam| depend on the ray and X alone and are computed here,
-    once; a probe costs the row scaling and the SVD.
+    hundreds of orders of magnitude.  lam, U, l and the largest ray
+    parameter 1200 / max |lam| depend on the ray and X alone and are
+    computed here, once; a probe costs the row scaling and the SVD, and
+    one beyond that parameter (t max |lam| > 1200) raises
+    NumericalDomainError.
     """
 
     def __init__(self, manifold, y, unit_dir, x):
@@ -512,10 +514,12 @@ class SPDRayProbe(RayProbe):
         self.lam, u = sym_eig(c @ unit_dir @ c.T)
         uc = u.T @ c
         self.ell = chol(uc @ x.x @ uc.T)
-        lmax = float(abs(self.lam).max())
-        self.t_guard = 1e12 if lmax == 0.0 else 1200.0 / lmax
+        self.t_max = 1200.0 / float(abs(self.lam).max())
 
     def distance(self, t):
+        if t > self.t_max:
+            raise NumericalDomainError(
+                f"limit probe beyond the ray parameter {self.t_max:.6g}")
         a = np.exp(-0.5 * t * self.lam)[:, None] * self.ell
         return _frobenius(2.0 * _log_singular_values(a))
 

@@ -1,8 +1,10 @@
 """One place per geometry rule: |v|_q has one kernel per geometry,
 ``_norm``, which the public ``norm`` wraps and whose value the
 horofunction keeps as the scale of ``_support_term``; the rules the flat
-geometries share live in ``FlatManifold``."""
+geometries share live in ``FlatManifold``; the limit oracle stops on its
+probe alone, with no per-geometry guard."""
 
+import inspect
 import math
 import re
 
@@ -12,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hadamard_dc import NumericalDomainError, make_rng
-from hadamard_dc.geometry import (DikinOrthant, Euclidean, Manifold,
-                                  SPDManifold)
-from hadamard_dc.geometry.base import FlatManifold
+from hadamard_dc.geometry import (DikinOrthant, Euclidean, Hyperboloid,
+                                  Manifold, SPDManifold)
+from hadamard_dc.geometry.base import FlatManifold, RayProbe
 from helpers import all_geometries, examples
 
 GEOMETRIES = all_geometries()
@@ -72,6 +74,24 @@ def test_each_rule_is_defined_in_one_place():
     for m in GEOMETRIES:
         assert type(m).norm is Manifold.norm
         assert type(m)._support_term is Manifold._support_term
+
+
+def test_the_oracle_stop_and_the_norm_are_defined_once():
+    """The hyperboloid takes |v| from the base ``_norm`` through its
+    ``_inner``; the hyperboloid and the Dikin orthant take the generic
+    probe, whose exponential raises at their overflow limits, and no
+    probe carries a guard of its own."""
+    assert "_norm" not in vars(Hyperboloid)
+    for cls in (Hyperboloid, DikinOrthant):
+        assert "_ray_probe" not in vars(cls)
+    assert list(inspect.signature(RayProbe).parameters) == \
+        ["manifold", "q", "unit_dir", "p"]
+    for m in GEOMETRIES:
+        rng = make_rng(0)
+        q = m.point(m.random_point(rng))
+        u = m.random_tangent(q, rng)
+        probe = m._ray_probe(q, u / m.norm(q, u), q)
+        assert not hasattr(probe, "t_guard")
 
 
 @pytest.mark.parametrize("cls, kind", [(Euclidean, "euclidean"),

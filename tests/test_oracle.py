@@ -151,7 +151,8 @@ def test_overflow_reports_offending_parameter():
 
 def test_refinement_probe_underflow_reports_unconverged():
     # a nearly degenerate SPD(5) direction: the sixth doubling (t=1920,
-    # below the guard) underflows a singular value of the reduced form
+    # inside the probe's ray-parameter limit) underflows a singular value
+    # of the reduced form
     m = SPDManifold(5)
     rng = make_rng(284)
     q = m.random_point(rng)
@@ -172,6 +173,79 @@ def test_refinement_probe_underflow_reports_unconverged():
             busemann_numeric(m, ray, p,
                              OracleSchedule(t_values=(5.0, 1920.0)),
                              max_refine=0)
+
+
+def _steep_dikin_ray_and_point(manifold):
+    # u/q = e_3 for the unit direction u: the exponential overflows past
+    # t = 690
+    q = np.array([1.0, 2.0, 0.5])
+    return BusemannRay(q, np.array([0.0, 0.0, 0.5])), np.array([3.0, 0.5, 2.0])
+
+
+def _random_ray_and_point(manifold):
+    rng = make_rng(0)
+    return random_ray(manifold, rng), manifold.random_point(rng)
+
+
+@pytest.mark.parametrize("manifold,ray_and_point,last", [
+    (Hyperboloid(2), _random_ray_and_point, 240.0),
+    (Hyperboloid(2, 0.3), _random_ray_and_point, 480.0),
+    (DikinOrthant(3), _steep_dikin_ray_and_point, 480.0),
+    (SPDManifold(5), _random_ray_and_point, 960.0),
+])
+def test_refinement_runs_until_a_probe_leaves_the_domain(manifold,
+                                                         ray_and_point, last):
+    """With ``refine_tol=0`` the estimates never agree, so refinement
+    doubles until the next probe raises: the hyperboloid's exponential
+    past sqrt(kappa) t = 350, the Dikin orthant's past t max|u_i/q_i| =
+    690, the SPD probe past t max|lam| = 1200 (or a singular value
+    underflowing first).  The last parameters are those of the per-geometry
+    guards the probes replaced."""
+    ray, p = ray_and_point(manifold)
+    res = busemann_numeric(manifold, ray, p, refine_tol=0.0, max_refine=30)
+    assert res.t_values == [5.0, 10.0, 20.0, 30.0] + [
+        t for t in (60.0, 120.0, 240.0, 480.0, 960.0) if t <= last]
+    assert res.refined and not res.converged
+    assert len(res.raw_values) == len(res.estimates) == len(res.t_values)
+
+
+def test_a_refinement_probe_that_overflows_stops_refinement():
+    """A doubling onto sqrt(kappa) t = 350 exactly was admitted by the
+    guard 350 / sqrt(kappa), but |t u| rounds above 350 and the
+    exponential raised its OverflowError out of the oracle; it now stops
+    refinement like any probe that leaves its domain."""
+    m = Hyperboloid(2)
+    rng = make_rng(1)
+    ray = random_ray(m, rng)
+    p = m.random_point(rng)
+    res = busemann_numeric(m, ray, p, OracleSchedule(t_values=(5.0, 175.0)),
+                           refine_tol=0.0, max_refine=3)
+    assert res.t_values == [5.0, 175.0]
+    assert not res.refined and not res.converged
+    with pytest.raises(OverflowError, match="t=350"):
+        busemann_numeric(m, ray, p, OracleSchedule(t_values=(5.0, 350.0)),
+                         max_refine=0)
+
+
+def test_spd_probe_beyond_its_ray_parameter_limit_raises():
+    """An SPD probe raises NumericalDomainError past t max|lam| = 1200,
+    in the base schedule too (it computed there before), and computes at
+    the limit itself."""
+    m = SPDManifold(3)
+    rng = make_rng(7)
+    ray = random_ray(m, rng)
+    p = m.random_point(rng)
+    q = m.point(ray.base)
+    probe = m._ray_probe(q, ray.direction / m.norm(q, ray.direction),
+                         m.point(p))
+    limit = probe.t_max
+    assert limit == 1200.0 / float(abs(probe.lam).max())
+    res = busemann_numeric(m, ray, p, OracleSchedule(t_values=(5.0, limit)),
+                           max_refine=0)
+    assert res.t_values == [5.0, limit]
+    beyond = OracleSchedule(t_values=(5.0, np.nextafter(limit, np.inf)))
+    with pytest.raises(NumericalDomainError, match="beyond"):
+        busemann_numeric(m, ray, p, beyond, max_refine=0)
 
 
 def _counted(monkeypatch, names):
@@ -205,7 +279,8 @@ def test_spd_oracle_factorizations_do_not_grow_with_probes(monkeypatch):
         per_call.append({k: counts[k] - before[k] for k in counts})
     assert per_call[0] == per_call[1]
     assert per_call[0]["eigh"] > 0 and per_call[0]["cholesky"] > 0
-    # the overflow guard comes from the spectrum the probe already has
+    # the probe's ray-parameter limit comes from the spectrum it already
+    # has
     assert per_call[0]["eigvalsh"] == 0
 
 

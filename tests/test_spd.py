@@ -555,6 +555,21 @@ def test_public_exp_and_inner_of_an_overflowing_congruence():
         m.exp(y, big)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_public_linear_model_grad_of_an_overflowing_congruence():
+    """On the same ray the public ``linear_model_grad`` at X = I returned
+    a NaN matrix after an overflow warning in the model's C S C^T; it
+    raises, and a finite gradient at the same point is unchanged."""
+    m = SPDManifold(2)
+    y, s = np.diag([1e-200, 1.0]), np.diag([1e200, 1.0])
+    with pytest.raises(NumericalDomainError, match="not finite"):
+        m.linear_model_grad(y, s, np.eye(2))
+    small = np.diag([1e-200, 1.0])
+    np.testing.assert_array_equal(
+        m.linear_model_grad(y, small, np.eye(2)),
+        m._linear_model(m.point(y), small).grad(m.point(np.eye(2))))
+
+
 def test_symmetry_test_rejects_huge_non_symmetric_matrices():
     """A non-symmetric matrix whose Frobenius norm overflows is rejected,
     with no RuntimeWarning (1 + |X|_F was inf, so the test passed it)."""

@@ -42,8 +42,8 @@ GEOMETRIES = (geometry.Euclidean, geometry.DikinOrthant, geometry.Hyperboloid,
 HYPERBOLOID = ("_dist", "_log")
 RAYS = (geometry.base.Ray, geometry.hyperboloid.HyperboloidRay,
         geometry.spd.SPDRay)                        # every step
-NORMS = (geometry.Manifold, geometry.Hyperboloid,
-         geometry.SPDManifold)                      # the classes with a _norm
+NORMS = tuple(cls for cls in (geometry.Manifold, *GEOMETRIES)
+              if "_norm" in vars(cls))              # the classes with a _norm
 NAMES = LAPACK + ("check_point", "step", "_definite", "factor") + tuple(
     f"hyperboloid.{op}" for op in HYPERBOLOID) + ("norm",)
 
@@ -55,8 +55,11 @@ class PrimitiveCounter:
     ``RAYS`` (all under one name), ``SPDManifold._definite``, the factor
     of an SPD point (``spd._with_inverse``, under ``factor``), the
     hyperboloid kernels of ``HYPERBOLOID`` and ``_norm`` of each class
-    of ``NORMS`` (all under ``norm``; the flat geometries inherit
-    ``Manifold._norm``).  Leaving it restores the originals."""
+    of ``NORMS``, ``Manifold`` and the geometries that define their own
+    (all under ``norm``), found from the classes of the source tree
+    imported, so that one copy of this file counts every ``_norm`` of
+    two trees that define it in different classes.  Leaving it restores
+    the originals."""
 
     def __init__(self):
         self.counts = dict.fromkeys(NAMES, 0)
