@@ -20,10 +20,15 @@ subproblem gradient is at most the fixed tol, or at most
 support inequality h(p) >= h(p_k) - |s_k| B_{p_k,s_k}(p) (convexity of h
 for the classic model) each subproblem majorizes phi up to a constant
 and touches it at p_k with the gradient grad phi(p_k), so any accepted
-step lowers phi and the subproblem need not be solved exactly.  The
-exact minimizer lowers phi by (sigma/2) d^2, the decrease that
-``complexity_bound_check`` sums, and a solve stopped short of it holds
-that decrease as its certificate; the outer tests certify eps.  The
+step lowers phi and the subproblem need not be solved exactly.  Where
+s_k = 0 the subproblem is phi itself up to a constant, and its solve
+runs to the fixed tol.  The exact minimizer lowers phi by (sigma/2) d^2,
+the decrease that ``complexity_bound_check`` sums, and a solve stopped
+short of it holds that decrease as its certificate; the outer tests
+certify eps.  Since the subproblem's gradient at p_k is grad phi(p_k),
+``run_dca`` takes it once per iterate: the ray along -grad phi(p_k)
+gives the outer test its norm (its ``speed``) and is the first search
+ray of the inner solve.  The
 horofunction subproblem is geodesically convex (g is convex and so is
 every Busemann function), so along a search ray its Armijo test passes
 on an interval of steps: there the first line search of an inner solve
@@ -34,8 +39,8 @@ and its first search starts at index 0.
 
 Every iterate and trial point is a prepared point
 (:class:`~hadamard_dc.geometry.base.Point`): p0 is checked and made one
-once in ``run_dca``, and each line-search trial in ``inner_solve`` is one
-``step`` of the ray ``Manifold._ray(p, -grad)`` that the line search
+once in ``run_dca``, and each line-search trial of the inner solve is
+one ``step`` of the ray ``Manifold._ray(p, -grad)`` that the line search
 prepared at its iterate, which checks exp_p(-alpha grad) and makes it
 one.  It is the argument of the problem closures and of the subproblem
 term and the base point of every geometry kernel; each keeps on it what
@@ -47,6 +52,8 @@ and into the next subproblem.  A point is trusted because of its type:
 ``make_cr_subproblem``, ``make_b_subproblem``, ``inner_solve`` and the
 subproblem's ``value`` and ``grad`` take their point through
 ``Manifold.point``, which checks an array or another manifold's point.
+``run_dca`` runs the inner solve's kernel ``_descend``, which validates
+nothing: its tolerance, grid index and start are the solver's own.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from dataclasses import dataclass, field
 
 from .errors import (NumericalDomainError, StalledInnerSolveError,
                      ValidationError)
-from .geometry.base import check_count
+from .geometry.base import check_count, zero_direction
 
 logger = logging.getLogger(__name__)
 
@@ -215,14 +222,16 @@ class SubproblemObjective:
 
 
 def scale_factor(problem: DCProblem, p0):
-    """gamma = 1/(|grad phi(p0)| + 1), the tolerance scaling of a run."""
-    return 1.0 / (_grad_norm(problem, problem.manifold.point(p0)) + 1.0)
+    """gamma = 1/(|grad phi(p0)| + 1), the tolerance scaling of a run,
+    |grad phi(p0)| the speed of the ray ``run_dca`` takes at p0."""
+    return 1.0 / (_phi_ray(problem, problem.manifold.point(p0)).speed + 1.0)
 
 
-def _grad_norm(problem, p):
-    """|grad phi(p)|_p at a point, with grad phi checked as a tangent."""
+def _phi_ray(problem, p):
+    """The ray ``Manifold._ray(p, -grad phi(p))`` at a point, grad phi
+    checked as a tangent: its ``speed`` is |grad phi(p)|_p."""
     m = problem.manifold
-    return m._norm(p, m.check_tangent(p, problem.phi_grad(p)))
+    return m._ray(p, -m.check_tangent(p, problem.phi_grad(p)))
 
 
 def _model_point(problem: DCProblem, p_k, s_k):
@@ -313,7 +322,8 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     ``ray.step(alpha)``, the checked point of exp_p(-alpha grad), so the
     trials from one iterate share what the ray prepared (on SPD, one
     eigendecomposition).  Stops when the subproblem gradient norm drops
-    to ``tol``; when it drops to ``_INNER_REL_FACTOR`` |grad| at
+    to ``tol`` or is not finite (no step of a finite search has an
+    infinite slope); when it drops to ``_INNER_REL_FACTOR`` |grad| at
     ``start`` at an iterate p where ``certify`` is None or
     ``certify(p)`` holds (at p_k the subproblem's gradient is grad
     phi(p_k), and its decrease bounds phi's, so a rough solve far from
@@ -332,7 +342,10 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
     ``start``, unless it is a point already, and every trial point (in
     ``step``) are validated and made points, so the objective only sees
     checked points; the accepted iterate is not checked again when a
-    trial steps from it.  ``tol`` must be finite and positive.
+    trial steps from it.  ``tol`` must be finite and positive.  This
+    function validates its arguments and prepares the first ray; the
+    descent is ``_descend``, which ``run_dca`` calls with the ray along
+    -grad phi(p_k) that its outer test has taken.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"inner tolerance must be finite and > 0: {tol}")
@@ -341,15 +354,24 @@ def inner_solve(objective: SubproblemObjective, start, tol: float,
             f"first_index must be < {_MAX_HALVINGS}: {first_index!r}")
     manifold = objective.problem.manifold
     p = manifold.point(start)
-    fp = objective.value(p)
     ray = manifold._ray(p, -objective.grad(p))
+    return _descend(objective, p, ray, tol, _INNER_REL_FACTOR * ray.speed,
+                    first_index, certify)
+
+
+def _descend(objective, p, ray, tol, rel_stop, first_index, certify):
+    """The descent of ``inner_solve`` from the point ``p`` along its
+    first ``ray``, the ray of -grad at p, with the relative stop at
+    gradient norm ``rel_stop`` (0: none): the kernel, which validates
+    nothing."""
+    manifold = objective.problem.manifold
+    fp = objective.value(p)
     gn = ray.speed
-    rel_stop = _INNER_REL_FACTOR * gn
     iters = 0
     alpha_prev = None
     convex = objective.scale >= 0.0
 
-    while gn > tol and iters < _MAX_INNER_ITERS:
+    while tol < gn < math.inf and iters < _MAX_INNER_ITERS:
         if gn <= rel_stop and (certify is None or certify(p)):
             break
         decrease_floor = 8.0 * _EPS_MACH * (1.0 + abs(fp))
@@ -430,8 +452,13 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     Per iteration: take s_k in the subdifferential of h at p_k, build the
     subproblem selected by ``cfg.algorithm``, and inner-solve it from p_k,
     passing the grid index that the previous inner solve's first line
-    search accepted (0 at p0), where ``inner_solve`` starts its first
-    search on a convex subproblem.
+    search accepted (0 at p0), where the inner solve starts its first
+    search on a convex subproblem.  Each iterate takes grad phi(p_k) once,
+    as the ray ``Manifold._ray(p_k, -grad phi(p_k))``: its ``speed`` is
+    the |grad phi(p_k)| of gamma (at p0) and of the gradient test, and it
+    is the first search ray of the inner solve, run by its kernel
+    ``_descend``, since the subproblem touches phi at p_k with that
+    gradient.
 
     The run is scaled by gamma = 1/(|grad phi(p0)| + 1): the solver
     behaves as if it minimized gamma * phi with tolerance
@@ -451,14 +478,18 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     decrease the exact subproblem minimizer meets and
     ``complexity_bound_check`` holds at any stop factor: the certificate
     computes d(p_k, p) and phi(p) once per point and the outer step
-    takes them from it.  An inner solve that takes no step (a floored or
-    noise-floor first search) ends the run as "fixed_point"; any other
-    stalled first line search raises StalledInnerSolveError with the
-    partial trace as ``exc.trace``.
+    takes them from it.  Where s_k = 0 (``zero_direction``, the test of
+    ``_support_term``) the subproblem is phi up to a constant, and its
+    solve has no relative stop.  An inner solve that takes no step (a
+    floored or noise-floor first search, or a |grad phi(p_k)| that is not
+    finite, as where the SPD congruence of grad phi overflows) ends the
+    run as "fixed_point"; any other stalled first line search raises
+    StalledInnerSolveError with the partial trace as ``exc.trace``.
     """
     manifold = problem.manifold
     p = manifold.point(p0)
-    gamma = scale_factor(problem, p)
+    ray = _phi_ray(problem, p)
+    gamma = 1.0 / (ray.speed + 1.0)
     eps = gamma * cfg.eps_base
     inner_tol = _INNER_TOL_FACTOR * cfg.eps_base
     make = make_cr_subproblem if cfg.algorithm == "cr_dca" else make_b_subproblem
@@ -484,7 +515,7 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
     trace = SolverTrace(gamma=gamma, eps=eps, algorithm=cfg.algorithm,
                         problem=problem.name)
     t0 = time.perf_counter()
-    fp, gn = problem.phi(p), gamma * _grad_norm(problem, p)
+    fp, gn = problem.phi(p), gamma * ray.speed
 
     def record(inner_iters=0, step_dist=0.0):
         trace.records.append(IterationRecord(
@@ -501,22 +532,28 @@ def run_dca(problem: DCProblem, p0, cfg: SolverConfig) -> SolverTrace:
         if len(trace.records) >= cfg.max_outer:
             trace.exit_reason = "max_outer"
             break
-        objective = make(problem, p, p.derived(problem.h_subgrad))
+        s_k = p.derived(problem.h_subgrad)
+        objective = make(problem, p, s_k)
+        # s_k as the builder checked it; where it is 0 the subproblem is
+        # phi up to a constant, and a relative stop would only split it
+        rel_stop = 0.0 if zero_direction(s_k) \
+            else _INNER_REL_FACTOR * ray.speed
         moved = (None,)     # (q, d(p_k, q), phi(q)) of the last candidate
         try:
-            p_next, n_inner, first_index = inner_solve(
-                objective, p, inner_tol, first_index, certify)
+            p_next, n_inner, first_index = _descend(
+                objective, p, ray, inner_tol, rel_stop, first_index, certify)
         except StalledInnerSolveError as exc:
             trace.exit_reason = "stalled"
             stall = exc
             break
         step, f_next = move(p_next)
         record(n_inner, step)
-        p, fp = p_next, f_next
-        gn = gamma * _grad_norm(problem, p)
-        if n_inner == 0:            # no step taken, so p_next is p
+        if n_inner == 0:            # no step taken: p_next is p, ray its ray
             trace.exit_reason = "fixed_point"
             break
+        p, fp = p_next, f_next
+        ray = _phi_ray(problem, p)
+        gn = gamma * ray.speed
 
     record()
     trace.time_s = time.perf_counter() - t0

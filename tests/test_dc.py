@@ -390,20 +390,21 @@ def test_run_dca_stall_carries_partial_trace(alg):
 
 
 def test_valley_stall_after_progress_continues_the_run(caplog):
-    """Valley start 381 stalls once inside an inner solve, after three
-    accepted steps; the outer loop goes on from the returned point, and
+    """Valley start 122 stalls once inside an inner solve, after one
+    accepted step; the outer loop goes on from the returned point, and
     the run ends at a fixed point, the one outer step that took no inner
     step.  (Start 22 did so, after two steps, while each solve stopped at
-    a tenth of |grad phi(p_k)|; at seven tenths no start of 0-399 but 381
-    stalls after progress.)"""
+    a tenth of |grad phi(p_k)|; start 381, after three, while each inner
+    solve took its first ray from the subproblem's own gradient at p_k.
+    Now no start of 0-399 but 122 stalls after progress.)"""
     import logging
     prob = rosenbrock_problem(RosenbrockParams())
-    p0 = random_start(prob, make_rng(381))
+    p0 = random_start(prob, make_rng(122))
     with caplog.at_level(logging.DEBUG, logger="hadamard_dc.dc"):
         trace = run_dca(prob, p0, SolverConfig(algorithm="b_dca"))
     stalls = [r.message for r in caplog.records
               if "stalled after" in r.message]
-    assert len(stalls) == 1 and "stalled after 3 iterations" in stalls[0]
+    assert len(stalls) == 1 and "stalled after 1 iterations" in stalls[0]
     assert trace.exit_reason == "fixed_point"
     assert trace.records[-2].inner_iters == 0
     assert all(r.inner_iters >= 1 for r in trace.records[:-2])
@@ -610,6 +611,7 @@ def _counting_run(prob, start, alg):
     with primitive_counter() as counter:
         trace = run_dca(prob, start, SolverConfig(algorithm=alg))
     counts["trials"] = counter.counts["step"]
+    counts["subproblem_grad"] = counter.counts["subproblem_grad"]
     return trace, counts
 
 
@@ -631,14 +633,69 @@ def test_run_dca_evaluates_each_point_once(instance, alg):
     """g once per trial point and grad g once per accepted inner iterate,
     carried on the point from the inner solve to the outer tests and into
     the next inner solve; p0 adds one g and one grad g, which scale_factor
-    and the gradient test share."""
+    and the gradient test share.  A subproblem's gradient is taken once
+    per inner iteration, at the point it accepted: at p_k it is grad
+    phi(p_k), whose ray the outer test took, so the first search runs
+    along that ray (one more per outer step when each inner solve took
+    it again).  scale_factor reads |grad phi(p0)| from the same ray, so
+    it is the run's gamma bit for bit."""
     prob, start = instance()
     trace, counts = _counting_run(prob, start, alg)
     assert trace.exit_reason in ("grad", "fixed_point")
     assert trace.k > 0 and counts["trials"] >= trace.inner_total
     assert counts["g_rgrad"] == trace.inner_total + 1
+    assert counts["subproblem_grad"] == trace.inner_total
+    assert scale_factor(prob, start).hex() == trace.gamma.hex()
     assert counts["g"] == counts["trials"] + 1
     assert counts["h"] == len(trace.records)
+
+
+def test_h_zero_solves_have_no_relative_stop(capsys):
+    """Where s_k = 0 (h = 0 on ``spd-contrastive --r 0``) the subproblem is
+    phi itself up to a constant, so its solve runs to the fixed tolerance:
+    every run is one outer step of four inner iterations, with both
+    algorithms (9-18 outer steps of 10-18 inner iterations when the
+    relative stop at seven tenths of |grad phi(p_k)| cut each solve)."""
+    import csv
+    import io
+
+    from hadamard_dc.cli import main
+    assert main(["spd-contrastive", "--n", "4", "--m", "3", "--r", "0"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 20
+    assert {r["algorithm"] for r in rows} == {"cr", "b"}
+    assert {(r["k"], r["inn"]) for r in rows} == {("1", "4")}
+
+
+@pytest.mark.parametrize("alg", ["cr_dca", "b_dca"])
+@pytest.mark.parametrize("h_zero", [True, False], ids=["h=0", "h=tr"])
+def test_overflowing_gradient_congruence_ends_at_a_fixed_point(alg, h_zero):
+    """On SPD(2) at Y = diag(1e-200, 1), g(X) = tr(X^-1) has grad g = -I,
+    whose congruence -L^-1 L^-T = -Y^-1 has the entry -1e200: its square
+    overflows, so the ray along -grad phi(Y) has speed inf, gamma = 1/(inf
+    + 1) = 0 and eps = 0, and each record's scaled norm is 0 inf = NaN.
+    No step of a search can follow an infinite slope, so the run ends as
+    "fixed_point" with no inner step, with s_k = 0 (h = 0, no relative
+    stop) and with s_k = Y^2 = diag(0, 1) (h = tr).  (It ended so when
+    |grad phi(Y)| was the shifted norm 1e200, with gamma 1e-200 and
+    scaled norms 1.)"""
+    from hadamard_dc import SPDManifold
+    zero = np.zeros((2, 2))
+    prob = DCProblem(
+        manifold=SPDManifold(2),
+        g=lambda p: float(np.trace(np.linalg.inv(p.x))),
+        h=(lambda p: 0.0) if h_zero else (lambda p: float(np.trace(p.x))),
+        h_subgrad=(lambda p: zero) if h_zero else (lambda p: p.x @ p.x),
+        g_rgrad=lambda p: -np.eye(2), name="inverse-trace")
+    with np.errstate(over="ignore"):
+        trace = run_dca(prob, np.diag([1e-200, 1.0]),
+                        SolverConfig(algorithm=alg))
+    assert trace.exit_reason == "fixed_point"
+    assert trace.k == 1 and trace.inner_total == 0
+    assert trace.gamma == 0.0 and trace.eps == 0.0
+    assert [r.fval for r in trace.records] == [1e200, 1e200]
+    assert all(math.isnan(r.grad_norm) for r in trace.records)
+    assert trace.step_dists() == [0.0]
 
 
 def test_spd_trial_steps_take_the_iterates_factor(monkeypatch):
@@ -647,12 +704,14 @@ def test_spd_trial_steps_take_the_iterates_factor(monkeypatch):
     iterate share its factor through the ray that the iterate prepares:
     the first ray from an inner iterate inverts L (no gradient of the
     contrastive sums needs it), no later ray from it does, and no trial
-    step inverts L or factors a point twice.  An outer iterate has L^-1
-    before its first ray, from the subproblem build or the step
-    distance."""
+    step inverts L or factors a point twice.  p0's first ray is the ray
+    along -grad phi(p0), which inverts L before the subproblem build;
+    every later outer iterate is an inner iterate, whose first ray came
+    from the inner solve that reached it.  The rays are keyed by point,
+    so the two runs' p0, equal arrays, are two points."""
     from hadamard_dc.geometry import SPDManifold, spd
     counts = {"factor": 0, "cholesky": 0}
-    made = {}               # base point bytes -> inversions per ray
+    made = {}               # base point -> inversions per ray
     stepped = []            # (inversions, Cholesky factorizations) per step
     with_inverse, cholesky = spd._with_inverse, np.linalg.cholesky
     ray, step = SPDManifold._ray, spd.SPDRay.step
@@ -666,7 +725,7 @@ def test_spd_trial_steps_take_the_iterates_factor(monkeypatch):
     def counted_ray(self, y, d):
         before = counts["factor"]
         out = ray(self, y, d)
-        made.setdefault(y.x.tobytes(), []).append(counts["factor"] - before)
+        made.setdefault(y, []).append(counts["factor"] - before)
         return out
 
     def counted_step(self, t):
@@ -709,7 +768,9 @@ def test_warm_first_search_matches_cold(instance, monkeypatch):
     solve starts at the grid index the previous one accepted, and it
     returns the cold search's point bit for bit with the same iteration
     count: per outer step, and over a whole b-DCA run against one whose
-    every inner solve starts cold, with fewer trial steps."""
+    every inner solve starts cold, with fewer trial steps (the cold run
+    patches the inner solve's kernel ``_descend``, which ``run_dca``
+    calls)."""
     from hadamard_dc import dc
     prob, start = instance()
     manifold = prob.manifold
@@ -734,10 +795,11 @@ def test_warm_first_search_matches_cold(instance, monkeypatch):
     with primitive_counter() as counter:
         warm_run = run_dca(prob, start, SolverConfig(algorithm="b_dca"))
     warm_trials = counter.counts["step"]
-    solve = dc.inner_solve
-    monkeypatch.setattr(dc, "inner_solve",
-                        lambda objective, start, tol, first_index, certify:
-                        solve(objective, start, tol, certify=certify))
+    descend = dc._descend
+    monkeypatch.setattr(dc, "_descend",
+                        lambda objective, p, ray, tol, rel_stop, first_index,
+                        certify: descend(objective, p, ray, tol, rel_stop, 0,
+                                         certify))
     with primitive_counter() as counter:
         cold_run = run_dca(prob, start, SolverConfig(algorithm="b_dca"))
     assert _trace_bytes(warm_run) == _trace_bytes(cold_run)

@@ -389,14 +389,16 @@ def test_contrastive_construction_primitive_counts():
     when random_tangent drew with X^1/2, one eigh, and each sample's
     norm solved with X).  Each sample takes one |w|_c (norm 5).  Before
     the point factor (eigh 8, cholesky 6, no inv): the center's X^+-1/2
-    and the R^+-1/2 of each stack were one spd_roots each."""
+    and the R^+-1/2 of each stack were one spd_roots each.  Construction
+    takes no subproblem gradient."""
     with primitive_counter() as counter:
         contrastive_problem(ContrastiveParams(n=4, m=3, r=2), make_rng(5))
     assert counter.counts == {"eigh": 5, "eigvalsh": 0, "cholesky": 12,
                               "solve": 0, "inv": 3, "check_point": 6,
                               "step": 0, "_definite": 6, "factor": 1,
                               "hyperboloid._dist": 0,
-                              "hyperboloid._log": 0, "norm": 5}
+                              "hyperboloid._log": 0, "norm": 5,
+                              "subproblem_grad": 0}
 
 
 def test_contrastive_convexity_of_components():
@@ -711,9 +713,17 @@ def test_valley_b_dca_primitive_counts():
     sigma is 0, so no stop asks for the certificate and it computes no
     distance.  The support scale |s_k| of an outer step is the |s_k| its
     horofunction computed (25,471 norms when ``_support_term`` computed
-    it again, one more per outer step)."""
+    it again, one more per outer step).  Each iterate takes grad phi
+    once, as the ray whose speed the outer test reads and along which
+    the inner solve's first search runs, so a subproblem's gradient is
+    taken once per inner iteration (2,599 outer steps, 14,970 _dist,
+    2,704 _log, 12,351 steps, 22,872 norms and 5,283 subproblem
+    gradients when the first search took its ray from the subproblem's
+    own gradient at p_k and the outer test normed grad phi again).  A
+    run that ends at a fixed point keeps the ray of that point, which it
+    did not leave (20,226 norms when it took the ray again)."""
     totals = {"hyperboloid._dist": 0, "hyperboloid._log": 0, "step": 0,
-              "check_point": 0, "norm": 0}
+              "check_point": 0, "norm": 0, "subproblem_grad": 0}
     outer = 0
     for seed in range(20):
         prob = rosenbrock_problem(RosenbrockParams())
@@ -723,9 +733,10 @@ def test_valley_b_dca_primitive_counts():
         outer += trace.k
         for name in totals:
             totals[name] += counter.counts[name]
-    assert outer == 2599
-    assert totals == {"hyperboloid._dist": 14970, "hyperboloid._log": 2704,
-                      "step": 12351, "check_point": 20, "norm": 22872}
+    assert outer == 2594
+    assert totals == {"hyperboloid._dist": 14952, "hyperboloid._log": 2700,
+                      "step": 12338, "check_point": 20, "norm": 20223,
+                      "subproblem_grad": 2680}
 
 
 @pytest.mark.parametrize("build, error", [

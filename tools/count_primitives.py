@@ -10,8 +10,10 @@ class (one line-search trial, which validates its point without
 ``check_point`` on the hyperboloid and SPD), of ``SPDManifold._definite``
 (the Cholesky test of an SPD trial and of ``check_point``), of ``factor``
 (the factor L and L^-1 of one SPD point, L^-1 by one ``inv``) and of
-``Hyperboloid._dist`` and ``_log``, and of ``_norm`` (|v|_q, under
-``norm``) of every geometry, problem construction included.  The
+``Hyperboloid._dist`` and ``_log``, of ``_norm`` (|v|_q, under
+``norm``) of every geometry, problem construction included, and of
+``SubproblemObjective.grad`` (one gradient of a subproblem, under
+``subproblem_grad``).  The
 counts are a deterministic function of the flags, so running this file
 against two source trees
 
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hadamard_dc import geometry
+from hadamard_dc import dc, geometry
 from hadamard_dc.cli import main
 
 ALGORITHMS = ("cr", "b")
@@ -45,7 +47,7 @@ RAYS = (geometry.base.Ray, geometry.hyperboloid.HyperboloidRay,
 NORMS = tuple(cls for cls in (geometry.Manifold, *GEOMETRIES)
               if "_norm" in vars(cls))              # the classes with a _norm
 NAMES = LAPACK + ("check_point", "step", "_definite", "factor") + tuple(
-    f"hyperboloid.{op}" for op in HYPERBOLOID) + ("norm",)
+    f"hyperboloid.{op}" for op in HYPERBOLOID) + ("norm", "subproblem_grad")
 
 
 class PrimitiveCounter:
@@ -58,8 +60,9 @@ class PrimitiveCounter:
     of ``NORMS``, ``Manifold`` and the geometries that define their own
     (all under ``norm``), found from the classes of the source tree
     imported, so that one copy of this file counts every ``_norm`` of
-    two trees that define it in different classes.  Leaving it restores
-    the originals."""
+    two trees that define it in different classes, and
+    ``SubproblemObjective.grad`` (under ``subproblem_grad``).  Leaving
+    it restores the originals."""
 
     def __init__(self):
         self.counts = dict.fromkeys(NAMES, 0)
@@ -89,6 +92,7 @@ class PrimitiveCounter:
             self._patch(geometry.Hyperboloid, op, f"hyperboloid.{op}")
         for cls in NORMS:
             self._patch(cls, "_norm", "norm")
+        self._patch(dc.SubproblemObjective, "grad", "subproblem_grad")
         return self
 
     def __exit__(self, *exc):
